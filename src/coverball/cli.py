@@ -216,7 +216,8 @@ def cmd_surface_capture(parser, args) -> None:
 def cmd_surface_nerve(parser, args) -> None:
     s = load_surf(parser, args.input)
     rep = nerve.nerve_graph(s, args.r0, args.eps)
-    rows = [{"center": c, "ball_area": rep.ball_areas[c]} for c in rep.centers]
+    rows = [{"center": c, "ball_area": a}
+            for c, a in zip(rep.centers, rep.ball_areas)]
     emit(args, {"command": "surface nerve", "input": args.input,
                 "r0": rep.r0, "eps": rep.eps, "centers": rep.centers,
                 "precondition_ok": rep.precondition_ok,

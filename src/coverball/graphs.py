@@ -119,14 +119,6 @@ class ReductionTrace:
     vertex_map: Mapping[int, int]
     edge_map: Mapping[int, tuple[int, ...]]
 
-    def pull_back_vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
-    @staticmethod
-    def identity(g: MetricGraph) -> "ReductionTrace":
-        return ReductionTrace((), {v: v for v in g.vertices},
-                              {e.id: (e.id,) for e in g.edges})
-
 
 def betti(g: MetricGraph) -> int:
     """First Betti number e - v + n."""

@@ -1,36 +1,27 @@
-"""Sparse echelon forms over the rationals and over a prime field.
+"""Sparse row echelon form over the rationals.
 
-Vectors are dicts mapping column index to a nonzero coefficient.  The
-rational backend is exact; the prime backend is used for large complexes,
-where a full mod-p rank certifies the rational rank from below (and equals
-it whenever the target rank is also an upper bound, e.g. rank 2g in a
-2g-dimensional quotient).
+Vectors are dicts mapping column index to a nonzero coefficient.  Entries
+are coerced to ``Fraction``, so ranks and memberships are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-PRIME = (1 << 31) - 1
-
 
 class Echelon:
-    """Incremental row echelon basis; exact over Q when p is None."""
+    """Incremental row echelon basis over Q."""
 
-    def __init__(self, p: int | None = None):
-        self.p = p
-        self.pivots: dict[int, dict[int, object]] = {}
+    def __init__(self):
+        self.pivots: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _norm(self, x):
-        return x % self.p if self.p else x
-
     def reduce(self, vec: dict) -> dict:
         """Residual of vec against the current basis (vec is not modified)."""
-        v = {c: self._norm(x) for c, x in vec.items() if self._norm(x) != 0}
+        v = {c: Fraction(x) for c, x in vec.items() if x}
         done = -1
         while True:
             todo = [c for c in v if c > done and c in self.pivots]
@@ -41,10 +32,7 @@ class Echelon:
             row = self.pivots[c]
             coeff = v[c]
             for col, x in row.items():
-                if self.p:
-                    nv = (v.get(col, 0) - coeff * x) % self.p
-                else:
-                    nv = v.get(col, Fraction(0)) - coeff * x
+                nv = v.get(col, 0) - coeff * x
                 if nv:
                     v[col] = nv
                 else:
@@ -58,17 +46,5 @@ class Echelon:
             return False
         c = min(res)
         lead = res[c]
-        if self.p:
-            inv = pow(lead, self.p - 2, self.p)
-            row = {col: (x * inv) % self.p for col, x in res.items()}
-        else:
-            row = {col: x / lead for col, x in res.items()}
-        self.pivots[c] = row
+        self.pivots[c] = {col: x / lead for col, x in res.items()}
         return True
-
-
-def span_rank(vectors, p: int | None = None) -> int:
-    ech = Echelon(p)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank

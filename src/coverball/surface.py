@@ -1,9 +1,8 @@
 """Triangulated closed orientable surfaces with exact edge lengths.
 
 The surface metric is the shortest-path metric on the 1-skeleton; face
-areas come from Heron's formula.  First homology is computed over exact
-rationals (mod-p echelon above a size threshold, with the rank certified
-against the genus so capture conclusions stay exact).
+areas come from Heron's formula.  First homology is exact: integer class
+vectors on the edges from a tree-cotree decomposition.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Edge, GraphError, MetricGraph
-from .linalg import PRIME, Echelon
-
-EXACT_EDGE_LIMIT = 400   # above this, homology elimination runs mod PRIME
+from .linalg import Echelon
 
 
 class SurfaceError(ValueError):
@@ -224,23 +221,21 @@ def _directed(face, flipped: bool):
 
 
 class HomologyData:
-    """First homology over Q via a spanning tree and face relations.
+    """First homology over Z from a tree-cotree decomposition.
 
-    Cycle chains are coordinatized on non-tree edges; the quotient by face
-    boundaries is kept as an echelon basis, so the class of any closed walk
-    is its reduced residual on the 2g free columns.
+    T is a BFS spanning tree of the 1-skeleton and C a spanning tree of the
+    dual graph on the remaining edges, taken greedily in edge order; the 2g
+    edges in neither are the generators.  Every edge (u, w), u < w, carries
+    an integer class vector in Z^{2g}: zero on T, the i-th unit vector on
+    the i-th generator, and on C the value its face relations force.  The
+    class of a closed walk is the sum of its directed edge classes.
     """
 
-    def __init__(self, s: TriSurface, exact: bool | None = None):
-        self.surface = s
-        if exact is None:
-            exact = len(s.edges) <= EXACT_EDGE_LIMIT
-        self.exact = exact
-        self.p = None if exact else PRIME
+    def __init__(self, s: TriSurface):
         g = s.skeleton()
         # BFS spanning tree, deterministic
         root = min(s.vertices)
-        parent_edge: dict[int, tuple[int, int]] = {}
+        tree = set()
         order = [root]
         seenv = {root}
         qi = 0
@@ -251,85 +246,102 @@ class HomologyData:
                 u = e.other(v)
                 if u not in seenv:
                     seenv.add(u)
-                    parent_edge[u] = (v, u)
+                    tree.add(_pair(v, u))
                     order.append(u)
-        self.tree = {_pair(*pe) for pe in parent_edge.values()}
-        self.parent_edge = parent_edge
-        self.root = root
-        self.nontree = [e for e in s.edges if e not in self.tree]
-        self.nontree_index = {e: i for i, e in enumerate(self.nontree)}
-        # face boundary relations in non-tree coordinates
-        self.relations = Echelon(self.p)
-        for i, f in enumerate(s.faces):
-            vec = self.chain_coords(_directed(f, False))
-            self.relations.add(vec)
-        m = len(self.nontree)
-        expected = m - 2 * s.genus
-        if self.relations.rank != expected:
-            if self.p is not None:
-                # unlucky prime: fall back to exact arithmetic
-                self.__init__(s, exact=True)
-                return
-            raise SurfaceError("face relations have unexpected rank")
-        # the 2g free columns carry the class coordinates
-        self.free_cols = [i for i in range(m) if i not in self.relations.pivots]
+        # dual spanning tree of the non-tree edges; the rest generate H1
+        root_of = list(range(len(s.faces)))
 
-    def chain_coords(self, directed_edges) -> dict[int, int]:
-        vec: dict[int, int] = {}
-        for (x, y) in directed_edges:
-            idx = self.nontree_index.get(_pair(x, y))
-            if idx is None:
+        def find(x):
+            while root_of[x] != x:
+                root_of[x] = root_of[root_of[x]]
+                x = root_of[x]
+            return x
+
+        dual: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        self.generators: list[tuple[int, int]] = []
+        for e in s.edges:
+            if e in tree:
                 continue
-            vec[idx] = vec.get(idx, 0) + (1 if x < y else -1)
-            if not vec[idx]:
-                del vec[idx]
-        return vec
+            f1, f2 = s.edge_faces[e]
+            r1, r2 = find(f1), find(f2)
+            if r1 == r2:
+                self.generators.append(e)
+            else:
+                root_of[r1] = r2
+                dual.setdefault(f1, []).append((e, f2))
+                dual.setdefault(f2, []).append((e, f1))
+        k = len(self.generators)
+        if k != 2 * s.genus:
+            raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
+        zero = (0,) * k
+        cls = {e: zero for e in tree}
+        for i, e in enumerate(self.generators):
+            cls[e] = zero[:i] + (1,) + zero[i + 1:]
+        self.edge_class = cls
+        # peel dual leaves: each face, children first, fixes the cotree edge
+        # towards its dual parent so that its boundary sums to zero
+        up = {0: None}
+        forder = [0]
+        for f in forder:
+            for e, h in dual.get(f, ()):
+                if h not in up:
+                    up[h] = e
+                    forder.append(h)
+        for f in reversed(forder[1:]):
+            e = up[f]
+            acc = zero
+            for (x, y) in _directed(s.faces[f], False):
+                if _pair(x, y) == e:
+                    sign = 1 if x < y else -1
+                else:
+                    acc = _vadd(acc, self.step(x, y))
+            cls[e] = _vneg(acc) if sign > 0 else acc
+        for f in s.faces:
+            if self.class_of_walk(f):
+                raise SurfaceError("face boundary has a nonzero homology class")
 
-    def class_of_walk(self, walk_vertices) -> dict:
-        """Homology class of a closed walk given as a vertex list
-        (first and last vertex equal, or closure implied)."""
+    def step(self, x: int, y: int) -> tuple[int, ...]:
+        """Class of the directed edge x -> y."""
+        if x < y:
+            return self.edge_class[(x, y)]
+        return _vneg(self.edge_class[(y, x)])
+
+    def class_of_walk(self, walk_vertices) -> dict[int, int]:
+        """Homology class of a closed walk given as a vertex list (first and
+        last vertex equal, or closure implied), as a sparse vector."""
         vs = list(walk_vertices)
         if vs[0] != vs[-1]:
             vs.append(vs[0])
-        return self.class_of_chain(self.chain_coords(zip(vs, vs[1:])))
+        acc = (0,) * len(self.generators)
+        for x, y in zip(vs, vs[1:]):
+            acc = _vadd(acc, self.step(x, y))
+        return _sparse(acc)
 
-    def class_of_chain(self, coords: dict) -> dict:
-        return self.relations.reduce(coords)
 
-    def tree_path(self, v: int) -> list[int]:
-        """Vertex path from the root to v along the spanning tree."""
-        path = [v]
-        while path[-1] != self.root:
-            path.append(self.parent_edge[path[-1]][0])
-        return path[::-1]
+def _vadd(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
-    def fundamental_cycle(self, e: tuple[int, int]) -> list[int]:
-        """Closed walk root -> u -> w -> root for a non-tree edge."""
-        u, w = e
-        return self.tree_path(u) + self.tree_path(w)[::-1]
 
-    def boundary_matrices(self):
-        """Exact sparse boundary maps (d1: edges->vertices, d2: faces->edges)."""
-        s = self.surface
-        eidx = {e: i for i, e in enumerate(s.edges)}
-        d1 = []
-        for (u, w) in s.edges:          # oriented u -> w, u < w
-            d1.append({w: Fraction(1), u: Fraction(-1)})
-        d2 = []
-        for f in s.faces:
-            col: dict[int, Fraction] = {}
-            for (x, y) in _directed(f, False):
-                col[eidx[_pair(x, y)]] = col.get(eidx[_pair(x, y)], Fraction(0)) \
-                    + (1 if x < y else -1)
-            d2.append({k: v for k, v in col.items() if v})
-        return d1, d2
+def _vneg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
+
+
+def _sparse(t: tuple) -> dict[int, int]:
+    """Dict form of a class vector, as ``Echelon`` takes it."""
+    return {i: x for i, x in enumerate(t) if x}
 
 
 # ---------------------------------------------------------------------------
 # capturing subgraphs
 
-def subgraph_cycle_classes(s: TriSurface, sub_edges) -> list[dict]:
-    """Homology classes of a fundamental cycle basis of the subgraph."""
+def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
+    """True iff the subgraph's cycle space surjects onto H1(M); also the
+    rank of its image.
+
+    Potentials p(v) sum the edge classes along a spanning forest of the
+    subgraph; each other edge (u, w) closes a cycle of class
+    p(u) + [u -> w] - p(w).
+    """
     hom = s.homology()
     sub = sorted(set(map(lambda e: _pair(*e), sub_edges)))
     parent: dict[int, int] = {}
@@ -340,54 +352,36 @@ def subgraph_cycle_classes(s: TriSurface, sub_edges) -> list[dict]:
             x = parent[x]
         return x
 
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    tree: list[tuple[int, int]] = []
+    adj: dict[int, list[int]] = {}
     extra: list[tuple[int, int]] = []
     for (u, w) in sub:
         ru, rw = find(u), find(w)
         if ru != rw:
             parent[ru] = rw
-            tree.append((u, w))
-            adj.setdefault(u, []).append((w, (u, w)))
-            adj.setdefault(w, []).append((u, (u, w)))
+            adj.setdefault(u, []).append(w)
+            adj.setdefault(w, []).append(u)
         else:
             extra.append((u, w))
-
-    def path(a, b):
-        # BFS in the subgraph spanning forest
-        prev = {a: None}
-        q = [a]
-        qi = 0
-        while qi < len(q):
-            v = q[qi]
-            qi += 1
-            if v == b:
-                break
-            for (nb, _) in adj.get(v, []):
-                if nb not in prev:
-                    prev[nb] = v
-                    q.append(nb)
-        out = [b]
-        while prev[out[-1]] is not None:
-            out.append(prev[out[-1]])
-        return out[::-1]
-
-    classes = []
+    pot: dict[int, tuple[int, ...]] = {}
+    for r in adj:
+        if r in pot:
+            continue
+        pot[r] = (0,) * len(hom.generators)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in pot:
+                    pot[u] = _vadd(pot[v], hom.step(v, u))
+                    stack.append(u)
+    full = 2 * s.genus
+    ech = Echelon()
     for (u, w) in extra:
-        walk = path(w, u) + [w]
-        classes.append(hom.class_of_walk(walk))
-    return classes
-
-
-def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
-    """True iff the subgraph's cycle space surjects onto H1(M); also the
-    image rank (a certified lower bound when the mod-p backend is active)."""
-    classes = subgraph_cycle_classes(s, sub_edges)
-    ech = Echelon(s.homology().p)
-    for c in classes:
-        ech.add(c)
-    rank = ech.rank
-    return rank == 2 * s.genus, rank
+        if ech.rank == full:
+            break
+        h = _vadd(pot[u], hom.edge_class[(u, w)])
+        ech.add(_sparse(tuple(a - b for a, b in zip(h, pot[w]))))
+    return ech.rank == full, ech.rank
 
 
 def subgraph_betti(sub_edges) -> int:
@@ -480,7 +474,3 @@ def format_surface(s: TriSurface) -> str:
             lines.append(f"el {u} {w} {l.numerator}/{l.denominator}")
     return "\n".join(lines) + "\n"
 
-
-def load_surface(path) -> TriSurface:
-    with open(path) as fh:
-        return parse_surface(fh.read())

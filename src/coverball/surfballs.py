@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linalg import Echelon
-from .surface import (SurfaceError, TriSurface, _directed, _pair,
-                      capturing_test, subgraph_length)
+from .surface import (SurfaceError, TriSurface, _pair, _sparse, _vadd,
+                      _vneg, capturing_test, subgraph_length)
 
 EXACT_CAPTURE_EDGE_LIMIT = 2000
 SYSTOLE_ENUM_EDGE_LIMIT = 2000
@@ -249,10 +249,6 @@ def systole(s: TriSurface, base: int | None = None,
     return best_len, best_cyc
 
 
-def systole_simple(s: TriSurface) -> tuple[Fraction, list[int]]:
-    return systole(s)
-
-
 def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
     return systole(s, base=x)
 
@@ -337,15 +333,8 @@ def ball_area(s: TriSurface, x: int, R) -> float:
 # ---------------------------------------------------------------------------
 # minimal capturing graphs and the height function
 
-def _independent_pair_rank(hom_classes) -> int:
-    ech = Echelon(None)
-    for c in hom_classes:
-        ech.add(c)
-    return ech.rank
-
-
-def capture_length(s: TriSurface, mode: str = "greedy", x: int | None = None,
-                   slack: Fraction = Fraction(0)) -> tuple[Fraction, set]:
+def capture_length(s: TriSurface, mode: str = "greedy",
+                   x: int | None = None) -> tuple[Fraction, set]:
     """Shortest found capturing subgraph, optionally forced through ``x``.
 
     Exact mode certifies optimality among 1-skeleton subgraphs and is only
@@ -365,57 +354,11 @@ def capture_length(s: TriSurface, mode: str = "greedy", x: int | None = None,
     return _exact_capture_g1(s, x)
 
 
-def _capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
-                            slack: Fraction = Fraction(0)) -> tuple[Fraction, set]:
-    """Independent oracle for exact capture on small genus-1 surfaces:
-    exhaustive enumeration of simple cycle pairs with independent classes."""
-    hom = s.homology()
-    ub, _ = _greedy_capture(s, x)
-    bound = ub + slack
-    cycles = _enumerate_simple_cycles(s, bound)
-    info = []
-    for length, cyc in cycles:
-        cls = hom.class_of_walk(cyc + [cyc[0]])
-        if cls:
-            edges = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-            info.append((length, edges, cls))
-    info.sort(key=lambda t: t[0])
-    if x is not None:
-        dx = s.distances_from(x)
-    best: Fraction | None = None
-    best_edges: set = set()
-    for i in range(len(info)):
-        l1, e1, c1 = info[i]
-        # union length dominates both cycle lengths, so once the shorter
-        # cycle alone reaches the incumbent no later pair can win
-        if best is not None and l1 >= best:
-            break
-        for j in range(i + 1, len(info)):
-            l2, e2, c2 = info[j]
-            if best is not None and l2 >= best:
-                break
-            if _independent_pair_rank([c1, c2]) != 2:
-                continue
-            union = e1 | e2
-            length = subgraph_length(s, union)
-            if x is not None:
-                arc = min((dx[v] for e in union for v in e), default=None)
-                if arc is None:
-                    continue
-                length += arc
-            if best is None or length < best:
-                best = length
-                best_edges = set(union)
-    if best is None:
-        raise SurfaceError("no independent cycle pair within the search bound")
-    return best, best_edges
-
-
 def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]:
     """Greedy homology basis from candidate loops; yields an upper bound."""
     hom = s.homology()
     cands = sorted(_homology_candidates(s), key=lambda t: (t[0], t[1]))
-    ech = Echelon(hom.p)
+    ech = Echelon()
     edges: set = set()
     for length, cyc in cands:
         cls = hom.class_of_walk(cyc + [cyc[0]])
@@ -447,36 +390,22 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 _STATE_CAP = 2_000_000
 
 
-def _class_incs(s: TriSurface, hom):
+def _class_incs(hom):
     incs = {}
-    for (u, w) in s.edges:
-        res = hom.class_of_chain(hom.chain_coords([(u, w)]))
-        t = tuple(res.get(c, 0) for c in hom.free_cols)
+    for (u, w), t in hom.edge_class.items():
         incs[(u, w)] = t
-        incs[(w, u)] = _tneg(t, hom.p)
+        incs[(w, u)] = _vneg(t)
     return incs
 
 
-def _tneg(t, p):
-    if p:
-        return tuple((p - x) % p for x in t)
-    return tuple(-x for x in t)
-
-
-def _tadd(a, b, p):
-    if p:
-        return tuple((x + y) % p for x, y in zip(a, b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _class_rank(classes, p) -> int:
-    ech = Echelon(p)
+def _class_rank(classes) -> int:
+    ech = Echelon()
     for t in classes:
-        ech.add({i: x for i, x in enumerate(t) if x})
+        ech.add(_sparse(t))
     return ech.rank
 
 
-def _class_dijkstra(s: TriSurface, source: int, incs, bound: Fraction, p):
+def _class_dijkstra(s: TriSurface, source: int, incs, bound: Fraction):
     """Shortest walks from source, stratified by homology-coordinate class.
 
     Returns (dist, parent): dist maps (vertex, class) to length <= bound,
@@ -499,7 +428,7 @@ def _class_dijkstra(s: TriSurface, source: int, incs, bound: Fraction, p):
             nd = d + e.length
             if nd > bound:
                 continue
-            nh = _tadd(h, incs[(v, u)], p)
+            nh = _vadd(h, incs[(v, u)])
             ns = (u, nh)
             if ns not in dist or nd < dist[ns]:
                 if len(dist) > _STATE_CAP:
@@ -522,9 +451,8 @@ def _capture_tables(s: TriSurface, bound: Fraction):
     cached = getattr(s, "_capture_cache", None)
     if cached is not None and cached[0] >= bound:
         return cached[1], cached[2]
-    hom = s.homology()
-    incs = _class_incs(s, hom)
-    tables = {v: _class_dijkstra(s, v, incs, bound, hom.p)
+    incs = _class_incs(s.homology())
+    tables = {v: _class_dijkstra(s, v, incs, bound)
               for v in sorted(s.vertices)}
     # per source, class-stratified distances grouped by target vertex
     by_target = {}
@@ -540,12 +468,10 @@ def _capture_tables(s: TriSurface, bound: Fraction):
 
 
 def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
-    hom = s.homology()
-    p = hom.p
     ub, _ = _greedy_capture(s, x)
     tables, by_target = _capture_tables(s, ub)
     distx = s.distances_from(x) if x is not None else None
-    zero = tuple(0 for _ in hom.free_cols)
+    zero = (0,) * len(s.homology().generators)
 
     best = ub
     best_build = None          # callable producing the edge set
@@ -588,7 +514,7 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
             tot = c1 + d2
             if tot >= best:
                 break
-            if _class_rank([h1, h2], p) != 2:
+            if _class_rank([h1, h2]) != 2:
                 continue
             def build(h1=h1, h2=h2, v1=v1):
                 if x is None:
@@ -631,7 +557,7 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                             c = d1 + d2 + dxw
                             if c >= best:
                                 break
-                            h = _tadd(g1, _tneg(g2, p), p)
+                            h = _vadd(g1, _vneg(g2))
                             if h not in arc or c < arc[h][0]:
                                 arc[h] = (c, w, g1, g2)
                 A = sorted((c, h, (w, g1, g2))
@@ -655,8 +581,8 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         tot = d1 + d2 + d3
                         if tot >= best:
                             break
-                        if _class_rank([_tadd(h2, _tneg(h1, p), p),
-                                        _tadd(h3, _tneg(h1, p), p)], p) != 2:
+                        if _class_rank([_vadd(h2, _vneg(h1)),
+                                        _vadd(h3, _vneg(h1))]) != 2:
                             continue
                         def build(u=u, v=v, h1=h1, h2=h2, h3=h3, info1=info1):
                             edges = set()

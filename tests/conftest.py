@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+from coverball import surfballs
 from coverball.graphs import MetricGraph
+from coverball.linalg import Echelon
+from coverball.surface import SurfaceError, TriSurface, _pair, subgraph_length
 
 
 def brute_force_cover_ball(g: MetricGraph, base: int, R: Fraction) -> Fraction:
@@ -56,3 +59,56 @@ def random_bounded_instance(b: int, total_bound: Fraction, seed: int,
     full = [(i, u, w, Fraction(rng.randint(1, hi), denom))
             for (i, u, w) in edges]
     return MetricGraph.build(verts, full)
+
+
+def independent_pair_rank(hom_classes) -> int:
+    ech = Echelon()
+    for c in hom_classes:
+        ech.add(c)
+    return ech.rank
+
+
+def capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
+                           slack: Fraction = Fraction(0)) -> tuple[Fraction, set]:
+    """Independent oracle for exact capture on small genus-1 surfaces:
+    exhaustive enumeration of simple cycle pairs with independent classes."""
+    hom = s.homology()
+    ub, _ = surfballs._greedy_capture(s, x)
+    bound = ub + slack
+    cycles = surfballs._enumerate_simple_cycles(s, bound)
+    info = []
+    for length, cyc in cycles:
+        cls = hom.class_of_walk(cyc + [cyc[0]])
+        if cls:
+            edges = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            info.append((length, edges, cls))
+    info.sort(key=lambda t: t[0])
+    if x is not None:
+        dx = s.distances_from(x)
+    best: Fraction | None = None
+    best_edges: set = set()
+    for i in range(len(info)):
+        l1, e1, c1 = info[i]
+        # union length dominates both cycle lengths, so once the shorter
+        # cycle alone reaches the incumbent no later pair can win
+        if best is not None and l1 >= best:
+            break
+        for j in range(i + 1, len(info)):
+            l2, e2, c2 = info[j]
+            if best is not None and l2 >= best:
+                break
+            if independent_pair_rank([c1, c2]) != 2:
+                continue
+            union = e1 | e2
+            length = subgraph_length(s, union)
+            if x is not None:
+                arc = min((dx[v] for e in union for v in e), default=None)
+                if arc is None:
+                    continue
+                length += arc
+            if best is None or length < best:
+                best = length
+                best_edges = set(union)
+    if best is None:
+        raise SurfaceError("no independent cycle pair within the search bound")
+    return best, best_edges

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import capture_by_cycle_pairs
 from coverball import fixtures, surfballs
 from coverball.surface import capturing_test, subgraph_length
 
@@ -98,7 +99,7 @@ def test_saturated_ball_has_no_boundary(torus):
 
 def test_exact_capture_matches_enumeration_oracle(torus):
     L, edges = surfballs.capture_length(torus, mode="exact")
-    L_oracle, _ = surfballs._capture_by_cycle_pairs(torus)
+    L_oracle, _ = capture_by_cycle_pairs(torus)
     assert L == L_oracle == 5
     ok, rank = capturing_test(torus, edges)
     assert ok and rank == 2
@@ -108,7 +109,7 @@ def test_exact_capture_matches_enumeration_oracle(torus):
 @pytest.mark.parametrize("x", [0, 3, 6])
 def test_exact_based_capture_matches_oracle(torus, x):
     L, edges = surfballs.capture_length(torus, mode="exact", x=x)
-    L_oracle, _ = surfballs._capture_by_cycle_pairs(torus, x=x)
+    L_oracle, _ = capture_by_cycle_pairs(torus, x=x)
     assert L == L_oracle
     assert x in {v for e in edges for v in e}
     ok, _ = capturing_test(torus, edges)

@@ -110,6 +110,16 @@ def test_out_dir_artifacts(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "R,length,truncated"
 
 
+def test_surface_nerve_writes_one_ball_row_per_center(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "surface", "nerve", "genus2.surf",
+                         "--out", str(tmp_path))
+    assert rc == 0
+    centers = json.loads(out)["centers"]
+    rows = (tmp_path / "surface_nerve_balls.csv").read_text().splitlines()
+    assert rows[0] == "center,ball_area"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == centers
+
+
 def test_malformed_file_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("v 0\ne broken\n")

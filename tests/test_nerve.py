@@ -14,6 +14,11 @@ def small_torus():
                                   F(1, 4))
 
 
+@pytest.fixture(scope="module")
+def small_torus_nerve(small_torus):
+    return nerve.nerve_graph(small_torus)
+
+
 def test_slack_constraint_enforced():
     with pytest.raises(SurfaceError):
         nerve.nerve_graph(fixtures.torus7(), r0=F(1, 16), eps=F(1, 64))
@@ -21,8 +26,8 @@ def test_slack_constraint_enforced():
         nerve.nerve_graph(fixtures.torus7(), r0=F(-1, 32))
 
 
-def test_packing_is_separated_and_covering(small_torus):
-    rep = nerve.nerve_graph(small_torus)
+def test_packing_is_separated_and_covering(small_torus, small_torus_nerve):
+    rep = small_torus_nerve
     d = {c: small_torus.distances_from(c) for c in rep.centers}
     for i, a in enumerate(rep.centers):
         for b in rep.centers[i + 1:]:
@@ -31,8 +36,8 @@ def test_packing_is_separated_and_covering(small_torus):
         assert min(d[c][v] for c in rep.centers) <= 2 * rep.r0
 
 
-def test_nerve_checks_pass(small_torus):
-    rep = nerve.nerve_graph(small_torus)
+def test_nerve_checks_pass(small_torus, small_torus_nerve):
+    rep = small_torus_nerve
     assert rep.precondition_ok
     assert rep.packing_bound_ok
     assert rep.non_expansion_ok
@@ -44,8 +49,8 @@ def test_nerve_checks_pass(small_torus):
     assert ok and rank == 2
 
 
-def test_nerve_edge_lengths_quarter(small_torus):
-    rep = nerve.nerve_graph(small_torus)
+def test_nerve_edge_lengths_quarter(small_torus_nerve):
+    rep = small_torus_nerve
     assert all(e.length == F(1, 4) for e in rep.nerve.edges)
     for e, d in rep.center_distances.items():
         assert d <= 4 * rep.r0 + 2 * rep.eps
