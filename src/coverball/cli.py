@@ -112,6 +112,8 @@ def load_surf(parser, name: str) -> TriSurface:
 
 
 def grid_radii(rmax: Fraction, grid: int) -> list[Fraction]:
+    if grid < 1:
+        raise GraphError("--grid must be at least 1")
     return [rmax * k / grid for k in range(grid + 1)]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .graphs import Edge, GraphError, MetricGraph
+from .graphs import Edge, GraphError, MetricGraph, shortest_paths
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -159,18 +159,7 @@ def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fractio
     measured by shortest-path distances."""
     R = Fraction(R)
     g, base_v = _with_base_vertex(g, base)
-    dist = {base_v: Fraction(0)}
-    heap = [(Fraction(0), base_v)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for e in g.incident(v):
-            u = e.other(v)
-            nd = d + e.length
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
+    dist, _ = shortest_paths(g, base_v)
     total = Fraction(0)
     for e in g.edges:
         du = dist.get(e.u)

@@ -4,10 +4,16 @@ Vertices are integer ids.  Edges carry their own integer id, an unordered
 endpoint pair (equal endpoints give a loop) and a strictly positive
 ``Fraction`` length.  Parallel edges are allowed.  All values are frozen
 after construction; every operation returns a new graph.
+
+Every vertex-distance search goes through ``shortest_paths``: one Dijkstra
+on the common-denominator integer grid, with an optional cutoff and skipped
+edge, returning exact distances and a shortest-path tree.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +48,7 @@ class MetricGraph:
     vertices: frozenset[int]
     edges: tuple[Edge, ...]
     _adj: dict[int, list[Edge]] = field(init=False, repr=False, compare=False)
+    _grid: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [e.id for e in self.edges]
@@ -57,6 +64,7 @@ class MetricGraph:
             if not e.is_loop:
                 adj[e.w].append(e)
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_grid", None)
 
     @staticmethod
     def build(vertices: Iterable[int],
@@ -66,6 +74,17 @@ class MetricGraph:
 
     def incident(self, v: int) -> list[Edge]:
         return self._adj[v]
+
+    def int_grid(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """(D, adj): D is the lcm of the length denominators and adj[v]
+        lists (length * D, other end) in ``incident`` order."""
+        if self._grid is None:
+            D = math.lcm(*(e.length.denominator for e in self.edges))
+            adj = {v: [(e.length.numerator * (D // e.length.denominator),
+                        e.other(v)) for e in es]
+                   for v, es in self._adj.items()}
+            object.__setattr__(self, "_grid", (D, adj))
+        return self._grid
 
     def degree(self, v: int) -> int:
         # loops counted twice
@@ -136,7 +155,7 @@ def girth(g: MetricGraph) -> Fraction | None:
         if e.is_loop:
             cand = e.length
         else:
-            d = _dijkstra_without(g, e.u, e.id).get(e.w)
+            d = shortest_paths(g, e.u, skip_edge=e.id)[0].get(e.w)
             if d is None:
                 continue
             cand = d + e.length
@@ -145,23 +164,54 @@ def girth(g: MetricGraph) -> Fraction | None:
     return best
 
 
-def _dijkstra_without(g: MetricGraph, src: int, skip_edge: int) -> dict[int, Fraction]:
-    import heapq
-    dist = {src: Fraction(0)}
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
+def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
+                   skip_edge: int | None = None
+                   ) -> tuple[dict[int, Fraction], dict[int, int | None]]:
+    """Dijkstra from ``src`` on the common-denominator integer grid.
+
+    Returns (dist, parent).  ``dist`` maps every reached vertex to its exact
+    distance; ``parent`` maps ``src`` to None and every other reached vertex
+    to the vertex that first reached it at its final distance (heap entries
+    (d, v), strict improvement, edges in ``incident`` order).  Relaxations
+    beyond ``cutoff`` and through the edge with id ``skip_edge`` are dropped.
+    """
+    if src not in g.vertices:
+        raise GraphError(f"unknown source vertex {src}")
+    D, adj = g.int_grid()
+    if skip_edge is not None:
+        e = g.edge_by_id(skip_edge)
+        adj = dict(adj)
+        for x in {e.u, e.w}:
+            adj[x] = [a for a, f in zip(adj[x], g.incident(x))
+                      if f.id != skip_edge]
+    icut = None
+    if cutoff is not None:
+        c = Fraction(cutoff) * D
+        icut = c.numerator // c.denominator
+    dist = {src: 0}
+    parent: dict[int, int | None] = {src: None}
+    heap = [(0, src)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for e in g.incident(v):
-            if e.id == skip_edge:
+        for l, u in adj[v]:
+            nd = d + l
+            if icut is not None and nd > icut:
                 continue
-            u = e.other(v)
-            nd = d + e.length
             if u not in dist or nd < dist[u]:
                 dist[u] = nd
+                parent[u] = v
                 heapq.heappush(heap, (nd, u))
-    return dist
+    return {v: Fraction(d, D) for v, d in dist.items()}, parent
+
+
+def tree_path(parent: Mapping[int, int | None], v: int) -> list[int]:
+    """Vertex path from the root of a ``shortest_paths`` tree down to v."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def validate(g: MetricGraph) -> dict:
@@ -290,7 +340,7 @@ def is_separating(g: MetricGraph, edge_id: int) -> bool:
     e = g.edge_by_id(edge_id)
     if e.is_loop:
         return False
-    return e.w not in _dijkstra_without(g, e.u, edge_id)
+    return e.w not in shortest_paths(g, e.u, skip_edge=edge_id)[0]
 
 
 def delete_edge(g: MetricGraph, edge_id: int) -> MetricGraph:
@@ -426,8 +476,10 @@ def parse_graph(text: str) -> MetricGraph:
                               Fraction(parts[4])))
             else:
                 raise ValueError
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise GraphError(f"malformed graph line {ln}: {raw!r}") from None
+    if not verts:
+        raise GraphError("no vertices")
     return MetricGraph.build(verts, edges)
 
 

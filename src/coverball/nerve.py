@@ -9,13 +9,13 @@ the hyperbolic-area comparison, reporting every inequality as a margin.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cover, surfballs, witness
-from .graphs import Edge, GraphError, MetricGraph, betti, girth, scale
+from .graphs import (Edge, GraphError, MetricGraph, betti, girth, scale,
+                     shortest_paths, tree_path)
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       subgraph_length, subgraph_metric_graph)
 
@@ -45,30 +45,6 @@ class NerveReport:
     checks: dict = field(default_factory=dict)
 
 
-def _shortest_path(s: TriSurface, a: int, b: int) -> tuple[Fraction, list[int]]:
-    g = s.skeleton()
-    dist = {a: Fraction(0)}
-    par = {a: None}
-    heap = [(Fraction(0), a)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        if v == b:
-            break
-        for e in sorted(g.incident(v), key=lambda e: e.id):
-            u = e.other(v)
-            nd = d + e.length
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                par[u] = v
-                heapq.heappush(heap, (nd, u))
-    path = [b]
-    while par[path[-1]] is not None:
-        path.append(par[path[-1]])
-    return dist[b], path[::-1]
-
-
 def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
                 eps: Fraction | str = DEFAULT_EPS) -> NerveReport:
     """Greedy farthest-point packing and its nerve, with all side checks.
@@ -84,16 +60,20 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
     if 4 * r0 + 2 * eps >= Fraction(1, 4):
         raise SurfaceError("slack constraint violated: need 4*r0 + 2*eps < 1/4")
 
+    # one shortest-path tree per center gives both the packing distances
+    # and the phi path of every nerve edge
+    g = s.skeleton()
     verts = sorted(s.vertices)
     centers = [verts[0]]
-    dists = {verts[0]: s.distances_from(verts[0])}
+    dists, parents = {}, {}
+    dists[verts[0]], parents[verts[0]] = shortest_paths(g, verts[0])
     mind = dict(dists[verts[0]])
     while True:
         far = max(verts, key=lambda v: (mind[v], -v))
         if mind[far] <= 2 * r0:
             break
         centers.append(far)
-        dists[far] = s.distances_from(far)
+        dists[far], parents[far] = shortest_paths(g, far)
         for v in verts:
             if dists[far][v] < mind[v]:
                 mind[v] = dists[far][v]
@@ -107,8 +87,7 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
             d = dists[centers[i]][centers[j]]
             if d <= reach:
                 cdist[(i, j)] = d
-                _, path = _shortest_path(s, centers[i], centers[j])
-                phi[(i, j)] = path
+                phi[(i, j)] = tree_path(parents[centers[i]], centers[j])
                 nerve_edges.append((i, j))
 
     quarter = Fraction(1, 4)
@@ -240,6 +219,8 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
     remaining stages still run, since the constructed capturing graph is
     only approximately minimal anyway.
     """
+    if r_grid < 1:
+        raise SurfaceError("r_grid must be at least 1")
     g = s.genus
     report: dict = {"genus": g, "stages": []}
     area = s.total_area()

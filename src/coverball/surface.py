@@ -7,12 +7,11 @@ vectors on the edges from a tree-cotree decomposition.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Edge, GraphError, MetricGraph
+from .graphs import Edge, GraphError, MetricGraph, shortest_paths
 from .linalg import Echelon
 
 
@@ -152,7 +151,6 @@ class TriSurface:
             raise SurfaceError("negative genus")
         self._skeleton = None
         self._homology = None
-        self._int_adj = None
 
     # -- derived views -----------------------------------------------------
     def face_area(self, i: int) -> float:
@@ -172,40 +170,7 @@ class TriSurface:
         return self._skeleton
 
     def distances_from(self, src: int, cutoff: Fraction | None = None) -> dict[int, Fraction]:
-        # run Dijkstra on the common denominator grid: integer arithmetic
-        # is much faster than Fractions and stays exact
-        D, adj = self._int_adjacency()
-        icut = None
-        if cutoff is not None:
-            c = Fraction(cutoff) * D
-            icut = c.numerator // c.denominator
-        dist = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            for l, u in adj[v]:
-                nd = d + l
-                if icut is not None and nd > icut:
-                    continue
-                if u not in dist or nd < dist[u]:
-                    dist[u] = nd
-                    heapq.heappush(heap, (nd, u))
-        return {v: Fraction(d, D) for v, d in dist.items()}
-
-    def _int_adjacency(self):
-        if self._int_adj is None:
-            D = 1
-            for l in self.edge_lengths.values():
-                D = D * l.denominator // math.gcd(D, l.denominator)
-            adj = {v: [] for v in self.vertices}
-            for (u, w), l in self.edge_lengths.items():
-                il = int(l * D)
-                adj[u].append((il, w))
-                adj[w].append((il, u))
-            self._int_adj = (D, adj)
-        return self._int_adj
+        return shortest_paths(self.skeleton(), src, cutoff)[0]
 
     def homology(self) -> "HomologyData":
         if self._homology is None:
@@ -457,7 +422,7 @@ def parse_surface(text: str) -> TriSurface:
                 pass  # informational
             else:
                 raise ValueError
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, ZeroDivisionError):
             raise SurfaceError(f"malformed surface line: {raw!r}") from None
     if not faces:
         raise SurfaceError("no faces")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .graphs import shortest_paths, tree_path
 from .linalg import Echelon
 from .surface import (SurfaceError, TriSurface, _pair, _sparse, _vadd,
                       _vneg, capturing_test, subgraph_length)
@@ -470,7 +471,13 @@ def _capture_tables(s: TriSurface, bound: Fraction):
 def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     ub, _ = _greedy_capture(s, x)
     tables, by_target = _capture_tables(s, ub)
-    distx = s.distances_from(x) if x is not None else None
+    distx, parx = (shortest_paths(s.skeleton(), x) if x is not None
+                   else (None, None))
+
+    def arc_edges(w):
+        path = tree_path(parx, w)
+        return {_pair(a, b) for a, b in zip(path, path[1:])}
+
     zero = (0,) * len(s.homology().generators)
 
     best = ub
@@ -522,7 +529,7 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                 else:
                     dist, par = tables[v1]
                     edges = _state_walk_edges(par, (v1, h1))
-                    edges |= _plain_arc(s, x, v1)
+                    edges |= arc_edges(v1)
                 return edges | loop_edges(h2)
             best, best_build = tot, build
 
@@ -597,7 +604,7 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                                     tables[u][1], (w, g1))
                                 edges |= _state_walk_edges(
                                     tables[v][1], (w, g2))
-                                edges |= _plain_arc(s, x, w)
+                                edges |= arc_edges(w)
                             return edges
                         best, best_build = tot, build
 
@@ -614,36 +621,6 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if realized > best:
         raise SurfaceError("exact capture bookkeeping mismatch")
     return realized, edges
-
-
-def _plain_arc(s: TriSurface, x: int, w: int) -> set:
-    """Edge set of a shortest x-w path in the 1-skeleton."""
-    import heapq
-    if x == w:
-        return set()
-    g = s.skeleton()
-    dist = {x: Fraction(0)}
-    par = {x: None}
-    heap = [(Fraction(0), x)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        if v == w:
-            break
-        for e in g.incident(v):
-            u = e.other(v)
-            nd = d + e.length
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                par[u] = v
-                heapq.heappush(heap, (nd, u))
-    out = set()
-    v = w
-    while par[v] is not None:
-        out.add(_pair(v, par[v]))
-        v = par[v]
-    return out
 
 
 def height(s: TriSurface, x: int, mode: str = "exact") -> dict:

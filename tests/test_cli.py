@@ -120,10 +120,36 @@ def test_surface_nerve_writes_one_ball_row_per_center(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows[1:]] == centers
 
 
-def test_malformed_file_exit_1(tmp_path, capsys):
-    bad = tmp_path / "bad.graph"
-    bad.write_text("v 0\ne broken\n")
-    rc, _, err = run_cli(capsys, "graph", "validate", str(bad))
+# (file text or None, argv with "{bad}" standing for the file)
+MALFORMED = {
+    "graph-bad-line": ("v 0\ne broken\n", ["graph", "validate", "{bad}"]),
+    "graph-zero-denominator": ("v 0\nv 1\ne 0 0 1 1/0\n",
+                               ["graph", "validate", "{bad}"]),
+    "surf-zero-denominator": ("TSURF\nf 0 1 2\nel 0 1 1/0\n",
+                              ["surface", "validate", "{bad}"]),
+    "graph-no-vertices-validate": ("# only comments\n",
+                                   ["graph", "validate", "{bad}"]),
+    "graph-no-vertices-growth": ("# only comments\n",
+                                 ["graph", "growth", "{bad}"]),
+    "capture-unknown-base-greedy": (None, ["surface", "capture", "torus7.surf",
+                                           "--base", "99"]),
+    "capture-unknown-base-exact": (None, ["surface", "capture", "torus7.surf",
+                                          "--mode", "exact", "--base", "99"]),
+    "growth-grid-0": (None, ["graph", "growth", "theta.graph", "--grid", "0"]),
+    "entropy-grid-0": (None, ["graph", "entropy", "theta.graph", "--grid", "0"]),
+    "ref-curves-grid-0": (None, ["ref", "curves", "--grid", "0"]),
+    "pipeline-grid-0": (None, ["surface", "pipeline", "torus7.surf",
+                               "--grid", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_exit_1(tmp_path, capsys, case):
+    text, argv = MALFORMED[case]
+    bad = tmp_path / "bad"
+    if text is not None:
+        bad.write_text(text)
+    rc, _, err = run_cli(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
     assert rc == 1 and "error" in err
 
 

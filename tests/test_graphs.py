@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
                               figure_eight, format_graph, girth, is_separating,
                               parse_graph, prune_leaves, random_connected,
-                              reduce_graph, scale, smooth_degree2, theta_graph,
+                              reduce_graph, scale, shortest_paths,
+                              smooth_degree2, theta_graph, tree_path,
                               trivalent_reference, validate)
 
 
@@ -82,6 +83,56 @@ def test_separating_edge_detection():
     assert not is_separating(g, 0)
     cut = delete_edge(g, 3)
     assert len(cut.components()) == 2
+
+
+def _bellman_ford(g, src, cutoff=None, skip_edge=None):
+    dist = {src: F(0)}
+    for _ in range(len(g.vertices)):
+        for e in g.edges:
+            if e.id == skip_edge:
+                continue
+            for a, b in ((e.u, e.w), (e.w, e.u)):
+                if a not in dist:
+                    continue
+                nd = dist[a] + e.length
+                if cutoff is not None and nd > cutoff:
+                    continue
+                if b not in dist or nd < dist[b]:
+                    dist[b] = nd
+    return dist
+
+
+@given(st.integers(2, 6), st.integers(0, 99), st.none() | st.integers(0, 30),
+       st.sampled_from([None, F(1, 2), F(5, 4), F(7, 3)]))
+@example(4, 22, 22, None)     # skips a loop edge
+@settings(max_examples=60, deadline=None)
+def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
+    g = random_connected(b, (F(1, 4), F(1)), seed)
+    src = min(g.vertices)
+    skip_edge = None if skip is None else g.edges[skip % len(g.edges)].id
+    dist, parent = shortest_paths(g, src, cutoff, skip_edge)
+    assert dist == _bellman_ford(g, src, cutoff, skip_edge)
+    assert set(parent) == set(dist) and parent[src] is None
+    for v in dist:
+        path = tree_path(parent, v)
+        assert path[0] == src and path[-1] == v
+        length = F(0)
+        for a, c in zip(path, path[1:]):
+            length += min(e.length for e in g.incident(a)
+                          if e.other(a) == c and e.id != skip_edge)
+        assert length == dist[v]
+
+
+def test_shortest_paths_tie_rule_and_unknown_source():
+    # unit 4-cycle 0-1-2-3: both neighbours reach 2 at distance 2, the
+    # first one popped (1) becomes its parent
+    g = MetricGraph.build(range(4), [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1),
+                                     (3, 3, 0, 1)])
+    dist, parent = shortest_paths(g, 0)
+    assert dist[2] == 2 and parent[2] == 1
+    assert tree_path(parent, 2) == [0, 1, 2]
+    with pytest.raises(GraphError):
+        shortest_paths(g, 9)
 
 
 def test_scale_is_exact():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from coverball import fixtures, nerve
-from coverball.surface import SurfaceError, capturing_test, subgraph_betti
+from coverball.surface import (SurfaceError, _pair, capturing_test,
+                               subgraph_betti)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,16 @@ def test_nerve_edge_lengths_quarter(small_torus_nerve):
     assert all(e.length == F(1, 4) for e in rep.nerve.edges)
     for e, d in rep.center_distances.items():
         assert d <= 4 * rep.r0 + 2 * rep.eps
+
+
+def test_phi_paths_are_shortest_skeleton_walks(small_torus, small_torus_nerve):
+    rep = small_torus_nerve
+    assert set(rep.phi_paths) == set(rep.center_distances)
+    for (i, j), path in rep.phi_paths.items():
+        assert path[0] == rep.centers[i] and path[-1] == rep.centers[j]
+        length = sum((small_torus.edge_lengths[_pair(a, b)]
+                      for a, b in zip(path, path[1:])), F(0))
+        assert length == rep.center_distances[(i, j)]
 
 
 # ---------------------------------------------------------------------------
