@@ -130,10 +130,12 @@ def cmd_graph_validate(parser, args) -> None:
 def cmd_graph_growth(parser, args) -> None:
     g = load_graph(parser, args.input)
     base = args.base if args.base is not None else min(g.vertices)
+    radii = grid_radii(args.rmax, args.grid)
+    growth = cover.ball_length(g, base, args.rmax, args.budget)
     rows = []
     truncated = False
-    for R in grid_radii(args.rmax, args.grid):
-        rep = cover.ball_length(g, base, R, args.budget)
+    for R in radii:
+        rep = growth.at(R)
         truncated = truncated or rep.truncated
         rows.append({"R": R, "length": rep.total_length,
                      "truncated": rep.truncated})

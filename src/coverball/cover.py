@@ -7,13 +7,21 @@ the shortest-first expansion is run in aggregated form: states are pairs
 (directed edge, entry distance) with an exact multiplicity count.  Distances
 live on the integer grid of the common length denominator, so the whole
 computation is exact.
+
+One expansion to radius R serves every radius up to R.  The ball length is
+piecewise linear in the radius with breakpoints on the grid: it grows with
+slope equal to the multiplicity of the states whose edge is still being
+covered.  ``ball_length`` keeps those breakpoints with its report, and
+``GrowthReport.at(r)`` reads from them the report a separate run to r would
+give, truncation under the same budget included.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -23,12 +31,52 @@ DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
+class _Profile:
+    """Growth of one expansion to key K = R * D on the grid of denominator
+    ``D``.
+
+    ``keys`` are the sorted grid keys where a processed state is entered
+    (the slope of the total length rises by its multiplicity) or where its
+    edge ends (the slope falls and that many nodes are reached; kept only
+    up to K).  ``sums[i]`` holds, over ``keys[:i]``, the slope, the sum of
+    slope change times key, and the nodes reached, so the total length at
+    x is x * slope - weighted over the keys below x.  The heap pops keys in
+    order, so when the budget stopped the run at key ``stop``, the processed
+    states with key below any x are exactly those a run to x would process.
+    """
+    D: int
+    keys: list[int]
+    sums: list[tuple[int, int, int]]
+    stop: int | None
+
+    def report(self, base, r: Fraction) -> "GrowthReport":
+        x = r * self.D
+        slope, weighted, _ = self.sums[bisect_left(self.keys, x)]
+        nodes = 1 + self.sums[bisect_right(self.keys, x)][2]
+        total = (x * slope - weighted) / self.D
+        truncated = self.stop is not None and self.stop < x
+        return GrowthReport(base, r, total, nodes, truncated, self)
+
+
+@dataclass(frozen=True)
 class GrowthReport:
     base: object                 # vertex id or (edge id, offset)
     radius: Fraction
     total_length: Fraction
     node_count: int
     truncated: bool
+    profile: _Profile | None = field(default=None, compare=False, repr=False)
+
+    def at(self, r: Fraction | int | str) -> "GrowthReport":
+        """The report ``ball_length(g, base, r, budget)`` returns, for
+        0 <= r <= radius, read from the expansion behind this one; equal
+        to it in every field, truncation included."""
+        r = Fraction(r)
+        if not 0 <= r <= self.radius:
+            raise GraphError(f"radius {r} outside [0, {self.radius}]")
+        if self.profile is None:
+            raise GraphError("report carries no growth profile")
+        return self.profile.report(self.base, r)
 
     def as_dict(self) -> dict:
         return {
@@ -98,60 +146,75 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
 
     Deck transformations act by isometry, so the value does not depend on
     the chosen lift.  Each tree edge entered at distance d contributes
-    min(length, R - d).  On budget exhaustion the accumulated value is a
-    certified lower bound and the report is flagged truncated.
+    min(length, R - d).  At most ``budget`` aggregated states are expanded;
+    on exhaustion the accumulated value is a certified lower bound and the
+    report is flagged truncated.  The report keeps the growth profile of
+    the expansion, so ``report.at(r)`` gives the report of a run to any
+    0 <= r <= R, with the same budget, without expanding again.
     """
     R = Fraction(R)
     if R < 0:
         raise GraphError("radius must be nonnegative")
+    if budget < 1:
+        raise GraphError("budget must be at least 1")
     if not g.is_connected():
         raise GraphError("ball_length requires a connected graph")
     orig_base = base
     g, base_v = _with_base_vertex(g, base)
-    if R == 0 or not g.edges:
-        return GrowthReport(orig_base, R, Fraction(0), 1, False)
 
     D = reduce(_lcm, [e.length.denominator for e in g.edges] + [R.denominator])
     K = R * D
     assert K.denominator == 1
     K = K.numerator
     _, length, departures, nxt = _transitions(g)
-    ilen = {t: int(length[t] * D) for t in length}
+    # traversals as ints in sorted (edge id, direction) order, which is the
+    # order states of one key are expanded in, so the budget cuts the same
+    trav = sorted(length)
+    index = {t: i for i, t in enumerate(trav)}
+    ilen = [int(length[t] * D) for t in trav]
+    inxt = [[index[s] for s in nxt[t]] for t in trav]
 
-    pending: dict[int, dict[tuple[int, int], int]] = {0: {}}
-    for t in departures[base_v]:
-        pending[0][t] = pending[0].get(t, 0) + 1
+    pending = {0: {index[t]: 1 for t in departures[base_v]}}
     keys = [0]
-    total = 0            # in 1/D units
-    nodes = 1            # root
+    entered: dict[int, int] = {}
+    ended: dict[int, int] = {}
     slots = 0
-    truncated = False
+    stop = None
     while keys:
         k = heapq.heappop(keys)
-        batch = pending.pop(k, None)
-        if batch is None:
-            continue
-        for t, mult in sorted(batch.items()):
+        batch = pending.pop(k)
+        n_in = 0
+        for t in sorted(batch):
             if slots >= budget:
-                truncated = True
+                stop = k
                 break
             slots += 1
-            l = ilen[t]
-            total += mult * min(l, K - k)
-            k2 = k + l
-            if k2 < K:
-                nodes += mult
-                for s in nxt[t]:
+            mult = batch[t]
+            n_in += mult
+            k2 = k + ilen[t]
+            if k2 <= K:
+                ended[k2] = ended.get(k2, 0) + mult
+                if k2 < K:
                     tgt = pending.get(k2)
                     if tgt is None:
                         tgt = pending[k2] = {}
                         heapq.heappush(keys, k2)
-                    tgt[s] = tgt.get(s, 0) + mult
-            elif k2 == K:
-                nodes += mult
-        if truncated:
+                    for s in inxt[t]:
+                        tgt[s] = tgt.get(s, 0) + mult
+        entered[k] = n_in
+        if stop is not None:
             break
-    return GrowthReport(orig_base, R, Fraction(total, D), nodes, truncated)
+    cuts = sorted(entered.keys() | ended.keys())
+    slope = weighted = reached = 0
+    sums = [(0, 0, 0)]
+    for c in cuts:
+        n_end = ended.get(c, 0)
+        change = entered.get(c, 0) - n_end
+        slope += change
+        weighted += change * c
+        reached += n_end
+        sums.append((slope, weighted, reached))
+    return _Profile(D, cuts, sums, stop).report(orig_base, R)
 
 
 def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fraction:
@@ -219,15 +282,21 @@ def hyperbolic_ball_area(R: float) -> float:
 
 def entropy_estimate(g: MetricGraph, radii, base=None,
                      budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """log(ball length)/R for each R; values reported as-is, no limit claimed."""
+    """log(ball length)/R for each R; values reported as-is, no limit claimed.
+
+    One expansion to the largest radius gives every row through
+    ``GrowthReport.at``."""
     if base is None:
         base = min(g.vertices)
+    radii = [Fraction(R) for R in radii]
+    if not radii:
+        raise GraphError("entropy needs at least one positive radius")
+    if min(radii) <= 0:
+        raise GraphError("entropy radii must be positive")
+    growth = ball_length(g, base, max(radii), budget)
     out = []
     for R in radii:
-        R = Fraction(R)
-        if R <= 0:
-            raise GraphError("entropy radii must be positive")
-        rep = ball_length(g, base, R, budget)
+        rep = growth.at(R)
         if rep.total_length > 0:
             val = (math.log(rep.total_length.numerator)
                    - math.log(rep.total_length.denominator)) / float(R)

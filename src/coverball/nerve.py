@@ -221,6 +221,8 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
     """
     if r_grid < 1:
         raise SurfaceError("r_grid must be at least 1")
+    if budget < 1:
+        raise SurfaceError("budget must be at least 1")
     g = s.genus
     report: dict = {"genus": g, "stages": []}
     area = s.total_area()
@@ -310,6 +312,7 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
     rmax = sys_cap / 2
     gamma_girth = girth(gamma)
     dist_u = s.distances_from(u)
+    cover_growth = cover.ball_length(gamma, u, rmax, budget)
     rows = []
     for k in range(1, r_grid + 1):
         r = rmax * k / r_grid
@@ -324,7 +327,7 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
                 + max(Fraction(0), r - dist_u[vb])
             gamma_cap += min(l, covered)
         gball = cover.finite_ball_length(gamma, u, r)
-        cover_ball = cover.ball_length(gamma, u, r, budget)
+        cover_ball = cover_growth.at(r)
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:
         # check that B+ is a single disk (fan-counted Euler characteristic 1)

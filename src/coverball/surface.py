@@ -121,6 +121,9 @@ class TriSurface:
         oriented = tuple(f if not flip[i] else (f[0], f[2], f[1])
                          for i, f in enumerate(faces))
         lengths = {(_pair(*k)): Fraction(v) for k, v in (lengths or {}).items()}
+        for e in lengths:
+            if e not in edge_faces:
+                raise SurfaceError(f"length given for {e}, which is not an edge of any face")
         full = {}
         for e in edge_faces:
             l = lengths.get(e, Fraction(1))

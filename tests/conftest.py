@@ -7,10 +7,10 @@ from coverball.linalg import Echelon
 from coverball.surface import SurfaceError, TriSurface, _pair, subgraph_length
 
 
-def brute_force_cover_ball(g: MetricGraph, base: int, R: Fraction) -> Fraction:
-    """Independent oracle: expand non-backtracking directed paths one tree
-    edge at a time, no aggregation, and sum clipped lengths."""
-    R = Fraction(R)
+def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
+    """The cover tree edges leaving the base lift and every one entered at
+    distance below R, as (entry distance, length): expand non-backtracking
+    directed paths one tree edge at a time, no aggregation."""
     departures: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     head = {}
     length = {}
@@ -20,18 +20,29 @@ def brute_force_cover_ball(g: MetricGraph, base: int, R: Fraction) -> Fraction:
         length[(e.id, 0)] = length[(e.id, 1)] = e.length
         departures[e.u].append((e.id, 0))
         departures[e.w].append((e.id, 1))
-    total = Fraction(0)
     stack = [(t, Fraction(0)) for t in departures[base]]
     while stack:
         t, d = stack.pop()
         l = length[t]
-        total += min(l, R - d)
+        yield d, l
         if d + l < R:
             rev = (t[0], 1 - t[1])
             for s in departures[head[t]]:
                 if s != rev:
                     stack.append((s, d + l))
-    return total
+
+
+def brute_force_cover_ball(g: MetricGraph, base: int, R: Fraction) -> Fraction:
+    """Independent oracle: sum of clipped lengths over the cover tree."""
+    R = Fraction(R)
+    return sum((min(l, R - d) for d, l in _cover_tree_edges(g, base, R)),
+               Fraction(0))
+
+
+def brute_force_cover_nodes(g: MetricGraph, base: int, R: Fraction) -> int:
+    """Independent oracle: cover tree vertices within distance R."""
+    R = Fraction(R)
+    return 1 + sum(d + l <= R for d, l in _cover_tree_edges(g, base, R))
 
 
 def random_bounded_instance(b: int, total_bound: Fraction, seed: int,

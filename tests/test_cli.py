@@ -120,6 +120,11 @@ def test_surface_nerve_writes_one_ball_row_per_center(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows[1:]] == centers
 
 
+# theta with edges of length 1/8: total 3/8 <= lambda*(3b-3) at lambda = 1/6
+SMALL_THETA = "v 0\nv 1\ne 0 0 1 1/8\ne 1 0 1 1/8\ne 2 0 1 1/8\n"
+
+TETRAHEDRON = "TSURF\nf 0 1 2\nf 0 1 3\nf 0 2 3\nf 1 2 3\n"
+
 # (file text or None, argv with "{bad}" standing for the file)
 MALFORMED = {
     "graph-bad-line": ("v 0\ne broken\n", ["graph", "validate", "{bad}"]),
@@ -140,6 +145,21 @@ MALFORMED = {
     "ref-curves-grid-0": (None, ["ref", "curves", "--grid", "0"]),
     "pipeline-grid-0": (None, ["surface", "pipeline", "torus7.surf",
                                "--grid", "0"]),
+    "surf-length-on-non-edge": (TETRAHEDRON + "el 0 9 2\n",
+                                ["surface", "validate", "{bad}"]),
+    "entropy-rmax-0": (None, ["graph", "entropy", "theta.graph", "--rmax", "0"]),
+    "verify-rmax-0": (SMALL_THETA, ["graph", "verify", "{bad}", "--rmax", "0"]),
+    "growth-budget-0": (None, ["graph", "growth", "theta.graph",
+                               "--budget", "0"]),
+    "growth-budget-negative": (None, ["graph", "growth", "theta.graph",
+                                      "--budget", "-1"]),
+    "entropy-budget-0": (None, ["graph", "entropy", "theta.graph",
+                                "--budget", "0"]),
+    "verify-budget-negative": (SMALL_THETA, ["graph", "verify", "{bad}",
+                                             "--budget", "-1"]),
+    # genus 0 stops before the cover balls, so the pipeline checks the budget
+    "pipeline-budget-0": (TETRAHEDRON, ["surface", "pipeline", "{bad}",
+                                        "--budget", "0"]),
 }
 
 

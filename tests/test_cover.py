@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cover_ball
+from conftest import brute_force_cover_ball, brute_force_cover_nodes
 from coverball import cover
 from coverball.graphs import (GraphError, MetricGraph, figure_eight, girth,
                               random_connected, scale, theta_graph,
@@ -95,12 +95,37 @@ def test_projection_identity_below_half_girth(b, seed):
         cover.ball_length(g, base, R).total_length
 
 
+@given(st.integers(2, 4), st.integers(0, 60), st.integers(0, 2),
+       st.sampled_from([F(1), F(3, 2), F(7, 3)]),
+       st.sampled_from([6, cover.DEFAULT_BUDGET]))
+@settings(max_examples=60, deadline=None)
+def test_one_expansion_serves_every_smaller_radius(b, seed, which, R, budget):
+    g = random_connected(b, (F(1, 4), F(1)), seed)
+    e = g.edges[seed % len(g.edges)]
+    base = [min(g.vertices), max(g.vertices), (e.id, e.length / 3)][which]
+    full = cover.ball_length(g, base, R, budget)
+    # grid radii, and radii whose denominators 7 and 11 are not in the grid
+    for r in [R * k / 4 for k in range(5)] + [R / 7, R * 10 / 11]:
+        rep = full.at(r)
+        assert rep == cover.ball_length(g, base, r, budget)
+        if not rep.truncated:
+            sub, v = cover._with_base_vertex(g, base)
+            assert rep.total_length == brute_force_cover_ball(sub, v, r)
+            assert rep.node_count == brute_force_cover_nodes(sub, v, r)
+    for r in (R + F(1, 7), F(-1, 7)):
+        with pytest.raises(GraphError):
+            full.at(r)
+
+
 def test_budget_truncation_is_flagged_lower_bound():
     g = figure_eight()
     full = cover.ball_length(g, 0, 6)
     cut = cover.ball_length(g, 0, 6, budget=10)
     assert cut.truncated and not full.truncated
     assert cut.total_length <= full.total_length
+    # the budget counts expanded states: one unit loop traversal of four
+    one = cover.ball_length(g, 0, 6, budget=1)
+    assert (one.total_length, one.node_count, one.truncated) == (1, 2, True)
 
 
 def test_v_prime_dominates_every_vertex():
