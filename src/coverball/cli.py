@@ -27,17 +27,40 @@ from .witness import TheoremViolation
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+def _digits(n: int) -> str:
+    """Decimal form of n, also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = n.bit_length() * 3 // 20       # about half of n's decimal digits
+    hi, lo = divmod(abs(n), 10 ** k)
+    return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
+
+
+def _ratio(q: Fraction) -> str:
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+
+
+def _float_or_none(q: Fraction) -> float | None:
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
 def jsonable(x):
-    """Recursively convert report values; rationals become "p/q" strings and
-    dict entries gain a float convenience field."""
+    """Recursively convert report values; rationals become exact "p/q"
+    strings and dict entries gain a float convenience field (None when the
+    value is out of float range)."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return _ratio(x)
     if isinstance(x, dict):
         out = {}
         for k, v in x.items():
             out[str(k)] = jsonable(v)
             if isinstance(v, Fraction):
-                out[f"{k}_float"] = float(v)
+                out[f"{k}_float"] = _float_or_none(v)
         return out
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
@@ -51,7 +74,7 @@ def jsonable(x):
 
 
 def _cell(v):
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+    return _ratio(v) if isinstance(v, Fraction) else v
 
 
 def emit(args, report: dict, tables: dict[str, list[dict]] | None = None) -> None:

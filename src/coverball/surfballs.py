@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .graphs import shortest_paths, tree_path
 from .linalg import Echelon
-from .surface import (SurfaceError, TriSurface, _pair, _sparse, _vadd,
-                      _vneg, capturing_test, subgraph_length)
+from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
+                      subgraph_length)
 
 EXACT_CAPTURE_EDGE_LIMIT = 2000
 SYSTOLE_ENUM_EDGE_LIMIT = 2000
@@ -357,23 +357,26 @@ def capture_length(s: TriSurface, mode: str = "greedy",
 
 def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]:
     """Greedy homology basis from candidate loops; yields an upper bound."""
-    hom = s.homology()
-    cands = sorted(_homology_candidates(s), key=lambda t: (t[0], t[1]))
-    ech = Echelon()
-    edges: set = set()
-    for length, cyc in cands:
-        cls = hom.class_of_walk(cyc + [cyc[0]])
-        if ech.add(cls):
-            edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-        if ech.rank == 2 * s.genus:
-            break
-    if ech.rank != 2 * s.genus:
-        raise SurfaceError("greedy capture failed to span H1")
-    length = subgraph_length(s, edges)
+    cache = _capture_cache(s)
+    if cache.greedy is None:
+        hom = s.homology()
+        cands = sorted(_homology_candidates(s), key=lambda t: (t[0], t[1]))
+        ech = Echelon()
+        edges: set = set()
+        for length, cyc in cands:
+            cls = hom.class_of_walk(cyc + [cyc[0]])
+            if ech.add(cls):
+                edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+            if ech.rank == 2 * s.genus:
+                break
+        if ech.rank != 2 * s.genus:
+            raise SurfaceError("greedy capture failed to span H1")
+        cache.greedy = (subgraph_length(s, edges), frozenset(edges))
+    length, edges = cache.greedy
     if x is not None and not any(x in e for e in edges):
         dx = s.distances_from(x)
         length += min(dx[v] for e in edges for v in e)
-    return length, edges
+    return length, set(edges)
 
 
 # Exact genus-1 capture.  A minimal capturing subgraph is bridgeless with
@@ -387,55 +390,86 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # are attained and the family minimum equals the true optimum.  The based
 # variant attaches x by a shortest arc to a path vertex w, handled by
 # charging dist(x,w) inside the same minimization.
+#
+# The search runs on the skeleton's common-denominator integer grid
+# (``MetricGraph.int_grid``): every length, distance and bound is the
+# integer n standing for n/D, and only the realized length of the winner is
+# a Fraction.  Each surface keeps one ``_CaptureCache``: the unbased greedy
+# basis, the unbased exact result, and the class tables -- for each source,
+# the sorted (grid length, class) lists of its class-stratified shortest
+# walks per target, up to a grid bound that only rises.  The tables keep no
+# walks: the winner's walks are recovered by running each of their sources'
+# class searches again, bounded by the longest walk wanted from it.  States
+# are settled in increasing (length, state) order and keep the first settled
+# neighbour that reaches them at their final length, so neither a state's
+# length nor its walk depends on the bound once the bound covers it: the
+# reruns, and the search itself, give the same result whichever bases came
+# before.
 
 _STATE_CAP = 2_000_000
 
 
-def _class_incs(hom):
-    incs = {}
-    for (u, w), t in hom.edge_class.items():
-        incs[(u, w)] = t
-        incs[(w, u)] = _vneg(t)
-    return incs
+class _CaptureCache:
+    """What the capture search of one surface reuses across calls."""
+
+    def __init__(self):
+        self.greedy = None          # unbased greedy (length, edges)
+        self.exact = None           # unbased exact (length, edges)
+        self.adj = None             # see _class_adjacency
+        self.bound = -1             # grid bound of by_target
+        self.by_target: dict = {}   # source -> target -> [(grid length, class)]
 
 
-def _class_rank(classes) -> int:
-    ech = Echelon()
-    for t in classes:
-        ech.add(_sparse(t))
-    return ech.rank
+def _capture_cache(s: TriSurface) -> _CaptureCache:
+    cache = getattr(s, "_capture_cache", None)
+    if cache is None:
+        cache = s._capture_cache = _CaptureCache()
+    return cache
 
 
-def _class_dijkstra(s: TriSurface, source: int, incs, bound: Fraction):
-    """Shortest walks from source, stratified by homology-coordinate class.
+def _on_grid(q: Fraction, D: int) -> int:
+    n = Fraction(q) * D
+    if n.denominator != 1:
+        raise SurfaceError(f"length {q} is not on the grid 1/{D}")
+    return n.numerator
 
-    Returns (dist, parent): dist maps (vertex, class) to length <= bound,
-    parent maps each state to (previous state, traversed edge pair).
+
+def _class_adjacency(s: TriSurface) -> dict[int, list[tuple]]:
+    """Per vertex, (grid length, other end, class of the directed edge) in
+    ``incident`` order."""
+    hom = s.homology()
+    _, adj = s.skeleton().int_grid()
+    return {v: [(l, u, hom.step(v, u)) for l, u in es] for v, es in adj.items()}
+
+
+def _class_dijkstra(adj, source: int, bound: int):
+    """Shortest walks from source, stratified by genus-1 homology class.
+
+    Returns (dist, parent): dist maps (vertex, class) to its grid length
+    <= bound, parent maps each state to the state it was first reached from
+    at that length (None at the start).
     """
     import heapq
-    zero = tuple(0 for _ in next(iter(incs.values()))) if incs else ()
-    g = s.skeleton()
-    start = (source, zero)
-    dist = {start: Fraction(0)}
+    start = (source, (0, 0))
+    dist = {start: 0}
     parent = {start: None}
-    heap = [(Fraction(0), start)]
+    heap = [(0, start)]
     while heap:
         d, st = heapq.heappop(heap)
         if d > dist[st]:
             continue
-        v, h = st
-        for e in g.incident(v):
-            u = e.other(v)
-            nd = d + e.length
+        v, (a, b) = st
+        for l, u, (i, j) in adj[v]:
+            nd = d + l
             if nd > bound:
                 continue
-            nh = _vadd(h, incs[(v, u)])
-            ns = (u, nh)
-            if ns not in dist or nd < dist[ns]:
+            ns = (u, (a + i, b + j))
+            old = dist.get(ns)
+            if old is None or nd < old:
                 if len(dist) > _STATE_CAP:
                     raise SurfaceError("class search state budget exceeded")
                 dist[ns] = nd
-                parent[ns] = (st, _pair(v, u))
+                parent[ns] = st
                 heapq.heappush(heap, (nd, ns))
     return dist, parent
 
@@ -443,77 +477,80 @@ def _class_dijkstra(s: TriSurface, source: int, incs, bound: Fraction):
 def _state_walk_edges(parent, state) -> set:
     out = set()
     while parent[state] is not None:
-        state, e = parent[state]
-        out.add(e)
+        prev = parent[state]
+        out.add(_pair(prev[0], state[0]))
+        state = prev
     return out
 
 
-def _capture_tables(s: TriSurface, bound: Fraction):
-    cached = getattr(s, "_capture_cache", None)
-    if cached is not None and cached[0] >= bound:
-        return cached[1], cached[2]
-    incs = _class_incs(s.homology())
-    tables = {v: _class_dijkstra(s, v, incs, bound)
-              for v in sorted(s.vertices)}
-    # per source, class-stratified distances grouped by target vertex
+def _capture_tables(s: TriSurface, bound: int) -> dict:
+    cache = _capture_cache(s)
+    if cache.bound >= bound:
+        return cache.by_target
+    if cache.adj is None:
+        cache.adj = _class_adjacency(s)
     by_target = {}
-    for v, (dist, _) in tables.items():
+    for v in sorted(s.vertices):
+        dist, _ = _class_dijkstra(cache.adj, v, bound)
         tgt: dict[int, list] = {}
         for (w, h), d in dist.items():
             tgt.setdefault(w, []).append((d, h))
         for w in tgt:
             tgt[w].sort()
         by_target[v] = tgt
-    s._capture_cache = (bound, tables, by_target)
-    return tables, by_target
+    cache.bound, cache.by_target = bound, by_target
+    return by_target
 
 
 def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
+    cache = _capture_cache(s)
+    if x is None and cache.exact is not None:
+        L, edges = cache.exact
+        return L, set(edges)
+    L, edges = _exact_capture_search(s, x)
+    if x is None:
+        cache.exact = (L, frozenset(edges))
+    return L, edges
+
+
+def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
+    D = s.skeleton().int_grid()[0]
     ub, _ = _greedy_capture(s, x)
-    tables, by_target = _capture_tables(s, ub)
-    distx, parx = (shortest_paths(s.skeleton(), x) if x is not None
-                   else (None, None))
+    best = _on_grid(ub, D)
+    by_target = _capture_tables(s, best)
+    if x is not None:
+        distx, parx = shortest_paths(s.skeleton(), x)
+        distx = {v: _on_grid(d, D) for v, d in distx.items()}
+    # the incumbent: its walks as (source, final state, grid length), and
+    # the vertex its arc from x ends at (None when unbased)
+    best_walks = None
+    best_foot = None
 
-    def arc_edges(w):
-        path = tree_path(parx, w)
-        return {_pair(a, b) for a, b in zip(path, path[1:])}
-
-    zero = (0,) * len(s.homology().generators)
-
-    best = ub
-    best_build = None          # callable producing the edge set
-
-    # closed-walk minima per class: m[h] = (length, base vertex, state)
+    zero = (0, 0)
+    # closed-walk minima per class: m[h] = (grid length, base vertex)
+    verts = sorted(s.vertices)
     m: dict[tuple, tuple] = {}
-    for v in sorted(s.vertices):
-        dist, _ = tables[v]
-        for (w, h), d in dist.items():
-            if w != v or h == zero:
-                continue
-            if h not in m or (d, v) < m[h][:2]:
-                m[h] = (d, v, (w, h))
-    msorted = sorted((d, v, h) for h, (d, v, _) in m.items())
-
-    def loop_edges(h):
-        d, v, state = m[h]
-        return _state_walk_edges(tables[v][1], state)
+    for v in verts:
+        for d, h in by_target[v].get(v, ()):
+            if h != zero and (h not in m or (d, v) < m[h]):
+                m[h] = (d, v)
+    msorted = sorted((d, v, h) for h, (d, v) in m.items())
 
     # disjoint pair / figure eight family: two closed walks with independent
     # classes; in the based variant one of them pays an arc from x
     if x is None:
-        first = [(d, v, h) for (d, v, h) in msorted]
+        first = msorted
     else:
         # best base per class when the arc cost is charged to this walk
         cx: dict[tuple, tuple] = {}
-        for v in sorted(s.vertices):
-            dist, _ = tables[v]
-            for (w, h), d in dist.items():
-                if w != v or h == zero:
+        for v in verts:
+            for d, h in by_target[v].get(v, ()):
+                if h == zero:
                     continue
                 c = d + distx[v]
-                if h not in cx or (c, v) < cx[h][:2]:
-                    cx[h] = (c, v, d)
-        first = sorted((c, v, h) for h, (c, v, _) in cx.items())
+                if h not in cx or (c, v) < cx[h]:
+                    cx[h] = (c, v)
+        first = sorted((c, v, h) for h, (c, v) in cx.items())
     for (c1, v1, h1) in first:
         if msorted and c1 + msorted[0][0] >= best:
             break
@@ -521,58 +558,49 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
             tot = c1 + d2
             if tot >= best:
                 break
-            if _class_rank([h1, h2]) != 2:
+            if h1[0] * h2[1] == h1[1] * h2[0]:
                 continue
-            def build(h1=h1, h2=h2, v1=v1):
-                if x is None:
-                    edges = loop_edges(h1)
-                else:
-                    dist, par = tables[v1]
-                    edges = _state_walk_edges(par, (v1, h1))
-                    edges |= arc_edges(v1)
-                return edges | loop_edges(h2)
-            best, best_build = tot, build
+            d1 = c1 if x is None else c1 - distx[v1]
+            best = tot
+            best_walks = [(v1, (v1, h1), d1), (v2, (v2, h2), d2)]
+            best_foot = None if x is None else v1
 
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
-    verts = sorted(s.vertices)
+    if x is not None:
+        rows = {u: [by_target[u].get(w, ()) for w in verts] for u in verts}
+        dxs = [distx[w] for w in verts]
     for ui in range(len(verts)):
         u = verts[ui]
         for v in verts[ui + 1:]:
-            raw = by_target[u].get(v, [])
-            if not raw:
-                continue
-            plain: dict[tuple, Fraction] = {}
-            for d, h in raw:
-                if h not in plain:
-                    plain[h] = d
-            P = sorted((d, h) for h, d in plain.items())
+            # one shortest walk per class, sorted by (length, class)
+            P = by_target[u].get(v, [])
             if len(P) < (2 if x is not None else 3):
                 continue
             if x is None:
                 A = P      # the "special" path is just another plain path
             else:
+                # an arc path costing cut or more is never tried below, and
+                # every arc path costs at least dist(x, u) and dist(x, v)
+                cut = best - P[0][0] - P[1][0]
+                if cut <= max(distx[u], distx[v]):
+                    continue
                 arc: dict[tuple, tuple] = {}
-                for w in verts:
-                    lu = by_target[u].get(w, [])
-                    lv = by_target[v].get(w, [])
-                    dxw = distx[w]
+                for w, lu, lv, dxw in zip(verts, rows[u], rows[v], dxs):
                     for d1, g1 in lu:
-                        if d1 + dxw >= best:
+                        if d1 + dxw >= cut:
                             break
                         for d2, g2 in lv:
                             c = d1 + d2 + dxw
-                            if c >= best:
+                            if c >= cut:
                                 break
-                            h = _vadd(g1, _vneg(g2))
+                            h = (g1[0] - g2[0], g1[1] - g2[1])
                             if h not in arc or c < arc[h][0]:
-                                arc[h] = (c, w, g1, g2)
-                A = sorted((c, h, (w, g1, g2))
-                           for h, (c, w, g1, g2) in arc.items())
-            for ia, a in enumerate(A):
+                                arc[h] = (c, w, (w, g1), d1, (w, g2), d2)
+                A = sorted((c, h, info) for h, (c, *info) in arc.items())
+            for a in A:
                 if x is None:
                     d1, h1 = a
-                    info1 = None
                 else:
                     d1, h1, info1 = a
                 if len(P) >= 2 and d1 + P[0][0] + P[1][0] >= best:
@@ -583,42 +611,43 @@ def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         continue   # canonical order: special path is shortest
                     if d1 + d2 + P[0][0] >= best:
                         break
+                    a0, a1 = h2[0] - h1[0], h2[1] - h1[1]
                     for k in range(j + 1, len(P)):
                         d3, h3 = P[k]
                         tot = d1 + d2 + d3
                         if tot >= best:
                             break
-                        if _class_rank([_vadd(h2, _vneg(h1)),
-                                        _vadd(h3, _vneg(h1))]) != 2:
+                        if a0 * (h3[1] - h1[1]) == a1 * (h3[0] - h1[0]):
                             continue
-                        def build(u=u, v=v, h1=h1, h2=h2, h3=h3, info1=info1):
-                            edges = set()
-                            edges |= _state_walk_edges(tables[u][1], (v, h2))
-                            edges |= _state_walk_edges(tables[u][1], (v, h3))
-                            if info1 is None:
-                                edges |= _state_walk_edges(
-                                    tables[u][1], (v, h1))
-                            else:
-                                w, g1, g2 = info1
-                                edges |= _state_walk_edges(
-                                    tables[u][1], (w, g1))
-                                edges |= _state_walk_edges(
-                                    tables[v][1], (w, g2))
-                                edges |= arc_edges(w)
-                            return edges
-                        best, best_build = tot, build
+                        best = tot
+                        best_walks = [(u, (v, h2), d2), (u, (v, h3), d3)]
+                        if x is None:
+                            best_walks.append((u, (v, h1), d1))
+                        else:
+                            best_foot, su, lu1, sv, lv1 = info1
+                            best_walks += [(u, su, lu1), (v, sv, lv1)]
 
-    if best_build is None:
+    if best_walks is None:
         # the greedy subgraph is already optimal
         return _greedy_capture(s, x)
-    edges = best_build()
+    edges = set()
+    if best_foot is not None:
+        path = tree_path(parx, best_foot)
+        edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
+    # recover the walks: one class search per source, up to its longest walk
+    for source in {w[0] for w in best_walks}:
+        mine = [(st, d) for src, st, d in best_walks if src == source]
+        _, parent = _class_dijkstra(_capture_cache(s).adj, source,
+                                    max(d for _, d in mine))
+        for st, _ in mine:
+            edges |= _state_walk_edges(parent, st)
     realized = subgraph_length(s, edges)
     if x is not None and not any(x in e for e in edges):
         raise SurfaceError("based capture candidate misses the base point")
     ok, rank = capturing_test(s, edges)
     if not ok:
         raise SurfaceError(f"exact capture candidate fails to capture (rank {rank})")
-    if realized > best:
+    if realized * D > best:
         raise SurfaceError("exact capture bookkeeping mismatch")
     return realized, edges
 

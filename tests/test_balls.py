@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import capture_by_cycle_pairs
 from coverball import fixtures, surfballs
-from coverball.surface import capturing_test, subgraph_length
+from coverball.surface import TriSurface, capturing_test, subgraph_length
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,61 @@ def test_exact_capture_stable_under_subdivision(sub_torus):
     assert L == 5
     ok, rank = capturing_test(sub_torus, edges)
     assert ok and rank == 2
+
+
+def _mixed_torus(seed: int) -> TriSurface:
+    """torus7 with lengths drawn from {3/5, 2/3, 3/4, 5/6, 1}: the common
+    denominator exceeds 1, and any two sides beat the third."""
+    rng = random.Random(seed)
+    t = fixtures.torus7()
+    choices = [F(3, 5), F(2, 3), F(3, 4), F(5, 6), F(1)]
+    return TriSurface.build(t.faces, {e: rng.choice(choices) for e in t.edges})
+
+
+def _assert_captures_with_length(s, x, L, edges):
+    ok, rank = capturing_test(s, edges)
+    assert ok and rank == 2
+    on = {v for e in edges for v in e}
+    arc = 0 if x is None or x in on else min(s.distances_from(x)[v] for v in on)
+    assert subgraph_length(s, edges) + arc == L
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_capture_on_mixed_denominators(seed):
+    s = _mixed_torus(seed)
+    assert s.skeleton().int_grid()[0] > 1
+    for x in (None, 0, 2, 5):
+        L, edges = surfballs.capture_length(s, mode="exact", x=x)
+        assert L == capture_by_cycle_pairs(s, x=x)[0]
+        _assert_captures_with_length(s, x, L, edges)
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
+                                  lambda: _mixed_torus(2)],
+                         ids=["torus7_sub", "torus7_mixed"])
+def test_capture_cache_leaves_results_unchanged(make):
+    s = make()
+    _, greedy = surfballs.capture_length(s, mode="greedy")
+    on = sorted({v for e in greedy for v in e})
+    dx = {v: min(s.distances_from(v)[w] for w in on) for v in s.vertices}
+    a, b = on[0], on[-1]
+    far = max(sorted(s.vertices), key=dx.get)   # largest greedy bound
+    assert dx[far] > 0
+    # far after a, b raises the table bound; b after far reads larger tables
+    for order in ((a, b, far), (far, a, b)):
+        s = make()
+        for x in order[:2]:
+            surfballs.capture_length(s, mode="exact", x=x)
+        bound = s._capture_cache.bound
+        got = surfballs.capture_length(s, mode="exact", x=order[2])
+        assert (s._capture_cache.bound > bound) == (order[2] == far)
+        assert got == surfballs.capture_length(make(), mode="exact", x=order[2])
+    # callers own the edge sets they are given
+    for mode in ("exact", "greedy"):
+        L, edges = surfballs.capture_length(s, mode=mode)
+        kept = set(edges)
+        edges.clear()
+        assert surfballs.capture_length(s, mode=mode) == (L, kept)
 
 
 def test_greedy_capture_upper_bounds_exact(torus):

@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coverball
 from coverball import cli
-from coverball.graphs import format_graph, parse_graph, scale, theta_graph
-from coverball.surface import format_surface, parse_surface
+from coverball.graphs import (GraphError, format_graph, parse_graph, scale,
+                              theta_graph)
+from coverball.surface import SurfaceError, format_surface, parse_surface
 
 
 def run_cli(capsys, *argv):
@@ -178,3 +189,92 @@ def test_budget_exhaustion_still_exit_0(capsys):
                          "--rmax", "8", "--grid", "2", "--budget", "10")
     assert rc == 0
     assert json.loads(out)["truncated"]
+
+
+def test_jsonable_prints_huge_exact_values():
+    big = 10 ** 4999 + 7                      # 5000 digits
+    out = cli.jsonable({"q": F(10 ** 400, 3), "n": F(big), "small": F(1, 3)})
+    assert out["q"] == "1" + "0" * 400 + "/3" and out["q_float"] is None
+    assert out["n"] == "1" + "0" * 4998 + "7/1" and out["n_float"] is None
+    assert out["small_float"] == 1 / 3
+    neg = -(3 ** 12000)
+    digits = cli.jsonable(F(neg)).removesuffix("/1")
+    # read the digits back in chunks the interpreter's str-to-int limit allows
+    value = 0
+    for i in range(1, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert digits[0] == "-" and -value == neg
+    json.dumps(out)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(coverball.__file__).resolve().parents[1])
+    theta = resources.files("coverball") / "corpus" / "theta.graph"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "coverball", "graph",
+                           "validate", str(theta)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["betti"] == 2
+
+
+# token-level mutations of the corpus files: every mutant parses or is
+# rejected with GraphError/SurfaceError, and `validate` exits 0 or 1
+CORPUS_FILES = ["figure_eight.graph", "theta.graph", "trivalent_b3.graph",
+                "genus2.surf", "torus7.surf"]
+TOKENS = ["0", "1", "2", "7", "-1", "99", "1/0", "0/1", "-2/3", "1/3", "1e3",
+          "1.5", "nan", "inf", "x", "v", "e", "f", "el", "nv", "TSURF", "#",
+          "1" * 5000]
+MUTATION = st.tuples(st.sampled_from(["replace", "delete", "insert",
+                                      "drop-line", "copy-line", "swap-lines"]),
+                     st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                     st.sampled_from(TOKENS))
+
+
+def _mutate(text: str, mutations) -> str:
+    lines = [ln.split() for ln in text.splitlines()]
+    for kind, i, j, tok in mutations:
+        if not lines:
+            lines = [[tok]]
+            continue
+        line = lines[i % len(lines)]
+        k = j % (len(line) + 1)
+        if kind == "replace" and line:
+            line[k % len(line)] = tok
+        elif kind == "delete" and line:
+            del line[k % len(line)]
+        elif kind == "insert":
+            line.insert(k, tok)
+        elif kind == "drop-line":
+            del lines[i % len(lines)]
+        elif kind == "copy-line":
+            lines.insert(j % len(lines), list(line))
+        elif kind == "swap-lines":
+            a, b = i % len(lines), j % len(lines)
+            lines[a], lines[b] = lines[b], lines[a]
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+@given(st.sampled_from(CORPUS_FILES), st.lists(MUTATION, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_mutated_corpus_files_parse_or_exit_1(name, mutations):
+    text = _mutate((resources.files("coverball") / "corpus" / name).read_text(),
+                   mutations)
+    kind, parse, error = (("graph", parse_graph, GraphError)
+                          if name.endswith(".graph")
+                          else ("surface", parse_surface, SurfaceError))
+    try:
+        parse(text)
+    except error:
+        want = 1
+    else:
+        want = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.run([kind, "validate", str(path)])
+    assert rc == want
