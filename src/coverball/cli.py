@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -52,9 +53,12 @@ def _float_or_none(q: Fraction) -> float | None:
 def jsonable(x):
     """Recursively convert report values; rationals become exact "p/q"
     strings and dict entries gain a float convenience field (None when the
-    value is out of float range)."""
+    value is out of float range).  A non-finite float becomes None too, so
+    the output is strict JSON."""
     if isinstance(x, Fraction):
         return _ratio(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     if isinstance(x, dict):
         out = {}
         for k, v in x.items():

@@ -23,7 +23,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from .graphs import Edge, GraphError, MetricGraph, shortest_paths
 
@@ -87,10 +86,6 @@ class GrowthReport:
             "node_count": self.node_count,
             "truncated": self.truncated,
         }
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
@@ -162,7 +157,7 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     orig_base = base
     g, base_v = _with_base_vertex(g, base)
 
-    D = reduce(_lcm, [e.length.denominator for e in g.edges] + [R.denominator])
+    D = math.lcm(*(e.length.denominator for e in g.edges), R.denominator)
     K = R * D
     assert K.denominator == 1
     K = K.numerator
@@ -274,10 +269,14 @@ def v_prime(g: MetricGraph, R: Fraction | int | str, refinement: int = 0,
 
 
 def hyperbolic_ball_area(R: float) -> float:
-    """Area of a radius-R disk in the hyperbolic plane: 2*pi*(cosh R - 1)."""
+    """Area of a radius-R disk in the hyperbolic plane: 2*pi*(cosh R - 1).
+    ``math.inf`` when cosh R overflows: the area then exceeds every float."""
     if R < 0:
         raise GraphError("radius must be nonnegative")
-    return 2.0 * math.pi * (math.cosh(R) - 1.0)
+    try:
+        return 2.0 * math.pi * (math.cosh(R) - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def entropy_estimate(g: MetricGraph, radii, base=None,

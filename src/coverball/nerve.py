@@ -121,16 +121,14 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
                       image_rank=rank)
 
     if captures and s.genus > 0:
+        # capturing is upward-monotone in the edge set and image_of is
+        # monotone, so an edge kept once stays needed: one pass is enough
         pruned = list(nerve_edges)
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(pruned):
-                trial = [x for x in pruned if x != e]
-                ok, _ = capturing_test(s, image_of(trial)) if trial else (False, 0)
-                if ok:
-                    pruned = trial
-                    changed = True
+        for e in sorted(pruned):
+            trial = [x for x in pruned if x != e]
+            ok, _ = capturing_test(s, image_of(trial)) if trial else (False, 0)
+            if ok:
+                pruned = trial
         rep.pruned_nerve_edges = pruned
         rep.pruned_image_edges = image_of(pruned)
         rep.pruned_length = quarter * len(pruned)
@@ -154,8 +152,12 @@ def hyperbolic_area_lower_bound(R: float) -> float:
 
 
 def coarea_closed_form(R: float) -> float:
-    """(1/2) * integral_0^R sinh(r ln2) dr, evaluated exactly."""
-    return (math.cosh(R * math.log(2)) - 1.0) / (2.0 * math.log(2))
+    """(1/2) * integral_0^R sinh(r ln2) dr, evaluated exactly; ``math.inf``
+    when cosh overflows, since the integral then exceeds every float."""
+    try:
+        return (math.cosh(R * math.log(2)) - 1.0) / (2.0 * math.log(2))
+    except OverflowError:
+        return math.inf
 
 
 def area_shrink_factor(a: float) -> float:
@@ -174,8 +176,10 @@ def shrink_factor_grid_check(a: float, radii) -> dict:
         rhs = cover.hyperbolic_ball_area(R * c)
         rows.append({"R": R, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
         worst = min(worst, lhs - rhs)
+    # a row whose sides both exceed every float has a NaN margin: it decides
+    # nothing, so it cannot pass
     return {"a": a, "c": c, "rows": rows, "worst_margin": worst,
-            "ok": worst >= -1e-9}
+            "ok": all(row["margin"] >= -1e-9 for row in rows)}
 
 
 def rescaling_lambda_search(lam_grid, radii) -> dict:
@@ -191,12 +195,11 @@ def rescaling_lambda_search(lam_grid, radii) -> dict:
             raise GraphError("lambda grid entries must be positive")
         ok = True
         for R in radii:
-            try:
-                lhs = cover.hyperbolic_ball_area(lam * R * math.log(2)) \
-                    / (4.0 * math.pi * lam * lam * math.log(2))
-            except OverflowError:
-                lhs = math.inf
-            if lhs < cover.hyperbolic_ball_area(R):
+            lhs = cover.hyperbolic_ball_area(lam * R * math.log(2)) \
+                / (4.0 * math.pi * lam * lam * math.log(2))
+            rhs = cover.hyperbolic_ball_area(R)
+            # with both sides beyond float range the comparison decides nothing
+            if lhs < rhs or rhs == math.inf:
                 ok = False
                 break
         results.append({"lam": lam, "ok": ok})

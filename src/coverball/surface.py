@@ -378,15 +378,13 @@ def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
     if not ok:
         raise SurfaceError(f"subgraph does not capture the topology (rank {rank})")
     cur = set(map(lambda e: _pair(*e), sub_edges))
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(cur, key=lambda e: (-s.edge_lengths[e], e)):
-            trial = cur - {e}
-            ok, _ = capturing_test(s, trial)
-            if ok:
-                cur = trial
-                changed = True
+    # capturing is upward-monotone in the edge set, so an edge kept once
+    # stays needed: one pass is enough
+    for e in sorted(cur, key=lambda e: (-s.edge_lengths[e], e)):
+        trial = cur - {e}
+        ok, _ = capturing_test(s, trial)
+        if ok:
+            cur = trial
     if subgraph_betti(cur) != 2 * s.genus:
         raise SurfaceError("pruned subgraph has wrong Betti number")
     return cur

@@ -2,9 +2,15 @@
 surfaces.
 
 Balls are inner approximations: a face belongs to the ball when all three
-of its vertices are within the radius.  Contractibility of a simple cycle
-is decided combinatorially by cutting along it and looking for a disk
-component (Euler characteristic 1).
+of its vertices are within the radius; filling a ball adds the complement
+components that are disks (Euler characteristic 1).
+
+The systole search runs over two shortest-path-tree paths plus one edge.
+A candidate of nonzero homology class is essential.  One of class zero is
+tested against a tree-cotree decomposition of the same tree: it is the
+boundary of the faces below its edge in the dual spanning tree, and it
+bounds a disk iff that side, or the other, holds none of the 2g leftover
+edges.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       subgraph_length)
 
 EXACT_CAPTURE_EDGE_LIMIT = 2000
-SYSTOLE_ENUM_EDGE_LIMIT = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -92,34 +97,69 @@ def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list
     return comps
 
 
-def is_contractible_cycle(s: TriSurface, cycle_vertices) -> bool:
-    """Cut along the simple cycle; contractible iff a complement component
-    is a disk."""
-    vs = list(cycle_vertices)
-    if vs[0] == vs[-1]:
-        vs = vs[:-1]
-    if len(set(vs)) != len(vs):
-        raise SurfaceError("cycle is not simple")
-    cyc_edges = {_pair(a, b) for a, b in zip(vs, vs[1:] + vs[:1])}
-    allf = set(range(len(s.faces)))
-    for comp in _face_components(s, allf, cyc_edges):
-        if face_set_chi(s, comp, cyc_edges) == 1:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # systole
 
+def _cotree_sides(s: TriSurface, tree: set) -> dict:
+    """Disk data for a spanning tree T of the 1-skeleton.
+
+    C is a spanning tree of the dual graph on the edges outside T, grown
+    breadth-first from face 0; the 2g edges in neither form L.  Returns,
+    for each edge e of C, the number of L-edges whose two faces have their
+    lowest common C-ancestor among the faces below e.
+    """
+    up: dict[int, tuple[int, tuple[int, int]]] = {}   # face -> (parent, edge)
+    depth = {0: 0}
+    order = [0]
+    for f in order:
+        a, b, c = s.faces[f]
+        for e in (_pair(a, b), _pair(b, c), _pair(a, c)):
+            if e in tree:
+                continue
+            f1, f2 = s.edge_faces[e]
+            h = f2 if f1 == f else f1
+            if h not in depth:
+                up[h] = (f, e)
+                depth[h] = depth[f] + 1
+                order.append(h)
+    cotree = {e for _, e in up.values()}
+    count = dict.fromkeys(order, 0)
+    for e in s.edges:
+        if e in tree or e in cotree:
+            continue
+        f, h = s.edge_faces[e]
+        while depth[f] > depth[h]:
+            f = up[f][0]
+        while depth[h] > depth[f]:
+            h = up[h][0]
+        while f != h:
+            f, h = up[f][0], up[h][0]
+        count[f] += 1
+    below = {}
+    for f in reversed(order[1:]):
+        parent, e = up[f]
+        count[parent] += count[f]
+        below[e] = count[f]
+    return below
+
+
 def _homology_candidates(s: TriSurface, base: int | None = None,
-                         best_only: bool = False):
+                         best_only: bool = False, essential: bool = False):
     """Candidate essential loops: two shortest-tree paths plus a closing
-    edge.  Yields (length, simple vertex cycle) for homologically nontrivial
-    simple candidates.  With ``best_only`` candidates longer than the best
-    one found so far are skipped (enough for systole computations)."""
+    edge.  Returns (length, simple vertex cycle) for homologically
+    nontrivial simple candidates.  With ``best_only`` candidates longer
+    than the best one found so far are skipped (enough for systole
+    computations).
+
+    With ``essential`` as well (genus >= 2), a simple candidate of class
+    zero counts when it bounds no disk.  If the first shortest such
+    candidate is strictly shorter than every nontrivial one, it is
+    returned alone.
+    """
     hom = s.homology()
     g = s.skeleton()
     best = None
+    sep = None
     sources = [base] if base is not None else sorted(s.vertices)
     out = []
     for v0 in sources:
@@ -141,11 +181,14 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
                 p.append(parent[p[-1]])
             return p[::-1]
 
+        sides = None        # _cotree_sides of this tree, built on first use
         for (u, w) in s.edges:
             if parent.get(u) == w or parent.get(w) == u:
                 continue
             length = dist[u] + dist[w] + s.edge_lengths[(u, w)]
             if best_only and best is not None and length >= best:
+                continue
+            if sep is not None and length > sep[0]:
                 continue
             pu, pw = path_to(u), path_to(w)
             walk = pu + pw[::-1]
@@ -156,98 +199,47 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
                 out.append((length, cyc))
                 if best is None or length < best:
                     best = length
-    return out
-
-
-def _enumerate_simple_cycles(s: TriSurface, bound: Fraction, through: int | None = None):
-    """All simple vertex cycles with total length <= bound.
-
-    Canonical form: smallest vertex first (or ``through`` first when given)
-    and second vertex smaller than the last.  Pruned by straight-line
-    shortest-path distance back to the start.
-    """
-    g = s.skeleton()
-    dist_cache: dict[int, dict[int, Fraction]] = {}
-
-    def dists(v):
-        if v not in dist_cache:
-            dist_cache[v] = s.distances_from(v)
-        return dist_cache[v]
-
-    cycles = []
-    starts = [through] if through is not None else sorted(s.vertices)
-    for start in starts:
-        d0 = dists(start)
-        path = [start]
-        onpath = {start}
-
-        def dfs(length: Fraction):
-            v = path[-1]
-            for e in sorted(g.incident(v), key=lambda e: (e.other(v),)):
-                u = e.other(v)
-                nl = length + e.length
-                if nl > bound:
-                    continue
-                if u == start and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        cycles.append((nl, list(path)))
-                    continue
-                if u in onpath:
-                    continue
-                if through is None and u < start:
-                    continue
-                if nl + d0.get(u, nl) > bound:
-                    continue
-                path.append(u)
-                onpath.add(u)
-                dfs(nl)
-                path.pop()
-                onpath.discard(u)
-
-        dfs(Fraction(0))
-    # deduplicate (same cycle found from several starts when through is set)
-    seen = set()
-    out = []
-    for length, cyc in sorted(cycles, key=lambda t: (t[0], t[1])):
-        key = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((length, cyc))
+            elif essential and (sep is None or length < sep[0]):
+                # the cycle bounds the faces below (u, w) in C; a disk
+                # on either side holds no L-edge
+                if sides is None:
+                    sides = _cotree_sides(s, {_pair(v, p) for v, p in parent.items()
+                                              if v != v0})
+                if 0 < sides.get((u, w), 0) < 2 * s.genus:
+                    sep = (length, cyc)
+    if sep is not None and (best is None or sep[0] < best):
+        return [sep]
     return out
 
 
 def systole(s: TriSurface, base: int | None = None,
             mode: str = "auto") -> tuple[Fraction, list[int]]:
-    """Length of the shortest simple non-contractible cycle in the
-    1-skeleton (restricted to cycles through ``base`` when given).
+    """Length of the shortest non-contractible simple cycle in the
+    1-skeleton, and that cycle; exact at every size.
 
-    Assumes the shortest non-contractible loop is realizable by a simple
-    cycle, by analogy with the smooth case.  On genus >= 2 a separating
-    non-contractible cycle could undercut the homological candidates; the
-    exhaustive sweep that rules this out only runs below a size threshold
-    (mode "exact" insists on it, mode "homological" always skips it).
+    Some shortest non-contractible cycle is two shortest-path-tree paths
+    plus one edge (Thomassen's 3-path condition, as used by Erickson and
+    Har-Peled), so the search runs over that family for the tree T_v of
+    every vertex v.  Modes "auto" and "exact" are the same.  Mode
+    "homological" returns the shortest candidate of nonzero homology class
+    instead; on genus >= 2 that can exceed the systole, since a separating
+    essential cycle has class zero.  On ties a candidate of nonzero class
+    wins, the first in vertex and edge order.
+
+    With ``base`` the result is the shortest essential simple cycle among
+    two T_base-paths plus one edge (only nontrivial ones in mode
+    "homological").
     """
     if mode not in ("auto", "exact", "homological"):
         raise SurfaceError(f"unknown systole mode {mode!r}")
     if s.genus == 0:
         raise SurfaceError("genus-0 surface has no non-contractible cycle")
-    big = len(s.edges) > SYSTOLE_ENUM_EDGE_LIMIT
-    if mode == "exact" and big:
-        raise SurfaceError("surface too large for exact systole enumeration")
-    cands = _homology_candidates(s, base, best_only=True)
+    # on the torus a simple closed curve of class zero is contractible
+    essential = mode != "homological" and s.genus >= 2
+    cands = _homology_candidates(s, base, best_only=True, essential=essential)
     if not cands:
         raise SurfaceError("no homologically nontrivial candidate loop found")
-    best_len, best_cyc = min(cands, key=lambda t: (t[0], t[1]))
-    if s.genus >= 2 and mode != "homological" and not big:
-        # a separating (null-homologous) non-contractible cycle could be
-        # shorter; sweep everything below the homological bound
-        for length, cyc in _enumerate_simple_cycles(s, best_len, base):
-            if (length, cyc) == (best_len, best_cyc):
-                continue
-            if length < best_len and not is_contractible_cycle(s, cyc):
-                best_len, best_cyc = length, cyc
-    return best_len, best_cyc
+    return min(cands, key=lambda t: (t[0], t[1]))
 
 
 def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:

@@ -72,6 +72,86 @@ def random_bounded_instance(b: int, total_bound: Fraction, seed: int,
     return MetricGraph.build(verts, full)
 
 
+def enumerate_simple_cycles(s: TriSurface, bound: Fraction,
+                            through: int | None = None):
+    """Independent oracle: all simple vertex cycles with total length <=
+    bound, sorted by (length, cycle).
+
+    Canonical form: smallest vertex first (or ``through`` first when given)
+    and second vertex smaller than the last.  Pruned by straight-line
+    shortest-path distance back to the start.
+    """
+    g = s.skeleton()
+    cycles = []
+    starts = [through] if through is not None else sorted(s.vertices)
+    for start in starts:
+        d0 = s.distances_from(start)
+        path = [start]
+        onpath = {start}
+
+        def dfs(length: Fraction):
+            v = path[-1]
+            for e in sorted(g.incident(v), key=lambda e: (e.other(v),)):
+                u = e.other(v)
+                nl = length + e.length
+                if nl > bound:
+                    continue
+                if u == start and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        cycles.append((nl, list(path)))
+                    continue
+                if u in onpath:
+                    continue
+                if through is None and u < start:
+                    continue
+                if nl + d0.get(u, nl) > bound:
+                    continue
+                path.append(u)
+                onpath.add(u)
+                dfs(nl)
+                path.pop()
+                onpath.discard(u)
+
+        dfs(Fraction(0))
+    # deduplicate (same cycle found from several starts when through is set)
+    seen = set()
+    out = []
+    for length, cyc in sorted(cycles, key=lambda t: (t[0], t[1])):
+        key = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((length, cyc))
+    return out
+
+
+def is_contractible_cycle(s: TriSurface, cycle_vertices) -> bool:
+    """Independent oracle: cut along the simple cycle; contractible iff a
+    complement component is a disk."""
+    vs = list(cycle_vertices)
+    if vs[0] == vs[-1]:
+        vs = vs[:-1]
+    if len(set(vs)) != len(vs):
+        raise SurfaceError("cycle is not simple")
+    cyc_edges = {_pair(a, b) for a, b in zip(vs, vs[1:] + vs[:1])}
+    allf = set(range(len(s.faces)))
+    for comp in surfballs._face_components(s, allf, cyc_edges):
+        if surfballs.face_set_chi(s, comp, cyc_edges) == 1:
+            return True
+    return False
+
+
+def shortest_essential_cycle(s: TriSurface, bound: Fraction,
+                             through: int | None = None):
+    """Independent oracle: the length of the shortest non-contractible
+    simple cycle no longer than ``bound`` (through ``through`` when
+    given), or None."""
+    for length, cyc in enumerate_simple_cycles(s, bound, through):
+        if not is_contractible_cycle(s, cyc):
+            return length
+    return None
+
+
 def independent_pair_rank(hom_classes) -> int:
     ech = Echelon()
     for c in hom_classes:
@@ -86,7 +166,7 @@ def capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
     hom = s.homology()
     ub, _ = surfballs._greedy_capture(s, x)
     bound = ub + slack
-    cycles = surfballs._enumerate_simple_cycles(s, bound)
+    cycles = enumerate_simple_cycles(s, bound)
     info = []
     for length, cyc in cycles:
         cls = hom.class_of_walk(cyc + [cyc[0]])

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import capture_by_cycle_pairs
+from conftest import (capture_by_cycle_pairs, is_contractible_cycle,
+                      shortest_essential_cycle)
 from coverball import fixtures, surfballs
 from coverball.surface import TriSurface, capturing_test, subgraph_length
 
@@ -23,29 +26,39 @@ def g2():
     return fixtures.genus2()
 
 
+@pytest.fixture(scope="module")
+def g2_sub():
+    return fixtures.subdivide(fixtures.genus2())
+
+
+NECK = [(0, 1), (1, 3), (0, 3)]   # genus2's separating triangle
+
+
+@pytest.fixture(scope="module")
+def neck(g2):
+    return TriSurface.build(g2.faces, {**g2.edge_lengths,
+                                       **{e: F(3, 5) for e in NECK}})
+
+
 # ---------------------------------------------------------------------------
 # contractibility and systole
 
 def test_face_cycles_are_contractible(torus):
     for f in torus.faces:
-        assert surfballs.is_contractible_cycle(torus, list(f))
+        assert is_contractible_cycle(torus, list(f))
 
 
 def test_essential_cycle_detected(torus):
-    assert not surfballs.is_contractible_cycle(torus, [2, 4, 6])
+    assert not is_contractible_cycle(torus, [2, 4, 6])
 
 
 def test_systole_torus_exhaustive_oracle(torus):
     length, cyc = surfballs.systole(torus, mode="exact")
     assert length == 3
-    assert not surfballs.is_contractible_cycle(torus, cyc)
+    assert not is_contractible_cycle(torus, cyc)
     # oracle: sweep every simple cycle up to length 3 and take the shortest
     # non-contractible one
-    best = None
-    for l, vs in surfballs._enumerate_simple_cycles(torus, F(3)):
-        if not surfballs.is_contractible_cycle(torus, vs):
-            best = l if best is None else min(best, l)
-    assert best == length
+    assert shortest_essential_cycle(torus, F(3)) == length
 
 
 def test_systole_modes_agree(torus, sub_torus, g2):
@@ -54,6 +67,57 @@ def test_systole_modes_agree(torus, sub_torus, g2):
         hom, _ = surfballs.systole(s, mode="homological")
         auto, _ = surfballs.systole(s, mode="auto")
         assert exact == hom == auto == 3
+
+
+def test_separating_neck_is_the_systole(neck):
+    # the shrunk neck is essential but null-homologous, so only the
+    # homological quantity misses it
+    for mode in ("auto", "exact"):
+        length, cyc = surfballs.systole(neck, mode=mode)
+        assert length == F(9, 5)
+        assert not is_contractible_cycle(neck, cyc)
+    assert surfballs.systole(neck, mode="homological")[0] == F(13, 5)
+
+
+def _g2_sub_neck(g2):
+    """The six half edges of the neck after one midpoint subdivision."""
+    mid = {e: max(g2.vertices) + 1 + i for i, e in enumerate(g2.edges)}
+    return [tuple(sorted((v, mid[e]))) for e in NECK for v in e]
+
+
+@given(st.booleans(), st.data(), st.sampled_from([None, F(4, 5), F(7, 8)]))
+@settings(max_examples=20, deadline=None)
+def test_systole_matches_enumeration_oracle(subdivided, data, neck_length):
+    # any two lengths in [1, 7/4] beat a third, and so does a neck edge
+    # above 3/4, since no face has two neck edges
+    s = fixtures.genus2()
+    neck_edges = NECK
+    if subdivided:
+        neck_edges = _g2_sub_neck(s)
+        s = fixtures.subdivide(s)
+    pick = st.sampled_from([F(1), F(5, 4), F(3, 2), F(7, 4)])
+    lengths = {e: data.draw(pick) for e in s.edges}
+    if neck_length is not None:
+        lengths.update({e: neck_length for e in neck_edges})
+    s = TriSurface.build(s.faces, lengths)
+    length, cyc = surfballs.systole(s)
+    assert shortest_essential_cycle(s, length) == length
+    assert not is_contractible_cycle(s, cyc)
+    assert surfballs.systole(s, mode="homological")[0] >= length
+
+
+def test_systole_at_matches_through_base_oracle(g2, neck, g2_sub):
+    for s in (g2, neck, g2_sub):
+        for x in s.vertices:
+            length, cyc = surfballs.systole_at(s, x)
+            assert x in cyc and not is_contractible_cycle(s, cyc)
+            assert shortest_essential_cycle(s, length, through=x) == length
+
+
+def test_default_systole_on_twice_subdivided_genus2():
+    s = fixtures.subdivide(fixtures.genus2(), 2)
+    assert len(s.edges) == 624
+    assert surfballs.systole(s)[0] == 3
 
 
 def test_systole_scales(torus):

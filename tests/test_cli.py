@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverball
-from coverball import cli
+from coverball import cli, fixtures
 from coverball.graphs import (GraphError, format_graph, parse_graph, scale,
                               theta_graph)
 from coverball.surface import SurfaceError, format_surface, parse_surface
@@ -206,6 +206,30 @@ def test_jsonable_prints_huge_exact_values():
         value = value * 10 ** len(chunk) + int(chunk)
     assert digits[0] == "-" and -value == neg
     json.dumps(out)
+
+
+def _strict_json(doc: str):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in output")
+    return json.loads(doc, parse_constant=reject)
+
+
+def test_ref_curves_beyond_float_range_is_strict_json(capsys):
+    # cosh(800) exceeds every float
+    rc, out, _ = run_cli(capsys, "ref", "curves", "--rmax", "800", "--grid", "1")
+    assert rc == 0
+    rows = _strict_json(out)["rows"]
+    assert rows[1]["R"] == "800/1" and rows[1]["hyperbolic_ball_area"] is None
+
+
+def test_pipeline_on_huge_torus_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "big.surf"
+    path.write_text(format_surface(fixtures.scale_surface(fixtures.torus7(), 1000)))
+    rc, out, _ = run_cli(capsys, "surface", "pipeline", str(path))
+    assert rc == 0
+    coarea = [st for st in _strict_json(out)["stages"] if st["stage"] == "coarea"]
+    assert coarea[0]["target"] is None and coarea[0]["closed_form"] is None
 
 
 def test_python_dash_m_runs_the_cli():

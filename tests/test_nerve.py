@@ -109,6 +109,14 @@ def test_lambda_search_finds_and_fails():
     assert bad["lam"] is None
 
 
+def test_rows_beyond_float_range_never_pass():
+    # lambda = 6/5 fails at R = 100; at R = 1000 both sides exceed every float
+    assert nerve.rescaling_lambda_search([1.2], [100])["lam"] is None
+    assert nerve.rescaling_lambda_search([1.2], [1000])["lam"] is None
+    rep = nerve.shrink_factor_grid_check(0.5, [1, 2000])
+    assert math.isnan(rep["rows"][1]["margin"]) and not rep["ok"]
+
+
 # ---------------------------------------------------------------------------
 # pipeline smoke test on a small instance
 
