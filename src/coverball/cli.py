@@ -321,11 +321,15 @@ def _common(sp, rmax_default="2"):
     sp.add_argument("--grid", type=int, default=8)
 
 
+FORMATS = ("json", "csv")
+
+
 def _everywhere(sp):
     sp.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--format", default="json,csv")
+    sp.add_argument("--format", default=",".join(FORMATS),
+                    help="comma-separated output files for --out: json, csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for token in args.format.split(","):
+        if token not in FORMATS:
+            print(f"error: unknown --format {token!r}; choose from "
+                  f"{', '.join(FORMATS)}", file=sys.stderr)
+            return 1
     try:
         args.fn(parser, args)
     except TheoremViolation as exc:

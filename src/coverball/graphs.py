@@ -5,9 +5,11 @@ endpoint pair (equal endpoints give a loop) and a strictly positive
 ``Fraction`` length.  Parallel edges are allowed.  All values are frozen
 after construction; every operation returns a new graph.
 
-Every vertex-distance search goes through ``shortest_paths``: one Dijkstra
-on the common-denominator integer grid, with an optional cutoff and skipped
-edge, returning exact distances and a shortest-path tree.
+Every vertex-distance search goes through one Dijkstra core,
+``grid_shortest_paths``, on the common-denominator integer grid, with an
+optional cutoff and skipped edge; it returns grid distances and a
+shortest-path tree.  ``shortest_paths`` wraps it for exact ``Fraction``
+distances.
 """
 
 from __future__ import annotations
@@ -167,9 +169,24 @@ def girth(g: MetricGraph) -> Fraction | None:
 def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
                    skip_edge: int | None = None
                    ) -> tuple[dict[int, Fraction], dict[int, int | None]]:
-    """Dijkstra from ``src`` on the common-denominator integer grid.
+    """Exact distances from ``src``: ``grid_shortest_paths`` with the cutoff
+    taken onto the grid and the distances taken back to ``Fraction``s.
 
-    Returns (dist, parent).  ``dist`` maps every reached vertex to its exact
+    Returns (dist, parent) as the core does.
+    """
+    D = g.int_grid()[0]
+    icut = None if cutoff is None else math.floor(Fraction(cutoff) * D)
+    dist, parent = grid_shortest_paths(g, src, icut, skip_edge)
+    return {v: Fraction(d, D) for v, d in dist.items()}, parent
+
+
+def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None,
+                        skip_edge: int | None = None
+                        ) -> tuple[dict[int, int], dict[int, int | None]]:
+    """Dijkstra from ``src`` on the common-denominator integer grid of
+    ``g.int_grid()``: distances and ``cutoff`` are integers in units of 1/D.
+
+    Returns (dist, parent).  ``dist`` maps every reached vertex to its
     distance; ``parent`` maps ``src`` to None and every other reached vertex
     to the vertex that first reached it at its final distance (heap entries
     (d, v), strict improvement, edges in ``incident`` order).  Relaxations
@@ -177,17 +194,13 @@ def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
     """
     if src not in g.vertices:
         raise GraphError(f"unknown source vertex {src}")
-    D, adj = g.int_grid()
+    adj = g.int_grid()[1]
     if skip_edge is not None:
         e = g.edge_by_id(skip_edge)
         adj = dict(adj)
         for x in {e.u, e.w}:
             adj[x] = [a for a, f in zip(adj[x], g.incident(x))
                       if f.id != skip_edge]
-    icut = None
-    if cutoff is not None:
-        c = Fraction(cutoff) * D
-        icut = c.numerator // c.denominator
     dist = {src: 0}
     parent: dict[int, int | None] = {src: None}
     heap = [(0, src)]
@@ -197,13 +210,13 @@ def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
             continue
         for l, u in adj[v]:
             nd = d + l
-            if icut is not None and nd > icut:
+            if cutoff is not None and nd > cutoff:
                 continue
             if u not in dist or nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v
                 heapq.heappush(heap, (nd, u))
-    return {v: Fraction(d, D) for v, d in dist.items()}, parent
+    return dist, parent
 
 
 def tree_path(parent: Mapping[int, int | None], v: int) -> list[int]:

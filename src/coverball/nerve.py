@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cover, surfballs, witness
-from .graphs import (Edge, GraphError, MetricGraph, betti, girth, scale,
-                     shortest_paths, tree_path)
+from .graphs import (Edge, GraphError, MetricGraph, betti, girth,
+                     grid_shortest_paths, scale, tree_path)
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
-                      subgraph_length, subgraph_metric_graph)
+                      prune_pieces, subgraph_length, subgraph_metric_graph)
 
 DEFAULT_R0 = Fraction(1, 32)
 DEFAULT_EPS = Fraction(1, 64)
@@ -51,7 +51,17 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
 
     Centers are vertices at pairwise distance > 2*r0 such that every vertex
     lies within 2*r0 of a center; nerve edges join centers at distance at
-    most 4*r0 + 2*eps and carry length 1/4.
+    most 4*r0 + 2*eps and carry length 1/4.  The packing runs on the
+    skeleton's integer grid: one shortest-path tree per center gives the
+    packing distances, the phi path of every nerve edge and the center's
+    r0-ball, and only the reported center distances become ``Fraction``s.
+
+    One ``capturing_test`` decides whether the image captures and gives its
+    rank.  ``prune_pieces`` then drops nerve edges in sorted order, each
+    piece being the surface edges of one phi path, while the image still
+    captures; it tests each drop on the dual side, without a rank.  On
+    genus >= 1 the empty image never captures, so the last nerve edge
+    stays; on a sphere the empty nerve captures and every edge goes.
     """
     r0 = Fraction(r0)
     eps = Fraction(eps)
@@ -60,33 +70,36 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
     if 4 * r0 + 2 * eps >= Fraction(1, 4):
         raise SurfaceError("slack constraint violated: need 4*r0 + 2*eps < 1/4")
 
-    # one shortest-path tree per center gives both the packing distances
-    # and the phi path of every nerve edge
     g = s.skeleton()
+    D = g.int_grid()[0]
+    separation = math.floor(2 * r0 * D)
+    reach = math.floor((4 * r0 + 2 * eps) * D)
     verts = sorted(s.vertices)
     centers = [verts[0]]
     dists, parents = {}, {}
-    dists[verts[0]], parents[verts[0]] = shortest_paths(g, verts[0])
+    dists[verts[0]], parents[verts[0]] = grid_shortest_paths(g, verts[0])
     mind = dict(dists[verts[0]])
     while True:
         far = max(verts, key=lambda v: (mind[v], -v))
-        if mind[far] <= 2 * r0:
+        if mind[far] <= separation:
             break
         centers.append(far)
-        dists[far], parents[far] = shortest_paths(g, far)
-        for v in verts:
-            if dists[far][v] < mind[v]:
-                mind[v] = dists[far][v]
+        # no vertex beyond mind[far] >= mind[v] gets closer, and the tree
+        # is exact up to its cutoff, which covers every nerve edge
+        dists[far], parents[far] = grid_shortest_paths(
+            g, far, max(mind[far], reach))
+        for v, d in dists[far].items():
+            if d < mind[v]:
+                mind[v] = d
 
-    reach = 4 * r0 + 2 * eps
     cdist = {}
     phi = {}
     nerve_edges = []
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            d = dists[centers[i]][centers[j]]
-            if d <= reach:
-                cdist[(i, j)] = d
+            d = dists[centers[i]].get(centers[j])
+            if d is not None and d <= reach:
+                cdist[(i, j)] = Fraction(d, D)
                 phi[(i, j)] = tree_path(parents[centers[i]], centers[j])
                 nerve_edges.append((i, j))
 
@@ -95,7 +108,19 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
                         tuple(Edge(k, i, j, quarter)
                               for k, (i, j) in enumerate(nerve_edges)))
 
-    areas = [surfballs.ball(s, p, r0).area(s) for p in centers]
+    # the face set surfballs.ball(s, p, r0) builds, filled in the same
+    # (ascending) order so that its float sum is the same
+    corners: dict[int, list[int]] = {}
+    for i, f in enumerate(s.faces):
+        for v in f:
+            corners.setdefault(v, []).append(i)
+    radius = math.floor(r0 * D)
+    areas = []
+    for p in centers:
+        inside = {v for v, d in dists[p].items() if d <= radius}
+        faces = frozenset(sorted({i for v in inside for i in corners[v]
+                                  if all(x in inside for x in s.faces[i])}))
+        areas.append(sum(s.face_area(i) for i in faces))
     min_area = float(r0) ** 2 / 4.0
     precondition_ok = all(a >= min_area for a in areas)
     total = s.total_area()
@@ -110,25 +135,15 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
         return out
 
     image = image_of(nerve_edges)
-    if s.genus > 0 and image:
-        captures, rank = capturing_test(s, image)
-    else:
-        captures, rank = (s.genus == 0), 0
-
+    captures, rank = capturing_test(s, image)
     rep = NerveReport(r0, eps, centers, nerve, phi, cdist, areas,
                       precondition_ok, packing_ok, non_exp,
                       image_edges=image, image_captures=captures,
                       image_rank=rank)
 
-    if captures and s.genus > 0:
-        # capturing is upward-monotone in the edge set and image_of is
-        # monotone, so an edge kept once stays needed: one pass is enough
-        pruned = list(nerve_edges)
-        for e in sorted(pruned):
-            trial = [x for x in pruned if x != e]
-            ok, _ = capturing_test(s, image_of(trial)) if trial else (False, 0)
-            if ok:
-                pruned = trial
+    if captures:
+        kept = prune_pieces(s, [image_of([e]) for e in nerve_edges])
+        pruned = [nerve_edges[k] for k in kept]
         rep.pruned_nerve_edges = pruned
         rep.pruned_image_edges = image_of(pruned)
         rep.pruned_length = quarter * len(pruned)

@@ -3,6 +3,17 @@
 The surface metric is the shortest-path metric on the 1-skeleton; face
 areas come from Heron's formula.  First homology is exact: integer class
 vectors on the edges from a tree-cotree decomposition.
+
+A subgraph captures when its cycles span H1(M).  ``capturing_test`` is the
+one-shot query: it returns (captures, rank of the image) by exact
+elimination.  Pruning asks the same question once per dropped piece, and
+``prune_pieces`` answers it on the dual side instead (Eppstein, "Dynamic
+generators of topologically embedded graphs", SODA 2003).  A subgraph
+captures iff every cycle of the dual graph on the faces, joined across the
+edges outside it, has zero intersection with each basis cycle of H1(M).
+Removing edges only adds dual edges, so one union-find over the faces,
+carrying crossing vectors and an undo log, tests each drop incrementally
+with integer comparisons.
 """
 
 from __future__ import annotations
@@ -191,12 +202,13 @@ def _directed(face, flipped: bool):
 class HomologyData:
     """First homology over Z from a tree-cotree decomposition.
 
-    T is a BFS spanning tree of the 1-skeleton and C a spanning tree of the
-    dual graph on the remaining edges, taken greedily in edge order; the 2g
-    edges in neither are the generators.  Every edge (u, w), u < w, carries
-    an integer class vector in Z^{2g}: zero on T, the i-th unit vector on
-    the i-th generator, and on C the value its face relations force.  The
-    class of a closed walk is the sum of its directed edge classes.
+    T is a BFS spanning tree of the 1-skeleton (``tree_parent``) and C a
+    spanning tree of the dual graph on the remaining edges, taken greedily
+    in edge order; the 2g edges in neither are the generators.  Every edge
+    (u, w), u < w, carries an integer class vector in Z^{2g}: zero on T,
+    the i-th unit vector on the i-th generator, and on C the value its face
+    relations force.  The class of a closed walk is the sum of its directed
+    edge classes.
     """
 
     def __init__(self, s: TriSurface):
@@ -204,6 +216,7 @@ class HomologyData:
         # BFS spanning tree, deterministic
         root = min(s.vertices)
         tree = set()
+        self.tree_parent: dict[int, int | None] = {root: None}
         order = [root]
         seenv = {root}
         qi = 0
@@ -215,6 +228,7 @@ class HomologyData:
                 if u not in seenv:
                     seenv.add(u)
                     tree.add(_pair(v, u))
+                    self.tree_parent[u] = v
                     order.append(u)
         # dual spanning tree of the non-tree edges; the rest generate H1
         root_of = list(range(len(s.faces)))
@@ -304,7 +318,7 @@ def _sparse(t: tuple) -> dict[int, int]:
 
 def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
     """True iff the subgraph's cycle space surjects onto H1(M); also the
-    rank of its image.
+    rank of its image.  A one-shot query: pruning asks ``prune_pieces``.
 
     Potentials p(v) sum the edge classes along a spanning forest of the
     subgraph; each other edge (u, w) closes a cycle of class
@@ -372,19 +386,123 @@ def subgraph_betti(sub_edges) -> int:
     return len(sub) - len(verts) + ncomp
 
 
+def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
+    """Crossing data of the 2g basis cycles z_i, each the fundamental cycle
+    of generator i in the homology BFS tree.
+
+    Returns (side, cross): ``side[(x, y)]`` is the face to the left of the
+    directed edge x -> y; ``cross[(u, w)]``, u < w, is the vector of
+    coefficients of u -> w in the z_i, packed into one int with signed
+    digit i in base 2**width.  Each digit is -1, 0 or 1, and the width
+    leaves room for a sum of up to 4 * len(s.edges) such vectors, so such
+    a sum is zero iff its int is.
+    """
+    hom = s.homology()
+    side = {}
+    for f, face in enumerate(s.faces):
+        for xy in _directed(face, False):
+            side[xy] = f
+    width = len(s.edges).bit_length() + 3
+    cross = dict.fromkeys(s.edges, 0)
+    up = hom.tree_parent
+    for i, (a, b) in enumerate(hom.generators):
+        unit = 1 << (i * width)
+        cross[(a, b)] += unit
+        # z_i = a -> b, then the tree path b -> a: up from b, down to a
+        for v, step in ((b, unit), (a, -unit)):
+            while up[v] is not None:
+                p = up[v]
+                cross[_pair(v, p)] += step if v < p else -step
+                v = p
+    return side, cross
+
+
+def prune_pieces(s: TriSurface, pieces) -> list[int]:
+    """Indices of the pieces kept when each piece, in order, is dropped
+    whenever the union of the pieces still kept without it captures.
+
+    ``pieces`` are edge sets whose union captures.  The test runs on the
+    dual side.  Let D be the graph on the faces joined across the edges
+    outside a subgraph G.  By Lefschetz duality the image of H1(G) in H1(M)
+    is the annihilator of that of H1(D) under the intersection form
+    (vertices outside G only add disks, whose boundaries are null), so G
+    captures iff every cycle of D crosses each basis cycle z_i zero times.
+    A union-find over the faces keeps, with each face, the crossing vector
+    of a dual path from its root (union by size, no path compression);
+    adding the dual edge of an edge between faces already joined closes a
+    cycle whose vector is read off in O(log F).
+
+    Dropping a piece frees the edges that only it covers.  Their dual edges
+    are added one by one; the first cycle with a nonzero vector rejects the
+    drop and the undo log restores the union-find.  Capturing is monotone,
+    so a piece kept once stays needed: one pass is enough.
+    """
+    side, cross = _dual_crossings(s)
+    pieces = [{_pair(*e) for e in p} for p in pieces]
+    count = dict.fromkeys(s.edges, 0)
+    for p in pieces:
+        for e in p:
+            count[e] += 1
+    root_of = list(range(len(s.faces)))
+    offset = [0] * len(s.faces)      # crossing vector from root_of[f] to f
+    size = [1] * len(s.faces)
+    log: list[int] = []              # faces linked below another root
+
+    def find(f):
+        h = 0
+        while root_of[f] != f:
+            h += offset[f]
+            f = root_of[f]
+        return f, h
+
+    def join(e) -> bool:
+        """Add the dual edge of e, left face to right face; False iff it
+        closes a cycle with a nonzero crossing vector."""
+        u, w = e
+        (rl, hl), (rr, hr) = find(side[(u, w)]), find(side[(w, u)])
+        c = hl + cross[e] - hr
+        if rl == rr:
+            return c == 0
+        if size[rl] < size[rr]:
+            rl, rr, c = rr, rl, -c
+        root_of[rr] = rl
+        offset[rr] = c
+        size[rl] += size[rr]
+        log.append(rr)
+        return True
+
+    if not all(join(e) for e, k in count.items() if k == 0):
+        raise SurfaceError("the pieces do not capture the topology")
+    kept = []
+    for k, p in enumerate(pieces):
+        log.clear()
+        if all(join(e) for e in p if count[e] == 1):
+            for e in p:
+                count[e] -= 1
+            continue
+        for f in reversed(log):
+            size[root_of[f]] -= size[f]
+            root_of[f] = f
+            offset[f] = 0
+        kept.append(k)
+    return kept
+
+
 def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
-    """Greedy edge removal keeping the epimorphism; ends with Betti = 2g."""
+    """Greedy edge removal keeping the epimorphism; ends with Betti = 2g.
+
+    One ``capturing_test`` checks that the input captures.  Then each edge,
+    longest first (ties by edge), leaves while the rest still captures:
+    ``prune_pieces`` with one edge per piece, which tests each removal as
+    one dual edge added to its face union-find, so the whole pass costs
+    about O(E log F) integer operations.
+    """
     ok, rank = capturing_test(s, sub_edges)
     if not ok:
         raise SurfaceError(f"subgraph does not capture the topology (rank {rank})")
-    cur = set(map(lambda e: _pair(*e), sub_edges))
-    # capturing is upward-monotone in the edge set, so an edge kept once
-    # stays needed: one pass is enough
-    for e in sorted(cur, key=lambda e: (-s.edge_lengths[e], e)):
-        trial = cur - {e}
-        ok, _ = capturing_test(s, trial)
-        if ok:
-            cur = trial
+    order = sorted(set(map(lambda e: _pair(*e), sub_edges)),
+                   key=lambda e: (-s.edge_lengths[e], e))
+    cur = {order[k] for k in prune_pieces(s, [[e] for e in order])}
     if subgraph_betti(cur) != 2 * s.genus:
         raise SurfaceError("pruned subgraph has wrong Betti number")
     return cur

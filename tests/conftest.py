@@ -4,7 +4,8 @@ from fractions import Fraction
 from coverball import surfballs
 from coverball.graphs import MetricGraph
 from coverball.linalg import Echelon
-from coverball.surface import SurfaceError, TriSurface, _pair, subgraph_length
+from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
+                               subgraph_length)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -203,3 +204,21 @@ def capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
     if best is None:
         raise SurfaceError("no independent cycle pair within the search bound")
     return best, best_edges
+
+
+def prune_by_capturing_test(s: TriSurface, pieces):
+    """Independent oracle for ``surface.prune_pieces``: drop each piece, in
+    order, when one ``capturing_test`` on the union of the pieces kept
+    without it captures.  Returns the kept indices and every trial as
+    (union, verdict)."""
+    pieces = [{_pair(*e) for e in p} for p in pieces]
+    kept = list(range(len(pieces)))
+    trials = []
+    for k in range(len(pieces)):
+        rest = [j for j in kept if j != k]
+        union = set().union(*(pieces[j] for j in rest))
+        ok = capturing_test(s, union)[0]
+        trials.append((union, ok))
+        if ok:
+            kept = rest
+    return kept, trials

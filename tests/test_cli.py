@@ -171,6 +171,10 @@ MALFORMED = {
     # genus 0 stops before the cover balls, so the pipeline checks the budget
     "pipeline-budget-0": (TETRAHEDRON, ["surface", "pipeline", "{bad}",
                                         "--budget", "0"]),
+    "format-unknown": (None, ["graph", "growth", "theta.graph",
+                              "--format", "xml", "--out", "{bad}"]),
+    "format-mixed": (None, ["graph", "growth", "theta.graph",
+                            "--format", "json,xml", "--out", "{bad}"]),
 }
 
 
@@ -180,8 +184,10 @@ def test_malformed_file_exit_1(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     if text is not None:
         bad.write_text(text)
-    rc, _, err = run_cli(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
-    assert rc == 1 and "error" in err
+    rc, out, err = run_cli(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    assert rc == 1 and "error" in err and out == ""
+    if case.startswith("format-"):
+        assert "'xml'" in err and not bad.exists()
 
 
 def test_budget_exhaustion_still_exit_0(capsys):

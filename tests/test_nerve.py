@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from coverball import fixtures, nerve
+from coverball import fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, _pair, capturing_test,
                                subgraph_betti)
 
@@ -65,6 +65,27 @@ def test_phi_paths_are_shortest_skeleton_walks(small_torus, small_torus_nerve):
         length = sum((small_torus.edge_lengths[_pair(a, b)]
                       for a, b in zip(path, path[1:])), F(0))
         assert length == rep.center_distances[(i, j)]
+
+
+def test_ball_areas_match_surface_balls(small_torus, small_torus_nerve):
+    rep = small_torus_nerve
+    assert rep.ball_areas == [surfballs.ball(small_torus, c, rep.r0).area(small_torus)
+                              for c in rep.centers]
+
+
+def test_nerve_on_a_sphere_prunes_to_the_empty_nerve():
+    # the empty nerve captures a sphere, so the length bound holds at 0
+    bare = nerve.nerve_graph(fixtures.tetrahedron(), r0=F(1, 64), eps=F(1, 64))
+    assert not bare.nerve.edges
+    fine = nerve.nerve_graph(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.tetrahedron(), 2), F(1, 4)))
+    assert len(fine.nerve.edges) > 0
+    for rep in (bare, fine):
+        assert rep.image_captures and rep.image_rank == 0
+        assert rep.pruned_nerve_edges == [] and not rep.pruned_image_edges
+        assert rep.pruned_length == 0 and rep.length_bound_ok
+        assert rep.checks["length_bound"] == {
+            "length": 0, "bound": F(len(rep.centers) - 1, 4)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverball import fixtures
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
-                               format_surface, parse_surface, prune_to_iso,
-                               subgraph_betti, subgraph_length, _pair)
+                               format_surface, parse_surface, prune_pieces,
+                               prune_to_iso, subgraph_betti, subgraph_length,
+                               _pair)
+
+from conftest import prune_by_capturing_test
 
 
 def test_tetrahedron_is_a_sphere():
@@ -255,3 +260,51 @@ def test_capturing_rank_matches_face_relation_oracle(name):
             assert ok == (rank == 2 * s.genus)
             ranks.add(rank)
     assert any(0 < r < 2 * s.genus for r in ranks)
+
+
+# ---------------------------------------------------------------------------
+# the dual-side pruner against the per-trial capturing_test loop
+
+PRUNE_SURFACES = {
+    "torus7": fixtures.torus7(),
+    "genus2": fixtures.genus2(),
+    "genus2x1": fixtures.subdivide(fixtures.genus2()),
+    "torus7_sub": fixtures.subdivide(fixtures.torus7()),
+}
+
+
+def _random_pieces(s, rng):
+    """Walks of 1 to 6 steps, so pieces overlap, then (mostly, and always
+    when the walks alone do not capture) each uncovered edge on its own."""
+    g = s.skeleton()
+    nbrs = {v: sorted(e.other(v) for e in g.incident(v)) for v in s.vertices}
+    pieces = []
+    for _ in range(rng.randint(1, len(s.edges))):
+        walk = [rng.choice(s.vertices)]
+        for _ in range(rng.randint(1, 6)):
+            walk.append(rng.choice(nbrs[walk[-1]]))
+        pieces.append({_pair(a, b) for a, b in zip(walk, walk[1:])})
+    covered = set().union(*pieces)
+    if rng.random() < 0.8 or not capturing_test(s, covered)[0]:
+        pieces += [{e} for e in s.edges if e not in covered]
+    rng.shuffle(pieces)
+    return pieces
+
+
+@given(st.sampled_from(sorted(PRUNE_SURFACES)), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_prune_pieces_matches_capturing_test_loop(name, rng):
+    s = PRUNE_SURFACES[name]
+    pieces = _random_pieces(s, rng)
+    kept, trials = prune_by_capturing_test(s, pieces)
+    assert prune_pieces(s, pieces) == kept
+    # each trial alone: the full skeleton leaves iff the union captures
+    # (then the union stays, as the empty graph does not capture)
+    for union, ok in trials:
+        assert prune_pieces(s, [s.edges, union]) == ([1] if ok else [0])
+
+
+def test_prune_pieces_refuses_a_non_capturing_union():
+    s = fixtures.torus7()
+    with pytest.raises(SurfaceError):
+        prune_pieces(s, [[_pair(i, (i + 1) % 7)] for i in range(7)])
