@@ -72,9 +72,12 @@ class TriSurface:
         for i, f in enumerate(faces):
             for v in f:
                 vfaces[v].append(i)
+        vdegree = dict.fromkeys(verts, 0)
+        for a, b in edge_faces:
+            vdegree[a] += 1
+            vdegree[b] += 1
         for v in verts:
-            vedges = [e for e in edge_faces if v in e]
-            if len(vedges) != len(vfaces[v]):
+            if vdegree[v] != len(vfaces[v]):
                 raise SurfaceError(f"non-manifold vertex {v}")
             comp = {vfaces[v][0]}
             stack = [vfaces[v][0]]
@@ -278,8 +281,9 @@ class HomologyData:
                 else:
                     acc = _vadd(acc, self.step(x, y))
             cls[e] = _vneg(acc) if sign > 0 else acc
-        for f in s.faces:
-            if self.class_of_walk(f):
+        for a, b, c in s.faces:
+            if any(x + y + z for x, y, z in zip(self.step(a, b), self.step(b, c),
+                                                self.step(c, a))):
                 raise SurfaceError("face boundary has a nonzero homology class")
 
     def step(self, x: int, y: int) -> tuple[int, ...]:

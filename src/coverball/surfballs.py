@@ -10,7 +10,10 @@ A candidate of nonzero homology class is essential.  One of class zero is
 tested against a tree-cotree decomposition of the same tree: it is the
 boundary of the faces below its edge in the dual spanning tree, and it
 bounds a disk iff that side, or the other, holds none of the 2g leftover
-edges.
+edges.  Each root's distances, tree and candidate lengths are integers on
+the skeleton's common-denominator integer grid (``MetricGraph.int_grid``),
+and each candidate's simplicity and class are read off its two endpoints
+in O(1); only returned lengths are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graphs import shortest_paths, tree_path
+from .graphs import grid_shortest_paths, tree_path
 from .linalg import Echelon
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       subgraph_length)
@@ -155,48 +158,70 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
     zero counts when it bounds no disk.  If the first shortest such
     candidate is strictly shorter than every nontrivial one, it is
     returned alone.
+
+    Each root's work runs on the skeleton's integer grid.  Its tree takes
+    the vertices in (distance, vertex) order, each hanging from its first
+    tight neighbour in edge-id order, and records per vertex the class
+    potential of its tree path and its branch ``top``, the child of the
+    root it descends from.  A non-tree edge (u, w) then closes a cycle of
+    grid length dist(u) + dist(w) + len(u, w), simple iff the branches of
+    u and w differ, of class pot(u) + [u -> w] - pot(w).
     """
     hom = s.homology()
     g = s.skeleton()
+    D, adj = g.int_grid()
+    # class vectors packed into ints, signed digit i in base 2**width: a
+    # sum of up to 2 * |V| directed edge classes is zero iff its int is
+    top_entry = max((abs(x) for c in hom.edge_class.values() for x in c),
+                    default=0)
+    width = (2 * len(s.vertices) * top_entry).bit_length() + 1
+    packed = {e: sum(x << (i * width) for i, x in enumerate(c))
+              for e, c in hom.edge_class.items()}
+    glen = [(e, int(s.edge_lengths[e] * D)) for e in s.edges]
     best = None
     sep = None
     sources = [base] if base is not None else sorted(s.vertices)
     out = []
     for v0 in sources:
-        dist = s.distances_from(v0)
-        # deterministic shortest-path tree
-        parent: dict[int, int] = {v0: v0}
+        dist = grid_shortest_paths(g, v0)[0]
+        parent = {v0: v0}
+        pot = {v0: 0}
+        top = {v0: v0}
         for v in sorted(dist, key=lambda v: (dist[v], v)):
             if v == v0:
                 continue
-            for e in sorted(g.incident(v), key=lambda e: e.id):
-                u = e.other(v)
-                if dist.get(u, None) is not None and dist[u] + e.length == dist[v]:
+            dv = dist[v]
+            for l, u in adj[v]:
+                if dist[u] + l == dv:
                     parent[v] = u
+                    pot[v] = pot[u] + (packed[(u, v)] if u < v else -packed[(v, u)])
+                    top[v] = v if u == v0 else top[u]
                     break
 
-        def path_to(v):
-            p = [v]
-            while p[-1] != v0:
-                p.append(parent[p[-1]])
-            return p[::-1]
+        def cycle(u, w):
+            # v0 down the tree to u, then w up to the child of v0
+            c = [u]
+            while c[-1] != v0:
+                c.append(parent[c[-1]])
+            c.reverse()
+            while w != v0:
+                c.append(w)
+                w = parent[w]
+            return c
 
         sides = None        # _cotree_sides of this tree, built on first use
-        for (u, w) in s.edges:
-            if parent.get(u) == w or parent.get(w) == u:
+        for (u, w), l in glen:
+            if parent[u] == w or parent[w] == u:
                 continue
-            length = dist[u] + dist[w] + s.edge_lengths[(u, w)]
+            length = dist[u] + dist[w] + l
             if best_only and best is not None and length >= best:
                 continue
             if sep is not None and length > sep[0]:
                 continue
-            pu, pw = path_to(u), path_to(w)
-            walk = pu + pw[::-1]
-            cyc = walk[:-1]
-            if len(set(cyc)) != len(cyc):
+            if top[u] == top[w]:
                 continue
-            if hom.class_of_walk(walk):
-                out.append((length, cyc))
+            if pot[u] + packed[(u, w)] != pot[w]:
+                out.append((length, cycle(u, w)))
                 if best is None or length < best:
                     best = length
             elif essential and (sep is None or length < sep[0]):
@@ -206,10 +231,10 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
                     sides = _cotree_sides(s, {_pair(v, p) for v, p in parent.items()
                                               if v != v0})
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
-                    sep = (length, cyc)
+                    sep = (length, cycle(u, w))
     if sep is not None and (best is None or sep[0] < best):
-        return [sep]
-    return out
+        out = [sep]
+    return [(Fraction(n, D), cyc) for n, cyc in out]
 
 
 def systole(s: TriSurface, base: int | None = None,
@@ -220,11 +245,12 @@ def systole(s: TriSurface, base: int | None = None,
     Some shortest non-contractible cycle is two shortest-path-tree paths
     plus one edge (Thomassen's 3-path condition, as used by Erickson and
     Har-Peled), so the search runs over that family for the tree T_v of
-    every vertex v.  Modes "auto" and "exact" are the same.  Mode
-    "homological" returns the shortest candidate of nonzero homology class
-    instead; on genus >= 2 that can exceed the systole, since a separating
-    essential cycle has class zero.  On ties a candidate of nonzero class
-    wins, the first in vertex and edge order.
+    every vertex v, in integers on the skeleton's integer grid.  Modes
+    "auto" and "exact" are the same.  Mode "homological" returns the
+    shortest candidate of nonzero homology class instead; on genus >= 2
+    that can exceed the systole, since a separating essential cycle has
+    class zero.  On ties a candidate of nonzero class wins, the first in
+    vertex and edge order.
 
     With ``base`` the result is the shortest essential simple cycle among
     two T_base-paths plus one edge (only nontrivial ones in mode
@@ -511,8 +537,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     best = _on_grid(ub, D)
     by_target = _capture_tables(s, best)
     if x is not None:
-        distx, parx = shortest_paths(s.skeleton(), x)
-        distx = {v: _on_grid(d, D) for v, d in distx.items()}
+        distx, parx = grid_shortest_paths(s.skeleton(), x)
     # the incumbent: its walks as (source, final state, grid length), and
     # the vertex its arc from x ends at (None when unbased)
     best_walks = None

@@ -222,3 +222,77 @@ def prune_by_capturing_test(s: TriSurface, pieces):
         if ok:
             kept = rest
     return kept, trials
+
+
+def fraction_homology_candidates(s: TriSurface, base: int | None = None,
+                                 best_only: bool = False,
+                                 essential: bool = False):
+    """Independent oracle for ``surfballs._homology_candidates``: the same
+    candidate family with ``Fraction`` distances, each candidate's two tree
+    paths walked and its class summed along the walk.
+
+    Candidate essential loops: two shortest-tree paths plus a closing
+    edge.  Returns (length, simple vertex cycle) for homologically
+    nontrivial simple candidates.  With ``best_only`` candidates longer
+    than the best one found so far are skipped (enough for systole
+    computations).
+
+    With ``essential`` as well (genus >= 2), a simple candidate of class
+    zero counts when it bounds no disk.  If the first shortest such
+    candidate is strictly shorter than every nontrivial one, it is
+    returned alone.
+    """
+    hom = s.homology()
+    g = s.skeleton()
+    best = None
+    sep = None
+    sources = [base] if base is not None else sorted(s.vertices)
+    out = []
+    for v0 in sources:
+        dist = s.distances_from(v0)
+        # deterministic shortest-path tree
+        parent: dict[int, int] = {v0: v0}
+        for v in sorted(dist, key=lambda v: (dist[v], v)):
+            if v == v0:
+                continue
+            for e in sorted(g.incident(v), key=lambda e: e.id):
+                u = e.other(v)
+                if dist.get(u, None) is not None and dist[u] + e.length == dist[v]:
+                    parent[v] = u
+                    break
+
+        def path_to(v):
+            p = [v]
+            while p[-1] != v0:
+                p.append(parent[p[-1]])
+            return p[::-1]
+
+        sides = None        # _cotree_sides of this tree, built on first use
+        for (u, w) in s.edges:
+            if parent.get(u) == w or parent.get(w) == u:
+                continue
+            length = dist[u] + dist[w] + s.edge_lengths[(u, w)]
+            if best_only and best is not None and length >= best:
+                continue
+            if sep is not None and length > sep[0]:
+                continue
+            pu, pw = path_to(u), path_to(w)
+            walk = pu + pw[::-1]
+            cyc = walk[:-1]
+            if len(set(cyc)) != len(cyc):
+                continue
+            if hom.class_of_walk(walk):
+                out.append((length, cyc))
+                if best is None or length < best:
+                    best = length
+            elif essential and (sep is None or length < sep[0]):
+                # the cycle bounds the faces below (u, w) in C; a disk
+                # on either side holds no L-edge
+                if sides is None:
+                    tree = {_pair(v, p) for v, p in parent.items() if v != v0}
+                    sides = surfballs._cotree_sides(s, tree)
+                if 0 < sides.get((u, w), 0) < 2 * s.genus:
+                    sep = (length, cyc)
+    if sep is not None and (best is None or sep[0] < best):
+        return [sep]
+    return out

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (capture_by_cycle_pairs, is_contractible_cycle,
-                      shortest_essential_cycle)
+from conftest import (capture_by_cycle_pairs, fraction_homology_candidates,
+                      is_contractible_cycle, shortest_essential_cycle)
 from coverball import fixtures, surfballs
 from coverball.surface import TriSurface, capturing_test, subgraph_length
 
@@ -34,10 +34,15 @@ def g2_sub():
 NECK = [(0, 1), (1, 3), (0, 3)]   # genus2's separating triangle
 
 
-@pytest.fixture(scope="module")
-def neck(g2):
+def _neck_surface() -> TriSurface:
+    g2 = fixtures.genus2()
     return TriSurface.build(g2.faces, {**g2.edge_lengths,
                                        **{e: F(3, 5) for e in NECK}})
+
+
+@pytest.fixture(scope="module")
+def neck():
+    return _neck_surface()
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,42 @@ def test_systole_at_dominates_free(torus):
         based, cyc = surfballs.systole_at(torus, x)
         assert based >= free
         assert x in cyc
+
+
+def _relabeled(s: TriSurface, seed: int) -> TriSurface:
+    """s with its vertex ids shuffled, so vertex order and edge-id order
+    disagree with the original's."""
+    vs = sorted(s.vertices)
+    perm = vs[:]
+    random.Random(seed).shuffle(perm)
+    m = dict(zip(vs, perm))
+    return TriSurface.build([tuple(m[v] for v in f) for f in s.faces],
+                            {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
+
+
+CANDIDATE_SURFACES = {
+    "torus7": fixtures.torus7,
+    "torus7_sub": lambda: fixtures.subdivide(fixtures.torus7()),
+    "torus7_sub_relabeled": lambda: _relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+    "torus7_mixed": lambda: _mixed_torus(1),
+    "genus2": fixtures.genus2,
+    "neck": _neck_surface,
+    "genus2_sub": lambda: fixtures.subdivide(fixtures.genus2()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
+def test_grid_candidates_match_fraction_oracle(name):
+    s = CANDIDATE_SURFACES[name]()
+    if name == "torus7_mixed":
+        assert s.skeleton().int_grid()[0] > 1
+    for base in [None] + sorted(s.vertices):
+        for best_only in (False, True):
+            for essential in (False, True):
+                got = surfballs._homology_candidates(s, base, best_only, essential)
+                want = fraction_homology_candidates(s, base, best_only, essential)
+                assert got == want, (base, best_only, essential)
+                assert all(type(length) is F for length, _ in got)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,30 @@ def test_genus2_counts_and_genus():
 
 
 def test_non_surface_rejected():
-    with pytest.raises(SurfaceError):
+    with pytest.raises(SurfaceError, match=r"^non-manifold: edge \(0, 1\) lies in 3 faces$"):
         # edge shared by three faces
         TriSurface.build([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4),
                           (2, 3, 0), (2, 4, 1), (3, 4, 1)], {})
+
+
+def test_pinched_vertex_rejected():
+    # two tetrahedra sharing only vertex 0: every edge lies in two faces and
+    # vertex 0 has as many edges as faces, but its link is two cycles
+    tet = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    pinched = tet + [tuple(v + 3 if v else 0 for v in f) for f in tet]
+    with pytest.raises(SurfaceError, match=r"^non-manifold vertex 0 \(disconnected link\)$"):
+        TriSurface.build(pinched)
+
+
+@pytest.mark.parametrize("s", [fixtures.genus2(),
+                               fixtures.subdivide(fixtures.torus7())],
+                         ids=["genus2", "torus7_sub"])
+def test_skeleton_grid_adjacency_in_edge_id_order(s):
+    g = s.skeleton()
+    D, adj = g.int_grid()
+    for v in s.vertices:
+        es = sorted(g.incident(v), key=lambda e: e.id)
+        assert adj[v] == [(e.length * D, e.other(v)) for e in es]
 
 
 def test_heron_area_unit_torus():
