@@ -8,6 +8,15 @@ the shortest-first expansion is run in aggregated form: states are pairs
 live on the integer grid of the common length denominator, so the whole
 computation is exact.
 
+The expansion is vertex-aggregated.  The paths arriving at a vertex v at
+one distance may leave by every edge at v except the reverse of the one
+they came by, so the state leaving by s carries the total arriving at v
+minus what arrived by the reverse of s.  Each distance keeps one arrival
+count per traversal and one total per vertex, and a state costs O(1)
+however large the degree.  A ``budget`` counts expanded states in the order
+(distance, edge id, direction); the states of one distance are sorted only
+where the budget cuts among them.
+
 One expansion to radius R serves every radius up to R.  The ball length is
 piecewise linear in the radius with breakpoints on the grid: it grows with
 slope equal to the multiplicity of the states whose edge is still being
@@ -161,55 +170,91 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     K = R * D
     assert K.denominator == 1
     K = K.numerator
-    _, length, departures, nxt = _transitions(g)
-    # traversals as ints in sorted (edge id, direction) order, which is the
-    # order states of one key are expanded in, so the budget cuts the same
-    trav = sorted(length)
-    index = {t: i for i, t in enumerate(trav)}
-    ilen = [int(length[t] * D) for t in trav]
-    inxt = [[index[s] for s in nxt[t]] for t in trav]
+    head, length, departures, _ = _transitions(g)
+    # traversals as ints in sorted (edge id, direction) order, so the two
+    # directions of an edge are i and i ^ 1 and the budget takes the states
+    # of one key in int order; per vertex its departures as
+    # (traversal, reverse, grid length, head)
+    index = {t: i for i, t in enumerate(sorted(length))}
+    deps = {v: [(index[s], index[s] ^ 1, int(length[s] * D), head[s])
+                for s in ds] for v, ds in departures.items()}
+    maxdeg = max(map(len, deps.values()))
 
-    pending = {0: {index[t]: 1 for t in departures[base_v]}}
-    keys = [0]
-    entered: dict[int, int] = {}
-    ended: dict[int, int] = {}
+    # a pending key holds the arrival multiplicity per traversal and the
+    # arrival total per active vertex; the base has one virtual arrival
+    pending = {0: ({}, {base_v: 1})}
+    heap = [0]
+    pget = pending.get
+    push = heapq.heappush
+    cuts = []       # (key, multiplicity entered, multiplicity ended)
+    at_K = 0
     slots = 0
     stop = None
-    while keys:
-        k = heapq.heappop(keys)
-        batch = pending.pop(k)
-        n_in = 0
-        for t in sorted(batch):
-            if slots >= budget:
+    while heap:
+        k = heapq.heappop(heap)
+        arr, tot = pending.pop(k)
+        # every arrival ends an edge; the base's virtual one does not
+        n_end = sum(tot.values()) if k else 0
+        dep = deps
+        if slots + maxdeg * len(tot) > budget:
+            live = sorted((d, v) for v, tv in tot.items() for d in deps[v]
+                          if tv != arr.get(d[1], 0))
+            if slots + len(live) > budget:
+                # the budget cuts here: keep the first states in order
                 stop = k
-                break
-            slots += 1
-            mult = batch[t]
-            n_in += mult
-            k2 = k + ilen[t]
-            if k2 <= K:
-                ended[k2] = ended.get(k2, 0) + mult
+                live = live[:budget - slots]
+                n_in = sum(tot[v] - arr.get(d[1], 0) for d, v in live)
+                dep = {}
+                for d, v in live:
+                    dep.setdefault(v, []).append(d)
+                tot = {v: tot[v] for v in dep}
+        # a departure s from v carries every arrival at v but the one by
+        # its reverse, so v's departures carry deg(v) * tot[v] minus v's
+        # arrivals, and the states of this key out - n_end in all
+        n = out = 0
+        aget = arr.get
+        for v, tv in tot.items():
+            dl = dep[v]
+            n += len(dl)
+            out += len(dl) * tv
+            for s, rs, L, h in dl:
+                m = tv - aget(rs, 0)
+                if not m:
+                    n -= 1
+                    continue
+                k2 = k + L
                 if k2 < K:
-                    tgt = pending.get(k2)
-                    if tgt is None:
-                        tgt = pending[k2] = {}
-                        heapq.heappush(keys, k2)
-                    for s in inxt[t]:
-                        tgt[s] = tgt.get(s, 0) + mult
-        entered[k] = n_in
+                    p = pget(k2)
+                    if p is None:
+                        pending[k2] = ({s: m}, {h: m})
+                        push(heap, k2)
+                    else:
+                        p[0][s] = m
+                        ptot = p[1]
+                        if h in ptot:
+                            ptot[h] += m
+                        else:
+                            ptot[h] = m
+                elif k2 == K:
+                    at_K += m
+        slots += n
         if stop is not None:
+            cuts.append((k, n_in, n_end))
             break
-    cuts = sorted(entered.keys() | ended.keys())
+        cuts.append((k, out - n_end, n_end))
+    # after a cut, the keys reached but not expanded; then K: edges only
+    # end there
+    cuts += [(k, 0, sum(pending[k][1].values())) for k in sorted(pending)]
+    if at_K:
+        cuts.append((K, 0, at_K))
     slope = weighted = reached = 0
     sums = [(0, 0, 0)]
-    for c in cuts:
-        n_end = ended.get(c, 0)
-        change = entered.get(c, 0) - n_end
-        slope += change
-        weighted += change * c
+    for k, n_in, n_end in cuts:
+        slope += n_in - n_end
+        weighted += (n_in - n_end) * k
         reached += n_end
         sums.append((slope, weighted, reached))
-    return _Profile(D, cuts, sums, stop).report(orig_base, R)
+    return _Profile(D, [c[0] for c in cuts], sums, stop).report(orig_base, R)
 
 
 def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fraction:

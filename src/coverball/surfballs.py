@@ -103,6 +103,22 @@ def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list
 # ---------------------------------------------------------------------------
 # systole
 
+def _face_neighbours(s: TriSurface) -> list:
+    """Per face, its three edges as (edge, face across it); built once per
+    surface and kept on it."""
+    table = getattr(s, "_face_neighbours", None)
+    if table is None:
+        table = []
+        for f, (a, b, c) in enumerate(s.faces):
+            row = []
+            for e in (_pair(a, b), _pair(b, c), _pair(a, c)):
+                f1, f2 = s.edge_faces[e]
+                row.append((e, f2 if f1 == f else f1))
+            table.append(tuple(row))
+        s._face_neighbours = table
+    return table
+
+
 def _cotree_sides(s: TriSurface, tree: set) -> dict:
     """Disk data for a spanning tree T of the 1-skeleton.
 
@@ -114,13 +130,11 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
     up: dict[int, tuple[int, tuple[int, int]]] = {}   # face -> (parent, edge)
     depth = {0: 0}
     order = [0]
+    across = _face_neighbours(s)
     for f in order:
-        a, b, c = s.faces[f]
-        for e in (_pair(a, b), _pair(b, c), _pair(a, c)):
+        for e, h in across[f]:
             if e in tree:
                 continue
-            f1, f2 = s.edge_faces[e]
-            h = f2 if f1 == f else f1
             if h not in depth:
                 up[h] = (f, e)
                 depth[h] = depth[f] + 1

@@ -1,8 +1,10 @@
+import heapq
+import math
 import random
 from fractions import Fraction
 
-from coverball import surfballs
-from coverball.graphs import MetricGraph
+from coverball import cover, surfballs
+from coverball.graphs import GraphError, MetricGraph
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
                                subgraph_length)
@@ -44,6 +46,78 @@ def brute_force_cover_nodes(g: MetricGraph, base: int, R: Fraction) -> int:
     """Independent oracle: cover tree vertices within distance R."""
     R = Fraction(R)
     return 1 + sum(d + l <= R for d, l in _cover_tree_edges(g, base, R))
+
+
+def heap_ball_length(g: MetricGraph, base, R, budget: int = cover.DEFAULT_BUDGET):
+    """Independent oracle for ``cover.ball_length``: the state-by-state
+    expansion, one heap of keys and a dict of traversal multiplicities per
+    key.  Each processed state pushes its multiplicity into the slots of
+    all deg - 1 successor traversals, and the states of a key are
+    expanded in sorted (edge id, direction) order until the budget is
+    spent.  Returns the same ``GrowthReport``, profile included."""
+    R = Fraction(R)
+    if R < 0:
+        raise GraphError("radius must be nonnegative")
+    if budget < 1:
+        raise GraphError("budget must be at least 1")
+    if not g.is_connected():
+        raise GraphError("ball_length requires a connected graph")
+    orig_base = base
+    g, base_v = cover._with_base_vertex(g, base)
+
+    D = math.lcm(*(e.length.denominator for e in g.edges), R.denominator)
+    K = R * D
+    assert K.denominator == 1
+    K = K.numerator
+    _, length, departures, nxt = cover._transitions(g)
+    # traversals as ints in sorted (edge id, direction) order, which is the
+    # order states of one key are expanded in, so the budget cuts the same
+    trav = sorted(length)
+    index = {t: i for i, t in enumerate(trav)}
+    ilen = [int(length[t] * D) for t in trav]
+    inxt = [[index[s] for s in nxt[t]] for t in trav]
+
+    pending = {0: {index[t]: 1 for t in departures[base_v]}}
+    keys = [0]
+    entered: dict[int, int] = {}
+    ended: dict[int, int] = {}
+    slots = 0
+    stop = None
+    while keys:
+        k = heapq.heappop(keys)
+        batch = pending.pop(k)
+        n_in = 0
+        for t in sorted(batch):
+            if slots >= budget:
+                stop = k
+                break
+            slots += 1
+            mult = batch[t]
+            n_in += mult
+            k2 = k + ilen[t]
+            if k2 <= K:
+                ended[k2] = ended.get(k2, 0) + mult
+                if k2 < K:
+                    tgt = pending.get(k2)
+                    if tgt is None:
+                        tgt = pending[k2] = {}
+                        heapq.heappush(keys, k2)
+                    for s in inxt[t]:
+                        tgt[s] = tgt.get(s, 0) + mult
+        entered[k] = n_in
+        if stop is not None:
+            break
+    cuts = sorted(entered.keys() | ended.keys())
+    slope = weighted = reached = 0
+    sums = [(0, 0, 0)]
+    for c in cuts:
+        n_end = ended.get(c, 0)
+        change = entered.get(c, 0) - n_end
+        slope += change
+        weighted += change * c
+        reached += n_end
+        sums.append((slope, weighted, reached))
+    return cover._Profile(D, cuts, sums, stop).report(orig_base, R)
 
 
 def random_bounded_instance(b: int, total_bound: Fraction, seed: int,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cover_ball, brute_force_cover_nodes
+from conftest import (brute_force_cover_ball, brute_force_cover_nodes,
+                      heap_ball_length, random_bounded_instance)
 from coverball import cover
 from coverball.graphs import (GraphError, MetricGraph, figure_eight, girth,
                               random_connected, scale, theta_graph,
@@ -149,3 +150,78 @@ def test_entropy_estimates():
 def test_negative_radius_rejected():
     with pytest.raises(GraphError):
         cover.ball_length(theta_graph(), 0, F(-1))
+
+
+def _matches_heap_oracle(g, base, R, budget):
+    """The report of ``ball_length`` equals the state-by-state heap
+    expansion's, profile included."""
+    rep = cover.ball_length(g, base, R, budget)
+    ref = heap_ball_length(g, base, R, budget)
+    assert rep == ref
+    p, q = rep.profile, ref.profile
+    assert (p.D, p.keys, p.sums, p.stop) == (q.D, q.keys, q.sums, q.stop)
+    return rep
+
+
+def _matches_at_every_budget(g, base, R) -> int:
+    """Compare at budgets 1, 2, ... up to one past the states the full
+    expansion needs; returns that number of states."""
+    budget = 1
+    while _matches_heap_oracle(g, base, R, budget).profile.stop is not None:
+        budget += 1
+    _matches_heap_oracle(g, base, R, budget + 1)
+    assert not _matches_heap_oracle(g, base, R, cover.DEFAULT_BUDGET).truncated
+    return budget
+
+
+def _bounded(b, seed):
+    g = random_bounded_instance(b, F(1, 4) * (3 * b - 3), seed, denom=16)
+    degrees = {g.degree(v) for v in g.vertices}
+    assert 1 in degrees and 2 in degrees
+    return g
+
+
+def _leaf(g):
+    return min(v for v in g.vertices if g.degree(v) == 1)
+
+
+def _degree_two(g):
+    return min(v for v in g.vertices if g.degree(v) == 2)
+
+
+_B2, _B3, _B3E, _B4 = (_bounded(2, 0), _bounded(3, 6), _bounded(3, 5),
+                       _bounded(4, 6))
+
+
+@pytest.mark.parametrize("g, base, R", [
+    pytest.param(MetricGraph.build([0], [(0, 0, 0, F(1, 3))]), 0, F(5, 2),
+                 id="one-loop"),
+    pytest.param(MetricGraph.build([0], [(0, 0, 0, 1), (1, 0, 0, F(1, 2)),
+                                         (2, 0, 0, F(2, 3))]), 0, F(2),
+                 id="three-loops"),
+    pytest.param(figure_eight(), 0, F(3), id="figure-eight"),
+    pytest.param(theta_graph(), 1, F(4), id="theta"),
+    pytest.param(MetricGraph.build([0, 1], [(0, 0, 1, 1), (1, 0, 1, F(1, 2)),
+                                            (2, 1, 0, F(3, 4)),
+                                            (3, 1, 1, F(1, 4))]), 0, F(5, 2),
+                 id="parallel-edges-and-loop"),
+    pytest.param(_B2, _leaf(_B2), F(1), id="bounded-b2-leaf"),
+    pytest.param(_B3, _degree_two(_B3), F(1), id="bounded-b3-degree-two"),
+    pytest.param(_B4, _leaf(_B4), F(5, 7), id="bounded-b4-radius-off-grid"),
+    pytest.param(theta_graph(), (1, F(1, 3)), F(5, 2), id="theta-edge-point"),
+    pytest.param(_B3E, (_B3E.edges[2].id, _B3E.edges[2].length / 3), F(4, 5),
+                 id="bounded-b3-edge-point"),
+])
+def test_matches_heap_oracle_at_every_budget(g, base, R):
+    assert _matches_at_every_budget(g, base, R) > 1
+
+
+@given(st.integers(2, 5), st.integers(0, 60), st.integers(0, 2),
+       st.sampled_from([F(1), F(5, 3), F(5, 2)]),
+       st.sampled_from([6, cover.DEFAULT_BUDGET]))
+@settings(max_examples=60, deadline=None)
+def test_random_graphs_match_heap_oracle(b, seed, which, R, budget):
+    g = random_connected(b, (F(1, 4), F(1)), seed)
+    e = g.edges[seed % len(g.edges)]
+    base = [min(g.vertices), max(g.vertices), (e.id, e.length / 3)][which]
+    _matches_heap_oracle(g, base, R, budget)
