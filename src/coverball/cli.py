@@ -3,12 +3,18 @@
 Exit codes: 0 success (budget exhaustion is reported, not fatal), 1 for
 precondition/input errors, 2 for usage errors and internal assertion
 failures (the latter must never occur on valid inputs).
+
+The argument parser is built once per process (``build_parser`` is
+cached) and shared by every ``run`` call: parsing fills a fresh
+``Namespace`` and leaves the parser unchanged.  Each ``cmd_*`` handler
+takes ``(parser, args)`` and uses the parser only for ``parser.error``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -332,7 +338,18 @@ def _everywhere(sp):
                     help="comma-separated output files for --out: json, csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``coverball`` parser, built on the first call and shared after.
+
+    Sharing is sound because argparse parses into a fresh ``Namespace``
+    (subcommands too) without mutating the parser, every default is
+    immutable (``Fraction``, ``int``, ``str`` or None), the program name
+    is fixed, and argparse looks up ``sys.stderr`` only when it prints.
+    Each subcommand's handler is bound by ``set_defaults(fn=...)`` when
+    the parser is built, so replacing a ``cmd_*`` function afterwards does
+    not reach ``run``.
+    """
     parser = argparse.ArgumentParser(
         prog="coverball",
         description="Ball growth in universal covers of metric graphs and "

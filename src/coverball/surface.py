@@ -210,8 +210,9 @@ class HomologyData:
     in edge order; the 2g edges in neither are the generators.  Every edge
     (u, w), u < w, carries an integer class vector in Z^{2g}: zero on T,
     the i-th unit vector on the i-th generator, and on C the value its face
-    relations force.  The class of a closed walk is the sum of its directed
-    edge classes.
+    relations force: peeling dual leaves, each face sets its cotree edge's
+    class to the signed sum of its other two edge classes.  The class of a
+    closed walk is the sum of its directed edge classes.
     """
 
     def __init__(self, s: TriSurface):
@@ -274,16 +275,24 @@ class HomologyData:
                     forder.append(h)
         for f in reversed(forder[1:]):
             e = up[f]
-            acc = zero
-            for (x, y) in _directed(s.faces[f], False):
-                if _pair(x, y) == e:
-                    sign = 1 if x < y else -1
-                else:
-                    acc = _vadd(acc, self.step(x, y))
-            cls[e] = _vneg(acc) if sign > 0 else acc
+            a, b, c = s.faces[f]
+            # rotate the face so that e is (x, y); then [x->y] = -[y->z] - [z->x]
+            if _pair(a, b) == e:
+                x, y, z = a, b, c
+            elif _pair(b, c) == e:
+                x, y, z = b, c, a
+            else:
+                x, y, z = c, a, b
+            s1 = -1 if (y < z) == (x < y) else 1
+            s2 = -1 if (z < x) == (x < y) else 1
+            cls[e] = tuple(s1 * p + s2 * q for p, q in
+                           zip(cls[_pair(y, z)], cls[_pair(z, x)]))
         for a, b, c in s.faces:
-            if any(x + y + z for x, y, z in zip(self.step(a, b), self.step(b, c),
-                                                self.step(c, a))):
+            s1 = 1 if a < b else -1
+            s2 = 1 if b < c else -1
+            s3 = 1 if c < a else -1
+            if any(s1 * p + s2 * q + s3 * r for p, q, r in
+                   zip(cls[_pair(a, b)], cls[_pair(b, c)], cls[_pair(c, a)])):
                 raise SurfaceError("face boundary has a nonzero homology class")
 
     def step(self, x: int, y: int) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ from fractions import Fraction
 from coverball import cover, surfballs
 from coverball.graphs import GraphError, MetricGraph
 from coverball.linalg import Echelon
-from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
-                               subgraph_length)
+from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
+                               capturing_test, subgraph_length)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -370,3 +370,80 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
     if sep is not None and (best is None or sep[0] < best):
         return [sep]
     return out
+
+
+def relabeled(s: TriSurface, seed: int) -> TriSurface:
+    """s with its vertex ids shuffled, so vertex order and edge-id order
+    disagree with the original's."""
+    vs = sorted(s.vertices)
+    perm = vs[:]
+    random.Random(seed).shuffle(perm)
+    m = dict(zip(vs, perm))
+    return TriSurface.build([tuple(m[v] for v in f) for f in s.faces],
+                            {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
+
+
+def walked_homology(s: TriSurface):
+    """Independent oracle for ``surface.HomologyData``: the same
+    tree-cotree decomposition, each cotree edge's class summed by walking
+    its face's other two directed edges as tuples.  Returns
+    (tree_parent, generators, edge_class)."""
+    g = s.skeleton()
+    root = min(s.vertices)
+    tree = set()
+    tree_parent = {root: None}
+    order = [root]
+    for v in order:
+        for e in sorted(g.incident(v), key=lambda e: e.id):
+            u = e.other(v)
+            if u not in tree_parent:
+                tree.add(_pair(v, u))
+                tree_parent[u] = v
+                order.append(u)
+    root_of = list(range(len(s.faces)))
+
+    def find(x):
+        while root_of[x] != x:
+            root_of[x] = root_of[root_of[x]]
+            x = root_of[x]
+        return x
+
+    dual = {}
+    generators = []
+    for e in s.edges:
+        if e in tree:
+            continue
+        f1, f2 = s.edge_faces[e]
+        r1, r2 = find(f1), find(f2)
+        if r1 == r2:
+            generators.append(e)
+        else:
+            root_of[r1] = r2
+            dual.setdefault(f1, []).append((e, f2))
+            dual.setdefault(f2, []).append((e, f1))
+    k = len(generators)
+    zero = (0,) * k
+    cls = {e: zero for e in tree}
+    for i, e in enumerate(generators):
+        cls[e] = zero[:i] + (1,) + zero[i + 1:]
+
+    def step(x, y):
+        return cls[(x, y)] if x < y else tuple(-c for c in cls[(y, x)])
+
+    up = {0: None}
+    forder = [0]
+    for f in forder:
+        for e, h in dual.get(f, ()):
+            if h not in up:
+                up[h] = e
+                forder.append(h)
+    for f in reversed(forder[1:]):
+        e = up[f]
+        acc = zero
+        for (x, y) in _directed(s.faces[f], False):
+            if _pair(x, y) == e:
+                sign = 1 if x < y else -1
+            else:
+                acc = tuple(p + q for p, q in zip(acc, step(x, y)))
+        cls[e] = tuple(-c for c in acc) if sign > 0 else acc
+    return tree_parent, generators, cls

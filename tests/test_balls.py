@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (capture_by_cycle_pairs, fraction_homology_candidates,
-                      is_contractible_cycle, shortest_essential_cycle)
+                      is_contractible_cycle, relabeled, shortest_essential_cycle)
 from coverball import fixtures, surfballs
 from coverball.surface import TriSurface, capturing_test, subgraph_length
 
@@ -138,21 +138,10 @@ def test_systole_at_dominates_free(torus):
         assert x in cyc
 
 
-def _relabeled(s: TriSurface, seed: int) -> TriSurface:
-    """s with its vertex ids shuffled, so vertex order and edge-id order
-    disagree with the original's."""
-    vs = sorted(s.vertices)
-    perm = vs[:]
-    random.Random(seed).shuffle(perm)
-    m = dict(zip(vs, perm))
-    return TriSurface.build([tuple(m[v] for v in f) for f in s.faces],
-                            {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
-
-
 CANDIDATE_SURFACES = {
     "torus7": fixtures.torus7,
     "torus7_sub": lambda: fixtures.subdivide(fixtures.torus7()),
-    "torus7_sub_relabeled": lambda: _relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+    "torus7_sub_relabeled": lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
     "torus7_mixed": lambda: _mixed_torus(1),
     "genus2": fixtures.genus2,
     "neck": _neck_surface,

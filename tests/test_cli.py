@@ -238,16 +238,64 @@ def test_pipeline_on_huge_torus_is_strict_json(tmp_path, capsys):
     assert coarea[0]["target"] is None and coarea[0]["closed_form"] is None
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*argv):
+    """Run ``python -m coverball`` in a subprocess on this checkout's source."""
     src = str(Path(coverball.__file__).resolve().parents[1])
-    theta = resources.files("coverball") / "corpus" / "theta.graph"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "coverball", "graph",
-                           "validate", str(theta)],
+    return subprocess.run([sys.executable, "-m", "coverball", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    theta = resources.files("coverball") / "corpus" / "theta.graph"
+    proc = _python_dash_m("graph", "validate", str(theta))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["betti"] == 2
+
+
+# the parser is built once per process and shared by every run() call
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_options_between_calls(capsys):
+    rc, out, _ = run_cli(capsys, "graph", "growth", "theta.graph",
+                         "--rmax", "3", "--grid", "12")
+    assert rc == 0 and len(json.loads(out)["rows"]) == 13
+    rc, out, _ = run_cli(capsys, "graph", "growth", "theta.graph")
+    assert rc == 0
+    doc = strip_time(out)
+    assert doc["rmax"] == "2/1" and len(doc["rows"]) == 9
+    proc = _python_dash_m("graph", "growth", "theta.graph")
+    assert proc.returncode == 0, proc.stderr
+    assert strip_time(proc.stdout) == doc
+
+
+def test_shared_parser_after_usage_error(capsys):
+    rc, before, _ = run_cli(capsys, "graph", "validate", "theta.graph")
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["graph", "validate", "no_such_instance.graph"])
+    assert exc.value.code == 2
+    assert "no_such_instance.graph" in capsys.readouterr().err
+    rc, after, _ = run_cli(capsys, "graph", "validate", "theta.graph")
+    assert rc == 0
+    assert strip_time(after) == strip_time(before)
+    assert json.loads(after)["betti"] == 2
+
+
+def test_shared_parser_after_format_error(tmp_path, capsys):
+    rc, out, err = run_cli(capsys, "graph", "growth", "theta.graph",
+                           "--format", "json,xml", "--out", str(tmp_path / "bad"))
+    assert rc == 1 and out == "" and "'xml'" in err
+    rc, out, _ = run_cli(capsys, "graph", "growth", "theta.graph",
+                         "--out", str(tmp_path / "good"))
+    assert rc == 0 and json.loads(out)["rmax"] == "2/1"
+    assert (tmp_path / "good" / "graph_growth.json").exists()
+    assert (tmp_path / "good" / "graph_growth_rows.csv").exists()
+    assert not (tmp_path / "bad").exists()
 
 
 # token-level mutations of the corpus files: every mutant parses or is

@@ -12,7 +12,7 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                prune_to_iso, subgraph_betti, subgraph_length,
                                _pair)
 
-from conftest import prune_by_capturing_test
+from conftest import prune_by_capturing_test, relabeled, walked_homology
 
 
 def test_tetrahedron_is_a_sphere():
@@ -280,6 +280,25 @@ def test_capturing_rank_matches_face_relation_oracle(name):
             assert ok == (rank == 2 * s.genus)
             ranks.add(rank)
     assert any(0 < r < 2 * s.genus for r in ranks)
+
+
+HOMOLOGY_SURFACES = {
+    "torus7": fixtures.torus7,
+    "genus2": fixtures.genus2,
+    "genus2x2": lambda: fixtures.subdivide(fixtures.genus2(), 2),
+    "torus7x3": lambda: fixtures.subdivide(fixtures.torus7(), 3),
+    "torus7_sub_relabeled": lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(HOMOLOGY_SURFACES))
+def test_homology_matches_walked_oracle(name):
+    s = HOMOLOGY_SURFACES[name]()
+    hom = s.homology()
+    tree_parent, generators, edge_class = walked_homology(s)
+    assert hom.tree_parent == tree_parent
+    assert hom.generators == generators
+    assert hom.edge_class == edge_class
 
 
 # ---------------------------------------------------------------------------
