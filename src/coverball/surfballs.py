@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .graphs import grid_shortest_paths, tree_path
 from .linalg import Echelon
@@ -326,26 +327,6 @@ def _boundary_edges(s: TriSurface, faces: frozenset[int]) -> frozenset[tuple[int
     return frozenset(out)
 
 
-def boundary_components(s: TriSurface, b: BallSubcomplex) -> list[list[tuple[int, int]]]:
-    """Boundary edges grouped into connected components."""
-    edges = set(b.boundary_edges)
-    comps = []
-    while edges:
-        e0 = min(edges)
-        comp = {e0}
-        stack = [e0]
-        while stack:
-            e = stack.pop()
-            for x in e:
-                for f in edges - comp:
-                    if x in f:
-                        comp.add(f)
-                        stack.append(f)
-        comps.append(sorted(comp))
-        edges -= comp
-    return comps
-
-
 def fill_to_bplus(s: TriSurface, b: BallSubcomplex) -> BallSubcomplex:
     """Add the faces of every disk component of the complement (filling the
     contractible boundary cycles)."""
@@ -426,30 +407,54 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # The search runs on the skeleton's common-denominator integer grid
 # (``MetricGraph.int_grid``): every length, distance and bound is the
 # integer n standing for n/D, and only the realized length of the winner is
-# a Fraction.  Each surface keeps one ``_CaptureCache``: the unbased greedy
-# basis, the unbased exact result, and the class tables -- for each source,
-# the sorted (grid length, class) lists of its class-stratified shortest
-# walks per target, up to a grid bound that only rises.  The tables keep no
-# walks: the winner's walks are recovered by running each of their sources'
-# class searches again, bounded by the longest walk wanted from it.  States
-# are settled in increasing (length, state) order and keep the first settled
-# neighbour that reaches them at their final length, so neither a state's
-# length nor its walk depends on the bound once the bound covers it: the
-# reruns, and the search itself, give the same result whichever bases came
-# before.
+# a Fraction.
+#
+# A class search state, a vertex v reached by a walk of class (a, b), is
+# one int packed vertex-major: r*W**2 + (a + OFF)*W + (b + OFF), r the rank
+# of v among the sorted vertices.  Int order is then the order of the pairs
+# (v, (a, b)), and each directed edge adds one precomputed int.  Width rule:
+# every bound is a greedy upper bound, so at most 2*S with S the total grid
+# length; a state within the bound, or one edge past it, is reached by a
+# walk of at most 2*S // lmin + 1 edges, lmin the shortest grid length, so
+# |a|, |b| <= OFF = (2*S // lmin + 1) * cmax with cmax the largest class
+# coordinate of an edge, and W = 2*OFF + 1.  A search asked for a bound
+# above 2*S raises SurfaceError rather than mis-order its states.
+#
+# Each surface keeps one ``_CaptureCache``: the unbased greedy basis, the
+# unbased exact result, and one resumable class search per source.  A
+# search settles states in increasing (length, state) order and appends
+# each to its target's (grid length, class) list, so every list stays
+# sorted; when a base needs a larger bound, each search pops on from where
+# it stopped, with its relaxations past the old bound still on its heap.
+# The searches keep no parent maps.  A state's walk runs back through the
+# first settled neighbour that reached it at its final length; since states
+# settle in (length, state) order, that is its tight predecessor least in
+# that order, read off ``dist`` when the winner's walks are recovered.  So
+# neither a state's length nor its walk depends on the bound once the bound
+# covers it: a resumed search and one built in one go agree, whichever
+# bases came before.
+#
+# ``_STATE_CAP`` bounds the states one search has reached, its frontier past
+# the bound included.  It is checked before each pop, so a search that hits
+# it is left whole: the cache's bound does not rise, and the next call
+# raises again or, under a larger cap, resumes.
 
 _STATE_CAP = 2_000_000
 
 
 class _CaptureCache:
-    """What the capture search of one surface reuses across calls."""
+    """What the capture search of one surface reuses across calls: the
+    unbased greedy and exact results, and one resumable class search per
+    source (no parents kept), each grown to the grid bound ``bound``, which
+    only rises."""
 
     def __init__(self):
         self.greedy = None          # unbased greedy (length, edges)
         self.exact = None           # unbased exact (length, edges)
-        self.adj = None             # see _class_adjacency
-        self.bound = -1             # grid bound of by_target
+        self.packing = None         # see _ClassPacking
+        self.searches = None        # source -> _ClassSearch
         self.by_target: dict = {}   # source -> target -> [(grid length, class)]
+        self.bound = -1             # grid bound every search has reached
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
@@ -466,72 +471,131 @@ def _on_grid(q: Fraction, D: int) -> int:
     return n.numerator
 
 
-def _class_adjacency(s: TriSurface) -> dict[int, list[tuple]]:
-    """Per vertex, (grid length, other end, class of the directed edge) in
-    ``incident`` order."""
-    hom = s.homology()
-    _, adj = s.skeleton().int_grid()
-    return {v: [(l, u, hom.step(v, u)) for l, u in es] for v, es in adj.items()}
+class _ClassPacking:
+    """Genus-1 class search states as ints, under the width rule above.
 
-
-def _class_dijkstra(adj, source: int, bound: int):
-    """Shortest walks from source, stratified by genus-1 homology class.
-
-    Returns (dist, parent): dist maps (vertex, class) to its grid length
-    <= bound, parent maps each state to the state it was first reached from
-    at that length (None at the start).
+    ``adj[r]`` lists (grid length, state delta) for each directed edge out
+    of the vertex of rank r, in ``incident`` order; ``limit`` is the largest
+    grid bound the width allows.
     """
-    import heapq
-    start = (source, (0, 0))
-    dist = {start: 0}
-    parent = {start: None}
-    heap = [(0, start)]
-    while heap:
-        d, st = heapq.heappop(heap)
-        if d > dist[st]:
-            continue
-        v, (a, b) = st
-        for l, u, (i, j) in adj[v]:
-            nd = d + l
-            if nd > bound:
+
+    def __init__(self, s: TriSurface):
+        hom = s.homology()
+        D, adj = s.skeleton().int_grid()
+        self.verts = sorted(s.vertices)
+        self.rank = {v: r for r, v in enumerate(self.verts)}
+        lmin = min(l for es in adj.values() for l, _ in es)
+        cmax = max(abs(c) for cls in hom.edge_class.values() for c in cls)
+        self.limit = 2 * _on_grid(sum(s.edge_lengths.values()), D)
+        self.off = (self.limit // lmin + 1) * cmax
+        W = self.width = 2 * self.off + 1
+        W2 = self.W2 = W * W
+        self.adj = []
+        for v in self.verts:
+            row = []
+            for l, u in adj[v]:
+                i, j = hom.step(v, u)
+                row.append((l, (self.rank[u] - self.rank[v]) * W2 + i * W + j))
+            self.adj.append(row)
+        self.classes: dict[int, tuple] = {}   # low digits -> (a, b), memoized
+
+    def state(self, v: int, h: tuple) -> int:
+        return (self.rank[v] * self.W2 + (h[0] + self.off) * self.width
+                + h[1] + self.off)
+
+    def vertex(self, state: int) -> int:
+        return self.verts[state // self.W2]
+
+    def class_of(self, low: int) -> tuple:
+        h = self.classes.get(low)
+        if h is None:
+            a, b = divmod(low, self.width)
+            h = self.classes[low] = (a - self.off, b - self.off)
+        return h
+
+
+class _ClassSearch:
+    """Shortest walks from one source, stratified by genus-1 homology
+    class, on packed states; resumable.
+
+    ``grow(bound)`` settles every state of grid length <= bound in
+    increasing (length, state) order, appending (length, class) to its
+    target's list in ``by_target``; relaxations past the bound stay on the
+    heap for a later, larger bound.  ``dist`` maps each reached state to its
+    length so far, final once it is <= the bound.
+    """
+
+    def __init__(self, packing: _ClassPacking, source: int):
+        start = packing.state(source, (0, 0))
+        self.packing = packing
+        self.dist = {start: 0}
+        self.heap = [(0, start)]
+        self.lists = [[] for _ in packing.verts]
+        self.by_target = dict(zip(packing.verts, self.lists))
+
+    def grow(self, bound: int) -> None:
+        pk = self.packing
+        if bound > pk.limit:
+            raise SurfaceError("class search bound exceeds its packing width")
+        dist, heap, lists = self.dist, self.heap, self.lists
+        W2, adj, classes = pk.W2, pk.adj, pk.classes
+        cap = _STATE_CAP
+        while heap and heap[0][0] <= bound:
+            if len(dist) > cap:
+                raise SurfaceError("class search state budget exceeded")
+            d, st = heappop(heap)
+            if d > dist[st]:
                 continue
-            ns = (u, (a + i, b + j))
-            old = dist.get(ns)
-            if old is None or nd < old:
-                if len(dist) > _STATE_CAP:
-                    raise SurfaceError("class search state budget exceeded")
-                dist[ns] = nd
-                parent[ns] = st
-                heapq.heappush(heap, (nd, ns))
-    return dist, parent
+            r, low = divmod(st, W2)
+            h = classes.get(low)
+            if h is None:
+                h = pk.class_of(low)
+            lists[r].append((d, h))
+            for l, delta in adj[r]:
+                nd = d + l
+                ns = st + delta
+                old = dist.get(ns)
+                if old is None or nd < old:
+                    dist[ns] = nd
+                    heappush(heap, (nd, ns))
 
+    def parent(self, state: int) -> int | None:
+        """The settled state that first reached ``state`` at its final
+        length (None at the source).  Settling runs in (length, state)
+        order, so it is the tight predecessor least in that order; the
+        reverse of a directed edge is its negated delta."""
+        d = self.dist[state]
+        tight = [(d - l, state + delta)
+                 for l, delta in self.packing.adj[state // self.packing.W2]
+                 if self.dist.get(state + delta) == d - l]
+        return min(tight)[1] if tight else None
 
-def _state_walk_edges(parent, state) -> set:
-    out = set()
-    while parent[state] is not None:
-        prev = parent[state]
-        out.add(_pair(prev[0], state[0]))
-        state = prev
-    return out
+    def walk_edges(self, state: int) -> set:
+        """Edges of the walk that first reached the settled ``state``."""
+        vertex = self.packing.vertex
+        out = set()
+        while (prev := self.parent(state)) is not None:
+            out.add(_pair(vertex(prev), vertex(state)))
+            state = prev
+        return out
 
 
 def _capture_tables(s: TriSurface, bound: int) -> dict:
+    """Per source, per target, the sorted (grid length, class) list of the
+    class-stratified shortest walks, complete up to at least ``bound``."""
     cache = _capture_cache(s)
     if cache.bound >= bound:
         return cache.by_target
-    if cache.adj is None:
-        cache.adj = _class_adjacency(s)
-    by_target = {}
-    for v in sorted(s.vertices):
-        dist, _ = _class_dijkstra(cache.adj, v, bound)
-        tgt: dict[int, list] = {}
-        for (w, h), d in dist.items():
-            tgt.setdefault(w, []).append((d, h))
-        for w in tgt:
-            tgt[w].sort()
-        by_target[v] = tgt
-    cache.bound, cache.by_target = bound, by_target
-    return by_target
+    if cache.searches is None:
+        cache.packing = _ClassPacking(s)
+        cache.searches = {v: _ClassSearch(cache.packing, v)
+                          for v in cache.packing.verts}
+        cache.by_target = {v: search.by_target
+                           for v, search in cache.searches.items()}
+    for search in cache.searches.values():
+        search.grow(bound)
+    cache.bound = bound
+    return cache.by_target
 
 
 def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
@@ -552,8 +616,8 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     by_target = _capture_tables(s, best)
     if x is not None:
         distx, parx = grid_shortest_paths(s.skeleton(), x)
-    # the incumbent: its walks as (source, final state, grid length), and
-    # the vertex its arc from x ends at (None when unbased)
+    # the incumbent: its walks as (source, final state), and the vertex its
+    # arc from x ends at (None when unbased)
     best_walks = None
     best_foot = None
 
@@ -591,9 +655,8 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                 break
             if h1[0] * h2[1] == h1[1] * h2[0]:
                 continue
-            d1 = c1 if x is None else c1 - distx[v1]
             best = tot
-            best_walks = [(v1, (v1, h1), d1), (v2, (v2, h2), d2)]
+            best_walks = [(v1, (v1, h1)), (v2, (v2, h2))]
             best_foot = None if x is None else v1
 
     # theta family: three u-v paths with non-collinear classes; in the based
@@ -627,7 +690,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                                 break
                             h = (g1[0] - g2[0], g1[1] - g2[1])
                             if h not in arc or c < arc[h][0]:
-                                arc[h] = (c, w, (w, g1), d1, (w, g2), d2)
+                                arc[h] = (c, w, (w, g1), (w, g2))
                 A = sorted((c, h, info) for h, (c, *info) in arc.items())
             for a in A:
                 if x is None:
@@ -651,12 +714,12 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         if a0 * (h3[1] - h1[1]) == a1 * (h3[0] - h1[0]):
                             continue
                         best = tot
-                        best_walks = [(u, (v, h2), d2), (u, (v, h3), d3)]
+                        best_walks = [(u, (v, h2)), (u, (v, h3))]
                         if x is None:
-                            best_walks.append((u, (v, h1), d1))
+                            best_walks.append((u, (v, h1)))
                         else:
-                            best_foot, su, lu1, sv, lv1 = info1
-                            best_walks += [(u, su, lu1), (v, sv, lv1)]
+                            best_foot, su, sv = info1
+                            best_walks += [(u, su), (v, sv)]
 
     if best_walks is None:
         # the greedy subgraph is already optimal
@@ -665,13 +728,10 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if best_foot is not None:
         path = tree_path(parx, best_foot)
         edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
-    # recover the walks: one class search per source, up to its longest walk
-    for source in {w[0] for w in best_walks}:
-        mine = [(st, d) for src, st, d in best_walks if src == source]
-        _, parent = _class_dijkstra(_capture_cache(s).adj, source,
-                                    max(d for _, d in mine))
-        for st, _ in mine:
-            edges |= _state_walk_edges(parent, st)
+    # recover the walks from the cached searches, which cover every one
+    cache = _capture_cache(s)
+    for source, (v, h) in best_walks:
+        edges |= cache.searches[source].walk_edges(cache.packing.state(v, h))
     realized = subgraph_length(s, edges)
     if x is not None and not any(x in e for e in edges):
         raise SurfaceError("based capture candidate misses the base point")

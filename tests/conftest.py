@@ -447,3 +447,77 @@ def walked_homology(s: TriSurface):
                 acc = tuple(p + q for p, q in zip(acc, step(x, y)))
         cls[e] = tuple(-c for c in acc) if sign > 0 else acc
     return tree_parent, generators, cls
+
+
+def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
+    """Independent oracle for ``surfballs._ClassSearch``: shortest walks
+    from source, stratified by genus-1 homology class, with (vertex, (a, b))
+    tuple states and every relaxation past ``bound`` dropped.
+
+    Returns (dist, parent): dist maps (vertex, class) to its grid length
+    <= bound, parent maps each state to the state it was first reached from
+    at that length (None at the start).  Raises the search's SurfaceError
+    once more than ``surfballs._STATE_CAP`` states are reached.
+    """
+    hom = s.homology()
+    _, grid = s.skeleton().int_grid()
+    adj = {v: [(l, u, hom.step(v, u)) for l, u in es] for v, es in grid.items()}
+    start = (source, (0, 0))
+    dist = {start: 0}
+    parent = {start: None}
+    heap = [(0, start)]
+    while heap:
+        d, st = heapq.heappop(heap)
+        if d > dist[st]:
+            continue
+        v, (a, b) = st
+        for l, u, (i, j) in adj[v]:
+            nd = d + l
+            if nd > bound:
+                continue
+            ns = (u, (a + i, b + j))
+            old = dist.get(ns)
+            if old is None or nd < old:
+                if len(dist) > surfballs._STATE_CAP:
+                    raise SurfaceError("class search state budget exceeded")
+                dist[ns] = nd
+                parent[ns] = st
+                heapq.heappush(heap, (nd, ns))
+    return dist, parent
+
+
+def by_target(dist) -> dict:
+    """A class search's (vertex, class) -> length map as per-target sorted
+    (grid length, class) lists."""
+    tgt: dict[int, list] = {}
+    for (w, h), d in dist.items():
+        tgt.setdefault(w, []).append((d, h))
+    return {w: sorted(lst) for w, lst in tgt.items()}
+
+
+def tuple_capture_tables(s: TriSurface, bound: int) -> dict:
+    """Per source, per reached target, the sorted (grid length, class) list
+    of ``tuple_class_dijkstra`` at ``bound``."""
+    return {v: by_target(tuple_class_dijkstra(s, v, bound)[0])
+            for v in sorted(s.vertices)}
+
+
+def boundary_components(s: TriSurface, b) -> list[list[tuple[int, int]]]:
+    """Boundary edges of the ball subcomplex ``b`` grouped into connected
+    components, each grown by rescanning the edges left."""
+    edges = set(b.boundary_edges)
+    comps = []
+    while edges:
+        e0 = min(edges)
+        comp = {e0}
+        stack = [e0]
+        while stack:
+            e = stack.pop()
+            for x in e:
+                for f in edges - comp:
+                    if x in f:
+                        comp.add(f)
+                        stack.append(f)
+        comps.append(sorted(comp))
+        edges -= comp
+    return comps

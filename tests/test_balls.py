@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (capture_by_cycle_pairs, fraction_homology_candidates,
-                      is_contractible_cycle, relabeled, shortest_essential_cycle)
+from conftest import (boundary_components, by_target, capture_by_cycle_pairs,
+                      fraction_homology_candidates, is_contractible_cycle,
+                      relabeled, shortest_essential_cycle,
+                      tuple_capture_tables, tuple_class_dijkstra)
 from coverball import fixtures, surfballs
-from coverball.surface import TriSurface, capturing_test, subgraph_length
+from coverball.surface import (SurfaceError, TriSurface, capturing_test,
+                               subgraph_length)
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +181,8 @@ def test_fill_never_shrinks_area_or_adds_boundary(torus, g2):
                 b = surfballs.ball(s, x, F(k, 4))
                 bp = surfballs.fill_to_bplus(s, b)
                 assert bp.area(s) >= b.area(s) - 1e-12
-                assert len(surfballs.boundary_components(s, bp)) <= \
-                    len(surfballs.boundary_components(s, b))
+                assert len(boundary_components(s, bp)) <= \
+                    len(boundary_components(s, b))
                 assert b.faces <= bp.faces
 
 
@@ -271,6 +274,92 @@ def test_capture_cache_leaves_results_unchanged(make):
         kept = set(edges)
         edges.clear()
         assert surfballs.capture_length(s, mode=mode) == (L, kept)
+
+
+def _grid_bound(s, x=None) -> int:
+    """The greedy upper bound of a capture call, on the integer grid."""
+    D = s.skeleton().int_grid()[0]
+    return surfballs._on_grid(surfballs.capture_length(s, mode="greedy", x=x)[0], D)
+
+
+def _reached(tables) -> dict:
+    """Capture tables without the targets no walk reached."""
+    return {v: {w: lst for w, lst in t.items() if lst} for v, t in tables.items()}
+
+
+@pytest.mark.parametrize("make", [fixtures.torus7,
+                                  lambda: fixtures.subdivide(fixtures.torus7()),
+                                  lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+                                  lambda: _mixed_torus(1), lambda: _mixed_torus(2),
+                                  lambda: _mixed_torus(3)],
+                         ids=["torus7", "torus7_sub", "torus7_sub_relabeled",
+                              "mixed1", "mixed2", "mixed3"])
+def test_packed_class_search_matches_tuple_oracle(make):
+    s = make()
+    ub = _grid_bound(s)
+    packing = surfballs._ClassPacking(s)
+
+    def decode(st):
+        r, low = divmod(st, packing.W2)
+        return packing.verts[r], packing.class_of(low)
+
+    for v in sorted(s.vertices):
+        # one search, resumed through the rising bounds
+        search = surfballs._ClassSearch(packing, v)
+        for bound in (ub, ub + 1, ub + 3):
+            search.grow(bound)
+            dist, parent = tuple_class_dijkstra(s, v, bound)
+            settled = [st for st, d in search.dist.items() if d <= bound]
+            assert {decode(st): search.dist[st] for st in settled} == dist, (v, bound)
+            parents = {st: search.parent(st) for st in settled}
+            assert {decode(st): None if p is None else decode(p)
+                    for st, p in parents.items()} == parent, (v, bound)
+            assert _reached({v: search.by_target}) == {v: by_target(dist)}, (v, bound)
+    with pytest.raises(SurfaceError, match="packing width"):
+        surfballs._ClassSearch(packing, v).grow(packing.limit + 1)
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
+                                  lambda: _mixed_torus(2)],
+                         ids=["torus7_sub", "torus7_mixed"])
+def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
+    s = make()
+    _, greedy = surfballs.capture_length(s, mode="greedy")
+    on = sorted({v for e in greedy for v in e})
+    dx = {v: min(s.distances_from(v)[w] for w in on) for v in s.vertices}
+    a, b = on[0], on[-1]
+    far = max(sorted(s.vertices), key=dx.get)
+    for order in ((a, b, far), (far, a, b)):
+        s = make()
+        for x in order:
+            surfballs.capture_length(s, mode="exact", x=x)
+        bound = s._capture_cache.bound
+        assert bound == _grid_bound(s, far)
+        resumed = surfballs._capture_tables(s, bound)
+        assert resumed == surfballs._capture_tables(make(), bound)
+        assert _reached(resumed) == tuple_capture_tables(s, bound)
+
+    # a state budget hit while resuming: the same error as the oracle's, the
+    # bound stays, and no later call reads the half-grown tables
+    s = make()
+    for x in (a, b):
+        surfballs.capture_length(s, mode="exact", x=x)
+    low, high = s._capture_cache.bound, _grid_bound(s, far)
+    assert low < high
+    cap = max(len(tuple_class_dijkstra(s, v, low)[0]) for v in s.vertices)
+    monkeypatch.setattr(surfballs, "_STATE_CAP", cap)
+    with pytest.raises(SurfaceError) as oracle:
+        for v in sorted(s.vertices):
+            tuple_class_dijkstra(s, v, high)
+    for _ in range(2):
+        with pytest.raises(SurfaceError) as resumed:
+            surfballs.capture_length(s, mode="exact", x=far)
+        assert str(resumed.value) == str(oracle.value)
+        assert s._capture_cache.bound == low
+    monkeypatch.undo()
+    assert surfballs.capture_length(s, mode="exact", x=far) == \
+        surfballs.capture_length(make(), mode="exact", x=far)
+    assert surfballs._capture_tables(s, high) == surfballs._capture_tables(make(), high)
 
 
 def test_greedy_capture_upper_bounds_exact(torus):
