@@ -301,17 +301,6 @@ class HomologyData:
             return self.edge_class[(x, y)]
         return _vneg(self.edge_class[(y, x)])
 
-    def class_of_walk(self, walk_vertices) -> dict[int, int]:
-        """Homology class of a closed walk given as a vertex list (first and
-        last vertex equal, or closure implied), as a sparse vector."""
-        vs = list(walk_vertices)
-        if vs[0] != vs[-1]:
-            vs.append(vs[0])
-        acc = (0,) * len(self.generators)
-        for x, y in zip(vs, vs[1:]):
-            acc = _vadd(acc, self.step(x, y))
-        return _sparse(acc)
-
 
 def _vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))

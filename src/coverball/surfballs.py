@@ -173,6 +173,16 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
     zero counts when it bounds no disk.  If the first shortest such
     candidate is strictly shorter than every nontrivial one, it is
     returned alone.
+    """
+    D, _, out = _grid_candidates(s, base, best_only, essential)
+    return [(Fraction(n, D), cyc) for n, cyc, _ in out]
+
+
+def _grid_candidates(s: TriSurface, base: int | None = None,
+                     best_only: bool = False, essential: bool = False):
+    """``_homology_candidates`` on the integer grid: returns (D, width,
+    candidates), each candidate (grid length, cycle, packed class), the
+    class as signed digits in base 2**width (see ``_unpack_class``).
 
     Each root's work runs on the skeleton's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
@@ -186,7 +196,9 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
     g = s.skeleton()
     D, adj = g.int_grid()
     # class vectors packed into ints, signed digit i in base 2**width: a
-    # sum of up to 2 * |V| directed edge classes is zero iff its int is
+    # sum of up to 2 * |V| directed edge classes is zero iff its int is,
+    # and each of its digits lies strictly between -2**(width-1) and
+    # 2**(width-1)
     top_entry = max((abs(x) for c in hom.edge_class.values() for x in c),
                     default=0)
     width = (2 * len(s.vertices) * top_entry).bit_length() + 1
@@ -235,8 +247,9 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
                 continue
             if top[u] == top[w]:
                 continue
-            if pot[u] + packed[(u, w)] != pot[w]:
-                out.append((length, cycle(u, w)))
+            cls = pot[u] + packed[(u, w)] - pot[w]
+            if cls:
+                out.append((length, cycle(u, w), cls))
                 if best is None or length < best:
                     best = length
             elif essential and (sep is None or length < sep[0]):
@@ -246,10 +259,25 @@ def _homology_candidates(s: TriSurface, base: int | None = None,
                     sides = _cotree_sides(s, {_pair(v, p) for v, p in parent.items()
                                               if v != v0})
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
-                    sep = (length, cycle(u, w))
+                    sep = (length, cycle(u, w), 0)
     if sep is not None and (best is None or sep[0] < best):
         out = [sep]
-    return [(Fraction(n, D), cyc) for n, cyc in out]
+    return D, width, out
+
+
+def _unpack_class(packed: int, k: int, width: int) -> dict[int, int]:
+    """The k signed base-2**width digits of a ``_grid_candidates`` class,
+    as the sparse dict ``Echelon`` takes."""
+    out = {}
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    for i in range(k):
+        x = packed & mask
+        if x >= half:
+            x -= 1 << width
+        if x:
+            out[i] = x
+        packed = (packed - x) >> width
+    return out
 
 
 def systole(s: TriSurface, base: int | None = None,
@@ -369,22 +397,29 @@ def capture_length(s: TriSurface, mode: str = "greedy",
 
 
 def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]:
-    """Greedy homology basis from candidate loops; yields an upper bound."""
+    """Greedy homology basis from candidate loops; yields an upper bound.
+
+    Candidates are taken in (grid length, cycle) order, each ranked by its
+    packed class.  The first one is a shortest cycle of nonzero class
+    (Erickson and Whittlesey, SODA 2005); its grid length is kept as the
+    cache's ``lambda1``.
+    """
     cache = _capture_cache(s)
     if cache.greedy is None:
-        hom = s.homology()
-        cands = sorted(_homology_candidates(s), key=lambda t: (t[0], t[1]))
+        k = 2 * s.genus
+        _, width, cands = _grid_candidates(s)
+        cands.sort(key=lambda t: (t[0], t[1]))
         ech = Echelon()
         edges: set = set()
-        for length, cyc in cands:
-            cls = hom.class_of_walk(cyc + [cyc[0]])
-            if ech.add(cls):
+        for _, cyc, cls in cands:
+            if ech.add(_unpack_class(cls, k, width)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-            if ech.rank == 2 * s.genus:
+            if ech.rank == k:
                 break
-        if ech.rank != 2 * s.genus:
+        if ech.rank != k:
             raise SurfaceError("greedy capture failed to span H1")
         cache.greedy = (subgraph_length(s, edges), frozenset(edges))
+        cache.lambda1 = cands[0][0] if cands else None
     length, edges = cache.greedy
     if x is not None and not any(x in e for e in edges):
         dx = s.distances_from(x)
@@ -412,20 +447,34 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # A class search state, a vertex v reached by a walk of class (a, b), is
 # one int packed vertex-major: r*W**2 + (a + OFF)*W + (b + OFF), r the rank
 # of v among the sorted vertices.  Int order is then the order of the pairs
-# (v, (a, b)), and each directed edge adds one precomputed int.  Width rule:
-# every bound is a greedy upper bound, so at most 2*S with S the total grid
+# (v, (a, b)), and each directed edge adds one precomputed int.
+#
+# Table bound: a call with greedy upper bound ``best`` (unbased, or based
+# with its arc) grows the tables to best - lambda1, lambda1 the shortest
+# cycle of nonzero class, which is the first cycle of the greedy basis.  A
+# candidate can beat best only if each of its walks is shorter than
+# best - lambda1: each walk pairs with another walk of the candidate, of a
+# different class, into a closed walk of nonzero class, at least lambda1
+# long.  The pairs are two of the three u-v paths of a theta, the two
+# closed walks of a figure eight or a disjoint pair, and, in the based
+# theta, the split arc path against a plain path.  So the tables hold
+# every walk the search can use; the search checks that their shortest
+# nonzero-class closed walk is lambda1 whenever lambda1 is within them.
+#
+# Width rule: every bound is at most best <= 2*S with S the total grid
 # length; a state within the bound, or one edge past it, is reached by a
 # walk of at most 2*S // lmin + 1 edges, lmin the shortest grid length, so
 # |a|, |b| <= OFF = (2*S // lmin + 1) * cmax with cmax the largest class
 # coordinate of an edge, and W = 2*OFF + 1.  A search asked for a bound
 # above 2*S raises SurfaceError rather than mis-order its states.
 #
-# Each surface keeps one ``_CaptureCache``: the unbased greedy basis, the
-# unbased exact result, and one resumable class search per source.  A
-# search settles states in increasing (length, state) order and appends
-# each to its target's (grid length, class) list, so every list stays
-# sorted; when a base needs a larger bound, each search pops on from where
-# it stopped, with its relaxations past the old bound still on its heap.
+# Each surface keeps one ``_CaptureCache``: the unbased greedy basis and
+# lambda1, the unbased exact result, and one resumable class search per
+# source.  A search settles states in increasing (length, state) order and
+# appends each to its target's (grid length, class) list, so every list
+# stays sorted; when a base needs a larger bound, each search pops on from
+# where it stopped, with its relaxations past the old bound still on its
+# heap.
 # The searches keep no parent maps.  A state's walk runs back through the
 # first settled neighbour that reached it at its final length; since states
 # settle in (length, state) order, that is its tight predecessor least in
@@ -444,12 +493,17 @@ _STATE_CAP = 2_000_000
 
 class _CaptureCache:
     """What the capture search of one surface reuses across calls: the
-    unbased greedy and exact results, and one resumable class search per
-    source (no parents kept), each grown to the grid bound ``bound``, which
-    only rises."""
+    unbased greedy and exact results, the grid length ``lambda1`` of the
+    shortest nonzero-class cycle, and one resumable class search per source
+    (no parents kept), each grown to the grid bound ``bound``, which only
+    rises.  A call with greedy grid bound best needs the searches grown to
+    best - lambda1 only: every walk of a candidate shorter than best closes,
+    with another walk of the candidate, a closed walk of nonzero class, so
+    the rest of the candidate is at least lambda1 long."""
 
     def __init__(self):
         self.greedy = None          # unbased greedy (length, edges)
+        self.lambda1 = None         # grid length of the first greedy cycle
         self.exact = None           # unbased exact (length, edges)
         self.packing = None         # see _ClassPacking
         self.searches = None        # source -> _ClassSearch
@@ -613,7 +667,11 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     D = s.skeleton().int_grid()[0]
     ub, _ = _greedy_capture(s, x)
     best = _on_grid(ub, D)
-    by_target = _capture_tables(s, best)
+    cache = _capture_cache(s)
+    # see the table bound above: no walk of a candidate beating best is
+    # longer than best - lambda1
+    lambda1 = cache.lambda1
+    by_target = _capture_tables(s, best - lambda1)
     if x is not None:
         distx, parx = grid_shortest_paths(s.skeleton(), x)
     # the incumbent: its walks as (source, final state), and the vertex its
@@ -630,6 +688,10 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
             if h != zero and (h not in m or (d, v) < m[h]):
                 m[h] = (d, v)
     msorted = sorted((d, v, h) for h, (d, v) in m.items())
+    shortest = msorted[0][0] if msorted else None
+    if shortest != (lambda1 if lambda1 <= cache.bound else None):
+        raise SurfaceError("exact capture tables disagree with the greedy "
+                           "shortest cycle")
 
     # disjoint pair / figure eight family: two closed walks with independent
     # classes; in the based variant one of them pays an arc from x
@@ -729,7 +791,6 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
         path = tree_path(parx, best_foot)
         edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
     # recover the walks from the cached searches, which cover every one
-    cache = _capture_cache(s)
     for source, (v, h) in best_walks:
         edges |= cache.searches[source].walk_edges(cache.packing.state(v, h))
     realized = subgraph_length(s, edges)

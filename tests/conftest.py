@@ -7,7 +7,7 @@ from coverball import cover, surfballs
 from coverball.graphs import GraphError, MetricGraph
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
-                               capturing_test, subgraph_length)
+                               _sparse, _vadd, capturing_test, subgraph_length)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -227,6 +227,38 @@ def shortest_essential_cycle(s: TriSurface, bound: Fraction,
     return None
 
 
+def class_of_walk(hom, walk_vertices) -> dict[int, int]:
+    """Homology class of a closed walk given as a vertex list (first and
+    last vertex equal, or closure implied), as a sparse vector: the
+    ``HomologyData.step`` classes summed along the walk."""
+    vs = list(walk_vertices)
+    if vs[0] != vs[-1]:
+        vs.append(vs[0])
+    acc = (0,) * len(hom.generators)
+    for x, y in zip(vs, vs[1:]):
+        acc = _vadd(acc, hom.step(x, y))
+    return _sparse(acc)
+
+
+def fraction_greedy_capture(s: TriSurface):
+    """Independent oracle for the unbased ``surfballs._greedy_capture``: the
+    candidates of ``fraction_homology_candidates`` sorted by (``Fraction``
+    length, cycle), each class summed along its walk and added to an
+    ``Echelon`` until it spans H1."""
+    hom = s.homology()
+    cands = sorted(fraction_homology_candidates(s), key=lambda t: (t[0], t[1]))
+    ech = Echelon()
+    edges: set = set()
+    for length, cyc in cands:
+        if ech.add(class_of_walk(hom, cyc)):
+            edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        if ech.rank == 2 * s.genus:
+            break
+    if ech.rank != 2 * s.genus:
+        raise SurfaceError("greedy capture failed to span H1")
+    return subgraph_length(s, edges), edges
+
+
 def independent_pair_rank(hom_classes) -> int:
     ech = Echelon()
     for c in hom_classes:
@@ -244,7 +276,7 @@ def capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
     cycles = enumerate_simple_cycles(s, bound)
     info = []
     for length, cyc in cycles:
-        cls = hom.class_of_walk(cyc + [cyc[0]])
+        cls = class_of_walk(hom, cyc)
         if cls:
             edges = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
             info.append((length, edges, cls))
@@ -355,7 +387,7 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
             cyc = walk[:-1]
             if len(set(cyc)) != len(cyc):
                 continue
-            if hom.class_of_walk(walk):
+            if class_of_walk(hom, walk):
                 out.append((length, cyc))
                 if best is None or length < best:
                     best = length

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_components, by_target, capture_by_cycle_pairs,
-                      fraction_homology_candidates, is_contractible_cycle,
-                      relabeled, shortest_essential_cycle,
+                      fraction_greedy_capture, fraction_homology_candidates,
+                      is_contractible_cycle, relabeled, shortest_essential_cycle,
                       tuple_capture_tables, tuple_class_dijkstra)
 from coverball import fixtures, surfballs
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
@@ -282,18 +282,29 @@ def _grid_bound(s, x=None) -> int:
     return surfballs._on_grid(surfballs.capture_length(s, mode="greedy", x=x)[0], D)
 
 
+def _table_bound(s, x=None) -> int:
+    """The class-table bound of an exact capture call: the greedy bound less
+    the shortest nonzero-class cycle, on the integer grid."""
+    D = s.skeleton().int_grid()[0]
+    lambda1 = surfballs.systole(s, mode="homological")[0]
+    return _grid_bound(s, x) - surfballs._on_grid(lambda1, D)
+
+
+GENUS1_MAKERS = [fixtures.torus7,
+                 lambda: fixtures.subdivide(fixtures.torus7()),
+                 lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+                 lambda: _mixed_torus(1), lambda: _mixed_torus(2),
+                 lambda: _mixed_torus(3)]
+GENUS1_IDS = ["torus7", "torus7_sub", "torus7_sub_relabeled",
+              "mixed1", "mixed2", "mixed3"]
+
+
 def _reached(tables) -> dict:
     """Capture tables without the targets no walk reached."""
     return {v: {w: lst for w, lst in t.items() if lst} for v, t in tables.items()}
 
 
-@pytest.mark.parametrize("make", [fixtures.torus7,
-                                  lambda: fixtures.subdivide(fixtures.torus7()),
-                                  lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
-                                  lambda: _mixed_torus(1), lambda: _mixed_torus(2),
-                                  lambda: _mixed_torus(3)],
-                         ids=["torus7", "torus7_sub", "torus7_sub_relabeled",
-                              "mixed1", "mixed2", "mixed3"])
+@pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
 def test_packed_class_search_matches_tuple_oracle(make):
     s = make()
     ub = _grid_bound(s)
@@ -334,7 +345,7 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
         for x in order:
             surfballs.capture_length(s, mode="exact", x=x)
         bound = s._capture_cache.bound
-        assert bound == _grid_bound(s, far)
+        assert bound == _table_bound(s, far)
         resumed = surfballs._capture_tables(s, bound)
         assert resumed == surfballs._capture_tables(make(), bound)
         assert _reached(resumed) == tuple_capture_tables(s, bound)
@@ -344,7 +355,7 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
     s = make()
     for x in (a, b):
         surfballs.capture_length(s, mode="exact", x=x)
-    low, high = s._capture_cache.bound, _grid_bound(s, far)
+    low, high = s._capture_cache.bound, _table_bound(s, far)
     assert low < high
     cap = max(len(tuple_class_dijkstra(s, v, low)[0]) for v in s.vertices)
     monkeypatch.setattr(surfballs, "_STATE_CAP", cap)
@@ -360,6 +371,45 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
     assert surfballs.capture_length(s, mode="exact", x=far) == \
         surfballs.capture_length(make(), mode="exact", x=far)
     assert surfballs._capture_tables(s, high) == surfballs._capture_tables(make(), high)
+
+
+@pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
+def test_exact_capture_independent_of_table_bound(make):
+    # tables grown first to the largest greedy bound of any call give the
+    # results of tables grown only as far as each call needs
+    s = make()
+    surfballs._capture_tables(s, max(_grid_bound(s, x) for x in s.vertices))
+    for x in [None] + sorted(s.vertices):
+        assert surfballs.capture_length(s, mode="exact", x=x) == \
+            surfballs.capture_length(make(), mode="exact", x=x), x
+
+
+def test_exact_capture_refuses_a_wrong_lambda1():
+    for shift in (-1, 1):
+        s = fixtures.subdivide(fixtures.torus7())
+        surfballs._capture_tables(s, _grid_bound(s))   # lambda1 within them
+        s._capture_cache.lambda1 += shift
+        with pytest.raises(SurfaceError, match="greedy shortest cycle"):
+            surfballs.capture_length(s, mode="exact")
+
+
+GREEDY_SURFACES = {**CANDIDATE_SURFACES,
+                   "torus7_mixed2": lambda: _mixed_torus(2),
+                   "torus7_mixed3": lambda: _mixed_torus(3)}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_SURFACES))
+def test_greedy_capture_matches_fraction_oracle(name):
+    s = GREEDY_SURFACES[name]()
+    L, edges = fraction_greedy_capture(s)
+    on = {v for e in edges for v in e}
+    for x in [None] + sorted(s.vertices):
+        # based, the shortest arc from x joins the unbased basis
+        arc = 0 if x is None or x in on else min(s.distances_from(x)[v] for v in on)
+        assert surfballs.capture_length(s, mode="greedy", x=x) == (L + arc, edges), x
+    lengths = [length for length, _ in fraction_homology_candidates(s)]
+    D = s.skeleton().int_grid()[0]
+    assert s._capture_cache.lambda1 == surfballs._on_grid(min(lengths), D)
 
 
 def test_greedy_capture_upper_bounds_exact(torus):
