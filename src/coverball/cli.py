@@ -301,6 +301,9 @@ def cmd_gen(parser, args) -> None:
         g = generate(args.kind, params, args.seed)
     except KeyError as exc:
         parser.error(f"kind {args.kind!r} needs parameter {exc}")
+    if args.b is not None and args.b != betti(g):
+        raise GraphError(f"kind {args.kind!r} has Betti number {betti(g)}, "
+                         f"not --b {args.b}")
     text = format_graph(g)
     rep = {"command": "gen", "kind": args.kind, "b": args.b,
            "betti": betti(g), "total_length": g.total_length(),

@@ -1,8 +1,9 @@
 """Triangulated closed orientable surfaces with exact edge lengths.
 
 The surface metric is the shortest-path metric on the 1-skeleton; face
-areas come from Heron's formula.  First homology is exact: integer class
-vectors on the edges from a tree-cotree decomposition.
+areas come from Heron's formula.  First homology is exact: a tree-cotree
+decomposition gives each edge its class in Z^{2g}, packed into one int
+(``HomologyData``).
 
 A subgraph captures when its cycles span H1(M).  ``capturing_test`` is the
 one-shot query: it returns (captures, rank of the image) by exact
@@ -208,11 +209,20 @@ class HomologyData:
     T is a BFS spanning tree of the 1-skeleton (``tree_parent``) and C a
     spanning tree of the dual graph on the remaining edges, taken greedily
     in edge order; the 2g edges in neither are the generators.  Every edge
-    (u, w), u < w, carries an integer class vector in Z^{2g}: zero on T,
-    the i-th unit vector on the i-th generator, and on C the value its face
-    relations force: peeling dual leaves, each face sets its cotree edge's
-    class to the signed sum of its other two edge classes.  The class of a
-    closed walk is the sum of its directed edge classes.
+    (u, w), u < w, carries its class in Z^{2g}: zero on T, the i-th unit
+    vector on the i-th generator, and on C the value its face relations
+    force: peeling dual leaves, each face sets its cotree edge's class to
+    the signed sum of its other two edge classes.  The class of a closed
+    walk is the sum of its directed edge classes (``step``).
+
+    ``edge_class[(u, w)]`` is one int: the 2g coordinates as signed digits
+    in base 2**``width``, coordinate i in digit i (``unpack`` reads them
+    back).  Each coordinate is -1, 0 or 1, as it counts the signed crossings
+    of the edge with one simple dual cycle: generator i's dual edge plus the
+    C-path between its faces.  ``width = (4 * len(s.edges)).bit_length() + 1``
+    keeps each digit of a signed sum of up to 4 * len(s.edges) such vectors
+    below 2**(width-1) in magnitude, so the sum is zero iff its int is, and
+    ``unpack`` reads it exactly.
     """
 
     def __init__(self, s: TriSurface):
@@ -256,13 +266,12 @@ class HomologyData:
                 root_of[r1] = r2
                 dual.setdefault(f1, []).append((e, f2))
                 dual.setdefault(f2, []).append((e, f1))
-        k = len(self.generators)
-        if k != 2 * s.genus:
+        if len(self.generators) != 2 * s.genus:
             raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
-        zero = (0,) * k
-        cls = {e: zero for e in tree}
+        self.width = width = (4 * len(s.edges)).bit_length() + 1
+        cls = dict.fromkeys(tree, 0)
         for i, e in enumerate(self.generators):
-            cls[e] = zero[:i] + (1,) + zero[i + 1:]
+            cls[e] = 1 << (i * width)
         self.edge_class = cls
         # peel dual leaves: each face, children first, fixes the cotree edge
         # towards its dual parent so that its boundary sums to zero
@@ -285,34 +294,31 @@ class HomologyData:
                 x, y, z = c, a, b
             s1 = -1 if (y < z) == (x < y) else 1
             s2 = -1 if (z < x) == (x < y) else 1
-            cls[e] = tuple(s1 * p + s2 * q for p, q in
-                           zip(cls[_pair(y, z)], cls[_pair(z, x)]))
+            cls[e] = s1 * cls[_pair(y, z)] + s2 * cls[_pair(z, x)]
         for a, b, c in s.faces:
-            s1 = 1 if a < b else -1
-            s2 = 1 if b < c else -1
-            s3 = 1 if c < a else -1
-            if any(s1 * p + s2 * q + s3 * r for p, q, r in
-                   zip(cls[_pair(a, b)], cls[_pair(b, c)], cls[_pair(c, a)])):
+            if self.step(a, b) + self.step(b, c) + self.step(c, a):
                 raise SurfaceError("face boundary has a nonzero homology class")
 
-    def step(self, x: int, y: int) -> tuple[int, ...]:
-        """Class of the directed edge x -> y."""
+    def step(self, x: int, y: int) -> int:
+        """Packed class of the directed edge x -> y."""
         if x < y:
             return self.edge_class[(x, y)]
-        return _vneg(self.edge_class[(y, x)])
+        return -self.edge_class[(y, x)]
 
-
-def _vadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def _sparse(t: tuple) -> dict[int, int]:
-    """Dict form of a class vector, as ``Echelon`` takes it."""
-    return {i: x for i, x in enumerate(t) if x}
+    def unpack(self, packed: int) -> dict[int, int]:
+        """The 2g signed digits of a packed class, as the sparse dict
+        ``Echelon`` takes (digit i under key i, zeros left out)."""
+        out = {}
+        width = self.width
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        for i in range(len(self.generators)):
+            x = packed & mask
+            if x >= half:
+                x -= 1 << width
+            if x:
+                out[i] = x
+            packed = (packed - x) >> width
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +328,12 @@ def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
     """True iff the subgraph's cycle space surjects onto H1(M); also the
     rank of its image.  A one-shot query: pruning asks ``prune_pieces``.
 
-    Potentials p(v) sum the edge classes along a spanning forest of the
-    subgraph; each other edge (u, w) closes a cycle of class
-    p(u) + [u -> w] - p(w).
+    Potentials p(v) sum the packed edge classes along a spanning forest of
+    the subgraph; each other edge (u, w) closes a cycle of class
+    p(u) + [u -> w] - p(w), a sum of fewer than 2 * |V| edge classes.
     """
     hom = s.homology()
-    sub = sorted(set(map(lambda e: _pair(*e), sub_edges)))
+    sub = sorted(_edge_set(s, sub_edges))
     parent: dict[int, int] = {}
 
     def find(x):
@@ -346,26 +352,37 @@ def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
             adj.setdefault(w, []).append(u)
         else:
             extra.append((u, w))
-    pot: dict[int, tuple[int, ...]] = {}
+    pot: dict[int, int] = {}
     for r in adj:
         if r in pot:
             continue
-        pot[r] = (0,) * len(hom.generators)
+        pot[r] = 0
         stack = [r]
         while stack:
             v = stack.pop()
             for u in adj[v]:
                 if u not in pot:
-                    pot[u] = _vadd(pot[v], hom.step(v, u))
+                    pot[u] = pot[v] + hom.step(v, u)
                     stack.append(u)
     full = 2 * s.genus
     ech = Echelon()
     for (u, w) in extra:
         if ech.rank == full:
             break
-        h = _vadd(pot[u], hom.edge_class[(u, w)])
-        ech.add(_sparse(tuple(a - b for a, b in zip(h, pot[w]))))
+        ech.add(hom.unpack(pot[u] + hom.edge_class[(u, w)] - pot[w]))
     return ech.rank == full, ech.rank
+
+
+def _edge_set(s: TriSurface, pairs) -> set[tuple[int, int]]:
+    """The edges (u, w), u < w, of the vertex pairs ``pairs``; SurfaceError
+    names the first pair that is not an edge of ``s``."""
+    out = set()
+    for pair in pairs:
+        e = _pair(*pair)
+        if e not in s.edge_faces:
+            raise SurfaceError(f"pair {tuple(pair)} is not an edge of the surface")
+        out.add(e)
+    return out
 
 
 def subgraph_betti(sub_edges) -> int:
@@ -394,21 +411,19 @@ def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
 
     Returns (side, cross): ``side[(x, y)]`` is the face to the left of the
     directed edge x -> y; ``cross[(u, w)]``, u < w, is the vector of
-    coefficients of u -> w in the z_i, packed into one int with signed
-    digit i in base 2**width.  Each digit is -1, 0 or 1, and the width
-    leaves room for a sum of up to 4 * len(s.edges) such vectors, so such
-    a sum is zero iff its int is.
+    coefficients of u -> w in the z_i, packed like ``hom.edge_class``:
+    generator i's class is the unit of digit i.  Each digit is -1, 0 or 1,
+    so a sum of up to 4 * len(s.edges) such vectors is zero iff its int is.
     """
     hom = s.homology()
     side = {}
     for f, face in enumerate(s.faces):
         for xy in _directed(face, False):
             side[xy] = f
-    width = len(s.edges).bit_length() + 3
     cross = dict.fromkeys(s.edges, 0)
     up = hom.tree_parent
-    for i, (a, b) in enumerate(hom.generators):
-        unit = 1 << (i * width)
+    for a, b in hom.generators:
+        unit = hom.edge_class[(a, b)]
         cross[(a, b)] += unit
         # z_i = a -> b, then the tree path b -> a: up from b, down to a
         for v, step in ((b, unit), (a, -unit)):
@@ -440,7 +455,7 @@ def prune_pieces(s: TriSurface, pieces) -> list[int]:
     so a piece kept once stays needed: one pass is enough.
     """
     side, cross = _dual_crossings(s)
-    pieces = [{_pair(*e) for e in p} for p in pieces]
+    pieces = [_edge_set(s, p) for p in pieces]
     count = dict.fromkeys(s.edges, 0)
     for p in pieces:
         for e in p:

@@ -161,28 +161,19 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
     return below
 
 
-def _homology_candidates(s: TriSurface, base: int | None = None,
-                         best_only: bool = False, essential: bool = False):
+def _grid_candidates(s: TriSurface, base: int | None = None,
+                     best_only: bool = False, essential: bool = False):
     """Candidate essential loops: two shortest-tree paths plus a closing
-    edge.  Returns (length, simple vertex cycle) for homologically
-    nontrivial simple candidates.  With ``best_only`` candidates longer
-    than the best one found so far are skipped (enough for systole
-    computations).
+    edge.  Returns (D, candidates): each homologically nontrivial simple
+    candidate as (grid length, simple vertex cycle, packed class), its
+    length n standing for n/D and its class packed as in ``HomologyData``.
+    With ``best_only`` candidates longer than the best one found so far are
+    skipped (enough for systole computations).
 
     With ``essential`` as well (genus >= 2), a simple candidate of class
     zero counts when it bounds no disk.  If the first shortest such
     candidate is strictly shorter than every nontrivial one, it is
-    returned alone.
-    """
-    D, _, out = _grid_candidates(s, base, best_only, essential)
-    return [(Fraction(n, D), cyc) for n, cyc, _ in out]
-
-
-def _grid_candidates(s: TriSurface, base: int | None = None,
-                     best_only: bool = False, essential: bool = False):
-    """``_homology_candidates`` on the integer grid: returns (D, width,
-    candidates), each candidate (grid length, cycle, packed class), the
-    class as signed digits in base 2**width (see ``_unpack_class``).
+    returned alone, with class 0.
 
     Each root's work runs on the skeleton's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
@@ -190,20 +181,12 @@ def _grid_candidates(s: TriSurface, base: int | None = None,
     potential of its tree path and its branch ``top``, the child of the
     root it descends from.  A non-tree edge (u, w) then closes a cycle of
     grid length dist(u) + dist(w) + len(u, w), simple iff the branches of
-    u and w differ, of class pot(u) + [u -> w] - pot(w).
+    u and w differ, of class pot(u) + [u -> w] - pot(w), a sum of fewer
+    than 2 * |V| edge classes.
     """
-    hom = s.homology()
+    packed = s.homology().edge_class
     g = s.skeleton()
     D, adj = g.int_grid()
-    # class vectors packed into ints, signed digit i in base 2**width: a
-    # sum of up to 2 * |V| directed edge classes is zero iff its int is,
-    # and each of its digits lies strictly between -2**(width-1) and
-    # 2**(width-1)
-    top_entry = max((abs(x) for c in hom.edge_class.values() for x in c),
-                    default=0)
-    width = (2 * len(s.vertices) * top_entry).bit_length() + 1
-    packed = {e: sum(x << (i * width) for i, x in enumerate(c))
-              for e, c in hom.edge_class.items()}
     glen = [(e, int(s.edge_lengths[e] * D)) for e in s.edges]
     best = None
     sep = None
@@ -262,22 +245,7 @@ def _grid_candidates(s: TriSurface, base: int | None = None,
                     sep = (length, cycle(u, w), 0)
     if sep is not None and (best is None or sep[0] < best):
         out = [sep]
-    return D, width, out
-
-
-def _unpack_class(packed: int, k: int, width: int) -> dict[int, int]:
-    """The k signed base-2**width digits of a ``_grid_candidates`` class,
-    as the sparse dict ``Echelon`` takes."""
-    out = {}
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    for i in range(k):
-        x = packed & mask
-        if x >= half:
-            x -= 1 << width
-        if x:
-            out[i] = x
-        packed = (packed - x) >> width
-    return out
+    return D, out
 
 
 def systole(s: TriSurface, base: int | None = None,
@@ -305,10 +273,11 @@ def systole(s: TriSurface, base: int | None = None,
         raise SurfaceError("genus-0 surface has no non-contractible cycle")
     # on the torus a simple closed curve of class zero is contractible
     essential = mode != "homological" and s.genus >= 2
-    cands = _homology_candidates(s, base, best_only=True, essential=essential)
+    D, cands = _grid_candidates(s, base, best_only=True, essential=essential)
     if not cands:
         raise SurfaceError("no homologically nontrivial candidate loop found")
-    return min(cands, key=lambda t: (t[0], t[1]))
+    n, cycle, _ = min(cands, key=lambda t: (t[0], t[1]))
+    return Fraction(n, D), cycle
 
 
 def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
@@ -407,12 +376,13 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
     cache = _capture_cache(s)
     if cache.greedy is None:
         k = 2 * s.genus
-        _, width, cands = _grid_candidates(s)
+        _, cands = _grid_candidates(s)
+        hom = s.homology()
         cands.sort(key=lambda t: (t[0], t[1]))
         ech = Echelon()
         edges: set = set()
         for _, cyc, cls in cands:
-            if ech.add(_unpack_class(cls, k, width)):
+            if ech.add(hom.unpack(cls)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             if ech.rank == k:
                 break
@@ -463,10 +433,11 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 #
 # Width rule: every bound is at most best <= 2*S with S the total grid
 # length; a state within the bound, or one edge past it, is reached by a
-# walk of at most 2*S // lmin + 1 edges, lmin the shortest grid length, so
-# |a|, |b| <= OFF = (2*S // lmin + 1) * cmax with cmax the largest class
-# coordinate of an edge, and W = 2*OFF + 1.  A search asked for a bound
-# above 2*S raises SurfaceError rather than mis-order its states.
+# walk of at most 2*S // lmin + 1 edges, lmin the shortest grid length.
+# Every class coordinate of an edge is -1, 0 or 1 (see ``HomologyData``),
+# so |a|, |b| <= OFF = 2*S // lmin + 1, and W = 2*OFF + 1.  A search asked
+# for a bound above 2*S raises SurfaceError rather than mis-order its
+# states.
 #
 # Each surface keeps one ``_CaptureCache``: the unbased greedy basis and
 # lambda1, the unbased exact result, and one resumable class search per
@@ -539,17 +510,17 @@ class _ClassPacking:
         self.verts = sorted(s.vertices)
         self.rank = {v: r for r, v in enumerate(self.verts)}
         lmin = min(l for es in adj.values() for l, _ in es)
-        cmax = max(abs(c) for cls in hom.edge_class.values() for c in cls)
         self.limit = 2 * _on_grid(sum(s.edge_lengths.values()), D)
-        self.off = (self.limit // lmin + 1) * cmax
+        self.off = self.limit // lmin + 1
         W = self.width = 2 * self.off + 1
         W2 = self.W2 = W * W
         self.adj = []
         for v in self.verts:
             row = []
             for l, u in adj[v]:
-                i, j = hom.step(v, u)
-                row.append((l, (self.rank[u] - self.rank[v]) * W2 + i * W + j))
+                h = hom.unpack(hom.step(v, u))
+                row.append((l, (self.rank[u] - self.rank[v]) * W2
+                            + h.get(0, 0) * W + h.get(1, 0)))
             self.adj.append(row)
         self.classes: dict[int, tuple] = {}   # low digits -> (a, b), memoized
 

@@ -7,7 +7,7 @@ from coverball import cover, surfballs
 from coverball.graphs import GraphError, MetricGraph
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
-                               _sparse, _vadd, capturing_test, subgraph_length)
+                               capturing_test, subgraph_length)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -227,17 +227,24 @@ def shortest_essential_cycle(s: TriSurface, bound: Fraction,
     return None
 
 
-def class_of_walk(hom, walk_vertices) -> dict[int, int]:
+def tuple_step(classes, x: int, y: int) -> tuple[int, ...]:
+    """Tuple class of the directed edge x -> y under ``walked_homology``'s
+    edge classes."""
+    return classes[(x, y)] if x < y else tuple(-c for c in classes[(y, x)])
+
+
+def class_of_walk(classes, walk_vertices) -> dict[int, int]:
     """Homology class of a closed walk given as a vertex list (first and
-    last vertex equal, or closure implied), as a sparse vector: the
-    ``HomologyData.step`` classes summed along the walk."""
+    last vertex equal, or closure implied), as the sparse vector ``Echelon``
+    takes: the tuple classes of ``walked_homology`` summed along the walk."""
     vs = list(walk_vertices)
     if vs[0] != vs[-1]:
         vs.append(vs[0])
-    acc = (0,) * len(hom.generators)
+    acc = [0] * len(next(iter(classes.values()), ()))
     for x, y in zip(vs, vs[1:]):
-        acc = _vadd(acc, hom.step(x, y))
-    return _sparse(acc)
+        for i, c in enumerate(tuple_step(classes, x, y)):
+            acc[i] += c
+    return {i: c for i, c in enumerate(acc) if c}
 
 
 def fraction_greedy_capture(s: TriSurface):
@@ -245,12 +252,12 @@ def fraction_greedy_capture(s: TriSurface):
     candidates of ``fraction_homology_candidates`` sorted by (``Fraction``
     length, cycle), each class summed along its walk and added to an
     ``Echelon`` until it spans H1."""
-    hom = s.homology()
+    classes = walked_homology(s)[2]
     cands = sorted(fraction_homology_candidates(s), key=lambda t: (t[0], t[1]))
     ech = Echelon()
     edges: set = set()
     for length, cyc in cands:
-        if ech.add(class_of_walk(hom, cyc)):
+        if ech.add(class_of_walk(classes, cyc)):
             edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
         if ech.rank == 2 * s.genus:
             break
@@ -270,13 +277,13 @@ def capture_by_cycle_pairs(s: TriSurface, x: int | None = None,
                            slack: Fraction = Fraction(0)) -> tuple[Fraction, set]:
     """Independent oracle for exact capture on small genus-1 surfaces:
     exhaustive enumeration of simple cycle pairs with independent classes."""
-    hom = s.homology()
+    classes = walked_homology(s)[2]
     ub, _ = surfballs._greedy_capture(s, x)
     bound = ub + slack
     cycles = enumerate_simple_cycles(s, bound)
     info = []
     for length, cyc in cycles:
-        cls = class_of_walk(hom, cyc)
+        cls = class_of_walk(classes, cyc)
         if cls:
             edges = frozenset(_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
             info.append((length, edges, cls))
@@ -333,9 +340,10 @@ def prune_by_capturing_test(s: TriSurface, pieces):
 def fraction_homology_candidates(s: TriSurface, base: int | None = None,
                                  best_only: bool = False,
                                  essential: bool = False):
-    """Independent oracle for ``surfballs._homology_candidates``: the same
+    """Independent oracle for ``surfballs._grid_candidates``: the same
     candidate family with ``Fraction`` distances, each candidate's two tree
-    paths walked and its class summed along the walk.
+    paths walked and its class summed along the walk from the tuple classes
+    of ``walked_homology``.
 
     Candidate essential loops: two shortest-tree paths plus a closing
     edge.  Returns (length, simple vertex cycle) for homologically
@@ -348,7 +356,7 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
     candidate is strictly shorter than every nontrivial one, it is
     returned alone.
     """
-    hom = s.homology()
+    classes = walked_homology(s)[2]
     g = s.skeleton()
     best = None
     sep = None
@@ -387,7 +395,7 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
             cyc = walk[:-1]
             if len(set(cyc)) != len(cyc):
                 continue
-            if class_of_walk(hom, walk):
+            if class_of_walk(classes, walk):
                 out.append((length, cyc))
                 if best is None or length < best:
                     best = length
@@ -459,9 +467,6 @@ def walked_homology(s: TriSurface):
     for i, e in enumerate(generators):
         cls[e] = zero[:i] + (1,) + zero[i + 1:]
 
-    def step(x, y):
-        return cls[(x, y)] if x < y else tuple(-c for c in cls[(y, x)])
-
     up = {0: None}
     forder = [0]
     for f in forder:
@@ -476,7 +481,7 @@ def walked_homology(s: TriSurface):
             if _pair(x, y) == e:
                 sign = 1 if x < y else -1
             else:
-                acc = tuple(p + q for p, q in zip(acc, step(x, y)))
+                acc = tuple(p + q for p, q in zip(acc, tuple_step(cls, x, y)))
         cls[e] = tuple(-c for c in acc) if sign > 0 else acc
     return tree_parent, generators, cls
 
@@ -484,16 +489,18 @@ def walked_homology(s: TriSurface):
 def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
     """Independent oracle for ``surfballs._ClassSearch``: shortest walks
     from source, stratified by genus-1 homology class, with (vertex, (a, b))
-    tuple states and every relaxation past ``bound`` dropped.
+    tuple states from ``walked_homology``'s classes and every relaxation
+    past ``bound`` dropped.
 
     Returns (dist, parent): dist maps (vertex, class) to its grid length
     <= bound, parent maps each state to the state it was first reached from
     at that length (None at the start).  Raises the search's SurfaceError
     once more than ``surfballs._STATE_CAP`` states are reached.
     """
-    hom = s.homology()
+    classes = walked_homology(s)[2]
     _, grid = s.skeleton().int_grid()
-    adj = {v: [(l, u, hom.step(v, u)) for l, u in es] for v, es in grid.items()}
+    adj = {v: [(l, u, tuple_step(classes, v, u)) for l, u in es]
+           for v, es in grid.items()}
     start = (source, (0, 0))
     dist = {start: 0}
     parent = {start: None}

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_components, by_target, capture_by_cycle_pairs,
-                      fraction_greedy_capture, fraction_homology_candidates,
-                      is_contractible_cycle, relabeled, shortest_essential_cycle,
-                      tuple_capture_tables, tuple_class_dijkstra)
+                      class_of_walk, fraction_greedy_capture,
+                      fraction_homology_candidates, is_contractible_cycle,
+                      relabeled, shortest_essential_cycle, tuple_capture_tables,
+                      tuple_class_dijkstra, walked_homology)
 from coverball import fixtures, surfballs
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                subgraph_length)
@@ -157,10 +158,15 @@ def test_grid_candidates_match_fraction_oracle(name):
     s = CANDIDATE_SURFACES[name]()
     if name == "torus7_mixed":
         assert s.skeleton().int_grid()[0] > 1
+    hom, classes = s.homology(), walked_homology(s)[2]
     for base in [None] + sorted(s.vertices):
         for best_only in (False, True):
             for essential in (False, True):
-                got = surfballs._homology_candidates(s, base, best_only, essential)
+                D, cands = surfballs._grid_candidates(s, base, best_only, essential)
+                assert all(type(n) is int for n, _, _ in cands)
+                assert all(hom.unpack(c) == class_of_walk(classes, cyc)
+                           for _, cyc, c in cands)
+                got = [(F(n, D), cyc) for n, cyc, _ in cands]
                 want = fraction_homology_candidates(s, base, best_only, essential)
                 assert got == want, (base, best_only, essential)
                 assert all(type(length) is F for length, _ in got)

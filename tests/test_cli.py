@@ -171,6 +171,8 @@ MALFORMED = {
     # genus 0 stops before the cover balls, so the pipeline checks the budget
     "pipeline-budget-0": (TETRAHEDRON, ["surface", "pipeline", "{bad}",
                                         "--budget", "0"]),
+    "gen-theta-b": (None, ["gen", "--kind", "theta", "--b", "5"]),
+    "gen-figure-eight-b": (None, ["gen", "--kind", "figure_eight", "--b", "5"]),
     "format-unknown": (None, ["graph", "growth", "theta.graph",
                               "--format", "xml", "--out", "{bad}"]),
     "format-mixed": (None, ["graph", "growth", "theta.graph",

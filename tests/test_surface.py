@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -298,7 +300,40 @@ def test_homology_matches_walked_oracle(name):
     tree_parent, generators, edge_class = walked_homology(s)
     assert hom.tree_parent == tree_parent
     assert hom.generators == generators
-    assert hom.edge_class == edge_class
+    k = len(generators)
+    unpacked = {e: tuple(hom.unpack(c).get(i, 0) for i in range(k))
+                for e, c in hom.edge_class.items()}
+    assert unpacked == edge_class
+
+
+@pytest.mark.parametrize("name", list(HOMOLOGY_SURFACES))
+def test_packed_class_width_rule(name):
+    """Edge class digits are -1, 0 or 1, and ``width`` leaves room for a
+    signed sum of up to 4|E| of them: ``unpack`` inverts packing at digits
+    of magnitude 4|E| and on such sums."""
+    s = HOMOLOGY_SURFACES[name]()
+    hom = s.homology()
+    k, n = 2 * s.genus, 4 * len(s.edges)
+
+    def pack(digits):
+        return sum(x << (i * hom.width) for i, x in enumerate(digits))
+
+    digits = walked_homology(s)[2]
+    for e, c in hom.edge_class.items():
+        assert set(digits[e]) <= {-1, 0, 1}
+        assert c == pack(digits[e])
+    for vec in itertools.product((-n, -1, 0, 1, n), repeat=k):
+        assert hom.unpack(pack(vec)) == {i: x for i, x in enumerate(vec) if x}
+    rng = random.Random(n)
+    edges = sorted(hom.edge_class)
+    for _ in range(10):
+        total, want = 0, [0] * k
+        for _ in range(n):
+            e, sign = rng.choice(edges), rng.choice((1, -1))
+            total += sign * hom.edge_class[e]
+            for i, x in enumerate(digits[e]):
+                want[i] += sign * x
+        assert hom.unpack(total) == {i: x for i, x in enumerate(want) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +376,22 @@ def test_prune_pieces_matches_capturing_test_loop(name, rng):
     # (then the union stays, as the empty graph does not capture)
     for union, ok in trials:
         assert prune_pieces(s, [s.edges, union]) == ([1] if ok else [0])
+
+
+# vertex pairs that are not edges: an unknown vertex, either way round, a
+# loop, and two vertices of genus2 with no edge between them
+NON_EDGES = [("torus7", (0, 99)), ("torus7", (99, 0)), ("torus7", (0, 0)),
+             ("genus2", (2, 9))]
+
+
+@pytest.mark.parametrize("name, pair", NON_EDGES)
+def test_non_edge_pair_is_named(name, pair):
+    s = getattr(fixtures, name)()
+    message = re.escape(f"pair {pair} is not an edge of the surface")
+    with pytest.raises(SurfaceError, match=message):
+        capturing_test(s, list(s.edges) + [pair])
+    with pytest.raises(SurfaceError, match=message):
+        prune_pieces(s, [s.edges, [pair]])
 
 
 def test_prune_pieces_refuses_a_non_capturing_union():
