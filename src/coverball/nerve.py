@@ -108,19 +108,13 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
                         tuple(Edge(k, i, j, quarter)
                               for k, (i, j) in enumerate(nerve_edges)))
 
-    # the face set surfballs.ball(s, p, r0) builds, filled in the same
-    # (ascending) order so that its float sum is the same
-    corners: dict[int, list[int]] = {}
-    for i, f in enumerate(s.faces):
-        for v in f:
-            corners.setdefault(v, []).append(i)
+    # the face set surfballs.ball(s, p, r0) builds, in the same order
     radius = math.floor(r0 * D)
     areas = []
     for p in centers:
         inside = {v for v, d in dists[p].items() if d <= radius}
-        faces = frozenset(sorted({i for v in inside for i in corners[v]
-                                  if all(x in inside for x in s.faces[i])}))
-        areas.append(sum(s.face_area(i) for i in faces))
+        areas.append(sum(s.face_area(i)
+                         for i in surfballs._ball_faces(s, inside)))
     min_area = float(r0) ** 2 / 4.0
     precondition_ok = all(a >= min_area for a in areas)
     total = s.total_area()
@@ -334,7 +328,8 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
     rows = []
     for k in range(1, r_grid + 1):
         r = rmax * k / r_grid
-        bplus = surfballs.fill_to_bplus(s, surfballs.ball(s, u, r))
+        ball = surfballs._ball_from(s, u, dist_u, r)
+        bplus = surfballs.fill_to_bplus(s, ball)
         boundary = bplus.boundary_length(s)
         # portion of the capturing graph inside the surface ball, with
         # partial edges measured by surface distances from u
@@ -348,12 +343,9 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
         cover_ball = cover_growth.at(r)
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:
-        # check that B+ is a single disk (fan-counted Euler characteristic 1)
-        comps = surfballs._face_components(s, set(bplus.faces),
-                                           bplus.boundary_edges)
-        contractible = (len(comps) == 1 and
-                        surfballs.face_set_chi(s, comps[0],
-                                               bplus.boundary_edges) == 1)
+        # check that B+ is a single disk (one piece, F - J + C = 1)
+        pieces = surfballs._face_pieces(s, bplus.faces, bplus.boundary_edges)
+        contractible = len(pieces) == 1 and pieces[0][1] == 1
         rows.append({
             "R": r,
             "boundary_length": boundary,
@@ -382,7 +374,7 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
     integral = sum((rs[i + 1] - rs[i]) * (bs[i] + bs[i + 1]) / 2
                    for i in range(len(rs) - 1))
     R_final = float(rs[-1])
-    ball_area_val = surfballs.ball(s, u, rs[-1]).area(s)
+    ball_area_val = ball.area(s)    # the last row's ball, unfilled
     target = hyperbolic_area_lower_bound(R_final)
     report["stages"].append({
         "stage": "coarea", "R": rs[-1],

@@ -517,7 +517,7 @@ def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
     ok, rank = capturing_test(s, sub_edges)
     if not ok:
         raise SurfaceError(f"subgraph does not capture the topology (rank {rank})")
-    order = sorted(set(map(lambda e: _pair(*e), sub_edges)),
+    order = sorted(_edge_set(s, sub_edges),
                    key=lambda e: (-s.edge_lengths[e], e))
     cur = {order[k] for k in prune_pieces(s, [[e] for e in order])}
     if subgraph_betti(cur) != 2 * s.genus:
@@ -526,12 +526,11 @@ def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
 
 
 def subgraph_length(s: TriSurface, sub_edges) -> Fraction:
-    return sum((s.edge_lengths[_pair(*e)] for e in set(map(lambda e: _pair(*e), sub_edges))),
-               Fraction(0))
+    return sum((s.edge_lengths[e] for e in _edge_set(s, sub_edges)), Fraction(0))
 
 
 def subgraph_metric_graph(s: TriSurface, sub_edges) -> MetricGraph:
-    sub = sorted(set(map(lambda e: _pair(*e), sub_edges)))
+    sub = sorted(_edge_set(s, sub_edges))
     verts = {v for e in sub for v in e}
     es = tuple(Edge(i, u, w, s.edge_lengths[(u, w)]) for i, (u, w) in enumerate(sub))
     return MetricGraph(frozenset(verts), es)

@@ -3,7 +3,8 @@ surfaces.
 
 Balls are inner approximations: a face belongs to the ball when all three
 of its vertices are within the radius; filling a ball adds the complement
-components that are disks (Euler characteristic 1).
+components that are disks (Euler characteristic 1, counted as F - J + C in
+one walk over the faces, see ``_face_pieces``).
 
 The systole search runs over two shortest-path-tree paths plus one edge.
 A candidate of nonzero homology class is essential.  One of class zero is
@@ -31,77 +32,6 @@ EXACT_CAPTURE_EDGE_LIMIT = 2000
 
 
 # ---------------------------------------------------------------------------
-# cut Euler characteristics
-
-def face_set_chi(s: TriSurface, faces_set: set[int], cut_edges: set) -> int:
-    """Euler characteristic of the subsurface spanned by ``faces_set`` after
-    cutting along ``cut_edges`` (each cut edge counts once per incident face
-    in the set; vertices count once per corner fan)."""
-    cut = {(_pair(*e)) for e in cut_edges}
-    F = len(faces_set)
-    E = 0
-    for e, fs in s.edge_faces.items():
-        inc = sum(1 for f in fs if f in faces_set)
-        if not inc:
-            continue
-        E += inc if e in cut else 1
-    # corner fans around each incident vertex
-    V = 0
-    vfaces: dict[int, list[int]] = {}
-    for i in faces_set:
-        for v in s.faces[i]:
-            vfaces.setdefault(v, []).append(i)
-    for v, fs in vfaces.items():
-        fset = set(fs)
-        seen: set[int] = set()
-        for start in fs:
-            if start in seen:
-                continue
-            V += 1
-            comp = {start}
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                a, b, c = s.faces[i]
-                for (x, y) in ((a, b), (b, c), (c, a)):
-                    if v not in (x, y):
-                        continue
-                    e = _pair(x, y)
-                    if e in cut:
-                        continue
-                    for j in s.edge_faces[e]:
-                        if j in fset and j not in comp:
-                            comp.add(j)
-                            stack.append(j)
-            seen |= comp
-    return V - E + F
-
-
-def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list[set[int]]:
-    cut = {(_pair(*e)) for e in cut_edges}
-    comps = []
-    left = set(faces_set)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            a, b, c = s.faces[i]
-            for (x, y) in ((a, b), (b, c), (c, a)):
-                e = _pair(x, y)
-                if e in cut:
-                    continue
-                for j in s.edge_faces[e]:
-                    if j in left and j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-        comps.append(comp)
-        left -= comp
-    return comps
-
-
-# ---------------------------------------------------------------------------
 # systole
 
 def _face_neighbours(s: TriSurface) -> list:
@@ -117,6 +47,19 @@ def _face_neighbours(s: TriSurface) -> list:
                 row.append((e, f2 if f1 == f else f1))
             table.append(tuple(row))
         s._face_neighbours = table
+    return table
+
+
+def _vertex_faces(s: TriSurface) -> dict:
+    """Per vertex, the faces at it in ascending order; built once per
+    surface and kept on it."""
+    table = getattr(s, "_vertex_faces", None)
+    if table is None:
+        table = {}
+        for f, face in enumerate(s.faces):
+            for v in face:
+                table.setdefault(v, []).append(f)
+        s._vertex_faces = table
     return table
 
 
@@ -307,38 +250,84 @@ def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
     R = Fraction(R)
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
-    dist = s.distances_from(x, cutoff=R)
+    return _ball_from(s, x, s.distances_from(x, cutoff=R), R)
+
+
+def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction) -> BallSubcomplex:
+    """The ball of radius R about x from a distance map ``dist`` from x
+    that is complete up to R."""
     interior = frozenset(v for v, d in dist.items() if d <= R)
-    faces = frozenset(i for i, f in enumerate(s.faces)
-                      if all(v in interior for v in f))
+    faces = _ball_faces(s, interior)
     return BallSubcomplex(x, R, interior, faces,
                           _boundary_edges(s, faces), False)
 
 
+def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
+    """The faces with all three vertices in ``inside``, inserted in
+    ascending order, so that a float sum over them runs in the same order
+    however ``inside`` was built."""
+    corners = _vertex_faces(s)
+    faces = s.faces
+    return frozenset(sorted({f for v in inside for f in corners[v]
+                             if all(w in inside for w in faces[f])}))
+
+
 def _boundary_edges(s: TriSurface, faces: frozenset[int]) -> frozenset[tuple[int, int]]:
-    out = set()
-    for e, fs in s.edge_faces.items():
-        inc = sum(1 for f in fs if f in faces)
-        if inc == 1:
-            out.add(e)
-    return frozenset(out)
+    across = _face_neighbours(s)
+    return frozenset(e for f in faces for e, h in across[f] if h not in faces)
+
+
+def _face_pieces(s: TriSurface, faces, cut) -> list[tuple[set[int], int]]:
+    """The components of the face set ``faces``, faces joined across edges
+    outside ``cut`` (edges (u, w), u < w), in order of their least face;
+    each with the Euler characteristic of the surface it spans once cut
+    along ``cut``.
+
+    That is chi = F - J + C: F faces, J joins (uncut edges between two of
+    its faces) and C the vertices at which every edge is a join.  A vertex
+    with f faces and j joins there has f - j corner fans, or one when
+    j = f (the fans close up), and the 3F face sides are 2J join sides
+    plus the other edges, each counted once.
+    """
+    across = _face_neighbours(s)
+    left = set(faces)
+    out = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        comp = {start}
+        stack = [start]
+        sides = 0           # join sides, two per join
+        touched = set()     # vertices of the component
+        open_ = set()       # vertices on a side that is not a join
+        while stack:
+            f = stack.pop()
+            touched.update(s.faces[f])
+            for e, h in across[f]:
+                if e in cut or h not in faces:
+                    open_.update(e)
+                    continue
+                sides += 1
+                if h in left:
+                    left.discard(h)
+                    comp.add(h)
+                    stack.append(h)
+        out.append((comp, len(comp) - sides // 2 + len(touched) - len(open_)))
+    return out
 
 
 def fill_to_bplus(s: TriSurface, b: BallSubcomplex) -> BallSubcomplex:
     """Add the faces of every disk component of the complement (filling the
     contractible boundary cycles)."""
-    outside = set(range(len(s.faces))) - set(b.faces)
+    outside = set(range(len(s.faces))) - b.faces
     fill: set[int] = set()
-    for comp in _face_components(s, outside, b.boundary_edges):
-        if face_set_chi(s, comp, b.boundary_edges) == 1:
+    for comp, chi in _face_pieces(s, outside, b.boundary_edges):
+        if chi == 1:
             fill |= comp
-    faces = frozenset(set(b.faces) | fill)
+    faces = b.faces | fill
     return replace(b, faces=faces, boundary_edges=_boundary_edges(s, faces),
                    filled=True)
-
-
-def ball_area(s: TriSurface, x: int, R) -> float:
-    return ball(s, x, R).area(s)
 
 
 # ---------------------------------------------------------------------------

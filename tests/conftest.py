@@ -200,6 +200,77 @@ def enumerate_simple_cycles(s: TriSurface, bound: Fraction,
     return out
 
 
+# independent oracles for ``surfballs._face_pieces``: components grown one
+# face at a time, and the Euler characteristic with every corner fan walked
+
+def face_set_chi(s: TriSurface, faces_set: set[int], cut_edges: set) -> int:
+    """Euler characteristic of the subsurface spanned by ``faces_set`` after
+    cutting along ``cut_edges`` (each cut edge counts once per incident face
+    in the set; vertices count once per corner fan)."""
+    cut = {(_pair(*e)) for e in cut_edges}
+    F = len(faces_set)
+    E = 0
+    for e, fs in s.edge_faces.items():
+        inc = sum(1 for f in fs if f in faces_set)
+        if not inc:
+            continue
+        E += inc if e in cut else 1
+    # corner fans around each incident vertex
+    V = 0
+    vfaces: dict[int, list[int]] = {}
+    for i in faces_set:
+        for v in s.faces[i]:
+            vfaces.setdefault(v, []).append(i)
+    for v, fs in vfaces.items():
+        fset = set(fs)
+        seen: set[int] = set()
+        for start in fs:
+            if start in seen:
+                continue
+            V += 1
+            comp = {start}
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                a, b, c = s.faces[i]
+                for (x, y) in ((a, b), (b, c), (c, a)):
+                    if v not in (x, y):
+                        continue
+                    e = _pair(x, y)
+                    if e in cut:
+                        continue
+                    for j in s.edge_faces[e]:
+                        if j in fset and j not in comp:
+                            comp.add(j)
+                            stack.append(j)
+            seen |= comp
+    return V - E + F
+
+
+def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list[set[int]]:
+    cut = {(_pair(*e)) for e in cut_edges}
+    comps = []
+    left = set(faces_set)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            a, b, c = s.faces[i]
+            for (x, y) in ((a, b), (b, c), (c, a)):
+                e = _pair(x, y)
+                if e in cut:
+                    continue
+                for j in s.edge_faces[e]:
+                    if j in left and j not in comp:
+                        comp.add(j)
+                        stack.append(j)
+        comps.append(comp)
+        left -= comp
+    return comps
+
+
 def is_contractible_cycle(s: TriSurface, cycle_vertices) -> bool:
     """Independent oracle: cut along the simple cycle; contractible iff a
     complement component is a disk."""
@@ -210,8 +281,8 @@ def is_contractible_cycle(s: TriSurface, cycle_vertices) -> bool:
         raise SurfaceError("cycle is not simple")
     cyc_edges = {_pair(a, b) for a, b in zip(vs, vs[1:] + vs[:1])}
     allf = set(range(len(s.faces)))
-    for comp in surfballs._face_components(s, allf, cyc_edges):
-        if surfballs.face_set_chi(s, comp, cyc_edges) == 1:
+    for comp in _face_components(s, allf, cyc_edges):
+        if face_set_chi(s, comp, cyc_edges) == 1:
             return True
     return False
 

@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boundary_components, by_target, capture_by_cycle_pairs,
-                      class_of_walk, fraction_greedy_capture,
+from conftest import (_face_components, boundary_components, by_target,
+                      capture_by_cycle_pairs, class_of_walk, face_set_chi, fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
                       tuple_class_dijkstra, walked_homology)
 from coverball import fixtures, surfballs
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
-                               subgraph_length)
+                               parse_surface, subgraph_length)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,61 @@ def test_fill_never_shrinks_area_or_adds_boundary(torus, g2):
                 assert len(boundary_components(s, bp)) <= \
                     len(boundary_components(s, b))
                 assert b.faces <= bp.faces
+
+
+def _corpus_surface(name: str) -> TriSurface:
+    return parse_surface((resources.files("coverball") / "corpus" / name).read_text())
+
+
+def _piece_surfaces():
+    """The corpus surfaces, each subdivided once, and the tetrahedron."""
+    corpus = [_corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
+    return corpus + [fixtures.subdivide(s) for s in corpus] + [fixtures.tetrahedron()]
+
+
+def _fan_pieces(s, faces, cut):
+    return [(comp, face_set_chi(s, comp, cut))
+            for comp in _face_components(s, faces, cut)]
+
+
+def test_face_pieces_match_fan_oracle():
+    """``_face_pieces`` (chi = F - J + C) against the corner-fan oracle:
+    seeded random face and cut sets, then the complement and the filled
+    ball of every ball at every vertex and radius k/4; and ``_ball_from``
+    on a full distance map against ``ball`` and the face-by-face
+    definition, in ``list(faces)`` order too."""
+    rng = random.Random(14)
+    checked = 0
+    for s in _piece_surfaces():
+        nf = len(s.faces)
+        for p in (0.2, 0.5, 0.8, 1.0):
+            for q in (0.0, 0.1, 0.3):
+                for _ in range(3):
+                    faces = {f for f in range(nf) if rng.random() < p}
+                    cut = {e for e in s.edges if rng.random() < q}
+                    assert surfballs._face_pieces(s, faces, cut) == \
+                        _fan_pieces(s, faces, cut)
+                    checked += 1
+        for x in sorted(s.vertices):
+            full = s.distances_from(x)
+            for k in range(1, int(4 * max(full.values())) + 2):
+                R = F(k, 4)
+                b = surfballs.ball(s, x, R)
+                got = surfballs._ball_from(s, x, full, R)
+                assert got == b and list(got.faces) == list(b.faces)
+                assert list(b.faces) == list(frozenset(
+                    i for i, f in enumerate(s.faces) if all(v in b.interior for v in f)))
+                assert b.boundary_edges == {
+                    e for e, fs in s.edge_faces.items()
+                    if sum(f in b.faces for f in fs) == 1}
+                outside = set(range(nf)) - b.faces
+                assert surfballs._face_pieces(s, outside, b.boundary_edges) == \
+                    _fan_pieces(s, outside, b.boundary_edges)
+                bp = surfballs.fill_to_bplus(s, b)
+                assert surfballs._face_pieces(s, bp.faces, bp.boundary_edges) == \
+                    _fan_pieces(s, bp.faces, bp.boundary_edges)
+                checked += 3
+    assert checked > 2000
 
 
 def test_saturated_ball_has_no_boundary(torus):

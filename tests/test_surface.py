@@ -12,7 +12,7 @@ from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                format_surface, parse_surface, prune_pieces,
                                prune_to_iso, subgraph_betti, subgraph_length,
-                               _pair)
+                               subgraph_metric_graph, _pair)
 
 from conftest import prune_by_capturing_test, relabeled, walked_homology
 
@@ -392,6 +392,9 @@ def test_non_edge_pair_is_named(name, pair):
         capturing_test(s, list(s.edges) + [pair])
     with pytest.raises(SurfaceError, match=message):
         prune_pieces(s, [s.edges, [pair]])
+    for call in (subgraph_length, subgraph_metric_graph, prune_to_iso):
+        with pytest.raises(SurfaceError, match=message):
+            call(s, list(s.edges) + [pair])
 
 
 def test_prune_pieces_refuses_a_non_capturing_union():
