@@ -97,7 +97,6 @@ def emit(args, report: dict, tables: dict[str, list[dict]] | None = None) -> Non
     if args.out is None:
         return
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     formats = args.format.split(",")
     stem = report["command"].replace(" ", "_")
     if "json" in formats:
@@ -121,11 +120,15 @@ def corpus_names() -> list[str]:
     return sorted(p.name for p in root.iterdir())
 
 
-def read_input(parser: argparse.ArgumentParser, name: str) -> str:
+def read_input(parser: argparse.ArgumentParser, name: str,
+               error: type[ValueError]) -> str:
     p = Path(name)
     if p.exists():
         try:
-            return p.read_text()
+            return p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"cannot read {name}: {exc.reason} "
+                        f"at byte {exc.start}") from None
         except OSError as exc:
             parser.error(f"cannot read {name}: {exc}")
     root = resources.files(__package__) / "corpus"
@@ -137,11 +140,11 @@ def read_input(parser: argparse.ArgumentParser, name: str) -> str:
 
 
 def load_graph(parser, name: str) -> MetricGraph:
-    return parse_graph(read_input(parser, name))
+    return parse_graph(read_input(parser, name, GraphError))
 
 
 def load_surf(parser, name: str) -> TriSurface:
-    return parse_surface(read_input(parser, name))
+    return parse_surface(read_input(parser, name, SurfaceError))
 
 
 def grid_radii(rmax: Fraction, grid: int) -> list[Fraction]:
@@ -309,9 +312,7 @@ def cmd_gen(parser, args) -> None:
            "betti": betti(g), "total_length": g.total_length(),
            "graph": text}
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{args.kind}_seed{args.seed}.graph").write_text(text)
+        (Path(args.out) / f"{args.kind}_seed{args.seed}.graph").write_text(text)
     emit(args, rep)
 
 
@@ -426,6 +427,12 @@ def run(argv=None) -> int:
         if token not in FORMATS:
             print(f"error: unknown --format {token!r}; choose from "
                   f"{', '.join(FORMATS)}", file=sys.stderr)
+            return 1
+    if args.out is not None:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create --out directory: {exc}", file=sys.stderr)
             return 1
     try:
         args.fn(parser, args)

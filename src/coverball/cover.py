@@ -86,16 +86,6 @@ class GrowthReport:
             raise GraphError("report carries no growth profile")
         return self.profile.report(self.base, r)
 
-    def as_dict(self) -> dict:
-        return {
-            "base": self.base if isinstance(self.base, int) else list(map(str, self.base)),
-            "radius": str(self.radius),
-            "total_length": str(self.total_length),
-            "total_length_float": float(self.total_length),
-            "node_count": self.node_count,
-            "truncated": self.truncated,
-        }
-
 
 def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
     """Resolve a base point to a vertex, subdividing an edge if needed."""

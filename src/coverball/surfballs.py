@@ -6,12 +6,14 @@ of its vertices are within the radius; filling a ball adds the complement
 components that are disks (Euler characteristic 1, counted as F - J + C in
 one walk over the faces, see ``_face_pieces``).
 
-The systole search runs over two shortest-path-tree paths plus one edge.
-A candidate of nonzero homology class is essential.  One of class zero is
+One candidate pass per surface, two shortest-path-tree paths plus one
+edge, serves the systole, the greedy capture basis and lambda1.  A
+candidate of nonzero homology class is essential.  One of class zero is
 tested against a tree-cotree decomposition of the same tree: it is the
 boundary of the faces below its edge in the dual spanning tree, and it
 bounds a disk iff that side, or the other, holds none of the 2g leftover
-edges.  Each root's distances, tree and candidate lengths are integers on
+edges.  On ties a nonzero-class candidate wins, the first in root and edge
+order.  Each root's distances, tree and candidate lengths are integers on
 the skeleton's common-denominator integer grid (``MetricGraph.int_grid``),
 and each candidate's simplicity and class are read off its two endpoints
 in O(1); only returned lengths are ``Fraction``s.
@@ -19,6 +21,7 @@ in O(1); only returned lengths are ``Fraction``s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -104,19 +107,18 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
     return below
 
 
-def _grid_candidates(s: TriSurface, base: int | None = None,
-                     best_only: bool = False, essential: bool = False):
-    """Candidate essential loops: two shortest-tree paths plus a closing
-    edge.  Returns (D, candidates): each homologically nontrivial simple
-    candidate as (grid length, simple vertex cycle, packed class), its
-    length n standing for n/D and its class packed as in ``HomologyData``.
-    With ``best_only`` candidates longer than the best one found so far are
-    skipped (enough for systole computations).
+def _grid_candidates(s: TriSurface, base: int | None = None):
+    """The candidate pass: two shortest-tree paths plus a closing edge, over
+    the tree of ``base``, or of every vertex in ascending order.  Returns
+    (D, cands, sep), each grid length n standing for n/D.
 
-    With ``essential`` as well (genus >= 2), a simple candidate of class
-    zero counts when it bounds no disk.  If the first shortest such
-    candidate is strictly shorter than every nontrivial one, it is
-    returned alone, with class 0.
+    ``cands`` holds every simple candidate of nonzero class as (grid length,
+    simple vertex cycle, packed class), its class packed as in
+    ``HomologyData``, in discovery order: root order, then edge order.
+    ``sep`` is the first shortest simple candidate of class zero that
+    bounds no disk and is shorter than every nonzero-class candidate found
+    before it, as (grid length, cycle, 0), or None; it is sought on genus
+    >= 2 only (on the torus a simple cycle of class zero bounds a disk).
 
     Each root's work runs on the skeleton's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
@@ -131,10 +133,10 @@ def _grid_candidates(s: TriSurface, base: int | None = None,
     g = s.skeleton()
     D, adj = g.int_grid()
     glen = [(e, int(s.edge_lengths[e] * D)) for e in s.edges]
-    best = None
+    least = math.inf    # least grid length of the candidates kept so far
     sep = None
     sources = [base] if base is not None else sorted(s.vertices)
-    out = []
+    cands = []
     for v0 in sources:
         dist = grid_shortest_paths(g, v0)[0]
         parent = {v0: v0}
@@ -164,21 +166,14 @@ def _grid_candidates(s: TriSurface, base: int | None = None,
 
         sides = None        # _cotree_sides of this tree, built on first use
         for (u, w), l in glen:
-            if parent[u] == w or parent[w] == u:
+            if parent[u] == w or parent[w] == u or top[u] == top[w]:
                 continue
             length = dist[u] + dist[w] + l
-            if best_only and best is not None and length >= best:
-                continue
-            if sep is not None and length > sep[0]:
-                continue
-            if top[u] == top[w]:
-                continue
             cls = pot[u] + packed[(u, w)] - pot[w]
             if cls:
-                out.append((length, cycle(u, w), cls))
-                if best is None or length < best:
-                    best = length
-            elif essential and (sep is None or length < sep[0]):
+                cands.append((length, cycle(u, w), cls))
+                least = min(least, length)
+            elif s.genus >= 2 and length < least:
                 # the cycle bounds the faces below (u, w) in C; a disk
                 # on either side holds no L-edge
                 if sides is None:
@@ -186,9 +181,17 @@ def _grid_candidates(s: TriSurface, base: int | None = None,
                                               if v != v0})
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
                     sep = (length, cycle(u, w), 0)
-    if sep is not None and (best is None or sep[0] < best):
-        out = [sep]
-    return D, out
+                    least = length
+    return D, cands, sep
+
+
+def _candidate_pass(s: TriSurface):
+    """The unbased ``_grid_candidates`` of ``s``, kept with its lambda1."""
+    cache = _capture_cache(s)
+    if cache.candidates is None:
+        cache.candidates = _grid_candidates(s)
+        cache.lambda1 = min((n for n, _, _ in cache.candidates[1]), default=None)
+    return cache.candidates
 
 
 def systole(s: TriSurface, base: int | None = None,
@@ -198,29 +201,29 @@ def systole(s: TriSurface, base: int | None = None,
 
     Some shortest non-contractible cycle is two shortest-path-tree paths
     plus one edge (Thomassen's 3-path condition, as used by Erickson and
-    Har-Peled), so the search runs over that family for the tree T_v of
-    every vertex v, in integers on the skeleton's integer grid.  Modes
-    "auto" and "exact" are the same.  Mode "homological" returns the
-    shortest candidate of nonzero homology class instead; on genus >= 2
+    Har-Peled), so the result is read off the surface's candidate pass
+    (``_grid_candidates``) over the tree T_v of every vertex v.  Modes
+    "auto" and "exact" are the same: the pass's ``sep`` when it is strictly
+    shorter than every candidate of nonzero class, else the first of those
+    of least length.  Mode "homological" ignores ``sep``; on genus >= 2
     that can exceed the systole, since a separating essential cycle has
-    class zero.  On ties a candidate of nonzero class wins, the first in
-    vertex and edge order.
+    class zero.
 
     With ``base`` the result is the shortest essential simple cycle among
     two T_base-paths plus one edge (only nontrivial ones in mode
-    "homological").
+    "homological"), from an uncached pass over T_base alone.
     """
     if mode not in ("auto", "exact", "homological"):
         raise SurfaceError(f"unknown systole mode {mode!r}")
     if s.genus == 0:
         raise SurfaceError("genus-0 surface has no non-contractible cycle")
-    # on the torus a simple closed curve of class zero is contractible
-    essential = mode != "homological" and s.genus >= 2
-    D, cands = _grid_candidates(s, base, best_only=True, essential=essential)
-    if not cands:
+    D, cands, sep = _candidate_pass(s) if base is None else _grid_candidates(s, base)
+    best = min(cands, key=lambda t: t[0], default=None)
+    if mode != "homological" and sep is not None and (best is None or sep[0] < best[0]):
+        best = sep
+    if best is None:
         raise SurfaceError("no homologically nontrivial candidate loop found")
-    n, cycle, _ = min(cands, key=lambda t: (t[0], t[1]))
-    return Fraction(n, D), cycle
+    return Fraction(best[0], D), list(best[1])
 
 
 def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
@@ -351,26 +354,30 @@ def capture_length(s: TriSurface, mode: str = "greedy",
         raise SurfaceError("exact capture is only supported for genus 1")
     if len(s.edges) > EXACT_CAPTURE_EDGE_LIMIT:
         raise SurfaceError("surface too large for exact capture search")
-    return _exact_capture_g1(s, x)
+    if x is not None:
+        return _exact_capture_search(s, x)
+    cache = _capture_cache(s)
+    if cache.exact is None:
+        L, edges = _exact_capture_search(s, None)
+        cache.exact = (L, frozenset(edges))
+    L, edges = cache.exact
+    return L, set(edges)
 
 
 def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]:
-    """Greedy homology basis from candidate loops; yields an upper bound.
+    """Greedy homology basis from the candidate pass; yields an upper bound.
 
     Candidates are taken in (grid length, cycle) order, each ranked by its
     packed class.  The first one is a shortest cycle of nonzero class
-    (Erickson and Whittlesey, SODA 2005); its grid length is kept as the
-    cache's ``lambda1``.
+    (Erickson and Whittlesey, SODA 2005), the cache's ``lambda1``.
     """
     cache = _capture_cache(s)
     if cache.greedy is None:
         k = 2 * s.genus
-        _, cands = _grid_candidates(s)
         hom = s.homology()
-        cands.sort(key=lambda t: (t[0], t[1]))
         ech = Echelon()
         edges: set = set()
-        for _, cyc, cls in cands:
+        for _, cyc, cls in sorted(_candidate_pass(s)[1], key=lambda t: (t[0], t[1])):
             if ech.add(hom.unpack(cls)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             if ech.rank == k:
@@ -378,9 +385,11 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
         if ech.rank != k:
             raise SurfaceError("greedy capture failed to span H1")
         cache.greedy = (subgraph_length(s, edges), frozenset(edges))
-        cache.lambda1 = cands[0][0] if cands else None
     length, edges = cache.greedy
     if x is not None and not any(x in e for e in edges):
+        if not edges:
+            raise SurfaceError("genus-0 surface has an empty capturing graph, "
+                               "which no arc from a base point reaches")
         dx = s.distances_from(x)
         length += min(dx[v] for e in edges for v in e)
     return length, set(edges)
@@ -428,13 +437,13 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # for a bound above 2*S raises SurfaceError rather than mis-order its
 # states.
 #
-# Each surface keeps one ``_CaptureCache``: the unbased greedy basis and
-# lambda1, the unbased exact result, and one resumable class search per
-# source.  A search settles states in increasing (length, state) order and
-# appends each to its target's (grid length, class) list, so every list
-# stays sorted; when a base needs a larger bound, each search pops on from
-# where it stopped, with its relaxations past the old bound still on its
-# heap.
+# Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
+# its lambda1, the unbased greedy basis and exact result, and one resumable
+# class search per source.  A search settles states in increasing (length,
+# state) order and appends each to its target's (grid length, class) list,
+# so every list stays sorted; when a base needs a larger bound, each search
+# pops on from where it stopped, with its relaxations past the old bound
+# still on its heap.
 # The searches keep no parent maps.  A state's walk runs back through the
 # first settled neighbour that reached it at its final length; since states
 # settle in (length, state) order, that is its tight predecessor least in
@@ -452,18 +461,20 @@ _STATE_CAP = 2_000_000
 
 
 class _CaptureCache:
-    """What the capture search of one surface reuses across calls: the
-    unbased greedy and exact results, the grid length ``lambda1`` of the
-    shortest nonzero-class cycle, and one resumable class search per source
-    (no parents kept), each grown to the grid bound ``bound``, which only
-    rises.  A call with greedy grid bound best needs the searches grown to
-    best - lambda1 only: every walk of a candidate shorter than best closes,
-    with another walk of the candidate, a closed walk of nonzero class, so
-    the rest of the candidate is at least lambda1 long."""
+    """What systole and capture reuse across calls on one surface: the
+    unbased candidate pass and its least nonzero-class grid length
+    ``lambda1``, the unbased greedy and exact results, and one resumable
+    class search per source (no parents kept), each grown to the grid bound
+    ``bound``, which only rises.  A call with greedy grid bound best needs
+    the searches grown to best - lambda1 only: every walk of a candidate
+    shorter than best closes, with another walk of the candidate, a closed
+    walk of nonzero class, so the rest of the candidate is at least lambda1
+    long."""
 
     def __init__(self):
+        self.candidates = None      # unbased _grid_candidates (D, cands, sep)
+        self.lambda1 = None         # least grid length in candidates
         self.greedy = None          # unbased greedy (length, edges)
-        self.lambda1 = None         # grid length of the first greedy cycle
         self.exact = None           # unbased exact (length, edges)
         self.packing = None         # see _ClassPacking
         self.searches = None        # source -> _ClassSearch
@@ -610,17 +621,6 @@ def _capture_tables(s: TriSurface, bound: int) -> dict:
         search.grow(bound)
     cache.bound = bound
     return cache.by_target
-
-
-def _exact_capture_g1(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
-    cache = _capture_cache(s)
-    if x is None and cache.exact is not None:
-        L, edges = cache.exact
-        return L, set(edges)
-    L, edges = _exact_capture_search(s, x)
-    if x is None:
-        cache.exact = (L, frozenset(edges))
-    return L, edges
 
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:

@@ -324,7 +324,7 @@ def fraction_greedy_capture(s: TriSurface):
     length, cycle), each class summed along its walk and added to an
     ``Echelon`` until it spans H1."""
     classes = walked_homology(s)[2]
-    cands = sorted(fraction_homology_candidates(s), key=lambda t: (t[0], t[1]))
+    cands = sorted(fraction_homology_candidates(s)[0], key=lambda t: (t[0], t[1]))
     ech = Echelon()
     edges: set = set()
     for length, cyc in cands:
@@ -408,24 +408,18 @@ def prune_by_capturing_test(s: TriSurface, pieces):
     return kept, trials
 
 
-def fraction_homology_candidates(s: TriSurface, base: int | None = None,
-                                 best_only: bool = False,
-                                 essential: bool = False):
+def fraction_homology_candidates(s: TriSurface, base: int | None = None):
     """Independent oracle for ``surfballs._grid_candidates``: the same
     candidate family with ``Fraction`` distances, each candidate's two tree
     paths walked and its class summed along the walk from the tuple classes
     of ``walked_homology``.
 
-    Candidate essential loops: two shortest-tree paths plus a closing
-    edge.  Returns (length, simple vertex cycle) for homologically
-    nontrivial simple candidates.  With ``best_only`` candidates longer
-    than the best one found so far are skipped (enough for systole
-    computations).
-
-    With ``essential`` as well (genus >= 2), a simple candidate of class
-    zero counts when it bounds no disk.  If the first shortest such
-    candidate is strictly shorter than every nontrivial one, it is
-    returned alone.
+    Candidate loops: two shortest-tree paths plus a closing edge, over the
+    tree of ``base`` or of every vertex.  Returns (cands, sep): cands lists
+    (length, simple vertex cycle) for every homologically nontrivial simple
+    candidate in root, then edge order; sep (genus >= 2 only, else None) is
+    the first shortest simple candidate of class zero that bounds no disk
+    and is shorter than every nontrivial candidate found before it.
     """
     classes = walked_homology(s)[2]
     g = s.skeleton()
@@ -457,10 +451,6 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
             if parent.get(u) == w or parent.get(w) == u:
                 continue
             length = dist[u] + dist[w] + s.edge_lengths[(u, w)]
-            if best_only and best is not None and length >= best:
-                continue
-            if sep is not None and length > sep[0]:
-                continue
             pu, pw = path_to(u), path_to(w)
             walk = pu + pw[::-1]
             cyc = walk[:-1]
@@ -470,7 +460,8 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
                 out.append((length, cyc))
                 if best is None or length < best:
                     best = length
-            elif essential and (sep is None or length < sep[0]):
+            elif (s.genus >= 2 and (best is None or length < best)
+                  and (sep is None or length < sep[0])):
                 # the cycle bounds the faces below (u, w) in C; a disk
                 # on either side holds no L-edge
                 if sides is None:
@@ -478,9 +469,7 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None,
                     sides = surfballs._cotree_sides(s, tree)
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
                     sep = (length, cyc)
-    if sep is not None and (best is None or sep[0] < best):
-        return [sep]
-    return out
+    return out, sep
 
 
 def relabeled(s: TriSurface, seed: int) -> TriSurface:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from importlib import resources
@@ -161,16 +162,50 @@ def test_grid_candidates_match_fraction_oracle(name):
         assert s.skeleton().int_grid()[0] > 1
     hom, classes = s.homology(), walked_homology(s)[2]
     for base in [None] + sorted(s.vertices):
-        for best_only in (False, True):
-            for essential in (False, True):
-                D, cands = surfballs._grid_candidates(s, base, best_only, essential)
-                assert all(type(n) is int for n, _, _ in cands)
-                assert all(hom.unpack(c) == class_of_walk(classes, cyc)
-                           for _, cyc, c in cands)
-                got = [(F(n, D), cyc) for n, cyc, _ in cands]
-                want = fraction_homology_candidates(s, base, best_only, essential)
-                assert got == want, (base, best_only, essential)
-                assert all(type(length) is F for length, _ in got)
+        D, cands, sep = surfballs._grid_candidates(s, base)
+        assert all(type(n) is int for n, _, _ in cands)
+        assert all(hom.unpack(c) == class_of_walk(classes, cyc)
+                   for _, cyc, c in cands)
+        got = [(F(n, D), cyc) for n, cyc, _ in cands]
+        want, want_sep = fraction_homology_candidates(s, base)
+        assert got == want, base
+        assert all(type(length) is F for length, _ in got)
+        if want_sep is None:
+            assert sep is None, base
+        else:
+            n, cyc, c = sep
+            assert type(n) is int and c == 0
+            assert (F(n, D), cyc) == want_sep, base
+            assert not class_of_walk(classes, cyc)
+        if base is None:
+            # the shrunk neck undercuts every nonzero class
+            assert (sep is not None) == (name == "neck")
+
+
+SYSTOLE_AND_GREEDY = {
+    "auto": lambda s: surfballs.systole(s),
+    "homological": lambda s: surfballs.systole(s, mode="homological"),
+    "greedy": lambda s: surfballs.capture_length(s, "greedy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
+def test_one_candidate_pass_serves_systole_and_greedy(name, monkeypatch):
+    make = CANDIDATE_SURFACES[name]
+    fresh = {k: call(make()) for k, call in SYSTOLE_AND_GREEDY.items()}
+    passes = []
+    run_pass = surfballs._grid_candidates
+    monkeypatch.setattr(surfballs, "_grid_candidates",
+                        lambda *a: passes.append(a) or run_pass(*a))
+    for order in itertools.permutations(SYSTOLE_AND_GREEDY):
+        s = make()
+        passes.clear()
+        for k in order:
+            assert SYSTOLE_AND_GREEDY[k](s) == fresh[k], (order, k)
+        # the returned cycle is the caller's: clearing it leaves the cache
+        surfballs.systole(s)[1].clear()
+        assert surfballs.systole(s) == fresh["auto"]
+        assert passes == [(s,)], order
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +504,7 @@ def test_greedy_capture_matches_fraction_oracle(name):
         # based, the shortest arc from x joins the unbased basis
         arc = 0 if x is None or x in on else min(s.distances_from(x)[v] for v in on)
         assert surfballs.capture_length(s, mode="greedy", x=x) == (L + arc, edges), x
-    lengths = [length for length, _ in fraction_homology_candidates(s)]
+    lengths = [length for length, _ in fraction_homology_candidates(s)[0]]
     D = s.skeleton().int_grid()[0]
     assert s._capture_cache.lambda1 == surfballs._on_grid(min(lengths), D)
 

@@ -177,6 +177,16 @@ MALFORMED = {
                               "--format", "xml", "--out", "{bad}"]),
     "format-mixed": (None, ["graph", "growth", "theta.graph",
                             "--format", "json,xml", "--out", "{bad}"]),
+    # a genus-0 greedy capturing graph is empty, so no arc reaches a base
+    "capture-genus-0-base-greedy": (TETRAHEDRON, ["surface", "capture", "{bad}",
+                                                  "--base", "0"]),
+    # --out is created before the command runs, or the run stops there
+    "out-is-a-file": (SMALL_THETA, ["graph", "validate", "theta.graph",
+                                    "--out", "{bad}"]),
+    "out-below-a-file": (SMALL_THETA, ["graph", "validate", "theta.graph",
+                                       "--out", "{bad}/x"]),
+    "gen-out-is-a-file": (SMALL_THETA, ["gen", "--kind", "theta",
+                                        "--out", "{bad}"]),
 }
 
 
@@ -190,6 +200,16 @@ def test_malformed_file_exit_1(tmp_path, capsys, case):
     assert rc == 1 and "error" in err and out == ""
     if case.startswith("format-"):
         assert "'xml'" in err and not bad.exists()
+
+
+@pytest.mark.parametrize("command", [["graph", "validate"],
+                                     ["surface", "validate"]])
+def test_non_utf8_file_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    rc, out, err = run_cli(capsys, *command, str(bad))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and str(bad) in err
 
 
 def test_budget_exhaustion_still_exit_0(capsys):

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
 from coverball import fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, _pair, capturing_test,
-                               subgraph_betti)
+                               parse_surface, subgraph_betti)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,19 @@ def test_pipeline_stages_on_subdivided_torus():
         if row["contractible"]:
             assert row["boundary_margin"] >= 0
     assert "coarea" in stages
+
+
+@pytest.mark.parametrize("name", ["torus7_sub.surf", "genus2.surf"])
+def test_pipeline_runs_one_candidate_pass(name, monkeypatch):
+    # systole and greedy capture read the same unbased pass
+    s = parse_surface((resources.files("coverball") / "corpus" / name).read_text())
+    passes = []
+    run_pass = surfballs._grid_candidates
+    monkeypatch.setattr(surfballs, "_grid_candidates",
+                        lambda *a: passes.append(a) or run_pass(*a))
+    rep = nerve.surface_growth_pipeline(s)
+    assert "greedy-capture" in {st["stage"] for st in rep["stages"]}
+    assert passes == [(s,)]
 
 
 def test_pipeline_skips_capture_on_sphere():
