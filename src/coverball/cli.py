@@ -88,28 +88,28 @@ def _cell(v):
 
 
 def emit(args, report: dict, tables: dict[str, list[dict]] | None = None) -> None:
-    """Print the JSON summary and, with --out, write JSON and CSV files."""
+    """With --out, write JSON and CSV files; then print the JSON summary, so
+    a file that cannot be written (OSError) leaves stdout empty."""
     report = dict(report)
     report["seed"] = args.seed
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     doc = json.dumps(jsonable(report), indent=2, sort_keys=True)
+    if args.out is not None:
+        out = Path(args.out)
+        formats = args.format.split(",")
+        stem = report["command"].replace(" ", "_")
+        if "json" in formats:
+            (out / f"{stem}.json").write_text(doc + "\n")
+        if "csv" in formats and tables:
+            for name, rows in tables.items():
+                if not rows:
+                    continue
+                with open(out / f"{stem}_{name}.csv", "w", newline="") as fh:
+                    w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                    w.writeheader()
+                    for row in rows:
+                        w.writerow({k: _cell(v) for k, v in row.items()})
     print(doc)
-    if args.out is None:
-        return
-    out = Path(args.out)
-    formats = args.format.split(",")
-    stem = report["command"].replace(" ", "_")
-    if "json" in formats:
-        (out / f"{stem}.json").write_text(doc + "\n")
-    if "csv" in formats and tables:
-        for name, rows in tables.items():
-            if not rows:
-                continue
-            with open(out / f"{stem}_{name}.csv", "w", newline="") as fh:
-                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                w.writeheader()
-                for row in rows:
-                    w.writerow({k: _cell(v) for k, v in row.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def read_input(parser: argparse.ArgumentParser, name: str,
             raise error(f"cannot read {name}: {exc.reason} "
                         f"at byte {exc.start}") from None
         except OSError as exc:
-            parser.error(f"cannot read {name}: {exc}")
+            raise error(f"cannot read {name}: {exc.strerror}") from None
     root = resources.files(__package__) / "corpus"
     entry = root / name
     if entry.is_file():
@@ -192,12 +192,12 @@ def cmd_graph_entropy(parser, args) -> None:
 
 def cmd_graph_reduce(parser, args) -> None:
     g = load_graph(parser, args.input)
-    reduced, trace = reduce_graph(g)
+    reduced, removed = reduce_graph(g)
     rep = {
         "command": "graph reduce", "input": args.input,
         "betti": betti(g), "betti_reduced": betti(reduced),
         "length": g.total_length(), "length_reduced": reduced.total_length(),
-        "removed_vertices": sorted(trace.removed_vertices),
+        "removed_vertices": sorted(removed),
         "reduced": format_graph(reduced),
     }
     emit(args, rep)
@@ -439,7 +439,9 @@ def run(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, SurfaceError) as exc:
+    except (GraphError, SurfaceError, OSError) as exc:
+        # OSError: an --out file that cannot be written (written before
+        # anything is printed)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

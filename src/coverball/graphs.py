@@ -9,7 +9,8 @@ Every vertex-distance search goes through one Dijkstra core,
 ``grid_shortest_paths``, on the common-denominator integer grid, with an
 optional cutoff and skipped edge; it returns grid distances and a
 shortest-path tree.  ``shortest_paths`` wraps it for exact ``Fraction``
-distances.
+distances.  ``reduce_graph`` prunes leaves and smooths degree-2 vertices
+in one pass over a table of degrees and incident edge ids.
 """
 
 from __future__ import annotations
@@ -127,20 +128,6 @@ class MetricGraph:
         return max((e.id for e in self.edges), default=-1) + 1
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Maps a reduced graph back into the graph it came from.
-
-    Surviving vertices keep their ids, so ``vertex_map`` is the identity on
-    them; it exists to make pull-backs explicit and checkable.  ``edge_map``
-    sends each surviving edge id to the ordered list of original edge ids it
-    is made of (a single id unless degree-two smoothing merged edges).
-    """
-    removed_vertices: tuple[int, ...]
-    vertex_map: Mapping[int, int]
-    edge_map: Mapping[int, tuple[int, ...]]
-
-
 def betti(g: MetricGraph) -> int:
     """First Betti number e - v + n."""
     return len(g.edges) - len(g.vertices) + len(g.components())
@@ -250,100 +237,63 @@ def validate(g: MetricGraph) -> dict:
     }
 
 
-def prune_leaves(g: MetricGraph) -> tuple[MetricGraph, ReductionTrace]:
-    """Iteratively remove degree-1 vertices with their incident edges.
+def reduce_graph(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
+    """Prune leaves, then smooth degree-2 vertices, in one pass over a
+    degree table.  Returns the reduced graph and the removed vertices in
+    removal order; surviving vertices and edges keep their ids.
 
-    A tree collapses to its single surviving vertex (the smallest id when the
-    last round would empty the graph).
+    Each pruning round removes, in ascending order, the degree-1 vertices
+    of its start; a round of one edge keeps its smaller end, so a tree
+    collapses to one vertex.  Smoothing visits the survivors once in
+    ascending order and replaces the two edges at each loop-free degree-2
+    vertex by one edge of summed length between its neighbours, ends in
+    edge-id order, ids counting up past the largest left after pruning.  A
+    merge changes no degree, so one pass leaves nothing to smooth; a pure
+    cycle keeps its largest vertex, with a loop of the cycle's length.
     """
     if not g.is_connected():
-        raise GraphError("prune_leaves requires a connected graph")
-    verts = set(g.vertices)
+        raise GraphError("reduce_graph requires a connected graph")
     edges = {e.id: e for e in g.edges}
+    deg = dict.fromkeys(g.vertices, 0)      # loops count twice
+    inc: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        for x in (e.u, e.w):
+            deg[x] += 1
+            inc[x].add(e.id)
     removed: list[int] = []
 
-    def deg(v):
-        return sum(2 if e.is_loop else 1 for e in edges.values() if v in (e.u, e.w))
-
-    while True:
-        leaves = sorted(v for v in verts if deg(v) == 1)
-        if not leaves:
-            break
-        if len(leaves) == len(verts):
-            # final pair of a path: keep the smallest id
+    leaves = sorted(v for v, d in deg.items() if d == 1)
+    while leaves:
+        if len(leaves) == len(deg):
             leaves = leaves[1:]
+        touched = set()
         for v in leaves:
+            # one edge left: leaves of a round meet only in the one-edge case
+            (i,) = inc.pop(v)
+            x = edges.pop(i).other(v)
+            inc[x].remove(i)
+            deg[x] -= 1
+            del deg[v]
             removed.append(v)
-            verts.discard(v)
-            for eid in [i for i, e in edges.items() if v in (e.u, e.w)]:
-                del edges[eid]
-    reduced = MetricGraph(frozenset(verts), tuple(sorted(edges.values(), key=lambda e: e.id)))
-    trace = ReductionTrace(tuple(removed), {v: v for v in verts},
-                           {i: (i,) for i in edges})
-    return reduced, trace
+            touched.add(x)
+        leaves = sorted(x for x in touched if deg[x] == 1)
 
-
-def smooth_degree2(g: MetricGraph) -> tuple[MetricGraph, ReductionTrace]:
-    """Merge the two edges at every degree-2 vertex into one of summed length.
-
-    A pure cycle cannot be emptied: one representative vertex (smallest id)
-    keeps a loop carrying the whole cycle length.  Total length and Betti
-    number are preserved exactly.
-    """
-    if not g.is_connected():
-        raise GraphError("smooth_degree2 requires a connected graph")
-    verts = set(g.vertices)
-    edges = {e.id: e for e in g.edges}
-    edge_src = {e.id: [e.id] for e in g.edges}
-    removed: list[int] = []
-    next_id = g.next_edge_id()
-
-    def deg(v):
-        return sum(2 if e.is_loop else 1 for e in edges.values() if v in (e.u, e.w))
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(verts):
-            if deg(v) != 2:
-                continue
-            inc = [e for e in edges.values() if v in (e.u, e.w)]
-            if len(inc) == 1:
-                # v carries a loop: nothing to merge
-                continue
-            e1, e2 = sorted(inc, key=lambda e: e.id)
-            a, b = e1.other(v), e2.other(v)
-            if a == v or b == v:
-                continue
-            merged = Edge(next_id, a, b, e1.length + e2.length)
-            edge_src[next_id] = edge_src.pop(e1.id) + edge_src.pop(e2.id)
-            del edges[e1.id], edges[e2.id]
-            edges[next_id] = merged
-            next_id += 1
-            removed.append(v)
-            verts.discard(v)
-            changed = True
-            break
-    reduced = MetricGraph(frozenset(verts), tuple(sorted(edges.values(), key=lambda e: e.id)))
-    trace = ReductionTrace(tuple(removed), {v: v for v in verts},
-                           {i: tuple(edge_src[i]) for i in edges})
-    return reduced, trace
-
-
-def reduce_graph(g: MetricGraph) -> tuple[MetricGraph, ReductionTrace]:
-    """prune_leaves followed by smooth_degree2, with composed traces."""
-    g1, t1 = prune_leaves(g)
-    g2, t2 = smooth_degree2(g1)
-    edge_map = {}
-    for eid, srcs in t2.edge_map.items():
-        flat: list[int] = []
-        for s in srcs:
-            flat.extend(t1.edge_map[s])
-        edge_map[eid] = tuple(flat)
-    trace = ReductionTrace(t1.removed_vertices + t2.removed_vertices,
-                           {v: t1.vertex_map[t2.vertex_map[v]] for v in g2.vertices},
-                           edge_map)
-    return g2, trace
+    next_id = max(edges, default=-1) + 1
+    for v in sorted(deg):
+        if deg[v] != 2 or len(inc[v]) != 2:
+            continue
+        i, j = sorted(inc.pop(v))
+        e1, e2 = edges.pop(i), edges.pop(j)
+        a, b = e1.other(v), e2.other(v)
+        for x, k in ((a, i), (b, j)):
+            inc[x].remove(k)
+            inc[x].add(next_id)
+        edges[next_id] = Edge(next_id, a, b, e1.length + e2.length)
+        next_id += 1
+        del deg[v]
+        removed.append(v)
+    return (MetricGraph(frozenset(deg), tuple(edges[i] for i in sorted(edges))),
+            tuple(removed))
 
 
 def is_separating(g: MetricGraph, edge_id: int) -> bool:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Edge, GraphError, MetricGraph, shortest_paths
+from .graphs import Edge, GraphError, MetricGraph, betti, shortest_paths
 from .linalg import Echelon
 
 
@@ -385,26 +385,6 @@ def _edge_set(s: TriSurface, pairs) -> set[tuple[int, int]]:
     return out
 
 
-def subgraph_betti(sub_edges) -> int:
-    sub = sorted(set(map(lambda e: _pair(*e), sub_edges)))
-    verts = {v for e in sub for v in e}
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ncomp = len(verts)
-    for (u, w) in sub:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            ncomp -= 1
-    return len(sub) - len(verts) + ncomp
-
-
 def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
     """Crossing data of the 2g basis cycles z_i, each the fundamental cycle
     of generator i in the homology BFS tree.
@@ -520,7 +500,7 @@ def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
     order = sorted(_edge_set(s, sub_edges),
                    key=lambda e: (-s.edge_lengths[e], e))
     cur = {order[k] for k in prune_pieces(s, [[e] for e in order])}
-    if subgraph_betti(cur) != 2 * s.genus:
+    if betti(subgraph_metric_graph(s, cur)) != 2 * s.genus:
         raise SurfaceError("pruned subgraph has wrong Betti number")
     return cur
 

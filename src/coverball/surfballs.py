@@ -132,7 +132,8 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     packed = s.homology().edge_class
     g = s.skeleton()
     D, adj = g.int_grid()
-    glen = [(e, int(s.edge_lengths[e] * D)) for e in s.edges]
+    glen = [((e.u, e.w), e.length.numerator * (D // e.length.denominator))
+            for e in g.edges]     # the skeleton's edges are s.edges in order
     least = math.inf    # least grid length of the candidates kept so far
     sep = None
     sources = [base] if base is not None else sorted(s.vertices)

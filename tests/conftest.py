@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from coverball import cover, surfballs
-from coverball.graphs import GraphError, MetricGraph
+from coverball.graphs import Edge, GraphError, MetricGraph
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
                                capturing_test, subgraph_length)
@@ -145,6 +145,89 @@ def random_bounded_instance(b: int, total_bound: Fraction, seed: int,
     full = [(i, u, w, Fraction(rng.randint(1, hi), denom))
             for (i, u, w) in edges]
     return MetricGraph.build(verts, full)
+
+
+def prune_leaves(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
+    """Iteratively remove degree-1 vertices with their incident edges.
+
+    A tree collapses to its single surviving vertex (the smallest id when the
+    last round would empty the graph).  Degrees are recounted over all edges.
+    """
+    if not g.is_connected():
+        raise GraphError("prune_leaves requires a connected graph")
+    verts = set(g.vertices)
+    edges = {e.id: e for e in g.edges}
+    removed: list[int] = []
+
+    def deg(v):
+        return sum(2 if e.is_loop else 1 for e in edges.values() if v in (e.u, e.w))
+
+    while True:
+        leaves = sorted(v for v in verts if deg(v) == 1)
+        if not leaves:
+            break
+        if len(leaves) == len(verts):
+            # final pair of a path: keep the smallest id
+            leaves = leaves[1:]
+        for v in leaves:
+            removed.append(v)
+            verts.discard(v)
+            for eid in [i for i, e in edges.items() if v in (e.u, e.w)]:
+                del edges[eid]
+    reduced = MetricGraph(frozenset(verts), tuple(sorted(edges.values(), key=lambda e: e.id)))
+    return reduced, tuple(removed)
+
+
+def smooth_degree2(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
+    """Merge the two edges at every degree-2 vertex into one of summed length,
+    restarting the ascending scan after each merge.
+
+    A pure cycle cannot be emptied: the vertex smoothed last (the largest
+    id) keeps a loop carrying the whole cycle length.  Total length and
+    Betti number are preserved exactly.
+    """
+    if not g.is_connected():
+        raise GraphError("smooth_degree2 requires a connected graph")
+    verts = set(g.vertices)
+    edges = {e.id: e for e in g.edges}
+    removed: list[int] = []
+    next_id = g.next_edge_id()
+
+    def deg(v):
+        return sum(2 if e.is_loop else 1 for e in edges.values() if v in (e.u, e.w))
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(verts):
+            if deg(v) != 2:
+                continue
+            inc = [e for e in edges.values() if v in (e.u, e.w)]
+            if len(inc) == 1:
+                # v carries a loop: nothing to merge
+                continue
+            e1, e2 = sorted(inc, key=lambda e: e.id)
+            a, b = e1.other(v), e2.other(v)
+            if a == v or b == v:
+                continue
+            merged = Edge(next_id, a, b, e1.length + e2.length)
+            del edges[e1.id], edges[e2.id]
+            edges[next_id] = merged
+            next_id += 1
+            removed.append(v)
+            verts.discard(v)
+            changed = True
+            break
+    reduced = MetricGraph(frozenset(verts), tuple(sorted(edges.values(), key=lambda e: e.id)))
+    return reduced, tuple(removed)
+
+
+def prune_then_smooth(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
+    """Independent oracle for ``graphs.reduce_graph``: ``prune_leaves``,
+    then ``smooth_degree2`` on the pruned graph, removals concatenated."""
+    pruned, r1 = prune_leaves(g)
+    reduced, r2 = smooth_degree2(pruned)
+    return reduced, r1 + r2
 
 
 def enumerate_simple_cycles(s: TriSurface, bound: Fraction,

@@ -187,6 +187,9 @@ MALFORMED = {
                                        "--out", "{bad}/x"]),
     "gen-out-is-a-file": (SMALL_THETA, ["gen", "--kind", "theta",
                                         "--out", "{bad}"]),
+    # {dir} is an existing directory given as the input file
+    "graph-input-is-a-directory": (None, ["graph", "validate", "{dir}"]),
+    "surf-input-is-a-directory": (None, ["surface", "validate", "{dir}"]),
 }
 
 
@@ -196,10 +199,26 @@ def test_malformed_file_exit_1(tmp_path, capsys, case):
     bad = tmp_path / "bad"
     if text is not None:
         bad.write_text(text)
-    rc, out, err = run_cli(capsys, *(a.replace("{bad}", str(bad)) for a in argv))
+    rc, out, err = run_cli(capsys, *(a.replace("{bad}", str(bad))
+                                     .replace("{dir}", str(tmp_path)) for a in argv))
     assert rc == 1 and "error" in err and out == ""
     if case.startswith("format-"):
         assert "'xml'" in err and not bad.exists()
+    if case.endswith("-is-a-directory"):
+        assert err.startswith("error:") and str(tmp_path) in err
+
+
+# one case per writer: the JSON report, a CSV table and the generated graph
+@pytest.mark.parametrize("argv, blocked", [
+    (["graph", "validate", "theta.graph"], "graph_validate.json"),
+    (["graph", "growth", "theta.graph"], "graph_growth_rows.csv"),
+    (["gen", "--kind", "theta"], "theta_seed0.graph"),
+], ids=["json", "csv", "gen"])
+def test_unwritable_out_file_exit_1(tmp_path, capsys, argv, blocked):
+    (tmp_path / blocked).mkdir()
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and blocked in err
 
 
 @pytest.mark.parametrize("command", [["graph", "validate"],

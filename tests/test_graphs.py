@@ -1,14 +1,15 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import prune_then_smooth, random_bounded_instance
 from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
                               figure_eight, format_graph, girth, is_separating,
-                              parse_graph, prune_leaves, random_connected,
-                              reduce_graph, scale, shortest_paths,
-                              smooth_degree2, theta_graph, tree_path,
+                              parse_graph, random_connected, reduce_graph,
+                              scale, shortest_paths, theta_graph, tree_path,
                               trivalent_reference, validate)
 
 
@@ -45,22 +46,99 @@ def test_validate_reports_structure():
 def test_prune_leaves_removes_trees():
     g = MetricGraph.build([0, 1, 2, 3],
                           [(0, 0, 1, 1), (1, 0, 1, 1), (2, 1, 2, 1), (3, 2, 3, 1)])
-    pruned, trace = prune_leaves(g)
-    assert set(trace.removed_vertices) == {2, 3}
+    pruned, removed = reduce_graph(g)
+    assert set(removed[:2]) == {2, 3}
     assert betti(pruned) == betti(g)
     assert pruned.total_length() == 2
+    # the leaves go first; then the 2-cycle 0-1 smooths to a loop at 1
+    assert removed == (3, 2, 0) and pruned.vertices == {1}
 
 
 def test_smooth_degree2_merges_lengths():
     g = MetricGraph.build([0, 1, 2],
                           [(0, 0, 1, F(1, 2)), (1, 1, 2, F(1, 3)), (2, 0, 2, 1),
                            (3, 0, 2, 1)])
-    sm, trace = smooth_degree2(g)
+    sm, removed = reduce_graph(g)
     assert 1 not in sm.vertices
     assert sm.total_length() == g.total_length()
     assert betti(sm) == betti(g)
     merged = [e for e in sm.edges if e.length == F(5, 6)]
     assert len(merged) == 1
+
+
+def _relabeled(g: MetricGraph, rng: random.Random) -> MetricGraph:
+    """g with sparse shuffled vertex and edge ids and random endpoint order."""
+    vmap = dict(zip(sorted(g.vertices), rng.sample(range(100), len(g.vertices))))
+    ids = rng.sample(range(1000), len(g.edges))
+    edges = []
+    for i, e in zip(ids, g.edges):
+        u, w = (e.u, e.w) if rng.random() < 0.5 else (e.w, e.u)
+        edges.append((i, vmap[u], vmap[w], e.length))
+    return MetricGraph.build(vmap.values(), edges)
+
+
+def _reduction_cases(rng: random.Random):
+    """(kind, graph) pairs: random multigraphs, trees, paths, cycles with
+    and without pendant trees, and relabeled multigraphs with extra loops
+    and parallel edges."""
+    def length():
+        return F(rng.randint(1, 16), 8)
+
+    def tree(n, first=0):
+        return [(v, rng.randrange(first, v)) for v in range(first + 1, first + n)]
+
+    def build(nv, pairs):
+        return MetricGraph.build(range(nv), [(i, u, w, length())
+                                             for i, (u, w) in enumerate(pairs)])
+
+    yield "single-edge", build(2, [(0, 1)])
+    yield "single-vertex", build(1, [])
+    for k in range(500):
+        b = 2 + k % 7
+        yield "random", random_connected(b, (F(1, 4), F(1)), rng.randrange(10**6))
+        yield "bounded", random_bounded_instance(b, F(1, 6) * (3 * b - 3),
+                                                 rng.randrange(10**6))
+        n = rng.randint(1, 12)
+        yield "tree", _relabeled(build(n, tree(n)), rng)
+        n = rng.randint(1, 10)
+        yield "path", _relabeled(build(n, [(v - 1, v) for v in range(1, n)]), rng)
+        n = rng.randint(1, 10)
+        yield "cycle", _relabeled(build(n, [(v, (v + 1) % n) for v in range(n)]), rng)
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+        pairs += [(rng.randrange(n), n)] + tree(m, n)
+        yield "cycle-pendant", _relabeled(build(n + m, pairs), rng)
+        g = random_connected(b, (F(1, 4), F(1)), rng.randrange(10**6))
+        verts = sorted(g.vertices)
+        edges = [(e.id, e.u, e.w, e.length) for e in g.edges]
+        for _ in range(rng.randint(1, 4)):
+            u = rng.choice(verts)
+            w = u if rng.random() < 0.5 else rng.choice(verts)
+            for _ in range(rng.randint(1, 2)):
+                edges.append((len(edges), u, w, length()))
+        yield "multigraph", _relabeled(MetricGraph.build(g.vertices, edges), rng)
+
+
+def test_reduce_graph_matches_prune_then_smooth():
+    rng = random.Random(16)
+    count = 0
+    for kind, g in _reduction_cases(rng):
+        red, removed = reduce_graph(g)
+        want, want_removed = prune_then_smooth(g)
+        assert (red.vertices, red.edges, removed) == \
+            (want.vertices, want.edges, want_removed), (kind, format_graph(g))
+        count += 1
+    assert count >= 3000
+    two = MetricGraph.build([0, 1, 5, 6], [(0, 0, 1, 1), (1, 5, 6, 1)])
+    with pytest.raises(GraphError):
+        reduce_graph(two)
+    with pytest.raises(GraphError):
+        prune_then_smooth(two)
+    # a pure cycle keeps its largest vertex, carrying a loop of its length
+    square = MetricGraph.build(range(4), [(v, v, (v + 1) % 4, 1) for v in range(4)])
+    red, removed = reduce_graph(square)
+    assert removed == (0, 1, 2) and red.vertices == {3}
+    assert [(e.u, e.w, e.length) for e in red.edges] == [(3, 3, 4)]
 
 
 @given(st.integers(2, 6), st.integers(0, 99))

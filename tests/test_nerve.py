@@ -6,7 +6,7 @@ import pytest
 
 from coverball import fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, _pair, capturing_test,
-                               parse_surface, subgraph_betti)
+                               parse_surface)
 
 
 @pytest.fixture(scope="module")

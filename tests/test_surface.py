@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverball import fixtures
+from coverball.graphs import betti
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                format_surface, parse_surface, prune_pieces,
-                               prune_to_iso, subgraph_betti, subgraph_length,
+                               prune_to_iso, subgraph_length,
                                subgraph_metric_graph, _pair)
 
 from conftest import prune_by_capturing_test, relabeled, walked_homology
@@ -140,7 +141,7 @@ def test_prune_full_skeleton_to_iso(fix):
     sub = prune_to_iso(s, set(s.edges))
     ok, rank = capturing_test(s, sub)
     assert ok and rank == 2 * s.genus
-    assert subgraph_betti(sub) == 2 * s.genus
+    assert betti(subgraph_metric_graph(s, sub)) == 2 * s.genus
 
 
 def test_prune_to_iso_on_1344_edge_torus():
