@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .graphs import grid_shortest_paths, tree_path
 from .linalg import Echelon
@@ -354,7 +354,9 @@ def capture_length(s: TriSurface, mode: str = "greedy",
     if s.genus != 1:
         raise SurfaceError("exact capture is only supported for genus 1")
     if len(s.edges) > EXACT_CAPTURE_EDGE_LIMIT:
-        raise SurfaceError("surface too large for exact capture search")
+        raise SurfaceError(f"surface too large for exact capture search: "
+                           f"{len(s.edges)} edges, limit "
+                           f"{EXACT_CAPTURE_EDGE_LIMIT}")
     if x is not None:
         return _exact_capture_search(s, x)
     cache = _capture_cache(s)
@@ -407,6 +409,23 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # are attained and the family minimum equals the true optimum.  The based
 # variant attaches x by a shortest arc to a path vertex w, handled by
 # charging dist(x,w) inside the same minimization.
+#
+# Arc search: in the based theta one u-v path is split at the foot w, and
+# its least cost in class h is
+#     arc(v, h) = min over w, g1 of d_u(w, g1) + dist(x, w) + d_v(w, g1 - h).
+# One multi-source search per source u finds it for every v > u and every
+# h (``_ArcSearch``): each table entry (d1, g1) of u at w seeds the state
+# (w, g1) at d1 + dist(x, w), and walking on from w to v adds the walk's
+# class, which is h - g1 when the reversed walk has class g1 - h.  Labels
+# are (cost, rank of w, index of g1 in u's list at w), compared in that
+# order: of equal-cost arcs of one class, the least foot and then the
+# least entry wins, the first in (w, entry) order.  An arc of the pair u,v
+# is tried only below its cut best - P0 - P1, P0 and P1 the two shortest
+# u-v walks, and best only falls, so one search to the largest cut of u's
+# pairs serves them all.  P0 and P1 differ in class, so P0 + P1 >= lambda1
+# and every arc tried costs less than best - lambda1: both of its walks lie
+# inside the table bound below, so the winner's walks are settled states
+# of the cached searches from u and v, and no state leaves the width rule.
 #
 # The search runs on the skeleton's common-denominator integer grid
 # (``MetricGraph.int_grid``): every length, distance and bound is the
@@ -624,9 +643,70 @@ def _capture_tables(s: TriSurface, bound: int) -> dict:
     return cache.by_target
 
 
+class _ArcSearch:
+    """The based theta family's split paths, one multi-source search per
+    source u; see the arc search above.
+
+    A label packs (grid cost, rank of the foot w, index i of u's table
+    entry at w) into the int cost * M + rank * I + i, with I one more than
+    the longest table list and M = |V| * I, so int order is the order of
+    the triples and each directed edge adds its grid length times M.
+    """
+
+    def __init__(self, packing: _ClassPacking, searches: dict, distx: dict):
+        self.packing = packing
+        self.distx = [distx[w] for w in packing.verts]
+        self.I = 1 + max(len(lst) for search in searches.values()
+                         for lst in search.lists)
+        M = self.M = len(packing.verts) * self.I
+        self.adj = [[(l * M, delta) for l, delta in es] for es in packing.adj]
+
+    def arcs(self, row: list, cut: int, first: int) -> list:
+        """Per vertex rank r >= ``first``, the least arcs from u to the
+        vertex of rank r cheaper than ``cut``, one per class, as (grid cost,
+        class digits, label) in settling order; ``row`` is u's (grid length,
+        class) lists by target rank."""
+        pk, I, M = self.packing, self.I, self.M
+        W2, adj = pk.W2, self.adj
+        cutM = cut * M
+        dist: dict[int, int] = {}
+        heap = []
+        for r, (lst, dx) in enumerate(zip(row, self.distx)):
+            w = pk.verts[r]
+            for i, (d1, g1) in enumerate(lst):
+                c = d1 + dx
+                if c >= cut:
+                    break
+                st = pk.state(w, g1)
+                dist[st] = label = c * M + r * I + i
+                heap.append((label, st))
+        heapify(heap)
+        found = [[] for _ in row]
+        while heap:
+            label, st = heappop(heap)
+            if label > dist[st]:
+                continue
+            r, low = divmod(st, W2)
+            if r >= first:
+                found[r].append((label // M, low, label))
+            for lM, delta in adj[r]:
+                nl = label + lM
+                if nl < cutM:
+                    ns = st + delta
+                    old = dist.get(ns)
+                    if old is None or nl < old:
+                        dist[ns] = nl
+                        heappush(heap, (nl, ns))
+        return found
+
+    def foot(self, label: int) -> tuple[int, int]:
+        """The rank of an arc's foot w and the index of u's entry at w."""
+        return divmod(label % self.M, self.I)
+
+
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     D = s.skeleton().int_grid()[0]
-    ub, _ = _greedy_capture(s, x)
+    ub, ub_edges = _greedy_capture(s, x)
     best = _on_grid(ub, D)
     cache = _capture_cache(s)
     # see the table bound above: no walk of a candidate beating best is
@@ -685,41 +765,44 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
     if x is not None:
-        rows = {u: [by_target[u].get(w, ()) for w in verts] for u in verts}
-        dxs = [distx[w] for w in verts]
+        pk = cache.packing
+        arc_search = _ArcSearch(pk, cache.searches, distx)
     for ui in range(len(verts)):
         u = verts[ui]
-        for v in verts[ui + 1:]:
-            # one shortest walk per class, sorted by (length, class)
-            P = by_target[u].get(v, [])
-            if len(P) < (2 if x is not None else 3):
+        # pairs (v, P), P one shortest u-v walk per class, sorted by (length,
+        # class)
+        if x is None:
+            pairs = [(vi, P) for vi in range(ui + 1, len(verts))
+                     if len(P := by_target[u][verts[vi]]) >= 3]
+        else:
+            # an arc path costing cut = best - P0 - P1 or more is never tried
+            # below, and every arc path costs at least dist(x, u) and
+            # dist(x, v); best only falls, so one search to the largest cut
+            # of u's pairs serves them all
+            pairs = []
+            cut = 0
+            row, dxu = by_target[u], distx[u]
+            for vi in range(ui + 1, len(verts)):
+                P = row[verts[vi]]
+                if len(P) >= 2:
+                    c = best - P[0][0] - P[1][0]
+                    if c > dxu and c > distx[verts[vi]]:
+                        pairs.append((vi, P))
+                        if c > cut:
+                            cut = c
+            if not pairs:
                 continue
-            if x is None:
-                A = P      # the "special" path is just another plain path
-            else:
-                # an arc path costing cut or more is never tried below, and
-                # every arc path costs at least dist(x, u) and dist(x, v)
-                cut = best - P[0][0] - P[1][0]
-                if cut <= max(distx[u], distx[v]):
-                    continue
-                arc: dict[tuple, tuple] = {}
-                for w, lu, lv, dxw in zip(verts, rows[u], rows[v], dxs):
-                    for d1, g1 in lu:
-                        if d1 + dxw >= cut:
-                            break
-                        for d2, g2 in lv:
-                            c = d1 + d2 + dxw
-                            if c >= cut:
-                                break
-                            h = (g1[0] - g2[0], g1[1] - g2[1])
-                            if h not in arc or c < arc[h][0]:
-                                arc[h] = (c, w, (w, g1), (w, g2))
-                A = sorted((c, h, info) for h, (c, *info) in arc.items())
+            arcs = arc_search.arcs(cache.searches[u].lists, cut, ui + 1)
+        for vi, P in pairs:
+            v = verts[vi]
+            # unbased, the "special" path is just another plain path
+            A = P if x is None else sorted(arcs[vi])
             for a in A:
                 if x is None:
                     d1, h1 = a
                 else:
-                    d1, h1, info1 = a
+                    d1, low, label = a
+                    h1 = pk.class_of(low)
                 if len(P) >= 2 and d1 + P[0][0] + P[1][0] >= best:
                     break
                 for j in range(len(P)):
@@ -741,12 +824,16 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         if x is None:
                             best_walks.append((u, (v, h1)))
                         else:
-                            best_foot, su, sv = info1
-                            best_walks += [(u, su), (v, sv)]
+                            w, i = arc_search.foot(label)
+                            best_foot = verts[w]
+                            g1 = by_target[u][best_foot][i][1]
+                            g2 = (g1[0] - h1[0], g1[1] - h1[1])
+                            best_walks += [(u, (best_foot, g1)),
+                                           (v, (best_foot, g2))]
 
     if best_walks is None:
         # the greedy subgraph is already optimal
-        return _greedy_capture(s, x)
+        return ub, ub_edges
     edges = set()
     if best_foot is not None:
         path = tree_path(parx, best_foot)

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 from coverball import cover, surfballs
-from coverball.graphs import Edge, GraphError, MetricGraph
+from coverball.graphs import (Edge, GraphError, MetricGraph, grid_shortest_paths,
+                             tree_path)
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
                                capturing_test, subgraph_length)
@@ -703,3 +704,149 @@ def boundary_components(s: TriSurface, b) -> list[list[tuple[int, int]]]:
         comps.append(sorted(comp))
         edges -= comp
     return comps
+
+
+def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
+    """Independent oracle for ``surfballs._exact_capture_search``: the same
+    families over the same cached class tables, with the based theta
+    family's arcs found per vertex pair by brute force over every foot w
+    and every pair of table entries, kept in a dict per arc class (the
+    first least-cost (w, entry) wins)."""
+    D = s.skeleton().int_grid()[0]
+    ub, _ = surfballs._greedy_capture(s, x)
+    best = surfballs._on_grid(ub, D)
+    cache = surfballs._capture_cache(s)
+    # see the table bound in surfballs: no walk of a candidate beating best
+    # is longer than best - lambda1
+    lambda1 = cache.lambda1
+    by_target = surfballs._capture_tables(s, best - lambda1)
+    if x is not None:
+        distx, parx = grid_shortest_paths(s.skeleton(), x)
+    # the incumbent: its walks as (source, final state), and the vertex its
+    # arc from x ends at (None when unbased)
+    best_walks = None
+    best_foot = None
+
+    zero = (0, 0)
+    # closed-walk minima per class: m[h] = (grid length, base vertex)
+    verts = sorted(s.vertices)
+    m: dict[tuple, tuple] = {}
+    for v in verts:
+        for d, h in by_target[v].get(v, ()):
+            if h != zero and (h not in m or (d, v) < m[h]):
+                m[h] = (d, v)
+    msorted = sorted((d, v, h) for h, (d, v) in m.items())
+    shortest = msorted[0][0] if msorted else None
+    if shortest != (lambda1 if lambda1 <= cache.bound else None):
+        raise SurfaceError("exact capture tables disagree with the greedy "
+                           "shortest cycle")
+
+    # disjoint pair / figure eight family: two closed walks with independent
+    # classes; in the based variant one of them pays an arc from x
+    if x is None:
+        first = msorted
+    else:
+        # best base per class when the arc cost is charged to this walk
+        cx: dict[tuple, tuple] = {}
+        for v in verts:
+            for d, h in by_target[v].get(v, ()):
+                if h == zero:
+                    continue
+                c = d + distx[v]
+                if h not in cx or (c, v) < cx[h]:
+                    cx[h] = (c, v)
+        first = sorted((c, v, h) for h, (c, v) in cx.items())
+    for (c1, v1, h1) in first:
+        if msorted and c1 + msorted[0][0] >= best:
+            break
+        for (d2, v2, h2) in msorted:
+            tot = c1 + d2
+            if tot >= best:
+                break
+            if h1[0] * h2[1] == h1[1] * h2[0]:
+                continue
+            best = tot
+            best_walks = [(v1, (v1, h1)), (v2, (v2, h2))]
+            best_foot = None if x is None else v1
+
+    # theta family: three u-v paths with non-collinear classes; in the based
+    # variant exactly one path is split at an arc foot w paying dist(x, w)
+    if x is not None:
+        rows = {u: [by_target[u].get(w, ()) for w in verts] for u in verts}
+        dxs = [distx[w] for w in verts]
+    for ui in range(len(verts)):
+        u = verts[ui]
+        for v in verts[ui + 1:]:
+            # one shortest walk per class, sorted by (length, class)
+            P = by_target[u].get(v, [])
+            if len(P) < (2 if x is not None else 3):
+                continue
+            if x is None:
+                A = P      # the "special" path is just another plain path
+            else:
+                # an arc path costing cut or more is never tried below, and
+                # every arc path costs at least dist(x, u) and dist(x, v)
+                cut = best - P[0][0] - P[1][0]
+                if cut <= max(distx[u], distx[v]):
+                    continue
+                arc: dict[tuple, tuple] = {}
+                for w, lu, lv, dxw in zip(verts, rows[u], rows[v], dxs):
+                    for d1, g1 in lu:
+                        if d1 + dxw >= cut:
+                            break
+                        for d2, g2 in lv:
+                            c = d1 + d2 + dxw
+                            if c >= cut:
+                                break
+                            h = (g1[0] - g2[0], g1[1] - g2[1])
+                            if h not in arc or c < arc[h][0]:
+                                arc[h] = (c, w, (w, g1), (w, g2))
+                A = sorted((c, h, info) for h, (c, *info) in arc.items())
+            for a in A:
+                if x is None:
+                    d1, h1 = a
+                else:
+                    d1, h1, info1 = a
+                if len(P) >= 2 and d1 + P[0][0] + P[1][0] >= best:
+                    break
+                for j in range(len(P)):
+                    d2, h2 = P[j]
+                    if x is None and d2 < d1:
+                        continue   # canonical order: special path is shortest
+                    if d1 + d2 + P[0][0] >= best:
+                        break
+                    a0, a1 = h2[0] - h1[0], h2[1] - h1[1]
+                    for k in range(j + 1, len(P)):
+                        d3, h3 = P[k]
+                        tot = d1 + d2 + d3
+                        if tot >= best:
+                            break
+                        if a0 * (h3[1] - h1[1]) == a1 * (h3[0] - h1[0]):
+                            continue
+                        best = tot
+                        best_walks = [(u, (v, h2)), (u, (v, h3))]
+                        if x is None:
+                            best_walks.append((u, (v, h1)))
+                        else:
+                            best_foot, su, sv = info1
+                            best_walks += [(u, su), (v, sv)]
+
+    if best_walks is None:
+        # the greedy subgraph is already optimal
+        return surfballs._greedy_capture(s, x)
+    edges = set()
+    if best_foot is not None:
+        path = tree_path(parx, best_foot)
+        edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
+    # recover the walks from the cached searches, which cover every one
+    for source, (v, h) in best_walks:
+        edges |= cache.searches[source].walk_edges(cache.packing.state(v, h))
+    realized = subgraph_length(s, edges)
+    if x is not None and not any(x in e for e in edges):
+        raise SurfaceError("based capture candidate misses the base point")
+    ok, rank = capturing_test(s, edges)
+    if not ok:
+        raise SurfaceError(f"exact capture candidate fails to capture (rank {rank})")
+    if realized * D > best:
+        raise SurfaceError("exact capture bookkeeping mismatch")
+    return realized, edges

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_face_components, boundary_components, by_target,
+from conftest import (_face_components, arc_dict_exact_capture,
+                      boundary_components, by_target,
                       capture_by_cycle_pairs, class_of_walk, face_set_chi, fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
@@ -479,6 +480,32 @@ def test_exact_capture_independent_of_table_bound(make):
     for x in [None] + sorted(s.vertices):
         assert surfballs.capture_length(s, mode="exact", x=x) == \
             surfballs.capture_length(make(), mode="exact", x=x), x
+
+
+ARC_ORACLE_MAKERS = GENUS1_MAKERS + [
+    lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 11),
+    lambda: fixtures.subdivide(_mixed_torus(1))]
+ARC_ORACLE_IDS = GENUS1_IDS + ["torus7_sub_relabeled11", "mixed1_sub"]
+
+
+@pytest.mark.parametrize("make", ARC_ORACLE_MAKERS, ids=ARC_ORACLE_IDS)
+def test_based_capture_matches_arc_dict_oracle(make):
+    # every base, ascending on one surface and descending on a fresh one, so
+    # each call meets tables grown by the calls before it in both orders
+    bases = sorted(make().vertices)
+    for order in (bases, bases[::-1]):
+        s = make()
+        for x in order:
+            assert surfballs.capture_length(s, mode="exact", x=x) == \
+                arc_dict_exact_capture(s, x), x
+
+
+def test_based_capture_matches_arc_dict_oracle_on_finer_torus():
+    s = fixtures.subdivide(fixtures.torus7(), 2)
+    bases = sorted(s.vertices)
+    for x in (bases[0], bases[len(bases) // 2], bases[-1]):
+        assert surfballs.capture_length(s, mode="exact", x=x) == \
+            arc_dict_exact_capture(s, x), x
 
 
 def test_exact_capture_refuses_a_wrong_lambda1():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverball
-from coverball import cli, fixtures
+from coverball import cli, fixtures, surfballs
 from coverball.graphs import (GraphError, format_graph, parse_graph, scale,
                               theta_graph)
 from coverball.surface import SurfaceError, format_surface, parse_surface
@@ -206,6 +206,17 @@ def test_malformed_file_exit_1(tmp_path, capsys, case):
         assert "'xml'" in err and not bad.exists()
     if case.endswith("-is-a-directory"):
         assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_exact_capture_size_limit_names_the_counts(capsys, monkeypatch):
+    monkeypatch.setattr(surfballs, "EXACT_CAPTURE_EDGE_LIMIT", 20)
+    message = "surface too large for exact capture search: 21 edges, limit 20"
+    with pytest.raises(SurfaceError) as exc:
+        surfballs.capture_length(fixtures.torus7(), mode="exact")
+    assert str(exc.value) == message
+    rc, out, err = run_cli(capsys, "surface", "capture", "torus7.surf",
+                           "--mode", "exact")
+    assert rc == 1 and out == "" and err == f"error: {message}\n"
 
 
 # one case per writer: the JSON report, a CSV table and the generated graph

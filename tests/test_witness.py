@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import random_bounded_instance
 from coverball import cover, witness
-from coverball.graphs import GraphError, scale, theta_graph, trivalent_reference
+from coverball.graphs import (GraphError, MetricGraph, scale, theta_graph,
+                             trivalent_reference)
 
 LAMBDAS = [F(1, 20), F(1, 10), F(1, 6), F(1, 4), F(3, 10)]
 
@@ -50,6 +51,32 @@ def test_certificate_trace_records_cases():
     g = random_bounded_instance(4, F(1, 6) * 9, 3)
     cert = witness.find_witness(g, F(1, 6))
     assert cert.trace[-1] == "baby-case"
+
+
+def _thetas_joined_by_a_bridge() -> MetricGraph:
+    # two thetas of edge length 1/48; the bridge, edge 6, is the long edge
+    t = F(1, 48)
+    return MetricGraph.build([0, 1, 2, 3], [
+        (0, 0, 1, t), (1, 0, 1, t), (2, 0, 1, t),
+        (3, 2, 3, t), (4, 2, 3, t), (5, 2, 3, t), (6, 1, 2, 1)])
+
+
+def _theta_with_a_loop() -> MetricGraph:
+    # a theta of edge length 1/30; the loop, edge 3, is the long edge
+    t = F(1, 30)
+    return MetricGraph.build([0, 1], [(0, 0, 1, t), (1, 0, 1, t), (2, 0, 1, t),
+                                      (3, 0, 0, F(3, 5))])
+
+
+@pytest.mark.parametrize("make, trace", [
+    (_thetas_joined_by_a_bridge, ("split-separating(6,betti=2)", "baby-case")),
+    (_theta_with_a_loop, ("remove-nonseparating(3)", "baby-case")),
+], ids=["split-separating", "remove-nonseparating"])
+def test_certificate_trace_takes_edge_removal_branch(make, trace):
+    g = make()
+    cert = witness.find_witness(g, F(1, 6))
+    assert cert.trace == trace
+    assert witness.verify_certificate(g, cert, [2, 4])["ok"]
 
 
 # ---------------------------------------------------------------------------
