@@ -326,8 +326,8 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _common(sp, rmax_default="2"):
-    sp.add_argument("--rmax", type=_frac, default=Fraction(rmax_default))
+def _common(sp):
+    sp.add_argument("--rmax", type=_frac, default=Fraction(2))
     sp.add_argument("--grid", type=int, default=8)
 
 

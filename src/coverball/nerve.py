@@ -223,8 +223,8 @@ def rescaling_lambda_search(lam_grid, radii) -> dict:
 # ---------------------------------------------------------------------------
 # the staged pipeline
 
-def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
-                      r_grid: int = 8, budget: int = cover.DEFAULT_BUDGET) -> dict:
+def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
+                            budget: int = cover.DEFAULT_BUDGET) -> dict:
     """Run the whole surface-to-growth chain, reporting each inequality.
 
     Every stage is diagnostic: hypothesis failures are recorded and the
@@ -261,24 +261,23 @@ def surface_growth_pipeline(s: TriSurface, method: str = "nerve",
                                  "reason": "genus 0 has trivial homology"})
         return report
     image_edges = None
-    if method == "nerve":
-        try:
-            nrep = nerve_graph(s)
-            if nrep.pruned_image_edges:
-                image_edges = nrep.pruned_image_edges
-            report["stages"].append({
-                "stage": "nerve", "centers": len(nrep.centers),
-                "precondition_ok": nrep.precondition_ok,
-                "packing_bound_ok": nrep.packing_bound_ok,
-                "non_expansion_ok": nrep.non_expansion_ok,
-                "image_captures": nrep.image_captures,
-                "length_bound_ok": nrep.length_bound_ok,
-                "pruned_length": nrep.pruned_length,
-                "status": "pass" if nrep.image_captures else "capture failed",
-            })
-        except SurfaceError as exc:
-            report["stages"].append({"stage": "nerve", "status": "failed",
-                                     "reason": str(exc)})
+    try:
+        nrep = nerve_graph(s)
+        if nrep.pruned_image_edges:
+            image_edges = nrep.pruned_image_edges
+        report["stages"].append({
+            "stage": "nerve", "centers": len(nrep.centers),
+            "precondition_ok": nrep.precondition_ok,
+            "packing_bound_ok": nrep.packing_bound_ok,
+            "non_expansion_ok": nrep.non_expansion_ok,
+            "image_captures": nrep.image_captures,
+            "length_bound_ok": nrep.length_bound_ok,
+            "pruned_length": nrep.pruned_length,
+            "status": "pass" if nrep.image_captures else "capture failed",
+        })
+    except SurfaceError as exc:
+        report["stages"].append({"stage": "nerve", "status": "failed",
+                                 "reason": str(exc)})
     if image_edges is None:
         length, image_edges = surfballs.capture_length(s, "greedy")
         report["stages"].append({"stage": "greedy-capture", "length": length,

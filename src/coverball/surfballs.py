@@ -408,7 +408,10 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # Conversely the union realizing either minimum captures, so both bounds
 # are attained and the family minimum equals the true optimum.  The based
 # variant attaches x by a shortest arc to a path vertex w, handled by
-# charging dist(x,w) inside the same minimization.
+# charging dist(x,w) inside the same minimization.  The unbased search is
+# the same code with dist(x, .) = 0: charging a closed walk nothing leaves
+# its minima as they are, and the theta pair filter below keeps the pairs
+# whose two shortest walks sum below best; only based calls split a path.
 #
 # Arc search: in the based theta one u-v path is split at the foot w, and
 # its least cost in class h is
@@ -459,11 +462,13 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 #
 # Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
 # its lambda1, the unbased greedy basis and exact result, and one resumable
-# class search per source.  A search settles states in increasing (length,
-# state) order and appends each to its target's (grid length, class) list,
-# so every list stays sorted; when a base needs a larger bound, each search
-# pops on from where it stopped, with its relaxations past the old bound
-# still on its heap.
+# class search per source.  Sources and targets are vertex ranks: the
+# tables are ``searches[u].lists[v]``, the walks from the vertex of rank u
+# to that of rank v, and no other index is kept over them.  A search
+# settles states in increasing (length, state) order and appends each to
+# its target's (grid length, class) list, so every list stays sorted; when
+# a base needs a larger bound, each search pops on from where it stopped,
+# with its relaxations past the old bound still on its heap.
 # The searches keep no parent maps.  A state's walk runs back through the
 # first settled neighbour that reached it at its final length; since states
 # settle in (length, state) order, that is its tight predecessor least in
@@ -484,12 +489,12 @@ class _CaptureCache:
     """What systole and capture reuse across calls on one surface: the
     unbased candidate pass and its least nonzero-class grid length
     ``lambda1``, the unbased greedy and exact results, and one resumable
-    class search per source (no parents kept), each grown to the grid bound
-    ``bound``, which only rises.  A call with greedy grid bound best needs
-    the searches grown to best - lambda1 only: every walk of a candidate
-    shorter than best closes, with another walk of the candidate, a closed
-    walk of nonzero class, so the rest of the candidate is at least lambda1
-    long."""
+    class search per source rank (no parents kept), its ``lists`` indexed
+    by target rank, each grown to the grid bound ``bound``, which only
+    rises.  A call with greedy grid bound best needs the searches grown to
+    best - lambda1 only: every walk of a candidate shorter than best closes,
+    with another walk of the candidate, a closed walk of nonzero class, so
+    the rest of the candidate is at least lambda1 long."""
 
     def __init__(self):
         self.candidates = None      # unbased _grid_candidates (D, cands, sep)
@@ -497,8 +502,7 @@ class _CaptureCache:
         self.greedy = None          # unbased greedy (length, edges)
         self.exact = None           # unbased exact (length, edges)
         self.packing = None         # see _ClassPacking
-        self.searches = None        # source -> _ClassSearch
-        self.by_target: dict = {}   # source -> target -> [(grid length, class)]
+        self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
 
 
@@ -528,25 +532,24 @@ class _ClassPacking:
         hom = s.homology()
         D, adj = s.skeleton().int_grid()
         self.verts = sorted(s.vertices)
-        self.rank = {v: r for r, v in enumerate(self.verts)}
+        rank = {v: r for r, v in enumerate(self.verts)}
         lmin = min(l for es in adj.values() for l, _ in es)
         self.limit = 2 * _on_grid(sum(s.edge_lengths.values()), D)
         self.off = self.limit // lmin + 1
         W = self.width = 2 * self.off + 1
         W2 = self.W2 = W * W
         self.adj = []
-        for v in self.verts:
+        for r, v in enumerate(self.verts):
             row = []
             for l, u in adj[v]:
                 h = hom.unpack(hom.step(v, u))
-                row.append((l, (self.rank[u] - self.rank[v]) * W2
-                            + h.get(0, 0) * W + h.get(1, 0)))
+                row.append((l, (rank[u] - r) * W2 + h.get(0, 0) * W + h.get(1, 0)))
             self.adj.append(row)
         self.classes: dict[int, tuple] = {}   # low digits -> (a, b), memoized
 
-    def state(self, v: int, h: tuple) -> int:
-        return (self.rank[v] * self.W2 + (h[0] + self.off) * self.width
-                + h[1] + self.off)
+    def state(self, r: int, h: tuple) -> int:
+        """The state of the vertex of rank r reached in class h."""
+        return r * self.W2 + (h[0] + self.off) * self.width + h[1] + self.off
 
     def vertex(self, state: int) -> int:
         return self.verts[state // self.W2]
@@ -564,19 +567,18 @@ class _ClassSearch:
     class, on packed states; resumable.
 
     ``grow(bound)`` settles every state of grid length <= bound in
-    increasing (length, state) order, appending (length, class) to its
-    target's list in ``by_target``; relaxations past the bound stay on the
-    heap for a later, larger bound.  ``dist`` maps each reached state to its
-    length so far, final once it is <= the bound.
+    increasing (length, state) order, appending (length, class) to
+    ``lists[r]``, r its target's rank; relaxations past the bound stay on
+    the heap for a later, larger bound.  ``dist`` maps each reached state to
+    its length so far, final once it is <= the bound.
     """
 
     def __init__(self, packing: _ClassPacking, source: int):
-        start = packing.state(source, (0, 0))
+        start = packing.state(source, (0, 0))   # source is a rank
         self.packing = packing
         self.dist = {start: 0}
         self.heap = [(0, start)]
         self.lists = [[] for _ in packing.verts]
-        self.by_target = dict(zip(packing.verts, self.lists))
 
     def grow(self, bound: int) -> None:
         pk = self.packing
@@ -625,22 +627,22 @@ class _ClassSearch:
         return out
 
 
-def _capture_tables(s: TriSurface, bound: int) -> dict:
-    """Per source, per target, the sorted (grid length, class) list of the
-    class-stratified shortest walks, complete up to at least ``bound``."""
+def _capture_tables(s: TriSurface, bound: int) -> list:
+    """The class searches by source rank, grown to at least ``bound``:
+    ``searches[u].lists[v]`` is the sorted (grid length, class) list of the
+    class-stratified shortest walks from the vertex of rank u to that of
+    rank v, complete up to ``bound``."""
     cache = _capture_cache(s)
     if cache.bound >= bound:
-        return cache.by_target
+        return cache.searches
     if cache.searches is None:
         cache.packing = _ClassPacking(s)
-        cache.searches = {v: _ClassSearch(cache.packing, v)
-                          for v in cache.packing.verts}
-        cache.by_target = {v: search.by_target
-                           for v, search in cache.searches.items()}
-    for search in cache.searches.values():
+        cache.searches = [_ClassSearch(cache.packing, r)
+                          for r in range(len(cache.packing.verts))]
+    for search in cache.searches:
         search.grow(bound)
     cache.bound = bound
-    return cache.by_target
+    return cache.searches
 
 
 class _ArcSearch:
@@ -653,10 +655,10 @@ class _ArcSearch:
     the triples and each directed edge adds its grid length times M.
     """
 
-    def __init__(self, packing: _ClassPacking, searches: dict, distx: dict):
+    def __init__(self, packing: _ClassPacking, searches: list, dx: list):
         self.packing = packing
-        self.distx = [distx[w] for w in packing.verts]
-        self.I = 1 + max(len(lst) for search in searches.values()
+        self.dx = dx                # dist(x, w) by rank of w
+        self.I = 1 + max(len(lst) for search in searches
                          for lst in search.lists)
         M = self.M = len(packing.verts) * self.I
         self.adj = [[(l * M, delta) for l, delta in es] for es in packing.adj]
@@ -671,13 +673,12 @@ class _ArcSearch:
         cutM = cut * M
         dist: dict[int, int] = {}
         heap = []
-        for r, (lst, dx) in enumerate(zip(row, self.distx)):
-            w = pk.verts[r]
+        for r, (lst, dx) in enumerate(zip(row, self.dx)):
             for i, (d1, g1) in enumerate(lst):
                 c = d1 + dx
                 if c >= cut:
                     break
-                st = pk.state(w, g1)
+                st = pk.state(r, g1)
                 dist[st] = label = c * M + r * I + i
                 heap.append((label, st))
         heapify(heap)
@@ -712,98 +713,91 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     # see the table bound above: no walk of a candidate beating best is
     # longer than best - lambda1
     lambda1 = cache.lambda1
-    by_target = _capture_tables(s, best - lambda1)
-    if x is not None:
+    searches = _capture_tables(s, best - lambda1)
+    pk = cache.packing
+    n = len(pk.verts)
+    if x is None:
+        dx = [0] * n
+    else:
         distx, parx = grid_shortest_paths(s.skeleton(), x)
-    # the incumbent: its walks as (source, final state), and the vertex its
-    # arc from x ends at (None when unbased)
+        dx = [distx[v] for v in pk.verts]
+    # the incumbent: its walks as (source rank, (target rank, class)), and
+    # the rank its arc from x ends at (read when based)
     best_walks = None
     best_foot = None
 
     zero = (0, 0)
-    # closed-walk minima per class: m[h] = (grid length, base vertex)
-    verts = sorted(s.vertices)
+    # closed-walk minima per class, as (grid length, base rank): m[h] plain,
+    # cx[h] with the arc from x charged to the walk; cx is m when unbased,
+    # since rank order is vertex order
     m: dict[tuple, tuple] = {}
-    for v in verts:
-        for d, h in by_target[v].get(v, ()):
-            if h != zero and (h not in m or (d, v) < m[h]):
-                m[h] = (d, v)
-    msorted = sorted((d, v, h) for h, (d, v) in m.items())
+    cx: dict[tuple, tuple] = {}
+    for r in range(n):
+        for d, h in searches[r].lists[r]:
+            if h == zero:
+                continue
+            if h not in m or (d, r) < m[h]:
+                m[h] = (d, r)
+            c = d + dx[r]
+            if h not in cx or (c, r) < cx[h]:
+                cx[h] = (c, r)
+    msorted = sorted((d, r, h) for h, (d, r) in m.items())
     shortest = msorted[0][0] if msorted else None
     if shortest != (lambda1 if lambda1 <= cache.bound else None):
         raise SurfaceError("exact capture tables disagree with the greedy "
                            "shortest cycle")
 
     # disjoint pair / figure eight family: two closed walks with independent
-    # classes; in the based variant one of them pays an arc from x
-    if x is None:
-        first = msorted
-    else:
-        # best base per class when the arc cost is charged to this walk
-        cx: dict[tuple, tuple] = {}
-        for v in verts:
-            for d, h in by_target[v].get(v, ()):
-                if h == zero:
-                    continue
-                c = d + distx[v]
-                if h not in cx or (c, v) < cx[h]:
-                    cx[h] = (c, v)
-        first = sorted((c, v, h) for h, (c, v) in cx.items())
-    for (c1, v1, h1) in first:
+    # classes; the first one pays the arc from x
+    for (c1, r1, h1) in sorted((c, r, h) for h, (c, r) in cx.items()):
         if msorted and c1 + msorted[0][0] >= best:
             break
-        for (d2, v2, h2) in msorted:
+        for (d2, r2, h2) in msorted:
             tot = c1 + d2
             if tot >= best:
                 break
             if h1[0] * h2[1] == h1[1] * h2[0]:
                 continue
             best = tot
-            best_walks = [(v1, (v1, h1)), (v2, (v2, h2))]
-            best_foot = None if x is None else v1
+            best_walks = [(r1, (r1, h1)), (r2, (r2, h2))]
+            best_foot = r1
 
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
     if x is not None:
-        pk = cache.packing
-        arc_search = _ArcSearch(pk, cache.searches, distx)
-    for ui in range(len(verts)):
-        u = verts[ui]
+        arc_search = _ArcSearch(pk, searches, dx)
+    for u in range(n):
+        row = searches[u].lists
         # pairs (v, P), P one shortest u-v walk per class, sorted by (length,
-        # class)
-        if x is None:
-            pairs = [(vi, P) for vi in range(ui + 1, len(verts))
-                     if len(P := by_target[u][verts[vi]]) >= 3]
-        else:
-            # an arc path costing cut = best - P0 - P1 or more is never tried
-            # below, and every arc path costs at least dist(x, u) and
-            # dist(x, v); best only falls, so one search to the largest cut
-            # of u's pairs serves them all
-            pairs = []
-            cut = 0
-            row, dxu = by_target[u], distx[u]
-            for vi in range(ui + 1, len(verts)):
-                P = row[verts[vi]]
-                if len(P) >= 2:
-                    c = best - P[0][0] - P[1][0]
-                    if c > dxu and c > distx[verts[vi]]:
-                        pairs.append((vi, P))
-                        if c > cut:
-                            cut = c
-            if not pairs:
-                continue
-            arcs = arc_search.arcs(cache.searches[u].lists, cut, ui + 1)
-        for vi, P in pairs:
-            v = verts[vi]
+        # class).  A pair whose cut best - P0 - P1 is at most dist(x, u) or
+        # dist(x, v) is never tried below: every special path costs at
+        # least both.  Unbased, that leaves the pairs with P0 + P1 < best,
+        # and a pair of two walks has no third class.  best only falls, so
+        # one arc search to the largest cut of u's pairs serves them all.
+        pairs = []
+        cut = 0
+        for v in range(u + 1, n):
+            P = row[v]
+            if len(P) >= 2:
+                c = best - P[0][0] - P[1][0]
+                if c > dx[u] and c > dx[v]:
+                    pairs.append((v, P))
+                    if c > cut:
+                        cut = c
+        if not pairs:
+            continue
+        if x is not None:
+            arcs = arc_search.arcs(row, cut, u + 1)
+        for v, P in pairs:
             # unbased, the "special" path is just another plain path
-            A = P if x is None else sorted(arcs[vi])
+            A = P if x is None else sorted(arcs[v])
             for a in A:
                 if x is None:
                     d1, h1 = a
                 else:
                     d1, low, label = a
                     h1 = pk.class_of(low)
-                if len(P) >= 2 and d1 + P[0][0] + P[1][0] >= best:
+                if d1 + P[0][0] + P[1][0] >= best:
                     break
                 for j in range(len(P)):
                     d2, h2 = P[j]
@@ -824,9 +818,8 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         if x is None:
                             best_walks.append((u, (v, h1)))
                         else:
-                            w, i = arc_search.foot(label)
-                            best_foot = verts[w]
-                            g1 = by_target[u][best_foot][i][1]
+                            best_foot, i = arc_search.foot(label)
+                            g1 = row[best_foot][i][1]
                             g2 = (g1[0] - h1[0], g1[1] - h1[1])
                             best_walks += [(u, (best_foot, g1)),
                                            (v, (best_foot, g2))]
@@ -835,12 +828,12 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
         # the greedy subgraph is already optimal
         return ub, ub_edges
     edges = set()
-    if best_foot is not None:
-        path = tree_path(parx, best_foot)
+    if x is not None:
+        path = tree_path(parx, pk.verts[best_foot])
         edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
     # recover the walks from the cached searches, which cover every one
     for source, (v, h) in best_walks:
-        edges |= cache.searches[source].walk_edges(cache.packing.state(v, h))
+        edges |= searches[source].walk_edges(pk.state(v, h))
     realized = subgraph_length(s, edges)
     if x is not None and not any(x in e for e in edges):
         raise SurfaceError("based capture candidate misses the base point")
@@ -866,16 +859,12 @@ def height(s: TriSurface, x: int, mode: str = "exact") -> dict:
 
 
 def small_ball_area_check(s: TriSurface, x: int, R: Fraction | int | str,
-                 hpp: Fraction | None = None,
-                 sys_x: Fraction | None = None, mode: str = "exact") -> dict:
+                          hpp: Fraction, sys_x: Fraction) -> dict:
     """Check area B(x,R) >= (R - H''(x))^2 / 2 inside the admissible window
-    H''(x) < R < sys(M,x)/2.  Substituting H'' for min(H',H'') means only
-    the implied weaker inequality is tested."""
+    H''(x) < R < sys(M,x)/2, given H''(x) (``height``) and sys(M,x)
+    (``systole_at``).  Substituting H'' for min(H',H'') means only the
+    implied weaker inequality is tested."""
     R = Fraction(R)
-    if hpp is None:
-        hpp = height(s, x, mode)["Hpp"]
-    if sys_x is None:
-        sys_x, _ = systole_at(s, x)
     if not (hpp < R < sys_x / 2):
         return {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
                 "status": "inconclusive", "reason": "outside admissible window"}

@@ -15,6 +15,8 @@ from . import cover
 from .graphs import (GraphError, MetricGraph, betti, delete_edge,
                      induced_subgraph, reduce_graph, is_separating, scale)
 
+SUBTREE_NODE_LIMIT = 200_000    # nodes build_cover_subtree may grow
+
 
 class TheoremViolation(AssertionError):
     """A step the underlying theorem guarantees has failed: implementation bug."""
@@ -145,7 +147,7 @@ def cover_distance(g: MetricGraph, p: tuple, q: tuple) -> Fraction:
 
 
 def build_cover_subtree(g: MetricGraph, c_prime: Fraction | int | str,
-                         depth: int, max_nodes: int = 200_000) -> SubtreeWitness:
+                         depth: int) -> SubtreeWitness:
     """Greedy trivalent subtree in the cover with super-edges in [C', C'+c].
 
     From the base lift, grow three edge-disjoint reduced paths, each stopped
@@ -191,7 +193,7 @@ def build_cover_subtree(g: MetricGraph, c_prime: Fraction | int | str,
             rev = (incoming[0], 1 - incoming[1])
             opts = sorted(s for s in departures[head[incoming]] if s != rev)[:2]
             for t in opts:
-                if len(nodes) > max_nodes:
+                if len(nodes) > SUBTREE_NODE_LIMIT:
                     raise GraphError("subtree depth budget exceeded")
                 path, acc = grow_path(t)
                 # grow_path returns the path relative to the node; store the

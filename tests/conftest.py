@@ -719,7 +719,11 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
     # see the table bound in surfballs: no walk of a candidate beating best
     # is longer than best - lambda1
     lambda1 = cache.lambda1
-    by_target = surfballs._capture_tables(s, best - lambda1)
+    searches = surfballs._capture_tables(s, best - lambda1)
+    # the rank-indexed tables read by vertex: source -> target -> list
+    rank = {v: r for r, v in enumerate(cache.packing.verts)}
+    by_target = {u: dict(zip(cache.packing.verts, searches[r].lists))
+                 for u, r in rank.items()}
     if x is not None:
         distx, parx = grid_shortest_paths(s.skeleton(), x)
     # the incumbent: its walks as (source, final state), and the vertex its
@@ -840,13 +844,13 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
         edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
     # recover the walks from the cached searches, which cover every one
     for source, (v, h) in best_walks:
-        edges |= cache.searches[source].walk_edges(cache.packing.state(v, h))
+        edges |= searches[rank[source]].walk_edges(cache.packing.state(rank[v], h))
     realized = subgraph_length(s, edges)
     if x is not None and not any(x in e for e in edges):
         raise SurfaceError("based capture candidate misses the base point")
-    ok, rank = capturing_test(s, edges)
+    ok, hrank = capturing_test(s, edges)
     if not ok:
-        raise SurfaceError(f"exact capture candidate fails to capture (rank {rank})")
+        raise SurfaceError(f"exact capture candidate fails to capture (rank {hrank})")
     if realized * D > best:
         raise SurfaceError("exact capture bookkeeping mismatch")
     return realized, edges

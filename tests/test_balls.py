@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,13 @@ def _reached(tables) -> dict:
     return {v: {w: lst for w, lst in t.items() if lst} for v, t in tables.items()}
 
 
+def _vertex_tables(s, bound) -> dict:
+    """``_capture_tables`` keyed by vertex: source -> target -> list."""
+    searches = surfballs._capture_tables(s, bound)
+    verts = s._capture_cache.packing.verts
+    return {u: dict(zip(verts, search.lists)) for u, search in zip(verts, searches)}
+
+
 @pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
 def test_packed_class_search_matches_tuple_oracle(make):
     s = make()
@@ -412,9 +420,9 @@ def test_packed_class_search_matches_tuple_oracle(make):
         r, low = divmod(st, packing.W2)
         return packing.verts[r], packing.class_of(low)
 
-    for v in sorted(s.vertices):
+    for r, v in enumerate(packing.verts):
         # one search, resumed through the rising bounds
-        search = surfballs._ClassSearch(packing, v)
+        search = surfballs._ClassSearch(packing, r)
         for bound in (ub, ub + 1, ub + 3):
             search.grow(bound)
             dist, parent = tuple_class_dijkstra(s, v, bound)
@@ -423,9 +431,10 @@ def test_packed_class_search_matches_tuple_oracle(make):
             parents = {st: search.parent(st) for st in settled}
             assert {decode(st): None if p is None else decode(p)
                     for st, p in parents.items()} == parent, (v, bound)
-            assert _reached({v: search.by_target}) == {v: by_target(dist)}, (v, bound)
+            assert _reached({v: dict(zip(packing.verts, search.lists))}) == \
+                {v: by_target(dist)}, (v, bound)
     with pytest.raises(SurfaceError, match="packing width"):
-        surfballs._ClassSearch(packing, v).grow(packing.limit + 1)
+        surfballs._ClassSearch(packing, r).grow(packing.limit + 1)
 
 
 @pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
@@ -444,8 +453,8 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
             surfballs.capture_length(s, mode="exact", x=x)
         bound = s._capture_cache.bound
         assert bound == _table_bound(s, far)
-        resumed = surfballs._capture_tables(s, bound)
-        assert resumed == surfballs._capture_tables(make(), bound)
+        resumed = _vertex_tables(s, bound)
+        assert resumed == _vertex_tables(make(), bound)
         assert _reached(resumed) == tuple_capture_tables(s, bound)
 
     # a state budget hit while resuming: the same error as the oracle's, the
@@ -468,7 +477,7 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
     monkeypatch.undo()
     assert surfballs.capture_length(s, mode="exact", x=far) == \
         surfballs.capture_length(make(), mode="exact", x=far)
-    assert surfballs._capture_tables(s, high) == surfballs._capture_tables(make(), high)
+    assert _vertex_tables(s, high) == _vertex_tables(make(), high)
 
 
 @pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
@@ -506,6 +515,53 @@ def test_based_capture_matches_arc_dict_oracle_on_finer_torus():
     for x in (bases[0], bases[len(bases) // 2], bases[-1]):
         assert surfballs.capture_length(s, mode="exact", x=x) == \
             arc_dict_exact_capture(s, x), x
+
+
+@pytest.mark.parametrize("case", ["two-feet", "two-entries"])
+def test_arc_search_tie_rule(case):
+    # hand-built tables on torus7 (vertex = rank, unit lengths, dist(x, .) = 0)
+    # whose seeds all reach the state (v, (0, 0)) at one cost: of equal-cost
+    # arcs the least foot rank wins, then the least entry index
+    s = fixtures.torus7()
+    packing = surfballs._ClassPacking(s)
+    hom = s.homology()
+
+    def step(a, b):
+        h = hom.unpack(hom.step(a, b))
+        return (h.get(0, 0), h.get(1, 0))
+
+    def neg(*hs):
+        return (-sum(h[0] for h in hs), -sum(h[1] for h in hs))
+
+    w1, w2, v, y = 1, 4, 6, 0
+    if case == "two-feet":
+        # w1 -> v and w2 -> v, one edge each
+        seeds = [(w1, (0, neg(step(w1, v)))), (w2, (0, neg(step(w2, v))))]
+        cost = 1
+    else:
+        # w1 -> y -> v from entry 0, w1 -> v from entry 1, w2 -> v
+        assert neg(step(w1, y), step(y, v)) != neg(step(w1, v))
+        seeds = [(w1, (0, neg(step(w1, y), step(y, v)))),
+                 (w1, (1, neg(step(w1, v)))), (w2, (1, neg(step(w2, v))))]
+        cost = 2
+    zero = packing.state(0, (0, 0))   # the low digits of class (0, 0)
+
+    def winner(chosen):
+        # the cost and (foot rank, entry index) of the arc to (v, (0, 0))
+        row = [[] for _ in packing.verts]
+        for w, entry in chosen:
+            row[w].append(entry)
+        arc_search = surfballs._ArcSearch(packing, [SimpleNamespace(lists=row)],
+                                          [0] * len(row))
+        found = arc_search.arcs(row, cost + 1, 0)[v]
+        (c, label), = [(c, label) for c, low, label in found if low == zero]
+        return c, arc_search.foot(label)
+
+    # each seed alone reaches (v, (0, 0)) at the same cost
+    for w, entry in seeds:
+        assert winner([(w, entry)]) == (cost, (w, 0))
+    assert winner([sd for sd in seeds if sd[0] == w1]) == (cost, (w1, 0))
+    assert winner(seeds) == (cost, (w1, 0))
 
 
 def test_exact_capture_refuses_a_wrong_lambda1():
@@ -562,10 +618,15 @@ def test_height_nonnegative_and_bounded(sub_torus):
 
 def test_window_check_passes_on_refined_torus(sub_torus):
     h = surfballs.height(sub_torus, 7)
-    rep = surfballs.small_ball_area_check(sub_torus, 7, F(5, 4), hpp=h["Hpp"])
+    sys_x, _ = surfballs.systole_at(sub_torus, 7)
+    rep = surfballs.small_ball_area_check(sub_torus, 7, F(5, 4), hpp=h["Hpp"],
+                                          sys_x=sys_x)
     assert rep["status"] == "pass"
 
 
 def test_window_check_inconclusive_outside(sub_torus):
-    rep = surfballs.small_ball_area_check(sub_torus, 0, F(2))   # 2 >= sys/2 = 3/2
+    h = surfballs.height(sub_torus, 0)
+    sys_x, _ = surfballs.systole_at(sub_torus, 0)
+    rep = surfballs.small_ball_area_check(sub_torus, 0, F(2), hpp=h["Hpp"],
+                                          sys_x=sys_x)   # 2 >= sys/2 = 3/2
     assert rep["status"] == "inconclusive"
