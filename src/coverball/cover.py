@@ -11,11 +11,19 @@ computation is exact.
 The expansion is vertex-aggregated.  The paths arriving at a vertex v at
 one distance may leave by every edge at v except the reverse of the one
 they came by, so the state leaving by s carries the total arriving at v
-minus what arrived by the reverse of s.  Each distance keeps one arrival
-count per traversal and one total per vertex, and a state costs O(1)
-however large the degree.  A ``budget`` counts expanded states in the order
-(distance, edge id, direction); the states of one distance are sorted only
-where the budget cuts among them.
+minus what arrived by the reverse of s.  Each pending distance keeps one
+flat row of ints: the arrival count by traversal index, then the arrival
+total by vertex rank.  A state writes its arrival and adds it to its
+head's total by column, so it costs two list stores however large the
+degree.  A ``budget`` counts expanded states in the order (distance, edge
+id, direction); the states of one distance are sorted only where the
+budget cuts among them.
+
+The pending distances are sparse on the grid: lengths 1 and 1 + 10^-12
+make it 10^12 steps per unit, while the distances reached never outnumber
+the states expanded.  So the rows sit in a dict keyed by distance and a
+heap of those keys gives the next one; a ring of rows indexed by distance
+modulo the longest grid length would be sized by the grid.
 
 One expansion to radius R serves every radius up to R.  The ball length is
 piecewise linear in the radius with breakpoints on the grid: it grows with
@@ -93,8 +101,14 @@ def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
         if base not in g.vertices:
             raise GraphError(f"unknown base vertex {base}")
         return g, base
-    eid, off = base
-    off = Fraction(off)
+    try:
+        eid, off = base
+        off = Fraction(off)
+    except (TypeError, ValueError):
+        eid = None
+    if not isinstance(eid, int):
+        raise GraphError(f"base {base!r} is neither a vertex id nor an "
+                         "(edge id, offset) pair")
     e = g.edge_by_id(eid)
     if not 0 <= off <= e.length:
         raise GraphError("base offset outside edge")
@@ -163,16 +177,22 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     head, length, departures, _ = _transitions(g)
     # traversals as ints in sorted (edge id, direction) order, so the two
     # directions of an edge are i and i ^ 1 and the budget takes the states
-    # of one key in int order; per vertex its departures as
-    # (traversal, reverse, grid length, head)
+    # of one key in int order.  A pending key holds one row: the arrival
+    # multiplicity by traversal in [0, T), then the arrival total by vertex
+    # rank in [T, T + V).  Per vertex in rank order: its column, its degree
+    # and its departures as (traversal, reverse, grid length, head column)
     index = {t: i for i, t in enumerate(sorted(length))}
-    deps = {v: [(index[s], index[s] ^ 1, int(length[s] * D), head[s])
-                for s in ds] for v, ds in departures.items()}
-    maxdeg = max(map(len, deps.values()))
-
-    # a pending key holds the arrival multiplicity per traversal and the
-    # arrival total per active vertex; the base has one virtual arrival
-    pending = {0: ({}, {base_v: 1})}
+    T = len(index)
+    col = {v: T + r for r, v in enumerate(sorted(departures))}
+    deps = [(col[v], len(ds), [(index[s], index[s] ^ 1, int(length[s] * D),
+                                col[head[s]]) for s in ds])
+            for v, ds in sorted(departures.items())]
+    V = len(deps)
+    width = T + V
+    maxdeg = max(deg for _, deg, _ in deps)
+    row = [0] * width
+    row[col[base_v]] = 1        # the base has one virtual arrival
+    pending = {0: row}
     heap = [0]
     pget = pending.get
     push = heapq.heappush
@@ -182,49 +202,43 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     stop = None
     while heap:
         k = heapq.heappop(heap)
-        arr, tot = pending.pop(k)
+        row = pending.pop(k)
+        tots = row[T:]
         # every arrival ends an edge; the base's virtual one does not
-        n_end = sum(tot.values()) if k else 0
-        dep = deps
-        if slots + maxdeg * len(tot) > budget:
-            live = sorted((d, v) for v, tv in tot.items() for d in deps[v]
-                          if tv != arr.get(d[1], 0))
+        n_end = sum(tots) if k else 0
+        todo = deps
+        if slots + maxdeg * (V - tots.count(0)) > budget:
+            live = sorted((d, c) for c, _, dl in deps if row[c] for d in dl
+                          if row[c] != row[d[1]])
             if slots + len(live) > budget:
                 # the budget cuts here: keep the first states in order
                 stop = k
                 live = live[:budget - slots]
-                n_in = sum(tot[v] - arr.get(d[1], 0) for d, v in live)
-                dep = {}
-                for d, v in live:
-                    dep.setdefault(v, []).append(d)
-                tot = {v: tot[v] for v in dep}
+                n_in = sum(row[c] - row[d[1]] for d, c in live)
+                todo = [(c, 1, (d,)) for d, c in live]
         # a departure s from v carries every arrival at v but the one by
-        # its reverse, so v's departures carry deg(v) * tot[v] minus v's
+        # its reverse, so v's departures carry deg(v) * total minus v's
         # arrivals, and the states of this key out - n_end in all
         n = out = 0
-        aget = arr.get
-        for v, tv in tot.items():
-            dl = dep[v]
-            n += len(dl)
-            out += len(dl) * tv
+        for c, deg, dl in todo:
+            tv = row[c]
+            if not tv:
+                continue
+            n += deg
+            out += deg * tv
             for s, rs, L, h in dl:
-                m = tv - aget(rs, 0)
+                m = tv - row[rs]
                 if not m:
                     n -= 1
                     continue
                 k2 = k + L
                 if k2 < K:
-                    p = pget(k2)
-                    if p is None:
-                        pending[k2] = ({s: m}, {h: m})
+                    r2 = pget(k2)
+                    if r2 is None:
+                        r2 = pending[k2] = [0] * width
                         push(heap, k2)
-                    else:
-                        p[0][s] = m
-                        ptot = p[1]
-                        if h in ptot:
-                            ptot[h] += m
-                        else:
-                            ptot[h] = m
+                    r2[s] = m
+                    r2[h] += m
                 elif k2 == K:
                     at_K += m
         slots += n
@@ -234,7 +248,7 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
         cuts.append((k, out - n_end, n_end))
     # after a cut, the keys reached but not expanded; then K: edges only
     # end there
-    cuts += [(k, 0, sum(pending[k][1].values())) for k in sorted(pending)]
+    cuts += [(k, 0, sum(pending[k][T:])) for k in sorted(pending)]
     if at_K:
         cuts.append((K, 0, at_K))
     slope = weighted = reached = 0

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 
 import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_cover_ball, brute_force_cover_nodes,
                       heap_ball_length, random_bounded_instance)
-from coverball import cover
+from coverball import cover, witness
 from coverball.graphs import (GraphError, MetricGraph, figure_eight, girth,
                               random_connected, scale, theta_graph,
                               trivalent_reference)
@@ -152,6 +154,12 @@ def test_negative_radius_rejected():
         cover.ball_length(theta_graph(), 0, F(-1))
 
 
+@pytest.mark.parametrize("base", [(0, "x"), "0", 0.5])
+def test_malformed_base_rejected_by_name(base):
+    with pytest.raises(GraphError, match=re.escape(repr(base))):
+        cover.ball_length(theta_graph(), base, 1)
+
+
 def _matches_heap_oracle(g, base, R, budget):
     """The report of ``ball_length`` equals the state-by-state heap
     expansion's, profile included."""
@@ -225,3 +233,31 @@ def test_random_graphs_match_heap_oracle(b, seed, which, R, budget):
     e = g.edges[seed % len(g.edges)]
     base = [min(g.vertices), max(g.vertices), (e.id, e.length / 3)][which]
     _matches_heap_oracle(g, base, R, budget)
+
+
+@pytest.mark.parametrize("b, seed", [(8, 6), (6, 20)])
+def test_matches_heap_oracle_at_criterion_02_scale(b, seed):
+    """At the witness of a criterion-02 graph and R = 4 mu every key holds
+    many states and node counts pass 1000 bits."""
+    lam = F(1, 20)
+    g = random_bounded_instance(b, lam * (3 * b - 3), seed, denom=64)
+    x = witness.find_witness(g, lam).witness
+    R = 4 * witness.params_from_lambda(lam).mu
+    full = _matches_heap_oracle(g, x, R, cover.DEFAULT_BUDGET)
+    assert not full.truncated and full.node_count.bit_length() > 1000
+    for budget in (1000, 30000):
+        cut = _matches_heap_oracle(g, x, R, budget)
+        # one state less stops at the same key, so this budget cuts inside it
+        assert cut.profile.stop is not None
+        assert cut.profile.stop == \
+            cover.ball_length(g, x, R, budget - 1).profile.stop
+
+
+@pytest.mark.parametrize("R", [6, 10])
+def test_matches_heap_oracle_on_sparse_keys(R):
+    """Lengths 1, 1 + 10^-12 and 1/3 put the grid at D = 3 * 10^12 steps
+    per unit, so pending keys are far apart and K passes 10^13."""
+    g = MetricGraph.build([0, 1], [(0, 0, 1, 1), (1, 0, 1, 1 + F(1, 10**12)),
+                                   (2, 1, 1, F(1, 3))])
+    rep = _matches_heap_oracle(g, 0, R, cover.DEFAULT_BUDGET)
+    assert rep.profile.D == 3 * 10**12 and not rep.truncated
