@@ -96,8 +96,9 @@ class GrowthReport:
 
 
 def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
-    """Resolve a base point to a vertex, subdividing an edge if needed."""
-    if isinstance(base, int):
+    """Resolve a base point to a vertex, subdividing an edge if needed.
+    A ``bool`` is neither a vertex id nor an edge id."""
+    if isinstance(base, int) and not isinstance(base, bool):
         if base not in g.vertices:
             raise GraphError(f"unknown base vertex {base}")
         return g, base
@@ -106,7 +107,7 @@ def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
         off = Fraction(off)
     except (TypeError, ValueError):
         eid = None
-    if not isinstance(eid, int):
+    if not isinstance(eid, int) or isinstance(eid, bool):
         raise GraphError(f"base {base!r} is neither a vertex id nor an "
                          "(edge id, offset) pair")
     e = g.edge_by_id(eid)

@@ -178,9 +178,10 @@ def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None,
     to the vertex that first reached it at its final distance (heap entries
     (d, v), strict improvement, edges in ``incident`` order).  Relaxations
     beyond ``cutoff`` and through the edge with id ``skip_edge`` are dropped.
+    A ``bool`` source is refused, not taken as vertex 0 or 1.
     """
-    if src not in g.vertices:
-        raise GraphError(f"unknown source vertex {src}")
+    if isinstance(src, bool) or src not in g.vertices:
+        raise GraphError(f"unknown source vertex {src!r}")
     adj = g.int_grid()[1]
     if skip_edge is not None:
         e = g.edge_by_id(skip_edge)

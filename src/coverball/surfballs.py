@@ -346,6 +346,12 @@ def capture_length(s: TriSurface, mode: str = "greedy",
     graph, a figure eight, or two disjoint cycles.  Each shape's length is
     bounded below by a sum of class-constrained shortest path lengths, and
     the union realizing the minimal sum captures, so the minimum is exact.
+
+    A based exact call on a surface whose unbased exact result is cached
+    (``height`` computes it first) stops as soon as its incumbent reaches
+    that length L(M): every candidate still to come costs at least
+    L(M, x) >= L(M), so none could replace the incumbent, and the result is
+    the one a full search returns.
     """
     if mode == "greedy":
         return _greedy_capture(s, x)
@@ -372,7 +378,9 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 
     Candidates are taken in (grid length, cycle) order, each ranked by its
     packed class.  The first one is a shortest cycle of nonzero class
-    (Erickson and Whittlesey, SODA 2005), the cache's ``lambda1``.
+    (Erickson and Whittlesey, SODA 2005), the cache's ``lambda1``.  Based,
+    the graph is the basis plus its shortest arc from ``x`` (see
+    ``_with_arc``), so it passes through ``x``.
     """
     cache = _capture_cache(s)
     if cache.greedy is None:
@@ -389,13 +397,32 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
             raise SurfaceError("greedy capture failed to span H1")
         cache.greedy = (subgraph_length(s, edges), frozenset(edges))
     length, edges = cache.greedy
-    if x is not None and not any(x in e for e in edges):
-        if not edges:
-            raise SurfaceError("genus-0 surface has an empty capturing graph, "
-                               "which no arc from a base point reaches")
-        dx = s.distances_from(x)
-        length += min(dx[v] for e in edges for v in e)
-    return length, set(edges)
+    if x is None:
+        return length, set(edges)
+    return _with_arc(s, grid_shortest_paths(s.skeleton(), x), length, edges)
+
+
+def _with_arc(s: TriSurface, tree: tuple, length: Fraction,
+              edges) -> tuple[Fraction, set]:
+    """The graph ``edges`` of length ``length`` joined to the root x of
+    ``tree``, the grid (dist, parent) maps of ``grid_shortest_paths`` from
+    x, by the tree path from x to the graph's vertex nearest x, the least
+    one on ties.  The path's inner vertices are nearer x than every vertex
+    of the graph, so it adds exactly its own length."""
+    if not edges:
+        raise SurfaceError("genus-0 surface has an empty capturing graph, "
+                           "which no arc from a base point reaches")
+    dist, parent = tree
+    foot = min((dist[v], v) for e in edges for v in e)[1]
+    D = s.skeleton().int_grid()[0]
+    return (length + Fraction(dist[foot], D),
+            set(edges) | _path_edges(parent, foot))
+
+
+def _path_edges(parent: dict, v: int) -> set:
+    """Edges of the shortest-path-tree path from its root down to v."""
+    path = tree_path(parent, v)
+    return {_pair(a, b) for a, b in zip(path, path[1:])}
 
 
 # Exact genus-1 capture.  A minimal capturing subgraph is bridgeless with
@@ -469,6 +496,18 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
 # its target's (grid length, class) list, so every list stays sorted; when
 # a base needs a larger bound, each search pops on from where it stopped,
 # with its relaxations past the old bound still on its heap.
+#
+# Floor: a based call on a surface whose unbased exact result is cached
+# (``height`` makes the unbased call first) takes its length L(M) as a
+# floor on best.  Each candidate's sum is at least the length of the union
+# of its walks and its arc from x, a capturing graph through x, so it is
+# at least L(M, x) >= L(M).  Once best equals L(M) no later candidate
+# passes a ``tot < best`` test, so the search returns its incumbent there:
+# after the greedy bound, after the closed-walk family, and before each
+# theta source u and each pair (v, P).  The result is the one the full
+# search returns.  Without a cached L(M) there is no floor: computing it
+# only for the floor costs more than it saves on one based call.
+#
 # The searches keep no parent maps.  A state's walk runs back through the
 # first settled neighbour that reached it at its final length; since states
 # settle in (length, state) order, that is its tight predecessor least in
@@ -707,9 +746,18 @@ class _ArcSearch:
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     D = s.skeleton().int_grid()[0]
-    ub, ub_edges = _greedy_capture(s, x)
-    best = _on_grid(ub, D)
     cache = _capture_cache(s)
+    if x is None:
+        ub, ub_edges = _greedy_capture(s)
+    else:
+        distx, parx = tree = grid_shortest_paths(s.skeleton(), x)
+        ub, ub_edges = _with_arc(s, tree, *_greedy_capture(s))
+    best = _on_grid(ub, D)
+    # see the floor above: a based call stops once best reaches the cached
+    # unbased optimum (an unbased call never finds one cached)
+    floor = None if cache.exact is None else _on_grid(cache.exact[0], D)
+    if best == floor:
+        return ub, ub_edges
     # see the table bound above: no walk of a candidate beating best is
     # longer than best - lambda1
     lambda1 = cache.lambda1
@@ -719,7 +767,6 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if x is None:
         dx = [0] * n
     else:
-        distx, parx = grid_shortest_paths(s.skeleton(), x)
         dx = [distx[v] for v in pk.verts]
     # the incumbent: its walks as (source rank, (target rank, class)), and
     # the rank its arc from x ends at (read when based)
@@ -764,9 +811,10 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
 
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
-    if x is not None:
-        arc_search = _ArcSearch(pk, searches, dx)
+    arc_search = None
     for u in range(n):
+        if best == floor:
+            break
         row = searches[u].lists
         # pairs (v, P), P one shortest u-v walk per class, sorted by (length,
         # class).  A pair whose cut best - P0 - P1 is at most dist(x, u) or
@@ -787,8 +835,12 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
         if not pairs:
             continue
         if x is not None:
+            if arc_search is None:
+                arc_search = _ArcSearch(pk, searches, dx)
             arcs = arc_search.arcs(row, cut, u + 1)
         for v, P in pairs:
+            if best == floor:
+                break
             # unbased, the "special" path is just another plain path
             A = P if x is None else sorted(arcs[v])
             for a in A:
@@ -827,10 +879,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if best_walks is None:
         # the greedy subgraph is already optimal
         return ub, ub_edges
-    edges = set()
-    if x is not None:
-        path = tree_path(parx, pk.verts[best_foot])
-        edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
+    edges = set() if x is None else _path_edges(parx, pk.verts[best_foot])
     # recover the walks from the cached searches, which cover every one
     for source, (v, h) in best_walks:
         edges |= searches[source].walk_edges(pk.state(v, h))

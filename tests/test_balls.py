@@ -15,6 +15,7 @@ from conftest import (_face_components, arc_dict_exact_capture,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
                       tuple_class_dijkstra, walked_homology)
 from coverball import fixtures, surfballs
+from coverball.graphs import GraphError
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                parse_surface, subgraph_length)
 
@@ -517,6 +518,48 @@ def test_based_capture_matches_arc_dict_oracle_on_finer_torus():
             arc_dict_exact_capture(s, x), x
 
 
+def _skewed_sub_torus(seed: int) -> TriSurface:
+    """torus7 subdivided once with lengths drawn from {1, 9/8, 5/4, 11/8,
+    3/2}: many bases then lie off every minimal capturing graph."""
+    rng = random.Random(seed)
+    t = fixtures.subdivide(fixtures.torus7())
+    choices = [F(1), F(9, 8), F(5, 4), F(11, 8), F(3, 2)]
+    return TriSurface.build(t.faces, {e: rng.choice(choices) for e in t.edges})
+
+
+def test_based_capture_floor_leaves_results_unchanged():
+    # after the unbased call a based call stops at the unbased optimum; it
+    # returns what it returns with nothing cached, and what the oracle does
+    heights = set()
+    for make in ARC_ORACLE_MAKERS + [lambda seed=seed: _skewed_sub_torus(seed)
+                                     for seed in (1, 2, 3)]:
+        s, fresh = make(), make()
+        L, _ = surfballs.capture_length(s, mode="exact")
+        for x in sorted(s.vertices):
+            got = surfballs.capture_length(s, mode="exact", x=x)
+            assert got == surfballs.capture_length(fresh, mode="exact", x=x) == \
+                arc_dict_exact_capture(s, x), x
+            heights.add(got[0] > L)
+        assert fresh._capture_cache.exact is None
+    assert heights == {False, True}
+
+
+def test_based_capture_floor_skips_arc_searches(monkeypatch):
+    # every base of torus7_sub has H'' = 0; the full search runs 27 arc
+    # searches at each
+    s = fixtures.subdivide(fixtures.torus7())
+    calls = []
+    arcs = surfballs._ArcSearch.arcs
+    monkeypatch.setattr(surfballs._ArcSearch, "arcs",
+                        lambda *a: calls.append(1) or arcs(*a))
+    L, _ = surfballs.capture_length(s, mode="exact")
+    assert not calls
+    for x in sorted(s.vertices):
+        calls.clear()
+        assert surfballs.capture_length(s, mode="exact", x=x)[0] == L
+        assert len(calls) <= 2, x
+
+
 @pytest.mark.parametrize("case", ["two-feet", "two-entries"])
 def test_arc_search_tie_rule(case):
     # hand-built tables on torus7 (vertex = rank, unit lengths, dist(x, .) = 0)
@@ -583,13 +626,31 @@ def test_greedy_capture_matches_fraction_oracle(name):
     s = GREEDY_SURFACES[name]()
     L, edges = fraction_greedy_capture(s)
     on = {v for e in edges for v in e}
-    for x in [None] + sorted(s.vertices):
-        # based, the shortest arc from x joins the unbased basis
-        arc = 0 if x is None or x in on else min(s.distances_from(x)[v] for v in on)
-        assert surfballs.capture_length(s, mode="greedy", x=x) == (L + arc, edges), x
+    assert surfballs.capture_length(s, mode="greedy") == (L, edges)
+    for x in sorted(s.vertices):
+        # based, a shortest arc from x joins the unbased basis
+        arc = min(s.distances_from(x)[v] for v in on)
+        Lx, ex = surfballs.capture_length(s, mode="greedy", x=x)
+        assert Lx == L + arc == subgraph_length(s, ex), x
+        assert edges <= ex and x in {v for e in ex for v in e}, x
+        assert capturing_test(s, ex)[0], x
     lengths = [length for length, _ in fraction_homology_candidates(s)[0]]
     D = s.skeleton().int_grid()[0]
     assert s._capture_cache.lambda1 == surfballs._on_grid(min(lengths), D)
+
+
+def test_bool_base_refused():
+    # True would otherwise stand for vertex 1, with or without a cached
+    # unbased result
+    for cached in (False, True):
+        s = fixtures.torus7()
+        if cached:
+            surfballs.capture_length(s, mode="exact")
+        for call in (lambda: surfballs.capture_length(s, mode="exact", x=True),
+                     lambda: surfballs.capture_length(s, mode="greedy", x=True),
+                     lambda: surfballs.systole_at(s, True)):
+            with pytest.raises(GraphError, match="unknown source vertex True"):
+                call()
 
 
 def test_greedy_capture_upper_bounds_exact(torus):

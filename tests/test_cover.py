@@ -154,7 +154,7 @@ def test_negative_radius_rejected():
         cover.ball_length(theta_graph(), 0, F(-1))
 
 
-@pytest.mark.parametrize("base", [(0, "x"), "0", 0.5])
+@pytest.mark.parametrize("base", [(0, "x"), "0", 0.5, True, (True, F(1, 4))])
 def test_malformed_base_rejected_by_name(base):
     with pytest.raises(GraphError, match=re.escape(repr(base))):
         cover.ball_length(theta_graph(), base, 1)
