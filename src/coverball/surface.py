@@ -169,13 +169,17 @@ class TriSurface:
             raise SurfaceError("negative genus")
         self._skeleton = None
         self._homology = None
+        self._face_areas = None
 
     # -- derived views -----------------------------------------------------
     def face_area(self, i: int) -> float:
-        a, b, c = self.faces[i]
-        return heron(float(self.edge_lengths[_pair(b, c)]),
-                     float(self.edge_lengths[_pair(a, c)]),
-                     float(self.edge_lengths[_pair(a, b)]))
+        if self._face_areas is None:
+            self._face_areas = [
+                heron(float(self.edge_lengths[_pair(b, c)]),
+                      float(self.edge_lengths[_pair(a, c)]),
+                      float(self.edge_lengths[_pair(a, b)]))
+                for a, b, c in self.faces]
+        return self._face_areas[i]
 
     def total_area(self) -> float:
         return sum(self.face_area(i) for i in range(len(self.faces)))
@@ -216,13 +220,16 @@ class HomologyData:
     walk is the sum of its directed edge classes (``step``).
 
     ``edge_class[(u, w)]`` is one int: the 2g coordinates as signed digits
-    in base 2**``width``, coordinate i in digit i (``unpack`` reads them
-    back).  Each coordinate is -1, 0 or 1, as it counts the signed crossings
-    of the edge with one simple dual cycle: generator i's dual edge plus the
-    C-path between its faces.  ``width = (4 * len(s.edges)).bit_length() + 1``
-    keeps each digit of a signed sum of up to 4 * len(s.edges) such vectors
-    below 2**(width-1) in magnitude, so the sum is zero iff its int is, and
-    ``unpack`` reads it exactly.
+    in base 2**``width``, coordinate i in digit 2g-1-i, so int order is the
+    order of the coordinate tuples (``unpack`` reads them back).  Each
+    coordinate is -1, 0 or 1, as it counts the signed crossings of the edge
+    with one simple dual cycle: generator i's dual edge plus the C-path
+    between its faces.  ``width = N.bit_length() + 1`` with N = max(4|E|,
+    2 * (2S // lmin + 1)), S the total and lmin the least grid edge length,
+    keeps each digit of a signed sum of up to N such vectors below
+    2**(width-1) in magnitude, so the sum is zero iff its int is.  A class
+    search walk has at most 2S // lmin + 1 edges (``surfballs``), and the 2
+    leaves room for the difference of two such classes.
     """
 
     def __init__(self, s: TriSurface):
@@ -268,9 +275,12 @@ class HomologyData:
                 dual.setdefault(f2, []).append((e, f1))
         if len(self.generators) != 2 * s.genus:
             raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
-        self.width = width = (4 * len(s.edges)).bit_length() + 1
+        # every edge is listed from both of its ends, so the sum is 2S
+        grid = [l for es in g.int_grid()[1].values() for l, _ in es]
+        n = max(4 * len(s.edges), 2 * (sum(grid) // min(grid) + 1))
+        self.width = width = n.bit_length() + 1
         cls = dict.fromkeys(tree, 0)
-        for i, e in enumerate(self.generators):
+        for i, e in enumerate(reversed(self.generators)):
             cls[e] = 1 << (i * width)
         self.edge_class = cls
         # peel dual leaves: each face, children first, fixes the cotree edge
@@ -307,11 +317,11 @@ class HomologyData:
 
     def unpack(self, packed: int) -> dict[int, int]:
         """The 2g signed digits of a packed class, as the sparse dict
-        ``Echelon`` takes (digit i under key i, zeros left out)."""
+        ``Echelon`` takes (coordinate i under key i, zeros left out)."""
         out = {}
         width = self.width
         half, mask = 1 << (width - 1), (1 << width) - 1
-        for i in range(len(self.generators)):
+        for i in reversed(range(len(self.generators))):
             x = packed & mask
             if x >= half:
                 x -= 1 << width
@@ -392,7 +402,7 @@ def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
     Returns (side, cross): ``side[(x, y)]`` is the face to the left of the
     directed edge x -> y; ``cross[(u, w)]``, u < w, is the vector of
     coefficients of u -> w in the z_i, packed like ``hom.edge_class``:
-    generator i's class is the unit of digit i.  Each digit is -1, 0 or 1,
+    generator i's class is the unit of coordinate i.  Each digit is -1, 0 or 1,
     so a sum of up to 4 * len(s.edges) such vectors is zero iff its int is.
     """
     hom = s.homology()

@@ -462,10 +462,12 @@ def _path_edges(parent: dict, v: int) -> set:
 # integer n standing for n/D, and only the realized length of the winner is
 # a Fraction.
 #
-# A class search state, a vertex v reached by a walk of class (a, b), is
-# one int packed vertex-major: r*W**2 + (a + OFF)*W + (b + OFF), r the rank
-# of v among the sorted vertices.  Int order is then the order of the pairs
-# (v, (a, b)), and each directed edge adds one precomputed int.
+# A class search state, a vertex v reached by a walk of class c packed as
+# in ``HomologyData``, is the int r*M + Z + c, r the rank of v among the
+# sorted vertices, M = 2**(2g*width) and Z = 2**(width-1) in every digit.
+# Int order is then the order of (v, class tuple), and each directed edge
+# adds one precomputed int, ``hom.step`` plus the change of rank times M.
+# The class search runs at any genus; exact capture is genus-1 only.
 #
 # Table bound: a call with greedy upper bound ``best`` (unbased, or based
 # with its arc) grows the tables to best - lambda1, lambda1 the shortest
@@ -482,10 +484,10 @@ def _path_edges(parent: dict, v: int) -> set:
 # Width rule: every bound is at most best <= 2*S with S the total grid
 # length; a state within the bound, or one edge past it, is reached by a
 # walk of at most 2*S // lmin + 1 edges, lmin the shortest grid length.
-# Every class coordinate of an edge is -1, 0 or 1 (see ``HomologyData``),
-# so |a|, |b| <= OFF = 2*S // lmin + 1, and W = 2*OFF + 1.  A search asked
-# for a bound above 2*S raises SurfaceError rather than mis-order its
-# states.
+# Every class coordinate of an edge is -1, 0 or 1, so each digit of a
+# state's class, or of the difference of two, fits the ``HomologyData``
+# width.  A search asked for a bound above 2*S raises SurfaceError rather
+# than mis-order its states.
 #
 # Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
 # its lambda1, the unbased greedy basis and exact result, and one resumable
@@ -543,6 +545,7 @@ class _CaptureCache:
         self.packing = None         # see _ClassPacking
         self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
+        self.longest = 0            # longest list of the searches at bound
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
@@ -560,50 +563,44 @@ def _on_grid(q: Fraction, D: int) -> int:
 
 
 class _ClassPacking:
-    """Genus-1 class search states as ints, under the width rule above.
+    """Class search states as ints, r*M + Z + c, under the width rule above.
 
     ``adj[r]`` lists (grid length, state delta) for each directed edge out
     of the vertex of rank r, in ``incident`` order; ``limit`` is the largest
-    grid bound the width allows.
+    grid bound the width allows, 2*S, as each edge is listed at both ends.
     """
 
     def __init__(self, s: TriSurface):
         hom = s.homology()
-        D, adj = s.skeleton().int_grid()
+        adj = s.skeleton().int_grid()[1]
         self.verts = sorted(s.vertices)
         rank = {v: r for r, v in enumerate(self.verts)}
-        lmin = min(l for es in adj.values() for l, _ in es)
-        self.limit = 2 * _on_grid(sum(s.edge_lengths.values()), D)
-        self.off = self.limit // lmin + 1
-        W = self.width = 2 * self.off + 1
-        W2 = self.W2 = W * W
-        self.adj = []
-        for r, v in enumerate(self.verts):
-            row = []
-            for l, u in adj[v]:
-                h = hom.unpack(hom.step(v, u))
-                row.append((l, (rank[u] - r) * W2 + h.get(0, 0) * W + h.get(1, 0)))
-            self.adj.append(row)
-        self.classes: dict[int, tuple] = {}   # low digits -> (a, b), memoized
+        self.limit = sum(l for es in adj.values() for l, _ in es)
+        width, k = hom.width, len(hom.generators)
+        M = self.M = 1 << (k * width)
+        self.Z = sum(1 << (i * width + width - 1) for i in range(k))
+        self.adj = [[(l, (rank[u] - r) * M + hom.step(v, u)) for l, u in adj[v]]
+                    for r, v in enumerate(self.verts)]
+        self.classes: dict[int, int] = {}   # low digits -> class, one int each
 
-    def state(self, r: int, h: tuple) -> int:
-        """The state of the vertex of rank r reached in class h."""
-        return r * self.W2 + (h[0] + self.off) * self.width + h[1] + self.off
+    def state(self, r: int, c: int) -> int:
+        """The state of the vertex of rank r reached in class c."""
+        return r * self.M + self.Z + c
 
     def vertex(self, state: int) -> int:
-        return self.verts[state // self.W2]
+        return self.verts[state // self.M]
 
-    def class_of(self, low: int) -> tuple:
-        h = self.classes.get(low)
-        if h is None:
-            a, b = divmod(low, self.width)
-            h = self.classes[low] = (a - self.off, b - self.off)
-        return h
+
+def _det(p: int, q: int, width: int) -> int:
+    """ad - bc for the genus-1 classes p = (a, b), q = (c, d) packed as in
+    ``HomologyData``: t(p)*q - t(q)*p, t(p) = a the top digit."""
+    half = 1 << (width - 1)
+    return ((p + half) >> width) * q - ((q + half) >> width) * p
 
 
 class _ClassSearch:
-    """Shortest walks from one source, stratified by genus-1 homology
-    class, on packed states; resumable.
+    """Shortest walks from one source, stratified by homology class, on
+    packed states; resumable.
 
     ``grow(bound)`` settles every state of grid length <= bound in
     increasing (length, state) order, appending (length, class) to
@@ -613,7 +610,7 @@ class _ClassSearch:
     """
 
     def __init__(self, packing: _ClassPacking, source: int):
-        start = packing.state(source, (0, 0))   # source is a rank
+        start = packing.state(source, 0)   # source is a rank
         self.packing = packing
         self.dist = {start: 0}
         self.heap = [(0, start)]
@@ -624,7 +621,7 @@ class _ClassSearch:
         if bound > pk.limit:
             raise SurfaceError("class search bound exceeds its packing width")
         dist, heap, lists = self.dist, self.heap, self.lists
-        W2, adj, classes = pk.W2, pk.adj, pk.classes
+        M, Z, adj, classes = pk.M, pk.Z, pk.adj, pk.classes
         cap = _STATE_CAP
         while heap and heap[0][0] <= bound:
             if len(dist) > cap:
@@ -632,10 +629,10 @@ class _ClassSearch:
             d, st = heappop(heap)
             if d > dist[st]:
                 continue
-            r, low = divmod(st, W2)
+            r, low = divmod(st, M)
             h = classes.get(low)
             if h is None:
-                h = pk.class_of(low)
+                h = classes[low] = low - Z
             lists[r].append((d, h))
             for l, delta in adj[r]:
                 nd = d + l
@@ -652,7 +649,7 @@ class _ClassSearch:
         reverse of a directed edge is its negated delta."""
         d = self.dist[state]
         tight = [(d - l, state + delta)
-                 for l, delta in self.packing.adj[state // self.packing.W2]
+                 for l, delta in self.packing.adj[state // self.packing.M]
                  if self.dist.get(state + delta) == d - l]
         return min(tight)[1] if tight else None
 
@@ -680,6 +677,8 @@ def _capture_tables(s: TriSurface, bound: int) -> list:
                           for r in range(len(cache.packing.verts))]
     for search in cache.searches:
         search.grow(bound)
+    cache.longest = max(len(lst) for search in cache.searches
+                        for lst in search.lists)
     cache.bound = bound
     return cache.searches
 
@@ -689,27 +688,27 @@ class _ArcSearch:
     source u; see the arc search above.
 
     A label packs (grid cost, rank of the foot w, index i of u's table
-    entry at w) into the int cost * M + rank * I + i, with I one more than
-    the longest table list and M = |V| * I, so int order is the order of
-    the triples and each directed edge adds its grid length times M.
+    entry at w) into the int cost * C + rank * I + i, with I one more than
+    ``longest``, the longest table list, and C = |V| * I, so int order is
+    the order of the triples and each directed edge adds its grid length
+    times C.
     """
 
-    def __init__(self, packing: _ClassPacking, searches: list, dx: list):
+    def __init__(self, packing: _ClassPacking, longest: int, dx: list):
         self.packing = packing
         self.dx = dx                # dist(x, w) by rank of w
-        self.I = 1 + max(len(lst) for search in searches
-                         for lst in search.lists)
-        M = self.M = len(packing.verts) * self.I
-        self.adj = [[(l * M, delta) for l, delta in es] for es in packing.adj]
+        self.I = 1 + longest
+        C = self.C = len(packing.verts) * self.I
+        self.adj = [[(l * C, delta) for l, delta in es] for es in packing.adj]
 
     def arcs(self, row: list, cut: int, first: int) -> list:
         """Per vertex rank r >= ``first``, the least arcs from u to the
         vertex of rank r cheaper than ``cut``, one per class, as (grid cost,
-        class digits, label) in settling order; ``row`` is u's (grid length,
+        packed class, label) in settling order; ``row`` is u's (grid length,
         class) lists by target rank."""
-        pk, I, M = self.packing, self.I, self.M
-        W2, adj = pk.W2, self.adj
-        cutM = cut * M
+        pk, I, C = self.packing, self.I, self.C
+        M, Z, adj = pk.M, pk.Z, self.adj
+        cutC = cut * C
         dist: dict[int, int] = {}
         heap = []
         for r, (lst, dx) in enumerate(zip(row, self.dx)):
@@ -718,7 +717,7 @@ class _ArcSearch:
                 if c >= cut:
                     break
                 st = pk.state(r, g1)
-                dist[st] = label = c * M + r * I + i
+                dist[st] = label = c * C + r * I + i
                 heap.append((label, st))
         heapify(heap)
         found = [[] for _ in row]
@@ -726,12 +725,12 @@ class _ArcSearch:
             label, st = heappop(heap)
             if label > dist[st]:
                 continue
-            r, low = divmod(st, W2)
+            r, low = divmod(st, M)
             if r >= first:
-                found[r].append((label // M, low, label))
-            for lM, delta in adj[r]:
-                nl = label + lM
-                if nl < cutM:
+                found[r].append((label // C, low - Z, label))
+            for lC, delta in adj[r]:
+                nl = label + lC
+                if nl < cutC:
                     ns = st + delta
                     old = dist.get(ns)
                     if old is None or nl < old:
@@ -741,7 +740,7 @@ class _ArcSearch:
 
     def foot(self, label: int) -> tuple[int, int]:
         """The rank of an arc's foot w and the index of u's entry at w."""
-        return divmod(label % self.M, self.I)
+        return divmod(label % self.C, self.I)
 
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
@@ -763,7 +762,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     lambda1 = cache.lambda1
     searches = _capture_tables(s, best - lambda1)
     pk = cache.packing
-    n = len(pk.verts)
+    n, width = len(pk.verts), s.homology().width
     if x is None:
         dx = [0] * n
     else:
@@ -773,15 +772,14 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     best_walks = None
     best_foot = None
 
-    zero = (0, 0)
     # closed-walk minima per class, as (grid length, base rank): m[h] plain,
     # cx[h] with the arc from x charged to the walk; cx is m when unbased,
     # since rank order is vertex order
-    m: dict[tuple, tuple] = {}
-    cx: dict[tuple, tuple] = {}
+    m: dict[int, tuple] = {}
+    cx: dict[int, tuple] = {}
     for r in range(n):
         for d, h in searches[r].lists[r]:
-            if h == zero:
+            if not h:
                 continue
             if h not in m or (d, r) < m[h]:
                 m[h] = (d, r)
@@ -803,7 +801,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
             tot = c1 + d2
             if tot >= best:
                 break
-            if h1[0] * h2[1] == h1[1] * h2[0]:
+            if not _det(h1, h2, width):
                 continue
             best = tot
             best_walks = [(r1, (r1, h1)), (r2, (r2, h2))]
@@ -836,7 +834,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
             continue
         if x is not None:
             if arc_search is None:
-                arc_search = _ArcSearch(pk, searches, dx)
+                arc_search = _ArcSearch(pk, cache.longest, dx)
             arcs = arc_search.arcs(row, cut, u + 1)
         for v, P in pairs:
             if best == floor:
@@ -847,8 +845,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                 if x is None:
                     d1, h1 = a
                 else:
-                    d1, low, label = a
-                    h1 = pk.class_of(low)
+                    d1, h1, label = a
                 if d1 + P[0][0] + P[1][0] >= best:
                     break
                 for j in range(len(P)):
@@ -857,13 +854,13 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         continue   # canonical order: special path is shortest
                     if d1 + d2 + P[0][0] >= best:
                         break
-                    a0, a1 = h2[0] - h1[0], h2[1] - h1[1]
+                    h21 = h2 - h1
                     for k in range(j + 1, len(P)):
                         d3, h3 = P[k]
                         tot = d1 + d2 + d3
                         if tot >= best:
                             break
-                        if a0 * (h3[1] - h1[1]) == a1 * (h3[0] - h1[0]):
+                        if not _det(h21, h3 - h1, width):
                             continue
                         best = tot
                         best_walks = [(u, (v, h2)), (u, (v, h3))]
@@ -872,9 +869,8 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         else:
                             best_foot, i = arc_search.foot(label)
                             g1 = row[best_foot][i][1]
-                            g2 = (g1[0] - h1[0], g1[1] - h1[1])
                             best_walks += [(u, (best_foot, g1)),
-                                           (v, (best_foot, g2))]
+                                           (v, (best_foot, g1 - h1))]
 
     if best_walks is None:
         # the greedy subgraph is already optimal

@@ -630,11 +630,23 @@ def walked_homology(s: TriSurface):
     return tree_parent, generators, cls
 
 
+def class_tuple(hom, packed: int) -> tuple:
+    """The 2g coordinates of a class packed as in ``HomologyData``."""
+    digits = hom.unpack(packed)
+    return tuple(digits.get(i, 0) for i in range(len(hom.generators)))
+
+
+def pack_class(hom, h: tuple) -> int:
+    """The inverse of ``class_tuple``: coordinate i in digit 2g-1-i."""
+    k = len(h)
+    return sum(x << ((k - 1 - i) * hom.width) for i, x in enumerate(h))
+
+
 def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
     """Independent oracle for ``surfballs._ClassSearch``: shortest walks
-    from source, stratified by genus-1 homology class, with (vertex, (a, b))
-    tuple states from ``walked_homology``'s classes and every relaxation
-    past ``bound`` dropped.
+    from source, stratified by homology class, with (vertex, 2g-tuple)
+    states from ``walked_homology``'s classes and every relaxation past
+    ``bound`` dropped.
 
     Returns (dist, parent): dist maps (vertex, class) to its grid length
     <= bound, parent maps each state to the state it was first reached from
@@ -645,7 +657,7 @@ def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
     _, grid = s.skeleton().int_grid()
     adj = {v: [(l, u, tuple_step(classes, v, u)) for l, u in es]
            for v, es in grid.items()}
-    start = (source, (0, 0))
+    start = (source, (0,) * (2 * s.genus))
     dist = {start: 0}
     parent = {start: None}
     heap = [(0, start)]
@@ -653,12 +665,12 @@ def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
         d, st = heapq.heappop(heap)
         if d > dist[st]:
             continue
-        v, (a, b) = st
-        for l, u, (i, j) in adj[v]:
+        v, h = st
+        for l, u, step in adj[v]:
             nd = d + l
             if nd > bound:
                 continue
-            ns = (u, (a + i, b + j))
+            ns = (u, tuple(a + i for a, i in zip(h, step)))
             old = dist.get(ns)
             if old is None or nd < old:
                 if len(dist) > surfballs._STATE_CAP:
@@ -720,9 +732,14 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
     # is longer than best - lambda1
     lambda1 = cache.lambda1
     searches = surfballs._capture_tables(s, best - lambda1)
-    # the rank-indexed tables read by vertex: source -> target -> list
+    # the rank-indexed tables read by vertex, (a, b) tuple classes decoded
+    # once: source -> target -> list
+    hom = s.homology()
+    tup = {h: class_tuple(hom, h)
+           for h in {h for search in searches for lst in search.lists for _, h in lst}}
     rank = {v: r for r, v in enumerate(cache.packing.verts)}
-    by_target = {u: dict(zip(cache.packing.verts, searches[r].lists))
+    by_target = {u: {v: [(d, tup[h]) for d, h in lst]
+                     for v, lst in zip(cache.packing.verts, searches[r].lists)}
                  for u, r in rank.items()}
     if x is not None:
         distx, parx = grid_shortest_paths(s.skeleton(), x)
@@ -844,7 +861,8 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
         edges |= {_pair(a, b) for a, b in zip(path, path[1:])}
     # recover the walks from the cached searches, which cover every one
     for source, (v, h) in best_walks:
-        edges |= searches[rank[source]].walk_edges(cache.packing.state(rank[v], h))
+        edges |= searches[rank[source]].walk_edges(
+            cache.packing.state(rank[v], pack_class(hom, h)))
     realized = subgraph_length(s, edges)
     if x is not None and not any(x in e for e in edges):
         raise SurfaceError("based capture candidate misses the base point")

@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction as F
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (_face_components, arc_dict_exact_capture,
                       boundary_components, by_target,
-                      capture_by_cycle_pairs, class_of_walk, face_set_chi, fraction_greedy_capture,
+                      capture_by_cycle_pairs, class_of_walk, class_tuple, face_set_chi,
+                      fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
                       tuple_class_dijkstra, walked_homology)
@@ -404,27 +404,35 @@ def _reached(tables) -> dict:
     return {v: {w: lst for w, lst in t.items() if lst} for v, t in tables.items()}
 
 
+def _tuple_lists(s, search) -> dict:
+    """A class search's lists keyed by target vertex, classes decoded to
+    2g-tuples."""
+    hom = s.homology()
+    return {w: [(d, class_tuple(hom, h)) for d, h in lst]
+            for w, lst in zip(sorted(s.vertices), search.lists)}
+
+
 def _vertex_tables(s, bound) -> dict:
     """``_capture_tables`` keyed by vertex: source -> target -> list."""
     searches = surfballs._capture_tables(s, bound)
-    verts = s._capture_cache.packing.verts
-    return {u: dict(zip(verts, search.lists)) for u, search in zip(verts, searches)}
+    return {u: _tuple_lists(s, search)
+            for u, search in zip(sorted(s.vertices), searches)}
 
 
-@pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
-def test_packed_class_search_matches_tuple_oracle(make):
-    s = make()
-    ub = _grid_bound(s)
+def _check_class_search(s, bounds):
+    """Each source's one search, resumed through the rising ``bounds``,
+    against ``tuple_class_dijkstra``: settled lengths, parents and sorted
+    per-target lists, states and classes decoded through ``hom.unpack``."""
+    hom = s.homology()
     packing = surfballs._ClassPacking(s)
 
     def decode(st):
-        r, low = divmod(st, packing.W2)
-        return packing.verts[r], packing.class_of(low)
+        r, low = divmod(st, packing.M)
+        return packing.verts[r], class_tuple(hom, low - packing.Z)
 
     for r, v in enumerate(packing.verts):
-        # one search, resumed through the rising bounds
         search = surfballs._ClassSearch(packing, r)
-        for bound in (ub, ub + 1, ub + 3):
+        for bound in bounds:
             search.grow(bound)
             dist, parent = tuple_class_dijkstra(s, v, bound)
             settled = [st for st, d in search.dist.items() if d <= bound]
@@ -432,10 +440,42 @@ def test_packed_class_search_matches_tuple_oracle(make):
             parents = {st: search.parent(st) for st in settled}
             assert {decode(st): None if p is None else decode(p)
                     for st, p in parents.items()} == parent, (v, bound)
-            assert _reached({v: dict(zip(packing.verts, search.lists))}) == \
+            assert _reached({v: _tuple_lists(s, search)}) == \
                 {v: by_target(dist)}, (v, bound)
     with pytest.raises(SurfaceError, match="packing width"):
         surfballs._ClassSearch(packing, r).grow(packing.limit + 1)
+
+
+@pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
+def test_packed_class_search_matches_tuple_oracle(make):
+    s = make()
+    ub = _grid_bound(s)
+    _check_class_search(s, (ub, ub + 1, ub + 3))
+
+
+@pytest.mark.parametrize("make", [fixtures.genus2,
+                                  lambda: fixtures.subdivide(fixtures.genus2())],
+                         ids=["genus2", "genus2_sub"])
+def test_class_search_on_z4_matches_tuple_oracle(make):
+    # the same search on Z^4 states, which no capture call builds yet
+    _check_class_search(make(), (2, 4, 6))
+
+
+def test_det_matches_tuple_determinant():
+    # random genus-1 class pairs with digits up to the packing's limits,
+    # which bound the difference of two classes, and those limits themselves
+    hom = fixtures.subdivide(fixtures.torus7()).homology()
+    w = hom.width
+    half = 1 << (w - 1)
+    rng = random.Random(7)
+    edge = [-half, -half + 1, -1, 0, 1, half - 1]
+    pairs = [(p, q) for p in itertools.product(edge, repeat=2)
+             for q in itertools.product(edge, repeat=2)]
+    pairs += [tuple(tuple(rng.randrange(-half, half) for _ in range(2))
+                    for _ in range(2)) for _ in range(2000)]
+    for (a, b), (c, d) in pairs:
+        p, q = (a << w) + b, (c << w) + d
+        assert surfballs._det(p, q, w) == a * d - b * c, ((a, b), (c, d))
 
 
 @pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
@@ -454,6 +494,8 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
             surfballs.capture_length(s, mode="exact", x=x)
         bound = s._capture_cache.bound
         assert bound == _table_bound(s, far)
+        assert s._capture_cache.longest == max(
+            len(lst) for search in s._capture_cache.searches for lst in search.lists)
         resumed = _vertex_tables(s, bound)
         assert resumed == _vertex_tables(make(), bound)
         assert _reached(resumed) == tuple_capture_tables(s, bound)
@@ -567,14 +609,10 @@ def test_arc_search_tie_rule(case):
     # arcs the least foot rank wins, then the least entry index
     s = fixtures.torus7()
     packing = surfballs._ClassPacking(s)
-    hom = s.homology()
-
-    def step(a, b):
-        h = hom.unpack(hom.step(a, b))
-        return (h.get(0, 0), h.get(1, 0))
+    step = s.homology().step
 
     def neg(*hs):
-        return (-sum(h[0] for h in hs), -sum(h[1] for h in hs))
+        return -sum(hs)
 
     w1, w2, v, y = 1, 4, 6, 0
     if case == "two-feet":
@@ -587,17 +625,16 @@ def test_arc_search_tie_rule(case):
         seeds = [(w1, (0, neg(step(w1, y), step(y, v)))),
                  (w1, (1, neg(step(w1, v)))), (w2, (1, neg(step(w2, v))))]
         cost = 2
-    zero = packing.state(0, (0, 0))   # the low digits of class (0, 0)
 
     def winner(chosen):
         # the cost and (foot rank, entry index) of the arc to (v, (0, 0))
         row = [[] for _ in packing.verts]
         for w, entry in chosen:
             row[w].append(entry)
-        arc_search = surfballs._ArcSearch(packing, [SimpleNamespace(lists=row)],
+        arc_search = surfballs._ArcSearch(packing, max(map(len, row)),
                                           [0] * len(row))
         found = arc_search.arcs(row, cost + 1, 0)[v]
-        (c, label), = [(c, label) for c, low, label in found if low == zero]
+        (c, label), = [(c, label) for c, h, label in found if h == 0]
         return c, arc_search.foot(label)
 
     # each seed alone reaches (v, (0, 0)) at the same cost

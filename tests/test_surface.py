@@ -15,7 +15,7 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                prune_to_iso, subgraph_length,
                                subgraph_metric_graph, _pair)
 
-from conftest import prune_by_capturing_test, relabeled, walked_homology
+from conftest import pack_class, prune_by_capturing_test, relabeled, walked_homology
 
 
 def test_tetrahedron_is_a_sphere():
@@ -285,12 +285,20 @@ def test_capturing_rank_matches_face_relation_oracle(name):
     assert any(0 < r < 2 * s.genus for r in ranks)
 
 
+def _short_edge_torus() -> TriSurface:
+    """torus7 subdivided once, one edge of length 1/2 and the rest 1, so
+    that 2S / lmin exceeds 2|E|."""
+    t = fixtures.subdivide(fixtures.torus7())
+    return TriSurface.build(t.faces, {t.edges[0]: F(1, 2)})
+
+
 HOMOLOGY_SURFACES = {
     "torus7": fixtures.torus7,
     "genus2": fixtures.genus2,
     "genus2x2": lambda: fixtures.subdivide(fixtures.genus2(), 2),
     "torus7x3": lambda: fixtures.subdivide(fixtures.torus7(), 3),
     "torus7_sub_relabeled": lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
+    "torus7_sub_short_edge": _short_edge_torus,
 }
 
 
@@ -309,15 +317,20 @@ def test_homology_matches_walked_oracle(name):
 
 @pytest.mark.parametrize("name", list(HOMOLOGY_SURFACES))
 def test_packed_class_width_rule(name):
-    """Edge class digits are -1, 0 or 1, and ``width`` leaves room for a
-    signed sum of up to 4|E| of them: ``unpack`` inverts packing at digits
-    of magnitude 4|E| and on such sums."""
+    """Edge class digits are -1, 0 or 1, coordinate i in digit 2g-1-i, and
+    ``width`` leaves room for a signed sum of N = max(4|E|, 2(2S//lmin + 1))
+    of them: ``unpack`` inverts packing at digits of magnitude N and on such
+    sums, and int order is the order of the coordinate tuples."""
     s = HOMOLOGY_SURFACES[name]()
     hom = s.homology()
-    k, n = 2 * s.genus, 4 * len(s.edges)
+    lengths = s.edge_lengths.values()
+    k, four_e = 2 * s.genus, 4 * len(s.edges)
+    n = max(four_e, 2 * (2 * sum(lengths) // min(lengths) + 1))
+    # the length term widens the digits only where an edge is short
+    assert (hom.width > four_e.bit_length() + 1) == (name == "torus7_sub_short_edge")
 
     def pack(digits):
-        return sum(x << (i * hom.width) for i, x in enumerate(digits))
+        return pack_class(hom, tuple(digits))
 
     digits = walked_homology(s)[2]
     for e, c in hom.edge_class.items():
@@ -335,6 +348,9 @@ def test_packed_class_width_rule(name):
             for i, x in enumerate(digits[e]):
                 want[i] += sign * x
         assert hom.unpack(total) == {i: x for i, x in enumerate(want) if x}
+    vecs = [tuple(rng.randint(-n, n) for _ in range(k)) for _ in range(200)]
+    vecs += list(itertools.product((-n, 0, n), repeat=k))
+    assert sorted(vecs, key=pack) == sorted(vecs)
 
 
 # ---------------------------------------------------------------------------
