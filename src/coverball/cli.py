@@ -23,11 +23,10 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import cover, fixtures, nerve, surfballs, witness
+from . import cover, nerve, surfballs, witness
 from .graphs import (GraphError, MetricGraph, betti, format_graph, generate,
                      girth, parse_graph, reduce_graph, validate)
-from .surface import (SurfaceError, TriSurface, capturing_test, format_surface,
-                      parse_surface, subgraph_length)
+from .surface import SurfaceError, TriSurface, capturing_test, parse_surface
 from .witness import TheoremViolation
 
 

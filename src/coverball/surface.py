@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Edge, GraphError, MetricGraph, betti, shortest_paths
+from .graphs import Edge, MetricGraph, betti, shortest_paths
 from .linalg import Echelon
 
 

@@ -443,19 +443,24 @@ def _path_edges(parent: dict, v: int) -> set:
 # Arc search: in the based theta one u-v path is split at the foot w, and
 # its least cost in class h is
 #     arc(v, h) = min over w, g1 of d_u(w, g1) + dist(x, w) + d_v(w, g1 - h).
-# One multi-source search per source u finds it for every v > u and every
-# h (``_ArcSearch``): each table entry (d1, g1) of u at w seeds the state
-# (w, g1) at d1 + dist(x, w), and walking on from w to v adds the walk's
-# class, which is h - g1 when the reversed walk has class g1 - h.  Labels
-# are (cost, rank of w, index of g1 in u's list at w), compared in that
-# order: of equal-cost arcs of one class, the least foot and then the
-# least entry wins, the first in (w, entry) order.  An arc of the pair u,v
-# is tried only below its cut best - P0 - P1, P0 and P1 the two shortest
-# u-v walks, and best only falls, so one search to the largest cut of u's
-# pairs serves them all.  P0 and P1 differ in class, so P0 + P1 >= lambda1
-# and every arc tried costs less than best - lambda1: both of its walks lie
-# inside the table bound below, so the winner's walks are settled states
-# of the cached searches from u and v, and no state leaves the width rule.
+# The class search that grows the tables finds it for every v and h, run
+# once per source u with seeds: each table entry (d1, g1) of u at w seeds
+# the state (w, g1) at cost d1 + dist(x, w), and walking on from w to v adds
+# the walk's class, which is h - g1 when the reversed walk has class g1 - h.
+# Its keys are labels in grid units times C: cost*C + rank(w)*I + i, i the
+# index of g1 in u's list at w, I one more than the longest table list and
+# C = |V|*I, so key order is the order of (cost, rank of w, i) and each
+# directed edge steps by its grid length times C.  Of equal-cost arcs of
+# one class, the least foot and then the least entry wins, the first in
+# (w, entry) order; the arcs of one pair are tried in (cost, class) order,
+# as its plain paths are.  An arc of the pair u,v is tried only below its
+# cut best - P0 - P1, P0 and P1 the two shortest u-v walks, and best only
+# falls, so one search to the largest cut of u's pairs serves them all; it
+# settles no label past cut*C - 1 and relaxes none.  P0 and P1 differ in
+# class, so P0 + P1 >= lambda1 and every arc tried costs less than
+# best - lambda1: both of its walks lie inside the table bound below, so
+# the winner's walks are settled states of the cached searches from u and
+# v, and no state leaves the width rule.
 #
 # The search runs on the skeleton's common-denominator integer grid
 # (``MetricGraph.int_grid``): every length, distance and bound is the
@@ -566,8 +571,8 @@ class _ClassPacking:
     """Class search states as ints, r*M + Z + c, under the width rule above.
 
     ``adj[r]`` lists (grid length, state delta) for each directed edge out
-    of the vertex of rank r, in ``incident`` order; ``limit`` is the largest
-    grid bound the width allows, 2*S, as each edge is listed at both ends.
+    of the vertex of rank r, shortest first; ``limit`` is the largest grid
+    bound the width allows, 2*S, as each edge is listed at both ends.
     """
 
     def __init__(self, s: TriSurface):
@@ -579,7 +584,7 @@ class _ClassPacking:
         width, k = hom.width, len(hom.generators)
         M = self.M = 1 << (k * width)
         self.Z = sum(1 << (i * width + width - 1) for i in range(k))
-        self.adj = [[(l, (rank[u] - r) * M + hom.step(v, u)) for l, u in adj[v]]
+        self.adj = [sorted((l, (rank[u] - r) * M + hom.step(v, u)) for l, u in adj[v])
                     for r, v in enumerate(self.verts)]
         self.classes: dict[int, int] = {}   # low digits -> class, one int each
 
@@ -599,29 +604,41 @@ def _det(p: int, q: int, width: int) -> int:
 
 
 class _ClassSearch:
-    """Shortest walks from one source, stratified by homology class, on
-    packed states; resumable.
+    """Shortest walks stratified by homology class, on packed states: the
+    one resumable, seeded Dijkstra behind both the class tables and the
+    based theta's arcs.
 
-    ``grow(bound)`` settles every state of grid length <= bound in
-    increasing (length, state) order, appending (length, class) to
-    ``lists[r]``, r its target's rank; relaxations past the bound stay on
-    the heap for a later, larger bound.  ``dist`` maps each reached state to
-    its length so far, final once it is <= the bound.
+    ``seeds`` lists (key, state) pairs, one per state, and becomes the heap;
+    ``adj[r]`` lists (key step, state delta) for each directed edge out of
+    the vertex of rank r, least step first; ``limit`` is the largest key
+    the search may ever settle.  A table search is seeded with its source's
+    zero-class state at key 0 and steps by grid lengths up to the packing's
+    limit; an arc search's keys are labels, grid units times C (see the arc
+    search above).  ``grow(bound)`` settles every state of key <= bound in
+    increasing (key, state) order, appending (key, class) to ``lists[r]``,
+    r its target's rank; relaxations past the bound stay on the heap for a
+    later, larger bound, and those past ``limit`` are dropped.  ``dist``
+    maps each reached state to its key so far, final once it is <= the
+    bound.
     """
 
-    def __init__(self, packing: _ClassPacking, source: int):
-        start = packing.state(source, 0)   # source is a rank
+    def __init__(self, packing: _ClassPacking, seeds: list, adj: list, limit: int):
         self.packing = packing
-        self.dist = {start: 0}
-        self.heap = [(0, start)]
+        self.adj = adj
+        self.limit = limit
+        self.dist = {st: k for k, st in seeds}
+        self.heap = seeds
+        heapify(seeds)
         self.lists = [[] for _ in packing.verts]
 
     def grow(self, bound: int) -> None:
-        pk = self.packing
-        if bound > pk.limit:
+        if bound > self.limit:
             raise SurfaceError("class search bound exceeds its packing width")
-        dist, heap, lists = self.dist, self.heap, self.lists
-        M, Z, adj, classes = pk.M, pk.Z, pk.adj, pk.classes
+        pk = self.packing
+        dist, heap, lists, adj = self.dist, self.heap, self.lists, self.adj
+        limit = self.limit
+        past = limit + 1        # the key of a state not reached yet
+        M, Z, classes = pk.M, pk.Z, pk.classes
         cap = _STATE_CAP
         while heap and heap[0][0] <= bound:
             if len(dist) > cap:
@@ -630,26 +647,24 @@ class _ClassSearch:
             if d > dist[st]:
                 continue
             r, low = divmod(st, M)
-            h = classes.get(low)
-            if h is None:
-                h = classes[low] = low - Z
-            lists[r].append((d, h))
+            lists[r].append((d, classes.setdefault(low, low - Z)))
             for l, delta in adj[r]:
                 nd = d + l
+                if nd > limit:
+                    break       # so is every later step of adj[r]
                 ns = st + delta
-                old = dist.get(ns)
-                if old is None or nd < old:
+                if nd < dist.get(ns, past):
                     dist[ns] = nd
                     heappush(heap, (nd, ns))
 
     def parent(self, state: int) -> int | None:
         """The settled state that first reached ``state`` at its final
-        length (None at the source).  Settling runs in (length, state)
-        order, so it is the tight predecessor least in that order; the
-        reverse of a directed edge is its negated delta."""
+        key (None at a seed).  Settling runs in (key, state) order, so it is
+        the tight predecessor least in that order; the reverse of a directed
+        edge is its negated delta."""
         d = self.dist[state]
         tight = [(d - l, state + delta)
-                 for l, delta in self.packing.adj[state // self.packing.M]
+                 for l, delta in self.adj[state // self.packing.M]
                  if self.dist.get(state + delta) == d - l]
         return min(tight)[1] if tight else None
 
@@ -672,9 +687,9 @@ def _capture_tables(s: TriSurface, bound: int) -> list:
     if cache.bound >= bound:
         return cache.searches
     if cache.searches is None:
-        cache.packing = _ClassPacking(s)
-        cache.searches = [_ClassSearch(cache.packing, r)
-                          for r in range(len(cache.packing.verts))]
+        pk = cache.packing = _ClassPacking(s)
+        cache.searches = [_ClassSearch(pk, [(0, pk.state(r, 0))], pk.adj, pk.limit)
+                          for r in range(len(pk.verts))]
     for search in cache.searches:
         search.grow(bound)
     cache.longest = max(len(lst) for search in cache.searches
@@ -683,64 +698,25 @@ def _capture_tables(s: TriSurface, bound: int) -> list:
     return cache.searches
 
 
-class _ArcSearch:
-    """The based theta family's split paths, one multi-source search per
-    source u; see the arc search above.
-
-    A label packs (grid cost, rank of the foot w, index i of u's table
-    entry at w) into the int cost * C + rank * I + i, with I one more than
-    ``longest``, the longest table list, and C = |V| * I, so int order is
-    the order of the triples and each directed edge adds its grid length
-    times C.
-    """
-
-    def __init__(self, packing: _ClassPacking, longest: int, dx: list):
-        self.packing = packing
-        self.dx = dx                # dist(x, w) by rank of w
-        self.I = 1 + longest
-        C = self.C = len(packing.verts) * self.I
-        self.adj = [[(l * C, delta) for l, delta in es] for es in packing.adj]
-
-    def arcs(self, row: list, cut: int, first: int) -> list:
-        """Per vertex rank r >= ``first``, the least arcs from u to the
-        vertex of rank r cheaper than ``cut``, one per class, as (grid cost,
-        packed class, label) in settling order; ``row`` is u's (grid length,
-        class) lists by target rank."""
-        pk, I, C = self.packing, self.I, self.C
-        M, Z, adj = pk.M, pk.Z, self.adj
-        cutC = cut * C
-        dist: dict[int, int] = {}
-        heap = []
-        for r, (lst, dx) in enumerate(zip(row, self.dx)):
-            for i, (d1, g1) in enumerate(lst):
-                c = d1 + dx
-                if c >= cut:
-                    break
-                st = pk.state(r, g1)
-                dist[st] = label = c * C + r * I + i
-                heap.append((label, st))
-        heapify(heap)
-        found = [[] for _ in row]
-        while heap:
-            label, st = heappop(heap)
-            if label > dist[st]:
-                continue
-            r, low = divmod(st, M)
-            if r >= first:
-                found[r].append((label // C, low - Z, label))
-            for lC, delta in adj[r]:
-                nl = label + lC
-                if nl < cutC:
-                    ns = st + delta
-                    old = dist.get(ns)
-                    if old is None or nl < old:
-                        dist[ns] = nl
-                        heappush(heap, (nl, ns))
-        return found
-
-    def foot(self, label: int) -> tuple[int, int]:
-        """The rank of an arc's foot w and the index of u's entry at w."""
-        return divmod(label % self.C, self.I)
+def _arc_search(pk: _ClassPacking, adj: list, I: int, row: list, dx: list,
+                cut: int) -> _ClassSearch:
+    """The seeded class search of one theta source u (see the arc search
+    above), grown to every label below ``cut`` * C, C = |V| * I: its
+    ``lists[v]`` holds u's least arc to the vertex of rank v in each class,
+    as (label, class) in label order.  ``row`` is u's (grid length, class)
+    lists by target rank, ``dx`` dist(x, w) by rank of w, and ``adj`` the
+    packing's adjacency with each grid length times C."""
+    C = len(row) * I
+    seeds = []
+    for r, (lst, d) in enumerate(zip(row, dx)):
+        for i, (d1, g1) in enumerate(lst):
+            c = d1 + d
+            if c >= cut:
+                break
+            seeds.append((c * C + r * I + i, pk.state(r, g1)))
+    search = _ClassSearch(pk, seeds, adj, cut * C - 1)
+    search.grow(cut * C - 1)
+    return search
 
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
@@ -809,7 +785,11 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
 
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
-    arc_search = None
+    # an arc's label is its grid cost times C plus its foot and entry (see
+    # the arc search above); unbased, a special path's label is its grid
+    # length, C = 1
+    C = 1
+    adjC = None             # the packing's adjacency, grid lengths times C
     for u in range(n):
         if best == floor:
             break
@@ -833,19 +813,23 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
         if not pairs:
             continue
         if x is not None:
-            if arc_search is None:
-                arc_search = _ArcSearch(pk, cache.longest, dx)
-            arcs = arc_search.arcs(row, cut, u + 1)
+            if adjC is None:
+                I = 1 + cache.longest
+                C = n * I
+                adjC = [[(l * C, delta) for l, delta in es] for es in pk.adj]
+            arcs = _arc_search(pk, adjC, I, row, dx, cut).lists
         for v, P in pairs:
             if best == floor:
                 break
-            # unbased, the "special" path is just another plain path
-            A = P if x is None else sorted(arcs[v])
-            for a in A:
-                if x is None:
-                    d1, h1 = a
-                else:
-                    d1, h1, label = a
+            if x is None:
+                A = P   # unbased, the "special" path is just another plain path
+            else:
+                # one arc per class, in label order: try them by (cost, class)
+                A = arcs[v]
+                if len(A) > 1:
+                    A = sorted(A, key=lambda a: (a[0] // C, a[1]))
+            for label, h1 in A:
+                d1 = label // C
                 if d1 + P[0][0] + P[1][0] >= best:
                     break
                 for j in range(len(P)):
@@ -867,7 +851,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                         if x is None:
                             best_walks.append((u, (v, h1)))
                         else:
-                            best_foot, i = arc_search.foot(label)
+                            best_foot, i = divmod(label % C, I)
                             g1 = row[best_foot][i][1]
                             best_walks += [(u, (best_foot, g1)),
                                            (v, (best_foot, g1 - h1))]

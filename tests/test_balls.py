@@ -15,7 +15,7 @@ from conftest import (_face_components, arc_dict_exact_capture,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
                       tuple_class_dijkstra, walked_homology)
 from coverball import fixtures, surfballs
-from coverball.graphs import GraphError
+from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                parse_surface, subgraph_length)
 
@@ -430,8 +430,13 @@ def _check_class_search(s, bounds):
         r, low = divmod(st, packing.M)
         return packing.verts[r], class_tuple(hom, low - packing.Z)
 
+    def table_search(r):
+        # seeded as ``_capture_tables`` seeds the search from rank r
+        return surfballs._ClassSearch(packing, [(0, packing.state(r, 0))],
+                                      packing.adj, packing.limit)
+
     for r, v in enumerate(packing.verts):
-        search = surfballs._ClassSearch(packing, r)
+        search = table_search(r)
         for bound in bounds:
             search.grow(bound)
             dist, parent = tuple_class_dijkstra(s, v, bound)
@@ -443,7 +448,7 @@ def _check_class_search(s, bounds):
             assert _reached({v: _tuple_lists(s, search)}) == \
                 {v: by_target(dist)}, (v, bound)
     with pytest.raises(SurfaceError, match="packing width"):
-        surfballs._ClassSearch(packing, r).grow(packing.limit + 1)
+        table_search(r).grow(packing.limit + 1)
 
 
 @pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
@@ -588,12 +593,18 @@ def test_based_capture_floor_leaves_results_unchanged():
 
 def test_based_capture_floor_skips_arc_searches(monkeypatch):
     # every base of torus7_sub has H'' = 0; the full search runs 27 arc
-    # searches at each
+    # searches at each.  An arc search is a class search seeded with keys
+    # in grid units times C > 1, so its adjacency is not the packing's.
     s = fixtures.subdivide(fixtures.torus7())
     calls = []
-    arcs = surfballs._ArcSearch.arcs
-    monkeypatch.setattr(surfballs._ArcSearch, "arcs",
-                        lambda *a: calls.append(1) or arcs(*a))
+    init = surfballs._ClassSearch.__init__
+
+    def counting_init(self, packing, seeds, adj, limit):
+        if adj is not packing.adj:
+            calls.append(1)
+        init(self, packing, seeds, adj, limit)
+
+    monkeypatch.setattr(surfballs._ClassSearch, "__init__", counting_init)
     L, _ = surfballs.capture_length(s, mode="exact")
     assert not calls
     for x in sorted(s.vertices):
@@ -631,17 +642,64 @@ def test_arc_search_tie_rule(case):
         row = [[] for _ in packing.verts]
         for w, entry in chosen:
             row[w].append(entry)
-        arc_search = surfballs._ArcSearch(packing, max(map(len, row)),
-                                          [0] * len(row))
-        found = arc_search.arcs(row, cost + 1, 0)[v]
-        (c, label), = [(c, label) for c, h, label in found if h == 0]
-        return c, arc_search.foot(label)
+        I = 1 + max(map(len, row))
+        C = len(row) * I
+        adj = [[(l * C, delta) for l, delta in es] for es in packing.adj]
+        found = surfballs._arc_search(packing, adj, I, row, [0] * len(row),
+                                      cost + 1).lists[v]
+        label, = [label for label, h in found if h == 0]
+        return label // C, divmod(label % C, I)
 
     # each seed alone reaches (v, (0, 0)) at the same cost
     for w, entry in seeds:
         assert winner([(w, entry)]) == (cost, (w, 0))
     assert winner([sd for sd in seeds if sd[0] == w1]) == (cost, (w1, 0))
     assert winner(seeds) == (cost, (w1, 0))
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
+                                  lambda: _skewed_sub_torus(1)],
+                         ids=["torus7_sub", "torus7_sub_skewed1"])
+def test_arc_search_matches_table_brute_force(make):
+    # each source u's seeded search against a brute force over the tuple
+    # oracle's tables: per target v and class h, the least
+    # d_u(w, g1) + dist(x, w) + d_v(w, g1 - h) below the cut over every foot
+    # w and entry g1 of u at w, with the least (foot rank, entry index) of
+    # the cheapest; every walk of such an arc lies within the tables
+    s = make()
+    cut = _grid_bound(s)
+    searches = surfballs._capture_tables(s, cut)
+    tables = tuple_capture_tables(s, cut)
+    pk, hom = s._capture_cache.packing, s.homology()
+    verts = pk.verts
+    I = 1 + s._capture_cache.longest
+    C = len(verts) * I
+    adj = [[(l * C, delta) for l, delta in es] for es in pk.adj]
+    for x in (verts[0], verts[-1]):
+        distx = grid_shortest_paths(s.skeleton(), x)[0]
+        dx = [distx[w] for w in verts]
+        for ru, u in enumerate(verts):
+            lists = surfballs._arc_search(pk, adj, I, searches[ru].lists, dx,
+                                          cut).lists
+            got = {(v, class_tuple(hom, h)): (k // C, *divmod(k % C, I))
+                   for v, lst in zip(verts, lists) for k, h in lst}
+            want = {}
+            for rw, w in enumerate(verts):
+                for i, (d1, g1) in enumerate(tables[u].get(w, ())):
+                    if d1 + dx[rw] >= cut:
+                        break
+                    for v in verts:
+                        for d2, g2 in tables[v].get(w, ()):
+                            c = d1 + dx[rw] + d2
+                            if c >= cut:
+                                break
+                            h = tuple(a - b for a, b in zip(g1, g2))
+                            if (v, h) not in want or (c, rw, i) < want[v, h]:
+                                want[v, h] = (c, rw, i)
+            assert got == want, (x, u)
+            # one arc per class, each target's in label order
+            assert len(got) == sum(map(len, lists)), (x, u)
+            assert all(lst == sorted(lst) for lst in lists), (x, u)
 
 
 def test_exact_capture_refuses_a_wrong_lambda1():
