@@ -54,93 +54,73 @@ class TriSurface:
         """Validate and orient a closed triangulated surface.
 
         ``faces`` are vertex triples; ``lengths`` maps unordered vertex
-        pairs to positive rationals (default 1).
+        pairs to positive rationals (default 1).  The checks, in the order
+        they run: no face repeats a vertex; every edge lies in two faces;
+        every vertex link is one cycle; the faces are connected; they can
+        be oriented; lengths are given only on edges, and are positive;
+        every face meets the triangle inequality.  One table lists each
+        edge (u, w), u < w, with its two (face, runs u -> w?) sides, and
+        one walk from face 0 across it both connects and orients: a face
+        is flipped relative to its neighbour iff both run their shared
+        edge the same way.
         """
         faces = [tuple(int(v) for v in f) for f in faces]
         verts = sorted({v for f in faces for v in f})
         for f in faces:
             if len(set(f)) != 3:
                 raise SurfaceError(f"degenerate face {f}")
-        edge_faces: dict[tuple[int, int], list[int]] = {}
+        sides: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+        vfaces: dict[int, list[int]] = {v: [] for v in verts}
         for i, (a, b, c) in enumerate(faces):
             for u, w in ((a, b), (b, c), (c, a)):
-                edge_faces.setdefault(_pair(u, w), []).append(i)
-        for e, fs in edge_faces.items():
+                sides.setdefault(_pair(u, w), []).append((i, u < w))
+                vfaces[u].append(i)
+        for e, fs in sides.items():
             if len(fs) != 2:
                 raise SurfaceError(f"non-manifold: edge {e} lies in {len(fs)} faces")
-        # vertex links must be single cycles
-        vfaces: dict[int, list[int]] = {v: [] for v in verts}
-        for i, f in enumerate(faces):
-            for v in f:
-                vfaces[v].append(i)
-        vdegree = dict.fromkeys(verts, 0)
-        for a, b in edge_faces:
-            vdegree[a] += 1
-            vdegree[b] += 1
+        # a face across an edge at v holds v, so the walk stays in vfaces[v]
         for v in verts:
-            if vdegree[v] != len(vfaces[v]):
-                raise SurfaceError(f"non-manifold vertex {v}")
-            comp = {vfaces[v][0]}
+            link = {vfaces[v][0]}
             stack = [vfaces[v][0]]
-            fset = set(vfaces[v])
             while stack:
-                i = stack.pop()
-                a, b, c = faces[i]
-                for u, w in ((a, b), (b, c), (c, a)):
-                    if v in (u, w):
-                        for j in edge_faces[_pair(u, w)]:
-                            if j in fset and j not in comp:
-                                comp.add(j)
+                for u in faces[stack.pop()]:
+                    if u != v:
+                        for j, _ in sides[_pair(u, v)]:
+                            if j not in link:
+                                link.add(j)
                                 stack.append(j)
-            if comp != fset:
+            if len(link) != len(vfaces[v]):
                 raise SurfaceError(f"non-manifold vertex {v} (disconnected link)")
-        # face connectivity
-        seen = {0}
+        flip = {0: False}
         stack = [0]
+        twisted = False
         while stack:
             i = stack.pop()
             a, b, c = faces[i]
             for u, w in ((a, b), (b, c), (c, a)):
-                for j in edge_faces[_pair(u, w)]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        if len(seen) != len(faces):
-            raise SurfaceError("disconnected surface")
-        # orient: adjacent faces must induce opposite directions on the
-        # shared edge
-        flip = {0: False}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            di = _directed(faces[i], flip[i])
-            for u, w in di:
-                j = [x for x in edge_faces[_pair(u, w)] if x != i]
-                j = j[0] if j else i
+                (h, dh), (j, dj) = sides[_pair(u, w)]
                 if j == i:
-                    continue
-                need = None
-                for fj in (False, True):
-                    dj = _directed(faces[j], fj)
-                    if (w, u) in dj:
-                        need = fj
-                        break
-                if need is None:
-                    raise SurfaceError("non-orientable surface")
-                if j in flip:
-                    if flip[j] != need:
-                        raise SurfaceError("non-orientable surface")
-                else:
-                    flip[j] = need
+                    j = h
+                want = flip[i] ^ (dh == dj)
+                if j not in flip:
+                    flip[j] = want
                     stack.append(j)
+                elif flip[j] != want:
+                    twisted = True
+        # connectivity first: a complex with a twisted part and another
+        # component reads "disconnected surface"
+        if len(flip) < len(faces):
+            raise SurfaceError("disconnected surface")
+        if twisted:
+            raise SurfaceError("non-orientable surface")
         oriented = tuple(f if not flip[i] else (f[0], f[2], f[1])
                          for i, f in enumerate(faces))
         lengths = {(_pair(*k)): Fraction(v) for k, v in (lengths or {}).items()}
         for e in lengths:
-            if e not in edge_faces:
+            if e not in sides:
                 raise SurfaceError(f"length given for {e}, which is not an edge of any face")
         full = {}
-        for e in edge_faces:
+        for e in sides:
             l = lengths.get(e, Fraction(1))
             if l <= 0:
                 raise SurfaceError(f"nonpositive length on edge {e}")
@@ -200,10 +180,8 @@ class TriSurface:
         return self._homology
 
 
-def _directed(face, flipped: bool):
+def _directed(face):
     a, b, c = face
-    if flipped:
-        a, b, c = a, c, b
     return ((a, b), (b, c), (c, a))
 
 
@@ -244,7 +222,7 @@ class HomologyData:
         while qi < len(order):
             v = order[qi]
             qi += 1
-            for e in sorted(g.incident(v), key=lambda e: e.id):
+            for e in g.incident(v):
                 u = e.other(v)
                 if u not in seenv:
                     seenv.add(u)
@@ -302,9 +280,8 @@ class HomologyData:
                 x, y, z = b, c, a
             else:
                 x, y, z = c, a, b
-            s1 = -1 if (y < z) == (x < y) else 1
-            s2 = -1 if (z < x) == (x < y) else 1
-            cls[e] = s1 * cls[_pair(y, z)] + s2 * cls[_pair(z, x)]
+            xy = -self.step(y, z) - self.step(z, x)
+            cls[e] = xy if x < y else -xy
         for a, b, c in s.faces:
             if self.step(a, b) + self.step(b, c) + self.step(c, a):
                 raise SurfaceError("face boundary has a nonzero homology class")
@@ -338,30 +315,16 @@ def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
     """True iff the subgraph's cycle space surjects onto H1(M); also the
     rank of its image.  A one-shot query: pruning asks ``prune_pieces``.
 
-    Potentials p(v) sum the packed edge classes along a spanning forest of
-    the subgraph; each other edge (u, w) closes a cycle of class
-    p(u) + [u -> w] - p(w), a sum of fewer than 2 * |V| edge classes.
+    Potentials p(v) sum the packed edge classes along a DFS forest of the
+    subgraph; each edge (u, w) closes a cycle of class p(u) + [u -> w] - p(w),
+    a sum of fewer than 2 * |V| edge classes, and zero on the forest.
     """
     hom = s.homology()
     sub = sorted(_edge_set(s, sub_edges))
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     adj: dict[int, list[int]] = {}
-    extra: list[tuple[int, int]] = []
     for (u, w) in sub:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            adj.setdefault(u, []).append(w)
-            adj.setdefault(w, []).append(u)
-        else:
-            extra.append((u, w))
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
     pot: dict[int, int] = {}
     for r in adj:
         if r in pot:
@@ -376,10 +339,12 @@ def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
                     stack.append(u)
     full = 2 * s.genus
     ech = Echelon()
-    for (u, w) in extra:
+    for (u, w) in sub:
         if ech.rank == full:
             break
-        ech.add(hom.unpack(pot[u] + hom.edge_class[(u, w)] - pot[w]))
+        c = pot[u] + hom.edge_class[(u, w)] - pot[w]
+        if c:
+            ech.add(hom.unpack(c))
     return ech.rank == full, ech.rank
 
 
@@ -408,7 +373,7 @@ def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
     hom = s.homology()
     side = {}
     for f, face in enumerate(s.faces):
-        for xy in _directed(face, False):
+        for xy in _directed(face):
             side[xy] = f
     cross = dict.fromkeys(s.edges, 0)
     up = hom.tree_parent

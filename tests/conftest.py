@@ -621,7 +621,7 @@ def walked_homology(s: TriSurface):
     for f in reversed(forder[1:]):
         e = up[f]
         acc = zero
-        for (x, y) in _directed(s.faces[f], False):
+        for (x, y) in _directed(s.faces[f]):
             if _pair(x, y) == e:
                 sign = 1 if x < y else -1
             else:

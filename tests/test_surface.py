@@ -55,6 +55,48 @@ def test_pinched_vertex_rejected():
         TriSurface.build(pinched)
 
 
+TET = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def _shifted(faces, k):
+    return [tuple(v + k for v in f) for f in faces]
+
+
+@pytest.mark.parametrize("faces, lengths, message", [
+    (TET[:3] + [(1, 2, 2)], None, "degenerate face (1, 2, 2)"),
+    (TET[:3], None, "non-manifold: edge (1, 2) lies in 1 faces"),
+    (TET + _shifted(TET, 4), None, "disconnected surface"),
+    (RP2, None, "non-orientable surface"),
+    # the twisted part alone would read "non-orientable surface"
+    (RP2 + _shifted(TET, 6), None, "disconnected surface"),
+    (TET, {(5, 0): 1}, "length given for (0, 5), which is not an edge of any face"),
+    (TET, {(2, 1): 0}, "nonpositive length on edge (1, 2)"),
+    (TET, {(0, 1): 2}, "triangle inequality fails on face (0, 1, 2)"),
+], ids=["degenerate", "edge_in_one_face", "two_tetrahedra", "rp2",
+        "rp2_and_tetrahedron", "length_on_non_edge", "nonpositive_length",
+        "triangle_inequality"])
+def test_build_rejects_with_message(faces, lengths, message):
+    with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
+        TriSurface.build(faces, lengths)
+
+
+@pytest.mark.parametrize("s", [fixtures.torus7(), fixtures.genus2(),
+                               fixtures.subdivide(fixtures.torus7())],
+                         ids=["torus7", "genus2", "torus7_sub"])
+def test_build_orients_reversed_faces(s):
+    rng = random.Random(len(s.faces))
+    for _ in range(5):
+        flipped = rng.sample(range(1, len(s.faces)), rng.randrange(1, len(s.faces)))
+        faces = list(s.faces)
+        for i in flipped:
+            a, b, c = faces[i]
+            faces[i] = (a, c, b)
+        t = TriSurface.build(faces, s.edge_lengths)
+        assert t.faces == s.faces
+
+
 @pytest.mark.parametrize("s", [fixtures.genus2(),
                                fixtures.subdivide(fixtures.torus7())],
                          ids=["genus2", "torus7_sub"])
