@@ -7,10 +7,10 @@ after construction; every operation returns a new graph.
 
 Every vertex-distance search goes through one Dijkstra core,
 ``grid_shortest_paths``, on the common-denominator integer grid, with an
-optional cutoff and skipped edge; it returns grid distances and a
-shortest-path tree.  ``shortest_paths`` wraps it for exact ``Fraction``
-distances.  ``reduce_graph`` prunes leaves and smooths degree-2 vertices
-in one pass over a table of degrees and incident edge ids.
+optional cutoff; it returns grid distances and a shortest-path tree.
+``shortest_paths`` wraps it for exact ``Fraction`` distances.
+``reduce_graph`` prunes leaves and smooths degree-2 vertices in one pass
+over a table of degrees and incident edge ids.
 """
 
 from __future__ import annotations
@@ -137,24 +137,32 @@ def girth(g: MetricGraph) -> Fraction | None:
     """Length of the shortest cycle, or None for a forest.
 
     Loops count as cycles of their own length; a pair of parallel edges is a
-    cycle of the summed lengths.
+    cycle of the summed lengths.  For each vertex v with shortest-path tree
+    T, every edge (a, b) outside T closes a walk of length d(a) + l + d(b)
+    that holds a cycle no longer (the two tree paths part at their last
+    common vertex), and a shortest cycle through v has an edge outside T
+    at which the bound is its length.  Tree edges go by edge id, since
+    parallel edges share their ends: the first tight edge from the parent.
     """
-    best: Fraction | None = None
-    for e in g.edges:
-        if e.is_loop:
-            cand = e.length
-        else:
-            d = shortest_paths(g, e.u, skip_edge=e.id)[0].get(e.w)
-            if d is None:
-                continue
-            cand = d + e.length
-        if best is None or cand < best:
-            best = cand
-    return best
+    D, adj = g.int_grid()
+    best = None
+    for v in g.vertices:
+        dist, parent = grid_shortest_paths(g, v)
+        tree = set()
+        for u, p in parent.items():
+            if p is not None:
+                tree.add(next(e.id for (l, x), e in zip(adj[u], g.incident(u))
+                              if x == p and dist[p] + l == dist[u]))
+        for e in g.edges:
+            if e.id not in tree and e.u in dist:
+                l = e.length.numerator * (D // e.length.denominator)
+                cand = dist[e.u] + l + dist[e.w]
+                if best is None or cand < best:
+                    best = cand
+    return None if best is None else Fraction(best, D)
 
 
-def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
-                   skip_edge: int | None = None
+def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None
                    ) -> tuple[dict[int, Fraction], dict[int, int | None]]:
     """Exact distances from ``src``: ``grid_shortest_paths`` with the cutoff
     taken onto the grid and the distances taken back to ``Fraction``s.
@@ -163,12 +171,11 @@ def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None,
     """
     D = g.int_grid()[0]
     icut = None if cutoff is None else math.floor(Fraction(cutoff) * D)
-    dist, parent = grid_shortest_paths(g, src, icut, skip_edge)
+    dist, parent = grid_shortest_paths(g, src, icut)
     return {v: Fraction(d, D) for v, d in dist.items()}, parent
 
 
-def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None,
-                        skip_edge: int | None = None
+def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None
                         ) -> tuple[dict[int, int], dict[int, int | None]]:
     """Dijkstra from ``src`` on the common-denominator integer grid of
     ``g.int_grid()``: distances and ``cutoff`` are integers in units of 1/D.
@@ -177,18 +184,12 @@ def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None,
     distance; ``parent`` maps ``src`` to None and every other reached vertex
     to the vertex that first reached it at its final distance (heap entries
     (d, v), strict improvement, edges in ``incident`` order).  Relaxations
-    beyond ``cutoff`` and through the edge with id ``skip_edge`` are dropped.
+    beyond ``cutoff`` are dropped.
     A ``bool`` source is refused, not taken as vertex 0 or 1.
     """
     if isinstance(src, bool) or src not in g.vertices:
         raise GraphError(f"unknown source vertex {src!r}")
     adj = g.int_grid()[1]
-    if skip_edge is not None:
-        e = g.edge_by_id(skip_edge)
-        adj = dict(adj)
-        for x in {e.u, e.w}:
-            adj[x] = [a for a, f in zip(adj[x], g.incident(x))
-                      if f.id != skip_edge]
     dist = {src: 0}
     parent: dict[int, int | None] = {src: None}
     heap = [(0, src)]
@@ -301,10 +302,9 @@ def is_separating(g: MetricGraph, edge_id: int) -> bool:
     """True iff deleting the open edge disconnects g.  Loops never separate."""
     if not g.is_connected():
         raise GraphError("is_separating requires a connected graph")
-    e = g.edge_by_id(edge_id)
-    if e.is_loop:
+    if g.edge_by_id(edge_id).is_loop:
         return False
-    return e.w not in shortest_paths(g, e.u, skip_edge=edge_id)[0]
+    return not delete_edge(g, edge_id).is_connected()
 
 
 def delete_edge(g: MetricGraph, edge_id: int) -> MetricGraph:
@@ -341,32 +341,19 @@ def figure_eight(length: Fraction | int = 1) -> MetricGraph:
 def trivalent_reference(b: int) -> MetricGraph:
     """Unit-length trivalent graph of first Betti number b (3b-3 edges).
 
-    Built as a chain of b-2 theta-like middle blocks capped with loops: two
-    end vertices carry a loop, consecutive vertices are joined by double
-    edges, which gives 2(b-1) vertices of degree 3 for b >= 3; b = 2 is the
-    theta graph.
+    A path on 2(b-1) vertices with a loop at each end; consecutive
+    vertices k, k+1 are joined by one edge for even k and two for odd k,
+    so every vertex has degree 3 for b >= 3.  b = 2 is the theta graph.
     """
     if b < 2:
         raise GraphError("trivalent reference needs b >= 2")
     if b == 2:
         return theta_graph()
-    verts = list(range(2 * (b - 1)))
-    edges: list[tuple[int, int, int, int]] = []
-    eid = 0
-    # chain: loop at 0, double edges (2k,2k+1)? use ladder of double bonds
-    # vertices 0..n-1 in a path; ends carry loops; interior joined by single
-    # and parallel edges alternately so every degree is 3.
-    n = len(verts)
-    edges.append((eid, 0, 0, 1)); eid += 1
-    edges.append((eid, n - 1, n - 1, 1)); eid += 1
+    n = 2 * (b - 1)
+    pairs = [(0, 0), (n - 1, n - 1)]
     for k in range(n - 1):
-        if k % 2 == 0:
-            edges.append((eid, k, k + 1, 1)); eid += 1
-        else:
-            edges.append((eid, k, k + 1, 1)); eid += 1
-            edges.append((eid, k, k + 1, 1)); eid += 1
-    g = MetricGraph.build(verts, edges)
-    return g
+        pairs += [(k, k + 1)] * (1 + k % 2)
+    return MetricGraph.build(range(n), [(i, u, w, 1) for i, (u, w) in enumerate(pairs)])
 
 
 def random_connected(b: int, length_range: tuple[Fraction, Fraction], seed: int,

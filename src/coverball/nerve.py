@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import cover, surfballs, witness
 from .graphs import (Edge, GraphError, MetricGraph, betti, girth,
-                     grid_shortest_paths, scale, tree_path)
+                     grid_shortest_paths, induced_subgraph, scale, tree_path)
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       prune_pieces, subgraph_length, subgraph_metric_graph)
 
@@ -293,7 +293,6 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     gamma = subgraph_metric_graph(s, image_edges)
     comp = max(gamma.components(), key=len)
     if len(comp) < len(gamma.vertices):
-        from .graphs import induced_subgraph
         gamma = induced_subgraph(gamma, comp)
     b = betti(gamma)
     lam = Fraction(1, 6)

@@ -1,5 +1,11 @@
 """Triangulated closed orientable surfaces with exact edge lengths.
 
+``TriSurface.build`` validates and orients a complex in one pass over its
+faces and keeps that pass's incidence tables on the surface: the edges,
+the two faces of each edge (the one running u -> w first, then the one
+running w -> u, for u < w) and the faces at each vertex.  Every later
+surface computation reads these tables.
+
 The surface metric is the shortest-path metric on the 1-skeleton; face
 areas come from Heron's formula.  First homology is exact: a tree-cotree
 decomposition gives each edge its class in Z^{2g}, packed into one int
@@ -40,14 +46,23 @@ def _pair(u: int, w: int) -> tuple[int, int]:
     return (u, w) if u < w else (w, u)
 
 
+_LAZY = dict(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class TriSurface:
     vertices: tuple[int, ...]
     faces: tuple[tuple[int, int, int], ...]        # consistently oriented
     edge_lengths: dict[tuple[int, int], Fraction]
-    edges: tuple[tuple[int, int], ...] = field(init=False)
-    edge_faces: dict[tuple[int, int], tuple[int, ...]] = field(init=False)
-    genus: int = field(init=False)
+    edges: tuple[tuple[int, int], ...]             # (u, w), u < w, ascending
+    # (face running u -> w, face running w -> u) for each edge (u, w), u < w
+    edge_faces: dict[tuple[int, int], tuple[int, int]]
+    vertex_faces: dict[int, list[int]]             # faces at v, ascending
+    genus: int
+    # derived views, each built on first use
+    _skeleton: MetricGraph | None = field(**_LAZY)
+    _homology: HomologyData | None = field(**_LAZY)
+    _face_areas: list[float] | None = field(**_LAZY)
 
     @staticmethod
     def build(faces, lengths=None) -> "TriSurface":
@@ -55,19 +70,27 @@ class TriSurface:
 
         ``faces`` are vertex triples; ``lengths`` maps unordered vertex
         pairs to positive rationals (default 1).  The checks, in the order
-        they run: no face repeats a vertex; every edge lies in two faces;
-        every vertex link is one cycle; the faces are connected; they can
-        be oriented; lengths are given only on edges, and are positive;
-        every face meets the triangle inequality.  One table lists each
-        edge (u, w), u < w, with its two (face, runs u -> w?) sides, and
-        one walk from face 0 across it both connects and orients: a face
-        is flipped relative to its neighbour iff both run their shared
-        edge the same way.
+        they run: there is a face; no face repeats a vertex; every edge
+        lies in two faces; every vertex link is one cycle; the faces are
+        connected; they can be oriented; lengths are given only on edges,
+        and are positive; every face meets the triangle inequality.  One
+        table lists each edge (u, w), u < w, with its two (face, runs
+        u -> w?) sides, and one walk from face 0 across it both connects
+        and orients: a face is flipped relative to its neighbour iff both
+        run their shared edge the same way.
+
+        The surface keeps the incidence tables of that pass: ``edges`` in
+        ascending order, ``edge_faces[(u, w)]`` as (the face that runs
+        u -> w, the face that runs w -> u) once oriented, ``vertex_faces``
+        with the faces at each vertex in ascending order, and the genus
+        from V - E + F = 2 - 2g.
         """
         faces = [tuple(int(v) for v in f) for f in faces]
+        if not faces:
+            raise SurfaceError("no faces")
         verts = sorted({v for f in faces for v in f})
         for f in faces:
-            if len(set(f)) != 3:
+            if len(f) != 3 or len(set(f)) != 3:
                 raise SurfaceError(f"degenerate face {f}")
         sides: dict[tuple[int, int], list[tuple[int, bool]]] = {}
         vfaces: dict[int, list[int]] = {v: [] for v in verts}
@@ -131,25 +154,14 @@ class TriSurface:
             lc = full[_pair(a, b)]
             if not (la < lb + lc and lb < la + lc and lc < la + lb):
                 raise SurfaceError(f"triangle inequality fails on face {(a, b, c)}")
-        s = TriSurface(tuple(verts), oriented, full)
-        return s
-
-    def __post_init__(self):
-        self.edge_faces = {}
-        for i, (a, b, c) in enumerate(self.faces):
-            for u, w in ((a, b), (b, c), (c, a)):
-                self.edge_faces.setdefault(_pair(u, w), ())
-                self.edge_faces[_pair(u, w)] += (i,)
-        self.edges = tuple(sorted(self.edge_faces))
-        chi = len(self.vertices) - len(self.edges) + len(self.faces)
-        if chi % 2:
-            raise SurfaceError("odd Euler characteristic")
-        self.genus = (2 - chi) // 2
-        if self.genus < 0:
-            raise SurfaceError("negative genus")
-        self._skeleton = None
-        self._homology = None
-        self._face_areas = None
+        edges = tuple(sorted(sides))
+        edge_faces = {}
+        for e in edges:
+            (h, dh), (j, _) = sides[e]
+            edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
+        genus = (2 - len(verts) + len(edges) - len(faces)) // 2
+        return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
+                          vfaces, genus)
 
     # -- derived views -----------------------------------------------------
     def face_area(self, i: int) -> float:
@@ -178,11 +190,6 @@ class TriSurface:
         if self._homology is None:
             self._homology = HomologyData(self)
         return self._homology
-
-
-def _directed(face):
-    a, b, c = face
-    return ((a, b), (b, c), (c, a))
 
 
 class HomologyData:
@@ -271,17 +278,9 @@ class HomologyData:
                     up[h] = e
                     forder.append(h)
         for f in reversed(forder[1:]):
-            e = up[f]
-            a, b, c = s.faces[f]
-            # rotate the face so that e is (x, y); then [x->y] = -[y->z] - [z->x]
-            if _pair(a, b) == e:
-                x, y, z = a, b, c
-            elif _pair(b, c) == e:
-                x, y, z = b, c, a
-            else:
-                x, y, z = c, a, b
-            xy = -self.step(y, z) - self.step(z, x)
-            cls[e] = xy if x < y else -xy
+            u, w = e = up[f]
+            z = sum(s.faces[f]) - u - w          # the face's third vertex
+            cls[e] = self.step(u, z) + self.step(z, w)
         for a, b, c in s.faces:
             if self.step(a, b) + self.step(b, c) + self.step(c, a):
                 raise SurfaceError("face boundary has a nonzero homology class")
@@ -360,21 +359,16 @@ def _edge_set(s: TriSurface, pairs) -> set[tuple[int, int]]:
     return out
 
 
-def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
+def _dual_crossings(s: TriSurface) -> dict:
     """Crossing data of the 2g basis cycles z_i, each the fundamental cycle
     of generator i in the homology BFS tree.
 
-    Returns (side, cross): ``side[(x, y)]`` is the face to the left of the
-    directed edge x -> y; ``cross[(u, w)]``, u < w, is the vector of
-    coefficients of u -> w in the z_i, packed like ``hom.edge_class``:
-    generator i's class is the unit of coordinate i.  Each digit is -1, 0 or 1,
-    so a sum of up to 4 * len(s.edges) such vectors is zero iff its int is.
+    ``cross[(u, w)]``, u < w, is the vector of coefficients of u -> w in
+    the z_i, packed like ``hom.edge_class``: generator i's class is the unit
+    of coordinate i.  Each digit is -1, 0 or 1, so a sum of up to
+    4 * len(s.edges) such vectors is zero iff its int is.
     """
     hom = s.homology()
-    side = {}
-    for f, face in enumerate(s.faces):
-        for xy in _directed(face):
-            side[xy] = f
     cross = dict.fromkeys(s.edges, 0)
     up = hom.tree_parent
     for a, b in hom.generators:
@@ -386,7 +380,7 @@ def _dual_crossings(s: TriSurface) -> tuple[dict, dict]:
                 p = up[v]
                 cross[_pair(v, p)] += step if v < p else -step
                 v = p
-    return side, cross
+    return cross
 
 
 def prune_pieces(s: TriSurface, pieces) -> list[int]:
@@ -409,7 +403,7 @@ def prune_pieces(s: TriSurface, pieces) -> list[int]:
     drop and the undo log restores the union-find.  Capturing is monotone,
     so a piece kept once stays needed: one pass is enough.
     """
-    side, cross = _dual_crossings(s)
+    cross = _dual_crossings(s)
     pieces = [_edge_set(s, p) for p in pieces]
     count = dict.fromkeys(s.edges, 0)
     for p in pieces:
@@ -430,8 +424,8 @@ def prune_pieces(s: TriSurface, pieces) -> list[int]:
     def join(e) -> bool:
         """Add the dual edge of e, left face to right face; False iff it
         closes a cycle with a nonzero crossing vector."""
-        u, w = e
-        (rl, hl), (rr, hr) = find(side[(u, w)]), find(side[(w, u)])
+        fl, fr = s.edge_faces[e]
+        (rl, hl), (rr, hr) = find(fl), find(fr)
         c = hl + cross[e] - hr
         if rl == rr:
             return c == 0
@@ -514,8 +508,6 @@ def parse_surface(text: str) -> TriSurface:
                 raise ValueError
         except (ValueError, IndexError, ZeroDivisionError):
             raise SurfaceError(f"malformed surface line: {raw!r}") from None
-    if not faces:
-        raise SurfaceError("no faces")
     return TriSurface.build(faces, lengths)
 
 

@@ -53,19 +53,6 @@ def _face_neighbours(s: TriSurface) -> list:
     return table
 
 
-def _vertex_faces(s: TriSurface) -> dict:
-    """Per vertex, the faces at it in ascending order; built once per
-    surface and kept on it."""
-    table = getattr(s, "_vertex_faces", None)
-    if table is None:
-        table = {}
-        for f, face in enumerate(s.faces):
-            for v in face:
-                table.setdefault(v, []).append(f)
-        s._vertex_faces = table
-    return table
-
-
 def _cotree_sides(s: TriSurface, tree: set) -> dict:
     """Disk data for a spanning tree T of the 1-skeleton.
 
@@ -270,7 +257,7 @@ def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
     """The faces with all three vertices in ``inside``, inserted in
     ascending order, so that a float sum over them runs in the same order
     however ``inside`` was built."""
-    corners = _vertex_faces(s)
+    corners = s.vertex_faces
     faces = s.faces
     return frozenset(sorted({f for v in inside for f in corners[v]
                              if all(w in inside for w in faces[f])}))

@@ -2,13 +2,14 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 from coverball import cover, surfballs
-from coverball.graphs import (Edge, GraphError, MetricGraph, grid_shortest_paths,
-                             tree_path)
+from coverball.graphs import (Edge, GraphError, MetricGraph, delete_edge,
+                             grid_shortest_paths, shortest_paths, tree_path)
 from coverball.linalg import Echelon
-from coverball.surface import (SurfaceError, TriSurface, _directed, _pair,
-                               capturing_test, subgraph_length)
+from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
+                               parse_surface, subgraph_length)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -229,6 +230,24 @@ def prune_then_smooth(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
     pruned, r1 = prune_leaves(g)
     reduced, r2 = smooth_degree2(pruned)
     return reduced, r1 + r2
+
+
+def edge_by_edge_girth(g: MetricGraph) -> Fraction | None:
+    """Independent oracle for ``graphs.girth``: the least, over the edges,
+    of a loop's length or an edge's length plus the distance between its
+    ends once it is deleted; None when no edge lies on a cycle."""
+    best = None
+    for e in g.edges:
+        if e.is_loop:
+            cand = e.length
+        else:
+            d = shortest_paths(delete_edge(g, e.id), e.u)[0].get(e.w)
+            if d is None:
+                continue
+            cand = d + e.length
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def enumerate_simple_cycles(s: TriSurface, bound: Fraction,
@@ -556,6 +575,11 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None):
     return out, sep
 
 
+def corpus_surface(name: str) -> TriSurface:
+    """The bundled corpus surface ``name``, parsed."""
+    return parse_surface((resources.files("coverball") / "corpus" / name).read_text())
+
+
 def relabeled(s: TriSurface, seed: int) -> TriSurface:
     """s with its vertex ids shuffled, so vertex order and edge-id order
     disagree with the original's."""
@@ -565,6 +589,11 @@ def relabeled(s: TriSurface, seed: int) -> TriSurface:
     m = dict(zip(vs, perm))
     return TriSurface.build([tuple(m[v] for v in f) for f in s.faces],
                             {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
+
+
+def _directed(face):
+    a, b, c = face
+    return ((a, b), (b, c), (c, a))
 
 
 def walked_homology(s: TriSurface):

@@ -1,15 +1,14 @@
 import itertools
 import random
 from fractions import Fraction as F
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (_face_components, arc_dict_exact_capture,
-                      boundary_components, by_target,
-                      capture_by_cycle_pairs, class_of_walk, class_tuple, face_set_chi,
+                      boundary_components, by_target, capture_by_cycle_pairs,
+                      class_of_walk, class_tuple, corpus_surface, face_set_chi,
                       fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
@@ -17,7 +16,7 @@ from conftest import (_face_components, arc_dict_exact_capture,
 from coverball import fixtures, surfballs
 from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
-                               parse_surface, subgraph_length)
+                               subgraph_length)
 
 
 @pytest.fixture(scope="module")
@@ -231,13 +230,9 @@ def test_fill_never_shrinks_area_or_adds_boundary(torus, g2):
                 assert b.faces <= bp.faces
 
 
-def _corpus_surface(name: str) -> TriSurface:
-    return parse_surface((resources.files("coverball") / "corpus" / name).read_text())
-
-
 def _piece_surfaces():
     """The corpus surfaces, each subdivided once, and the tetrahedron."""
-    corpus = [_corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
+    corpus = [corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
     return corpus + [fixtures.subdivide(s) for s in corpus] + [fixtures.tetrahedron()]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import prune_then_smooth, random_bounded_instance
+from conftest import edge_by_edge_girth, prune_then_smooth, random_bounded_instance
 from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
                               figure_eight, format_graph, girth, is_separating,
                               parse_graph, random_connected, reduce_graph,
@@ -188,7 +188,8 @@ def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
     g = random_connected(b, (F(1, 4), F(1)), seed)
     src = min(g.vertices)
     skip_edge = None if skip is None else g.edges[skip % len(g.edges)].id
-    dist, parent = shortest_paths(g, src, cutoff, skip_edge)
+    h = g if skip_edge is None else delete_edge(g, skip_edge)
+    dist, parent = shortest_paths(h, src, cutoff)
     assert dist == _bellman_ford(g, src, cutoff, skip_edge)
     assert set(parent) == set(dist) and parent[src] is None
     for v in dist:
@@ -199,6 +200,30 @@ def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
             length += min(e.length for e in g.incident(a)
                           if e.other(a) == c and e.id != skip_edge)
         assert length == dist[v]
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs, not necessarily connected: loops, parallel and
+    pendant edges, trees and isolated vertices all occur."""
+    n = draw(st.integers(1, 6))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.integers(1, 8)), max_size=10))
+    return MetricGraph.build(range(n), [(i, u, w, F(k, 4))
+                                        for i, (u, w, k) in enumerate(ends)])
+
+
+@given(_multigraphs())
+@example(theta_graph())
+@example(trivalent_reference(5))
+@settings(max_examples=150, deadline=None)
+def test_girth_and_separating_match_edge_deletion(g):
+    assert girth(g) == edge_by_edge_girth(g)
+    if not g.is_connected():
+        return
+    for e in g.edges:
+        # deleting a bridge leaves the Betti number, any other edge lowers it
+        assert is_separating(g, e.id) == (betti(delete_edge(g, e.id)) == betti(g))
 
 
 def test_shortest_paths_tie_rule_and_unknown_source():

@@ -15,7 +15,8 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                prune_to_iso, subgraph_length,
                                subgraph_metric_graph, _pair)
 
-from conftest import pack_class, prune_by_capturing_test, relabeled, walked_homology
+from conftest import (corpus_surface, pack_class, prune_by_capturing_test, relabeled,
+                      walked_homology)
 
 
 def test_tetrahedron_is_a_sphere():
@@ -65,7 +66,9 @@ def _shifted(faces, k):
 
 
 @pytest.mark.parametrize("faces, lengths, message", [
+    ([], None, "no faces"),
     (TET[:3] + [(1, 2, 2)], None, "degenerate face (1, 2, 2)"),
+    (TET[:3] + [(1, 2, 3, 1)], None, "degenerate face (1, 2, 3, 1)"),
     (TET[:3], None, "non-manifold: edge (1, 2) lies in 1 faces"),
     (TET + _shifted(TET, 4), None, "disconnected surface"),
     (RP2, None, "non-orientable surface"),
@@ -74,18 +77,26 @@ def _shifted(faces, k):
     (TET, {(5, 0): 1}, "length given for (0, 5), which is not an edge of any face"),
     (TET, {(2, 1): 0}, "nonpositive length on edge (1, 2)"),
     (TET, {(0, 1): 2}, "triangle inequality fails on face (0, 1, 2)"),
-], ids=["degenerate", "edge_in_one_face", "two_tetrahedra", "rp2",
-        "rp2_and_tetrahedron", "length_on_non_edge", "nonpositive_length",
-        "triangle_inequality"])
+], ids=["no_faces", "degenerate", "four_vertex_face", "edge_in_one_face",
+        "two_tetrahedra", "rp2", "rp2_and_tetrahedron", "length_on_non_edge",
+        "nonpositive_length", "triangle_inequality"])
 def test_build_rejects_with_message(faces, lengths, message):
     with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
         TriSurface.build(faces, lengths)
 
 
-@pytest.mark.parametrize("s", [fixtures.torus7(), fixtures.genus2(),
-                               fixtures.subdivide(fixtures.torus7())],
-                         ids=["torus7", "genus2", "torus7_sub"])
+ORIENTED = [fixtures.torus7(), fixtures.genus2(), fixtures.subdivide(fixtures.torus7())]
+
+
+@pytest.mark.parametrize("s", ORIENTED, ids=["torus7", "genus2", "torus7_sub"])
 def test_build_orients_reversed_faces(s):
+    for faces in _reversed_face_inputs(s):
+        t = TriSurface.build(faces, s.edge_lengths)
+        assert t.faces == s.faces
+
+
+def _reversed_face_inputs(s):
+    """Five face lists of ``s`` with random faces other than face 0 reversed."""
     rng = random.Random(len(s.faces))
     for _ in range(5):
         flipped = rng.sample(range(1, len(s.faces)), rng.randrange(1, len(s.faces)))
@@ -93,8 +104,31 @@ def test_build_orients_reversed_faces(s):
         for i in flipped:
             a, b, c = faces[i]
             faces[i] = (a, c, b)
-        t = TriSurface.build(faces, s.edge_lengths)
-        assert t.faces == s.faces
+        yield faces
+
+
+def test_incidence_tables_match_definitions():
+    base = [corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
+    base += [fixtures.tetrahedron()]
+    surfaces = base + [fixtures.subdivide(s) for s in base]
+    surfaces += [relabeled(s, seed) for s in base for seed in (1, 2)]
+    surfaces += [TriSurface.build(faces, s.edge_lengths)
+                 for s in ORIENTED for faces in _reversed_face_inputs(s)]
+    for s in surfaces:
+        runs = {}
+        at = {v: [] for v in s.vertices}
+        for i, (a, b, c) in enumerate(s.faces):
+            for u, w in ((a, b), (b, c), (c, a)):
+                assert (u, w) not in runs
+                runs[(u, w)] = i
+            for v in (a, b, c):
+                at[v].append(i)
+        assert s.edge_faces == {(u, w): (i, runs[(w, u)])
+                                for (u, w), i in runs.items() if u < w}
+        assert s.vertex_faces == at
+        assert s.edges == tuple(sorted(s.edge_faces))
+        V, E, F_ = len(s.vertices), len(s.edges), len(s.faces)
+        assert 2 * s.genus == 2 - V + E - F_
 
 
 @pytest.mark.parametrize("s", [fixtures.genus2(),
