@@ -299,12 +299,31 @@ def reduce_graph(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
 
 
 def is_separating(g: MetricGraph, edge_id: int) -> bool:
-    """True iff deleting the open edge disconnects g.  Loops never separate."""
-    if not g.is_connected():
+    """True iff deleting the open edge disconnects g.  Loops never separate.
+
+    One search over ``incident`` that never crosses the edge, from its end
+    u and then, if u's side misses it, from its other end w: g is connected
+    iff the two sides cover every vertex, and the edge separates iff w was
+    not on u's side.  No graph is built."""
+    e = g.edge_by_id(edge_id)
+    seen: set[int] = set()
+    sides = 0
+    for start in (e.u, e.w):
+        if start in seen:
+            continue
+        sides += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for f in g.incident(v):
+                x = f.other(v)
+                if f.id != edge_id and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    if len(seen) != len(g.vertices):
         raise GraphError("is_separating requires a connected graph")
-    if g.edge_by_id(edge_id).is_loop:
-        return False
-    return not delete_edge(g, edge_id).is_connected()
+    return sides == 2
 
 
 def delete_edge(g: MetricGraph, edge_id: int) -> MetricGraph:

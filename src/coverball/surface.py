@@ -26,6 +26,7 @@ with integer comparisons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,6 +45,33 @@ def heron(a: float, b: float, c: float) -> float:
 
 def _pair(u: int, w: int) -> tuple[int, int]:
     return (u, w) if u < w else (w, u)
+
+
+def _vertex_id(v) -> int:
+    """v as an int vertex id, through ``operator.index``: 2.5 is refused,
+    not truncated, and so is a ``bool``."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise SurfaceError(f"vertex id {v!r} is not an integer")
+
+
+def _length_key(k) -> tuple[int, int]:
+    """A ``lengths`` key as an edge (u, w), u < w."""
+    try:
+        u, w = k
+        return _pair(_vertex_id(u), _vertex_id(w))
+    except (TypeError, ValueError):
+        raise SurfaceError(f"length key {k!r} is not a vertex pair") from None
+
+
+def _length_value(k, v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SurfaceError(f"length {v!r} on {k!r} is not a rational number") from None
 
 
 _LAZY = dict(default=None, init=False, repr=False, compare=False)
@@ -70,14 +98,16 @@ class TriSurface:
 
         ``faces`` are vertex triples; ``lengths`` maps unordered vertex
         pairs to positive rationals (default 1).  The checks, in the order
-        they run: there is a face; no face repeats a vertex; every edge
-        lies in two faces; every vertex link is one cycle; the faces are
-        connected; they can be oriented; lengths are given only on edges,
-        and are positive; every face meets the triangle inequality.  One
-        table lists each edge (u, w), u < w, with its two (face, runs
-        u -> w?) sides, and one walk from face 0 across it both connects
-        and orients: a face is flipped relative to its neighbour iff both
-        run their shared edge the same way.
+        they run: every vertex id is an integer (not a bool); there is a
+        face; no face repeats a vertex; every edge lies in two faces; every
+        vertex link is one cycle; the faces are connected; they can be
+        oriented; each length key is a pair of vertex ids and each value a
+        rational; lengths are given only on edges, and are positive; every
+        face meets the triangle inequality.  One table lists each edge
+        (u, w), u < w, with its two (face, runs u -> w?) sides, and one walk
+        from face 0 across it both connects and orients: a face is flipped
+        relative to its neighbour iff both run their shared edge the same
+        way.
 
         The surface keeps the incidence tables of that pass: ``edges`` in
         ascending order, ``edge_faces[(u, w)]`` as (the face that runs
@@ -85,7 +115,7 @@ class TriSurface:
         with the faces at each vertex in ascending order, and the genus
         from V - E + F = 2 - 2g.
         """
-        faces = [tuple(int(v) for v in f) for f in faces]
+        faces = [tuple(_vertex_id(v) for v in f) for f in faces]
         if not faces:
             raise SurfaceError("no faces")
         verts = sorted({v for f in faces for v in f})
@@ -138,7 +168,8 @@ class TriSurface:
             raise SurfaceError("non-orientable surface")
         oriented = tuple(f if not flip[i] else (f[0], f[2], f[1])
                          for i, f in enumerate(faces))
-        lengths = {(_pair(*k)): Fraction(v) for k, v in (lengths or {}).items()}
+        lengths = {_length_key(k): _length_value(k, v)
+                   for k, v in (lengths or {}).items()}
         for e in lengths:
             if e not in sides:
                 raise SurfaceError(f"length given for {e}, which is not an edge of any face")

@@ -22,9 +22,11 @@ in O(1); only returned lengths are ``Fraction``s.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .graphs import grid_shortest_paths, tree_path
 from .linalg import Echelon
@@ -97,7 +99,8 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
 def _grid_candidates(s: TriSurface, base: int | None = None):
     """The candidate pass: two shortest-tree paths plus a closing edge, over
     the tree of ``base``, or of every vertex in ascending order.  Returns
-    (D, cands, sep), each grid length n standing for n/D.
+    (D, cands, sep), each grid length n standing for n/D.  A based pass
+    reads the distances of the surface's kept ``_base_tree``.
 
     ``cands`` holds every simple candidate of nonzero class as (grid length,
     simple vertex cycle, packed class), its class packed as in
@@ -123,10 +126,12 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
             for e in g.edges]     # the skeleton's edges are s.edges in order
     least = math.inf    # least grid length of the candidates kept so far
     sep = None
-    sources = [base] if base is not None else sorted(s.vertices)
+    if base is None:
+        roots = ((v0, grid_shortest_paths(g, v0)[0]) for v0 in sorted(s.vertices))
+    else:
+        roots = [(base, _base_tree(s, base)[0])]
     cands = []
-    for v0 in sources:
-        dist = grid_shortest_paths(g, v0)[0]
+    for v0, dist in roots:
         parent = {v0: v0}
         pot = {v0: 0}
         top = {v0: v0}
@@ -238,16 +243,23 @@ class BallSubcomplex:
 
 
 def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
+    """The ball of radius R about x: the vertices within R of x, decided on
+    the integer grid (grid distance <= floor(R * D)) from the surface's
+    shortest-path tree of x (``_base_tree``), and the faces they span."""
     R = Fraction(R)
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
-    return _ball_from(s, x, s.distances_from(x, cutoff=R), R)
+    return _ball_from(s, x, _base_tree(s, x)[0], R,
+                      math.floor(R * s.skeleton().int_grid()[0]))
 
 
-def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction) -> BallSubcomplex:
+def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction,
+               cut: Fraction | int | None = None) -> BallSubcomplex:
     """The ball of radius R about x from a distance map ``dist`` from x
-    that is complete up to R."""
-    interior = frozenset(v for v, d in dist.items() if d <= R)
+    that is complete up to R: exact distances, or grid distances with
+    ``cut`` = floor(R * D)."""
+    cut = R if cut is None else cut
+    interior = frozenset(v for v, d in dist.items() if d <= cut)
     faces = _ball_faces(s, interior)
     return BallSubcomplex(x, R, interior, faces,
                           _boundary_edges(s, faces), False)
@@ -256,11 +268,12 @@ def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction) -> BallSubcomplex
 def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
     """The faces with all three vertices in ``inside``, inserted in
     ascending order, so that a float sum over them runs in the same order
-    however ``inside`` was built."""
+    however ``inside`` was built.  Each face is listed once in
+    ``vertex_faces`` at each of its three distinct vertices, so it lies in
+    the ball iff it is counted three times over the vertices inside."""
     corners = s.vertex_faces
-    faces = s.faces
-    return frozenset(sorted({f for v in inside for f in corners[v]
-                             if all(w in inside for w in faces[f])}))
+    count = Counter(chain.from_iterable(corners[v] for v in inside))
+    return frozenset(sorted(f for f, k in count.items() if k == 3))
 
 
 def _boundary_edges(s: TriSurface, faces: frozenset[int]) -> frozenset[tuple[int, int]]:
@@ -386,7 +399,7 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
     length, edges = cache.greedy
     if x is None:
         return length, set(edges)
-    return _with_arc(s, grid_shortest_paths(s.skeleton(), x), length, edges)
+    return _with_arc(s, _base_tree(s, x), length, edges)
 
 
 def _with_arc(s: TriSurface, tree: tuple, length: Fraction,
@@ -482,14 +495,19 @@ def _path_edges(parent: dict, v: int) -> set:
 # than mis-order its states.
 #
 # Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
-# its lambda1, the unbased greedy basis and exact result, and one resumable
-# class search per source.  Sources and targets are vertex ranks: the
-# tables are ``searches[u].lists[v]``, the walks from the vertex of rank u
-# to that of rank v, and no other index is kept over them.  A search
-# settles states in increasing (length, state) order and appends each to
-# its target's (grid length, class) list, so every list stays sorted; when
-# a base needs a larger bound, each search pops on from where it stopped,
-# with its relaxations past the old bound still on its heap.
+# its lambda1, the unbased greedy basis and exact result, one resumable
+# class search per source, and the grid shortest-path tree of the last base
+# asked about (``_base_tree``).  Every based reader takes its distances from
+# x there: the based greedy arc, the exact search's dist(x, .) and arc, the
+# based candidate pass, ``height``'s distance bound and ``ball``; so height,
+# systole and balls at one x run one Dijkstra from x.  Sources and targets
+# are vertex ranks: the tables are ``searches[u].lists[v]``, the walks from
+# the vertex of rank u to that of rank v, and no other index is kept over
+# them.  A search settles states in increasing (length, state) order and
+# appends each to its target's (grid length, class) list, so every list
+# stays sorted; when a base needs a larger bound, each search pops on from
+# where it stopped, with its relaxations past the old bound still on its
+# heap.
 #
 # Floor: a based call on a surface whose unbased exact result is cached
 # (``height`` makes the unbased call first) takes its length L(M) as a
@@ -527,7 +545,9 @@ class _CaptureCache:
     rises.  A call with greedy grid bound best needs the searches grown to
     best - lambda1 only: every walk of a candidate shorter than best closes,
     with another walk of the candidate, a closed walk of nonzero class, so
-    the rest of the candidate is at least lambda1 long."""
+    the rest of the candidate is at least lambda1 long.  ``base_tree`` is
+    the last base x asked about with its grid (dist, parent) maps from
+    ``grid_shortest_paths``, which every based reader shares."""
 
     def __init__(self):
         self.candidates = None      # unbased _grid_candidates (D, cands, sep)
@@ -538,6 +558,7 @@ class _CaptureCache:
         self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
         self.longest = 0            # longest list of the searches at bound
+        self.base_tree = None       # (x, dist, parent) of the last base
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
@@ -545,6 +566,18 @@ def _capture_cache(s: TriSurface) -> _CaptureCache:
     if cache is None:
         cache = s._capture_cache = _CaptureCache()
     return cache
+
+
+def _base_tree(s: TriSurface, x: int) -> tuple[dict, dict]:
+    """The grid (dist, parent) maps of ``grid_shortest_paths`` from x on the
+    skeleton, kept for the last base asked about.  A ``bool`` never matches
+    the kept base (True == 1), so it reaches ``grid_shortest_paths``, which
+    refuses it as it refuses an unknown vertex."""
+    cache = _capture_cache(s)
+    kept = cache.base_tree
+    if kept is None or isinstance(x, bool) or kept[0] != x:
+        kept = cache.base_tree = (x, *grid_shortest_paths(s.skeleton(), x))
+    return kept[1], kept[2]
 
 
 def _on_grid(q: Fraction, D: int) -> int:
@@ -712,7 +745,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if x is None:
         ub, ub_edges = _greedy_capture(s)
     else:
-        distx, parx = tree = grid_shortest_paths(s.skeleton(), x)
+        distx, parx = tree = _base_tree(s, x)
         ub, ub_edges = _with_arc(s, tree, *_greedy_capture(s))
     best = _on_grid(ub, D)
     # see the floor above: a based call stops once best reaches the cached
@@ -862,11 +895,14 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
 
 
 def height(s: TriSurface, x: int, mode: str = "exact") -> dict:
-    """H''(x) = L(M,x) - L(M,h), plus the distance bound H'' <= dist(x, G)."""
+    """H''(x) = L(M,x) - L(M,h), plus the distance bound H'' <= dist(x, G),
+    read off the surface's grid shortest-path tree of x (``_base_tree``),
+    the one the based capture call has just used."""
     L, gmin = capture_length(s, mode)
     Lx, gx = capture_length(s, mode, x=x)
-    dx = s.distances_from(x)
-    dist_bound = min(dx[v] for e in gmin for v in e)
+    dx = _base_tree(s, x)[0]
+    dist_bound = Fraction(min(dx[v] for e in gmin for v in e),
+                          s.skeleton().int_grid()[0])
     return {
         "L": L, "Lx": Lx, "Hpp": Lx - L,
         "dist_bound": dist_bound,

@@ -374,6 +374,14 @@ def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list
     return comps
 
 
+def faces_with_all_corners_in(s: TriSurface, inside) -> frozenset[int]:
+    """Independent oracle for ``surfballs._ball_faces``: each face at a
+    vertex inside, kept when all three of its vertices are inside, inserted
+    in ascending order."""
+    return frozenset(sorted({f for v in inside for f in s.vertex_faces[v]
+                             if all(w in inside for w in s.faces[f])}))
+
+
 def is_contractible_cycle(s: TriSurface, cycle_vertices) -> bool:
     """Independent oracle: cut along the simple cycle; contractible iff a
     complement component is a disk."""

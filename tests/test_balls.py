@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (_face_components, arc_dict_exact_capture,
                       boundary_components, by_target, capture_by_cycle_pairs,
                       class_of_walk, class_tuple, corpus_surface, face_set_chi,
-                      fraction_greedy_capture,
+                      faces_with_all_corners_in, fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       relabeled, shortest_essential_cycle, tuple_capture_tables,
                       tuple_class_dijkstra, walked_homology)
@@ -279,6 +279,76 @@ def test_face_pieces_match_fan_oracle():
                     _fan_pieces(s, bp.faces, bp.boundary_edges)
                 checked += 3
     assert checked > 2000
+
+
+def test_ball_faces_match_corner_oracle():
+    """``_ball_faces`` (a count of each face's corners inside) against the
+    face-by-face rule, on seeded random vertex sets of every density."""
+    rng = random.Random(25)
+    checked = 0
+    for s in _piece_surfaces():
+        verts = sorted(s.vertices)
+        for p in (0.0, 0.2, 0.5, 0.8, 0.95, 1.0):
+            for _ in range(8):
+                inside = {v for v in verts if rng.random() < p}
+                got = surfballs._ball_faces(s, inside)
+                want = faces_with_all_corners_in(s, inside)
+                assert got == want and list(got) == list(want)
+                checked += bool(want)
+    assert checked > 200
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so each call appends its arguments to the
+    returned list."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+def test_based_op_runs_one_shortest_path_tree(monkeypatch):
+    """A capture-height op at x (height, systole at x, three small-ball
+    checks) runs one grid Dijkstra, from x, and builds no Fraction distance
+    map: every based reader shares the surface's kept tree of x."""
+    s = relabeled(fixtures.subdivide(fixtures.torus7()), 1)
+    surfballs.capture_length(s, "exact")    # the unbased pass, once per surface
+    trees = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
+    maps = _count_calls(monkeypatch, TriSurface, "distances_from")
+    balls = _count_calls(monkeypatch, surfballs, "ball")
+    for x in sorted(s.vertices):
+        trees.clear()
+        h = surfballs.height(s, x, mode="exact")
+        sys_x, _ = surfballs.systole_at(s, x)
+        hpp = h["Hpp"]
+        for k in (1, 2, 3):
+            R = hpp + (sys_x / 2 - hpp) * F(k, 4)
+            check = surfballs.small_ball_area_check(s, x, R, hpp=hpp, sys_x=sys_x)
+            assert check["status"] != "inconclusive"
+        assert [a[1] for a in trees] == [x]
+        assert maps == []
+    assert len(balls) == 3 * len(s.vertices)
+
+
+def test_cached_base_refuses_bool():
+    """The kept base tree is looked up so that True and False never stand
+    for vertices 1 and 0, though True == 1: every based entry point still
+    raises GraphError for them right after a call at that vertex."""
+    s = fixtures.torus7()
+    based = [lambda x: surfballs.systole_at(s, x),
+             lambda x: surfballs.capture_length(s, "greedy", x=x),
+             lambda x: surfballs.capture_length(s, "exact", x=x),
+             lambda x: surfballs.ball(s, x, F(3, 2)),
+             lambda x: surfballs.height(s, x, mode="exact"),
+             lambda x: surfballs.height(s, x, mode="greedy")]
+    for v in (0, 1):
+        for call in based:
+            call(v)
+            with pytest.raises(GraphError, match=f"^unknown source vertex {bool(v)}$"):
+                call(bool(v))
+    for call in based:
+        with pytest.raises(GraphError):
+            call(99)
 
 
 def test_saturated_ball_has_no_boundary(torus):

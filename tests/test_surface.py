@@ -77,9 +77,17 @@ def _shifted(faces, k):
     (TET, {(5, 0): 1}, "length given for (0, 5), which is not an edge of any face"),
     (TET, {(2, 1): 0}, "nonpositive length on edge (1, 2)"),
     (TET, {(0, 1): 2}, "triangle inequality fails on face (0, 1, 2)"),
+    # an id is taken through operator.index, never truncated by int()
+    ([(0, 1, 2.5)] + TET[1:], None, "vertex id 2.5 is not an integer"),
+    ([(0, 1, True)] + TET[1:], None, "vertex id True is not an integer"),
+    (TET, {(0, 1, 2): 1}, "length key (0, 1, 2) is not a vertex pair"),
+    (TET, {(0, 1): "x"}, "length 'x' on (0, 1) is not a rational number"),
+    (TET, {(0, 1): "1/0"}, "length '1/0' on (0, 1) is not a rational number"),
 ], ids=["no_faces", "degenerate", "four_vertex_face", "edge_in_one_face",
         "two_tetrahedra", "rp2", "rp2_and_tetrahedron", "length_on_non_edge",
-        "nonpositive_length", "triangle_inequality"])
+        "nonpositive_length", "triangle_inequality", "non_integer_vertex",
+        "bool_vertex", "length_key_not_a_pair", "length_not_rational",
+        "length_zero_denominator"])
 def test_build_rejects_with_message(faces, lengths, message):
     with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
         TriSurface.build(faces, lengths)

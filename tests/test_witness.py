@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_bounded_instance
 from coverball import cover, witness
-from coverball.graphs import (GraphError, MetricGraph, scale, theta_graph,
+from coverball.graphs import (GraphError, MetricGraph, delete_edge,
+                             is_separating, scale, theta_graph,
                              trivalent_reference)
 
 LAMBDAS = [F(1, 20), F(1, 10), F(1, 6), F(1, 4), F(3, 10)]
@@ -77,6 +79,45 @@ def test_certificate_trace_takes_edge_removal_branch(make, trace):
     cert = witness.find_witness(g, F(1, 6))
     assert cert.trace == trace
     assert witness.verify_certificate(g, cert, [2, 4])["ok"]
+
+
+def _random_multigraph(rng: random.Random) -> MetricGraph:
+    """A connected multigraph on up to 7 vertices: a random spanning tree
+    plus loops and parallel edges."""
+    n = rng.randint(1, 7)
+    ends = [(v, rng.randrange(v)) for v in range(1, n)]
+    for _ in range(rng.randint(0, 6)):
+        r = rng.random()
+        if r < 0.3:
+            u = rng.randrange(n)
+            ends.append((u, u))
+        elif r < 0.6 and ends:
+            ends.append(rng.choice(ends))       # parallel to an earlier edge
+        else:
+            ends.append((rng.randrange(n), rng.randrange(n)))
+    return MetricGraph.build(range(n), [(i, u, w, F(rng.randint(1, 4), 4))
+                                        for i, (u, w) in enumerate(ends)])
+
+
+def test_is_separating_matches_edge_deletion():
+    """``is_separating`` (one search that skips the edge) against deleting
+    the edge and testing the rest for connectivity."""
+    rng = random.Random(25)
+    graphs = [_thetas_joined_by_a_bridge(), _theta_with_a_loop()]
+    graphs += [_random_multigraph(rng) for _ in range(300)]
+    kinds = set()
+    for g in graphs:
+        for e in g.edges:
+            cut = is_separating(g, e.id)
+            assert cut == (not delete_edge(g, e.id).is_connected())
+            kinds.add((e.is_loop, cut))
+    assert kinds == {(True, False), (False, False), (False, True)}
+    with pytest.raises(GraphError, match="^unknown edge id 9$"):
+        is_separating(_theta_with_a_loop(), 9)
+    apart = MetricGraph.build(range(3), [(0, 0, 1, 1), (1, 0, 0, 1)])
+    for eid in (0, 1):
+        with pytest.raises(GraphError, match="^is_separating requires a connected graph$"):
+            is_separating(apart, eid)
 
 
 # ---------------------------------------------------------------------------
