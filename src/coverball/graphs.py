@@ -6,9 +6,11 @@ endpoint pair (equal endpoints give a loop) and a strictly positive
 after construction; every operation returns a new graph.
 
 Every vertex-distance search goes through one Dijkstra core,
-``grid_shortest_paths``, on the common-denominator integer grid, with an
-optional cutoff; it returns grid distances and a shortest-path tree.
-``shortest_paths`` wraps it for exact ``Fraction`` distances.
+``grid_shortest_paths``, on the common-denominator integer grid.  It runs on
+anything that has ``int_grid()`` (a ``MetricGraph`` or a surface), with an
+optional cutoff and a per-vertex bound past it, and returns grid distances
+and a shortest-path tree.  ``shortest_paths`` wraps it for exact
+``Fraction`` distances.
 ``reduce_graph`` prunes leaves and smooths degree-2 vertices in one pass
 over a table of degrees and incident edge ids.
 """
@@ -162,34 +164,39 @@ def girth(g: MetricGraph) -> Fraction | None:
     return None if best is None else Fraction(best, D)
 
 
-def shortest_paths(g: MetricGraph, src: int, cutoff: Fraction | None = None
-                   ) -> tuple[dict[int, Fraction], dict[int, int | None]]:
-    """Exact distances from ``src``: ``grid_shortest_paths`` with the cutoff
-    taken onto the grid and the distances taken back to ``Fraction``s.
+def shortest_paths(g, src: int) -> tuple[dict[int, Fraction], dict[int, int | None]]:
+    """Exact distances from ``src``: ``grid_shortest_paths`` with the
+    distances taken back to ``Fraction``s.
 
     Returns (dist, parent) as the core does.
     """
     D = g.int_grid()[0]
-    icut = None if cutoff is None else math.floor(Fraction(cutoff) * D)
-    dist, parent = grid_shortest_paths(g, src, icut)
+    dist, parent = grid_shortest_paths(g, src)
     return {v: Fraction(d, D) for v, d in dist.items()}, parent
 
 
-def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None
+def grid_shortest_paths(g, src: int, cutoff: int | None = None,
+                        bound: Mapping[int, int] | None = None
                         ) -> tuple[dict[int, int], dict[int, int | None]]:
     """Dijkstra from ``src`` on the common-denominator integer grid of
-    ``g.int_grid()``: distances and ``cutoff`` are integers in units of 1/D.
+    ``g.int_grid()``: distances, ``cutoff`` and ``bound`` are integers in
+    units of 1/D.  ``g`` is anything with ``int_grid()``: a ``MetricGraph``
+    or a ``TriSurface``.
 
     Returns (dist, parent).  ``dist`` maps every reached vertex to its
     distance; ``parent`` maps ``src`` to None and every other reached vertex
     to the vertex that first reached it at its final distance (heap entries
-    (d, v), strict improvement, edges in ``incident`` order).  Relaxations
-    beyond ``cutoff`` are dropped.
+    (d, v), strict improvement, edges in ``incident`` order).  A relaxation
+    beyond ``cutoff`` is dropped, unless ``bound`` is given and it beats
+    ``bound[u]``.  So every vertex within the cutoff is reached with its
+    true distance and parent, and so is every vertex whose distance beats
+    its bound, when the bound is 1-Lipschitz (every vertex on a shortest
+    path to it then beats its own bound); no other vertex is reached.
     A ``bool`` source is refused, not taken as vertex 0 or 1.
     """
-    if isinstance(src, bool) or src not in g.vertices:
-        raise GraphError(f"unknown source vertex {src!r}")
     adj = g.int_grid()[1]
+    if isinstance(src, bool) or src not in adj:
+        raise GraphError(f"unknown source vertex {src!r}")
     dist = {src: 0}
     parent: dict[int, int | None] = {src: None}
     heap = [(0, src)]
@@ -199,7 +206,8 @@ def grid_shortest_paths(g: MetricGraph, src: int, cutoff: int | None = None
             continue
         for l, u in adj[v]:
             nd = d + l
-            if cutoff is not None and nd > cutoff:
+            if cutoff is not None and nd > cutoff and (
+                    bound is None or nd >= bound[u]):
                 continue
             if u not in dist or nd < dist[u]:
                 dist[u] = nd

@@ -9,6 +9,7 @@ the hyperbolic-area comparison, reporting every inequality as a margin.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,16 +46,47 @@ class NerveReport:
     checks: dict = field(default_factory=dict)
 
 
+def _farthest_point_packing(s: TriSurface, separation: int, reach: int
+                            ) -> tuple[list[int], dict, dict]:
+    """The centers, in the order they are picked, and each center's grid
+    (dist, parent) maps, exact up to ``reach``; see ``nerve_graph``."""
+    mind = dict.fromkeys(s.vertices, math.inf)
+    far_heap = [(-math.inf, v) for v in sorted(s.vertices)]    # a heap
+    centers = []
+    dists, parents = {}, {}
+    while True:
+        negd, far = far_heap[0]
+        if -negd != mind[far]:
+            heapq.heappop(far_heap)     # stale: mind[far] has fallen since
+            continue
+        if -negd <= separation:
+            return centers, dists, parents
+        centers.append(far)
+        dists[far], parents[far] = grid_shortest_paths(s, far, reach, mind)
+        for v, d in dists[far].items():
+            if d < mind[v]:
+                mind[v] = d
+                heapq.heappush(far_heap, (-d, v))
+
+
 def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
                 eps: Fraction | str = DEFAULT_EPS) -> NerveReport:
     """Greedy farthest-point packing and its nerve, with all side checks.
 
     Centers are vertices at pairwise distance > 2*r0 such that every vertex
     lies within 2*r0 of a center; nerve edges join centers at distance at
-    most 4*r0 + 2*eps and carry length 1/4.  The packing runs on the
-    skeleton's integer grid: one shortest-path tree per center gives the
-    packing distances, the phi path of every nerve edge and the center's
-    r0-ball, and only the reported center distances become ``Fraction``s.
+    most 4*r0 + 2*eps (``reach``) and carry length 1/4.  The packing runs
+    on the surface's integer grid (``TriSurface.int_grid``).  Each next
+    center is the farthest point (Gonzalez): the vertex of largest distance
+    mind to the centers so far, the least one on ties, read off a lazy
+    max-heap of (-mind, v) that takes a new entry whenever mind falls.  Its
+    shortest-path tree runs to ``reach`` and, past it, only as far as it
+    brings vertices closer than mind: mind is 1-Lipschitz, so a vertex the
+    new center does not bring closer shields every vertex behind it.  So
+    mind is exact, and each tree is exact up to reach, which is all that
+    the packing distances, the phi path of every nerve edge and the
+    center's r0-ball read.  Only the reported center distances become
+    ``Fraction``s.
 
     One ``capturing_test`` decides whether the image captures and gives its
     rank.  ``prune_pieces`` then drops nerve edges in sorted order, each
@@ -70,27 +102,10 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
     if 4 * r0 + 2 * eps >= Fraction(1, 4):
         raise SurfaceError("slack constraint violated: need 4*r0 + 2*eps < 1/4")
 
-    g = s.skeleton()
-    D = g.int_grid()[0]
+    D = s.int_grid()[0]
     separation = math.floor(2 * r0 * D)
     reach = math.floor((4 * r0 + 2 * eps) * D)
-    verts = sorted(s.vertices)
-    centers = [verts[0]]
-    dists, parents = {}, {}
-    dists[verts[0]], parents[verts[0]] = grid_shortest_paths(g, verts[0])
-    mind = dict(dists[verts[0]])
-    while True:
-        far = max(verts, key=lambda v: (mind[v], -v))
-        if mind[far] <= separation:
-            break
-        centers.append(far)
-        # no vertex beyond mind[far] >= mind[v] gets closer, and the tree
-        # is exact up to its cutoff, which covers every nerve edge
-        dists[far], parents[far] = grid_shortest_paths(
-            g, far, max(mind[far], reach))
-        for v, d in dists[far].items():
-            if d < mind[v]:
-                mind[v] = d
+    centers, dists, parents = _farthest_point_packing(s, separation, reach)
 
     cdist = {}
     phi = {}

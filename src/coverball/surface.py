@@ -3,13 +3,19 @@
 ``TriSurface.build`` validates and orients a complex in one pass over its
 faces and keeps that pass's incidence tables on the surface: the edges,
 the two faces of each edge (the one running u -> w first, then the one
-running w -> u, for u < w) and the faces at each vertex.  Every later
-surface computation reads these tables.
+running w -> u, for u < w) and the faces at each vertex.  On first use the
+surface adds one integer grid table: the common denominator D of the edge
+lengths, each edge's length in units of 1/D and the grid adjacency
+(``int_grid``).  Every later surface computation reads these tables:
+shortest paths (``graphs.grid_shortest_paths`` runs on the surface itself),
+homology, face areas, balls, capture and the nerve.  ``skeleton()`` is a
+graph-side view, a ``MetricGraph`` of ``Edge`` objects that shares the
+grid table, for code that works on graphs.
 
 The surface metric is the shortest-path metric on the 1-skeleton; face
-areas come from Heron's formula.  First homology is exact: a tree-cotree
-decomposition gives each edge its class in Z^{2g}, packed into one int
-(``HomologyData``).
+areas come from Heron's formula on the grid lengths.  First homology is
+exact: a tree-cotree decomposition gives each edge its class in Z^{2g},
+packed into one int (``HomologyData``).
 
 A subgraph captures when its cycles span H1(M).  ``capturing_test`` is the
 one-shot query: it returns (captures, rank of the image) by exact
@@ -88,6 +94,7 @@ class TriSurface:
     vertex_faces: dict[int, list[int]]             # faces at v, ascending
     genus: int
     # derived views, each built on first use
+    _grid: tuple | None = field(**_LAZY)          # (D, grid lengths, adj)
     _skeleton: MetricGraph | None = field(**_LAZY)
     _homology: HomologyData | None = field(**_LAZY)
     _face_areas: list[float] | None = field(**_LAZY)
@@ -195,12 +202,42 @@ class TriSurface:
                           vfaces, genus)
 
     # -- derived views -----------------------------------------------------
+    def _grid_table(self) -> tuple:
+        """(D, lengths, adj): D is the lcm of the length denominators,
+        ``lengths[i]`` is ``edges[i]``'s length times D, and adj[v] lists
+        (grid length, other end) for the edges at v in ``edges`` order,
+        which is the skeleton's ``incident`` order."""
+        if self._grid is None:
+            ls = [self.edge_lengths[e] for e in self.edges]
+            D = math.lcm(*(l.denominator for l in ls))
+            lengths = [l.numerator * (D // l.denominator) for l in ls]
+            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
+            for (u, w), n in zip(self.edges, lengths):
+                adj[u].append((n, w))
+                adj[w].append((n, u))
+            self._grid = (D, lengths, adj)
+        return self._grid
+
+    def int_grid(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """(D, adj), equal to ``self.skeleton().int_grid()``, without the
+        skeleton."""
+        D, _, adj = self._grid_table()
+        return D, adj
+
+    def grid_lengths(self) -> list[int]:
+        """Each edge's length times D, in ``edges`` order."""
+        return self._grid_table()[1]
+
     def face_area(self, i: int) -> float:
+        """Heron's formula on the edge lengths as floats.  Each is n / D on
+        the grid: int true division rounds correctly, so it is the float of
+        the ``Fraction`` length."""
         if self._face_areas is None:
+            D, lengths, _ = self._grid_table()
+            ln = dict(zip(self.edges, lengths))
             self._face_areas = [
-                heron(float(self.edge_lengths[_pair(b, c)]),
-                      float(self.edge_lengths[_pair(a, c)]),
-                      float(self.edge_lengths[_pair(a, b)]))
+                heron(ln[_pair(b, c)] / D, ln[_pair(a, c)] / D,
+                      ln[_pair(a, b)] / D)
                 for a, b, c in self.faces]
         return self._face_areas[i]
 
@@ -208,14 +245,18 @@ class TriSurface:
         return sum(self.face_area(i) for i in range(len(self.faces)))
 
     def skeleton(self) -> MetricGraph:
+        """The 1-skeleton as a ``MetricGraph``, edge ids in ``edges`` order;
+        its ``int_grid()`` is the surface's own table."""
         if self._skeleton is None:
             es = tuple(Edge(i, u, w, self.edge_lengths[(u, w)])
                        for i, (u, w) in enumerate(self.edges))
-            self._skeleton = MetricGraph(frozenset(self.vertices), es)
+            g = MetricGraph(frozenset(self.vertices), es)
+            object.__setattr__(g, "_grid", self.int_grid())
+            self._skeleton = g
         return self._skeleton
 
-    def distances_from(self, src: int, cutoff: Fraction | None = None) -> dict[int, Fraction]:
-        return shortest_paths(self.skeleton(), src, cutoff)[0]
+    def distances_from(self, src: int) -> dict[int, Fraction]:
+        return shortest_paths(self, src)[0]
 
     def homology(self) -> "HomologyData":
         if self._homology is None:
@@ -249,7 +290,7 @@ class HomologyData:
     """
 
     def __init__(self, s: TriSurface):
-        g = s.skeleton()
+        _, lengths, adj = s._grid_table()
         # BFS spanning tree, deterministic
         root = min(s.vertices)
         tree = set()
@@ -260,8 +301,7 @@ class HomologyData:
         while qi < len(order):
             v = order[qi]
             qi += 1
-            for e in g.incident(v):
-                u = e.other(v)
+            for _, u in adj[v]:
                 if u not in seenv:
                     seenv.add(u)
                     tree.add(_pair(v, u))
@@ -291,9 +331,7 @@ class HomologyData:
                 dual.setdefault(f2, []).append((e, f1))
         if len(self.generators) != 2 * s.genus:
             raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
-        # every edge is listed from both of its ends, so the sum is 2S
-        grid = [l for es in g.int_grid()[1].values() for l, _ in es]
-        n = max(4 * len(s.edges), 2 * (sum(grid) // min(grid) + 1))
+        n = max(4 * len(s.edges), 2 * (2 * sum(lengths) // min(lengths) + 1))
         self.width = width = n.bit_length() + 1
         cls = dict.fromkeys(tree, 0)
         for i, e in enumerate(reversed(self.generators)):

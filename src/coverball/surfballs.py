@@ -14,7 +14,7 @@ boundary of the faces below its edge in the dual spanning tree, and it
 bounds a disk iff that side, or the other, holds none of the 2g leftover
 edges.  On ties a nonzero-class candidate wins, the first in root and edge
 order.  Each root's distances, tree and candidate lengths are integers on
-the skeleton's common-denominator integer grid (``MetricGraph.int_grid``),
+the surface's common-denominator integer grid (``TriSurface.int_grid``),
 and each candidate's simplicity and class are read off its two endpoints
 in O(1); only returned lengths are ``Fraction``s.
 """
@@ -110,7 +110,7 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     before it, as (grid length, cycle, 0), or None; it is sought on genus
     >= 2 only (on the torus a simple cycle of class zero bounds a disk).
 
-    Each root's work runs on the skeleton's integer grid.  Its tree takes
+    Each root's work runs on the surface's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
     tight neighbour in edge-id order, and records per vertex the class
     potential of its tree path and its branch ``top``, the child of the
@@ -120,14 +120,12 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     than 2 * |V| edge classes.
     """
     packed = s.homology().edge_class
-    g = s.skeleton()
-    D, adj = g.int_grid()
-    glen = [((e.u, e.w), e.length.numerator * (D // e.length.denominator))
-            for e in g.edges]     # the skeleton's edges are s.edges in order
+    D, adj = s.int_grid()
+    glen = list(zip(s.edges, s.grid_lengths()))
     least = math.inf    # least grid length of the candidates kept so far
     sep = None
     if base is None:
-        roots = ((v0, grid_shortest_paths(g, v0)[0]) for v0 in sorted(s.vertices))
+        roots = ((v0, grid_shortest_paths(s, v0)[0]) for v0 in sorted(s.vertices))
     else:
         roots = [(base, _base_tree(s, base)[0])]
     cands = []
@@ -250,7 +248,7 @@ def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
     return _ball_from(s, x, _base_tree(s, x)[0], R,
-                      math.floor(R * s.skeleton().int_grid()[0]))
+                      math.floor(R * s.int_grid()[0]))
 
 
 def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction,
@@ -414,7 +412,7 @@ def _with_arc(s: TriSurface, tree: tuple, length: Fraction,
                            "which no arc from a base point reaches")
     dist, parent = tree
     foot = min((dist[v], v) for e in edges for v in e)[1]
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     return (length + Fraction(dist[foot], D),
             set(edges) | _path_edges(parent, foot))
 
@@ -462,8 +460,8 @@ def _path_edges(parent: dict, v: int) -> set:
 # the winner's walks are settled states of the cached searches from u and
 # v, and no state leaves the width rule.
 #
-# The search runs on the skeleton's common-denominator integer grid
-# (``MetricGraph.int_grid``): every length, distance and bound is the
+# The search runs on the surface's common-denominator integer grid
+# (``TriSurface.int_grid``): every length, distance and bound is the
 # integer n standing for n/D, and only the realized length of the winner is
 # a Fraction.
 #
@@ -570,13 +568,13 @@ def _capture_cache(s: TriSurface) -> _CaptureCache:
 
 def _base_tree(s: TriSurface, x: int) -> tuple[dict, dict]:
     """The grid (dist, parent) maps of ``grid_shortest_paths`` from x on the
-    skeleton, kept for the last base asked about.  A ``bool`` never matches
+    surface, kept for the last base asked about.  A ``bool`` never matches
     the kept base (True == 1), so it reaches ``grid_shortest_paths``, which
     refuses it as it refuses an unknown vertex."""
     cache = _capture_cache(s)
     kept = cache.base_tree
     if kept is None or isinstance(x, bool) or kept[0] != x:
-        kept = cache.base_tree = (x, *grid_shortest_paths(s.skeleton(), x))
+        kept = cache.base_tree = (x, *grid_shortest_paths(s, x))
     return kept[1], kept[2]
 
 
@@ -597,7 +595,7 @@ class _ClassPacking:
 
     def __init__(self, s: TriSurface):
         hom = s.homology()
-        adj = s.skeleton().int_grid()[1]
+        adj = s.int_grid()[1]
         self.verts = sorted(s.vertices)
         rank = {v: r for r, v in enumerate(self.verts)}
         self.limit = sum(l for es in adj.values() for l, _ in es)
@@ -740,7 +738,7 @@ def _arc_search(pk: _ClassPacking, adj: list, I: int, row: list, dx: list,
 
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     cache = _capture_cache(s)
     if x is None:
         ub, ub_edges = _greedy_capture(s)
@@ -902,7 +900,7 @@ def height(s: TriSurface, x: int, mode: str = "exact") -> dict:
     Lx, gx = capture_length(s, mode, x=x)
     dx = _base_tree(s, x)[0]
     dist_bound = Fraction(min(dx[v] for e in gmin for v in e),
-                          s.skeleton().int_grid()[0])
+                          s.int_grid()[0])
     return {
         "L": L, "Lx": Lx, "Hpp": Lx - L,
         "dist_bound": dist_bound,

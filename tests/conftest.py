@@ -599,6 +599,31 @@ def relabeled(s: TriSurface, seed: int) -> TriSurface:
                             {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
 
 
+def farthest_point_packing(s: TriSurface, separation: int, reach: int):
+    """Oracle for ``nerve._farthest_point_packing``: the greedy
+    farthest-point rule as a max over all vertices of (mind, -v), on a
+    ``MetricGraph`` built here.  The first center's tree is complete; each
+    later one runs to max(mind[far], reach), beyond which no vertex can get
+    closer.  Returns (centers, dists, parents) on the grid."""
+    g = MetricGraph.build(s.vertices, [(i, u, w, s.edge_lengths[(u, w)])
+                                       for i, (u, w) in enumerate(s.edges)])
+    verts = sorted(s.vertices)
+    centers = [verts[0]]
+    dists, parents = {}, {}
+    dists[verts[0]], parents[verts[0]] = grid_shortest_paths(g, verts[0])
+    mind = dict(dists[verts[0]])
+    while True:
+        far = max(verts, key=lambda v: (mind[v], -v))
+        if mind[far] <= separation:
+            return centers, dists, parents
+        centers.append(far)
+        dists[far], parents[far] = grid_shortest_paths(
+            g, far, max(mind[far], reach))
+        for v, d in dists[far].items():
+            if d < mind[v]:
+                mind[v] = d
+
+
 def _directed(face):
     a, b, c = face
     return ((a, b), (b, c), (c, a))

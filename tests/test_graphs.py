@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import edge_by_edge_girth, prune_then_smooth, random_bounded_instance
 from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
-                              figure_eight, format_graph, girth, is_separating,
+                              figure_eight, format_graph, girth,
+                              grid_shortest_paths, is_separating,
                               parse_graph, random_connected, reduce_graph,
                               scale, shortest_paths, theta_graph, tree_path,
                               trivalent_reference, validate)
@@ -185,11 +187,17 @@ def _bellman_ford(g, src, cutoff=None, skip_edge=None):
 @example(4, 22, 22, None)     # skips a loop edge
 @settings(max_examples=60, deadline=None)
 def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
+    # the cutoff cases run on the grid core, the only one that takes one
     g = random_connected(b, (F(1, 4), F(1)), seed)
     src = min(g.vertices)
     skip_edge = None if skip is None else g.edges[skip % len(g.edges)].id
     h = g if skip_edge is None else delete_edge(g, skip_edge)
-    dist, parent = shortest_paths(h, src, cutoff)
+    if cutoff is None:
+        dist, parent = shortest_paths(h, src)
+    else:
+        D = h.int_grid()[0]
+        grid, parent = grid_shortest_paths(h, src, math.floor(cutoff * D))
+        dist = {v: F(d, D) for v, d in grid.items()}
     assert dist == _bellman_ford(g, src, cutoff, skip_edge)
     assert set(parent) == set(dist) and parent[src] is None
     for v in dist:
@@ -200,6 +208,29 @@ def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
             length += min(e.length for e in g.incident(a)
                           if e.other(a) == c and e.id != skip_edge)
         assert length == dist[v]
+
+
+@given(st.integers(2, 6), st.integers(0, 99), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_grid_shortest_paths_bound_past_cutoff(b, seed, rng):
+    """A 1-Lipschitz bound, min over a few sources c of d(c, v) + a_c (no
+    source leaves every vertex unbounded): within the cutoff the tree is
+    the unbounded one; past it, exactly the vertices whose distance beats
+    their bound come back, with their true distance and parent."""
+    g = random_connected(b, (F(1, 4), F(1)), seed, denom=rng.choice((4, 8, 12)))
+    verts = sorted(g.vertices)
+    src = rng.choice(verts)
+    full, full_parent = grid_shortest_paths(g, src)
+    bound = dict.fromkeys(verts, math.inf)
+    for c in rng.sample(verts, rng.randint(0, len(verts))):
+        a = rng.randint(0, 8)
+        for v, d in grid_shortest_paths(g, c)[0].items():
+            bound[v] = min(bound[v], d + a)
+    cutoff = rng.randint(0, max(full.values()) + 1)
+    dist, parent = grid_shortest_paths(g, src, cutoff, bound)
+    assert set(dist) == {v for v, d in full.items() if d <= cutoff or d < bound[v]}
+    assert dist == {v: full[v] for v in dist}
+    assert parent == {v: full_parent[v] for v in dist}
 
 
 @st.composite

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
+from conftest import farthest_point_packing, relabeled
 from coverball import fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, _pair, capturing_test,
                                parse_surface)
@@ -72,6 +74,34 @@ def test_ball_areas_match_surface_balls(small_torus, small_torus_nerve):
     rep = small_torus_nerve
     assert rep.ball_areas == [surfballs.ball(small_torus, c, rep.r0).area(small_torus)
                               for c in rep.centers]
+
+
+# relabeled meshes with edges of length 1/32, the last two those of the
+# nerve-pack benchmark workload
+PACKING_SURFACES = {
+    "torus7x2": lambda: relabeled(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.torus7(), 2), F(1, 8)), 1),
+    "genus2x1": lambda: relabeled(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.genus2()), F(1, 16)), 2),
+    "torus7x3_pack": lambda: relabeled(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.torus7(), 3), F(1, 4)), 3),
+    "genus2x2_pack": lambda: relabeled(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.genus2(), 2), F(1, 8)), 4),
+}
+
+
+@pytest.mark.parametrize("r0, eps", [(F(1, 32), F(1, 64)), (F(1, 20), F(1, 64)),
+                                     (F(1, 64), F(1, 128))])
+@pytest.mark.parametrize("name", list(PACKING_SURFACES))
+def test_pruned_packing_matches_farthest_point_oracle(name, r0, eps, monkeypatch):
+    # the heap and the bounded trees against a max over all vertices and
+    # trees run to max(mind, reach): every report field agrees
+    rep = nerve.nerve_graph(PACKING_SURFACES[name](), r0, eps)
+    monkeypatch.setattr(nerve, "_farthest_point_packing", farthest_point_packing)
+    want = nerve.nerve_graph(PACKING_SURFACES[name](), r0, eps)
+    assert len(want.centers) > 1
+    for f in dataclasses.fields(nerve.NerveReport):
+        assert getattr(rep, f.name) == getattr(want, f.name), f.name
 
 
 def test_nerve_on_a_sphere_prunes_to_the_empty_nerve():

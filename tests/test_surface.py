@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverball import fixtures
-from coverball.graphs import betti
+from coverball import fixtures, nerve
+from coverball.graphs import MetricGraph, betti
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
-                               format_surface, parse_surface, prune_pieces,
+                               format_surface, heron, parse_surface, prune_pieces,
                                prune_to_iso, subgraph_length,
                                subgraph_metric_graph, _pair)
 
@@ -148,6 +148,49 @@ def test_skeleton_grid_adjacency_in_edge_id_order(s):
     for v in s.vertices:
         es = sorted(g.incident(v), key=lambda e: e.id)
         assert adj[v] == [(e.length * D, e.other(v)) for e in es]
+
+
+def _mixed_torus() -> TriSurface:
+    """torus7 with lengths 2/3, 4/7, 5/6 and 3/5 in turn along the edges,
+    so D = 210: any three of them meet the triangle inequality."""
+    t = fixtures.torus7()
+    cycle = (F(2, 3), F(4, 7), F(5, 6), F(3, 5))
+    return TriSurface.build(t.faces, {e: cycle[i % 4] for i, e in enumerate(t.edges)})
+
+
+GRID_SURFACES = {
+    "torus7.surf": lambda: corpus_surface("torus7.surf"),
+    "torus7_sub.surf": lambda: corpus_surface("torus7_sub.surf"),
+    "genus2.surf": lambda: corpus_surface("genus2.surf"),
+    "genus2x1": lambda: fixtures.subdivide(fixtures.genus2()),
+    "torus7x2": lambda: fixtures.subdivide(fixtures.torus7(), 2),
+    "mixed_torus": _mixed_torus,
+    "mixed_torus_x1_relabeled": lambda: relabeled(fixtures.subdivide(_mixed_torus()), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_SURFACES))
+def test_grid_table_matches_metric_graph_and_fractions(name):
+    s = GRID_SURFACES[name]()
+    g = MetricGraph.build(s.vertices, [(i, u, w, s.edge_lengths[(u, w)])
+                                       for i, (u, w) in enumerate(s.edges)])
+    D, adj = s.int_grid()
+    assert (D, adj) == g.int_grid()
+    assert s.grid_lengths() == [s.edge_lengths[e] * D for e in s.edges]
+    for i, (a, b, c) in enumerate(s.faces):
+        want = heron(float(s.edge_lengths[_pair(b, c)]),
+                     float(s.edge_lengths[_pair(a, c)]),
+                     float(s.edge_lengths[_pair(a, b)]))
+        assert s.face_area(i).hex() == want.hex()
+
+
+@pytest.mark.parametrize("name", list(GRID_SURFACES))
+def test_nerve_capture_and_pruning_build_no_skeleton(name):
+    s = GRID_SURFACES[name]()
+    nerve.nerve_graph(s)
+    capturing_test(s, s.edges)
+    prune_pieces(s, [[e] for e in s.edges])
+    assert s._skeleton is None
 
 
 def test_heron_area_unit_torus():
@@ -383,6 +426,7 @@ HOMOLOGY_SURFACES = {
     "torus7x3": lambda: fixtures.subdivide(fixtures.torus7(), 3),
     "torus7_sub_relabeled": lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
     "torus7_sub_short_edge": _short_edge_torus,
+    **GRID_SURFACES,
 }
 
 
@@ -390,6 +434,7 @@ HOMOLOGY_SURFACES = {
 def test_homology_matches_walked_oracle(name):
     s = HOMOLOGY_SURFACES[name]()
     hom = s.homology()
+    assert s._skeleton is None      # the BFS reads the grid table
     tree_parent, generators, edge_class = walked_homology(s)
     assert hom.tree_parent == tree_parent
     assert hom.generators == generators
