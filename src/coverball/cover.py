@@ -13,11 +13,12 @@ one distance may leave by every edge at v except the reverse of the one
 they came by, so the state leaving by s carries the total arriving at v
 minus what arrived by the reverse of s.  Each pending distance keeps one
 flat row of ints: the arrival count by traversal index, then the arrival
-total by vertex rank.  A state writes its arrival and adds it to its
-head's total by column, so it costs two list stores however large the
-degree.  A ``budget`` counts expanded states in the order (distance, edge
-id, direction); the states of one distance are sorted only where the
-budget cuts among them.
+total by vertex rank.  The loop runs over the edges by grid length and
+takes both directions of an edge in one step, looking the target row up
+once per run of equal lengths.  A ``budget`` counts expanded states in
+the order (distance, edge id, direction).  No distance holds more states
+than there are traversals, so one lists its states in that order only
+when fewer than that many are left in the budget.
 
 The pending distances are sparse on the grid: lengths 1 and 1 + 10^-12
 make it 10^12 steps per unit, while the distances reached never outnumber
@@ -40,6 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter, index, mul
 
 from .graphs import Edge, GraphError, MetricGraph, shortest_paths
 
@@ -105,7 +107,7 @@ def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
     try:
         eid, off = base
         off = Fraction(off)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         eid = None
     if not isinstance(eid, int) or isinstance(eid, bool):
         raise GraphError(f"base {base!r} is neither a vertex id nor an "
@@ -164,8 +166,10 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     R = Fraction(R)
     if R < 0:
         raise GraphError("radius must be nonnegative")
-    if budget < 1:
-        raise GraphError("budget must be at least 1")
+    if (isinstance(budget, bool) or not hasattr(type(budget), "__index__")
+            or index(budget) < 1):
+        raise GraphError(f"budget {budget!r} is not an integer of at least 1")
+    budget = index(budget)
     if not g.is_connected():
         raise GraphError("ball_length requires a connected graph")
     orig_base = base
@@ -175,22 +179,19 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     K = R * D
     assert K.denominator == 1
     K = K.numerator
-    head, length, departures, _ = _transitions(g)
-    # traversals as ints in sorted (edge id, direction) order, so the two
-    # directions of an edge are i and i ^ 1 and the budget takes the states
-    # of one key in int order.  A pending key holds one row: the arrival
-    # multiplicity by traversal in [0, T), then the arrival total by vertex
-    # rank in [T, T + V).  Per vertex in rank order: its column, its degree
-    # and its departures as (traversal, reverse, grid length, head column)
-    index = {t: i for i, t in enumerate(sorted(length))}
-    T = len(index)
-    col = {v: T + r for r, v in enumerate(sorted(departures))}
-    deps = [(col[v], len(ds), [(index[s], index[s] ^ 1, int(length[s] * D),
-                                col[head[s]]) for s in ds])
-            for v, ds in sorted(departures.items())]
-    V = len(deps)
-    width = T + V
-    maxdeg = max(deg for _, deg, _ in deps)
+    # edge j in edge-id order is traversal 2j from u to w and 2j + 1 back,
+    # so the budget takes the states of one key in traversal order.  A
+    # pending key holds one row: the arrival multiplicity by traversal in
+    # [0, T), then the arrival total by vertex rank in [T, T + V).  Per
+    # edge: (grid length, 2j, 2j + 1, u's column, w's column)
+    verts = sorted(g.vertices)
+    T = 2 * len(g.edges)
+    col = {v: c for c, v in enumerate(verts, T)}
+    byid = [(int(e.length * D), 2 * j, 2 * j + 1, col[e.u], col[e.w])
+            for j, e in enumerate(sorted(g.edges, key=attrgetter("id")))]
+    edges = sorted(byid)
+    deg = [g.degree(v) for v in verts]
+    width = T + len(verts)
     row = [0] * width
     row[col[base_v]] = 1        # the base has one virtual arrival
     pending = {0: row}
@@ -205,48 +206,55 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
         k = heapq.heappop(heap)
         row = pending.pop(k)
         tots = row[T:]
-        # every arrival ends an edge; the base's virtual one does not
-        n_end = sum(tots) if k else 0
-        todo = deps
-        if slots + maxdeg * (V - tots.count(0)) > budget:
-            live = sorted((d, c) for c, _, dl in deps if row[c] for d in dl
-                          if row[c] != row[d[1]])
-            if slots + len(live) > budget:
-                # the budget cuts here: keep the first states in order
-                stop = k
-                live = live[:budget - slots]
-                n_in = sum(row[c] - row[d[1]] for d, c in live)
-                todo = [(c, 1, (d,)) for d, c in live]
         # a departure s from v carries every arrival at v but the one by
         # its reverse, so v's departures carry deg(v) * total minus v's
-        # arrivals, and the states of this key out - n_end in all
-        n = out = 0
-        for c, deg, dl in todo:
-            tv = row[c]
-            if not tv:
-                continue
-            n += deg
-            out += deg * tv
-            for s, rs, L, h in dl:
-                m = tv - row[rs]
-                if not m:
-                    n -= 1
+        # arrivals; every arrival ends an edge, the base's virtual one not
+        n_end = sum(tots) if k else 0
+        n_in = sum(map(mul, deg, tots)) - n_end
+        if slots + T > budget:
+            live = [(m, rs, c) for _, a, b, cu, cw in byid
+                    for m, rs, c in ((row[cu] - row[b], b, cu),
+                                     (row[cw] - row[a], a, cw)) if m]
+            if slots + len(live) > budget:
+                # the budget cuts here: keep the first states in order,
+                # and make each later one carry nothing by raising its
+                # reverse's arrival to its tail's total
+                stop = k
+                n_in = sum(m for m, _, _ in live[:budget - slots])
+                for _, rs, c in live[budget - slots:]:
+                    row[rs] = row[c]
+        # both directions of an edge in one step, and one target row per
+        # run of equal grid lengths; n counts the states that carry paths
+        n = T
+        run = None
+        for L, a, b, cu, cw in edges:
+            m1 = row[cu] - row[b]
+            m2 = row[cw] - row[a]
+            if not (m1 and m2):
+                if not (m1 or m2):
+                    n -= 2
                     continue
+                n -= 1
+            if L != run:
+                run = L
                 k2 = k + L
+                r2 = None
                 if k2 < K:
                     r2 = pget(k2)
                     if r2 is None:
                         r2 = pending[k2] = [0] * width
                         push(heap, k2)
-                    r2[s] = m
-                    r2[h] += m
-                elif k2 == K:
-                    at_K += m
+            if r2:
+                r2[a] = m1
+                r2[cw] += m1
+                r2[b] = m2
+                r2[cu] += m2
+            elif k2 == K:
+                at_K += m1 + m2
         slots += n
+        cuts.append((k, n_in, n_end))
         if stop is not None:
-            cuts.append((k, n_in, n_end))
             break
-        cuts.append((k, out - n_end, n_end))
     # after a cut, the keys reached but not expanded; then K: edges only
     # end there
     cuts += [(k, 0, sum(pending[k][T:])) for k in sorted(pending)]
@@ -266,23 +274,15 @@ def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fractio
     """Total length of the radius-R ball in the graph itself (not the cover),
     measured by shortest-path distances."""
     R = Fraction(R)
+    if R < 0:
+        raise GraphError("radius must be nonnegative")
     g, base_v = _with_base_vertex(g, base)
     dist, _ = shortest_paths(g, base_v)
-    total = Fraction(0)
-    for e in g.edges:
-        du = dist.get(e.u)
-        dw = dist.get(e.w)
-        if e.is_loop:
-            if du is not None:
-                total += min(e.length, 2 * max(Fraction(0), R - du))
-            continue
-        cov = Fraction(0)
-        if du is not None:
-            cov += max(Fraction(0), R - du)
-        if dw is not None:
-            cov += max(Fraction(0), R - dw)
-        total += min(e.length, cov)
-    return total
+    # an edge is covered R - d(v) in from each end v within R; a loop has
+    # both ends at v
+    left = {v: max(R - d, 0) for v, d in dist.items()}
+    return sum((min(e.length, left.get(e.u, 0) + left.get(e.w, 0))
+                for e in g.edges), Fraction(0))
 
 
 def trivalent_tree_ball(R: Fraction | int | str) -> Fraction:

@@ -154,7 +154,45 @@ def test_negative_radius_rejected():
         cover.ball_length(theta_graph(), 0, F(-1))
 
 
-@pytest.mark.parametrize("base", [(0, "x"), "0", 0.5, True, (True, F(1, 4))])
+def test_finite_ball_negative_radius_rejected():
+    with pytest.raises(GraphError, match="radius must be nonnegative"):
+        cover.finite_ball_length(theta_graph(), 0, -1)
+    assert cover.finite_ball_length(theta_graph(), 0, 0) == 0
+
+
+class _Count:
+    """An int-like count that is not an int."""
+
+    def __index__(self):
+        return 7
+
+
+@pytest.mark.parametrize("budget", [2.5, F(5, 2), "3", None, True, False, 0,
+                                    -1, 1.0], ids=repr)
+def test_bad_budget_rejected_by_value(budget):
+    """Each entry point that takes a budget refuses one that is not an
+    integer of at least 1, naming it; a ``bool`` is not a count."""
+    g = theta_graph()
+    lam = F(1, 20)
+    h = random_bounded_instance(3, lam * 6, 0, denom=64)
+    cert = witness.find_witness(h, lam)
+    calls = [lambda: cover.ball_length(g, 0, 2, budget),
+             lambda: cover.v_prime(g, 2, budget=budget),
+             lambda: cover.entropy_estimate(g, [1, 2], budget=budget),
+             lambda: witness.verify_certificate(h, cert, [1, 2], budget)]
+    for call in calls:
+        with pytest.raises(GraphError, match=re.escape(repr(budget))):
+            call()
+
+
+def test_budget_taken_through_index():
+    g = figure_eight()
+    assert cover.ball_length(g, 0, 6, _Count()) == \
+        cover.ball_length(g, 0, 6, 7)
+
+
+@pytest.mark.parametrize("base", [(0, "x"), "0", 0.5, True, (True, F(1, 4)),
+                                  (0, "1/0")])
 def test_malformed_base_rejected_by_name(base):
     with pytest.raises(GraphError, match=re.escape(repr(base))):
         cover.ball_length(theta_graph(), base, 1)
@@ -199,6 +237,12 @@ def _degree_two(g):
 
 _B2, _B3, _B3E, _B4 = (_bounded(2, 0), _bounded(3, 6), _bounded(3, 5),
                        _bounded(4, 6))
+# loops (two at 0, one at 2), three parallel 0-1 edges (two of one
+# length), a leaf 3 on 1 and a 1-2 edge whose length equals a loop's
+_LOOPS_PARALLEL_LEAF = MetricGraph.build([0, 1, 2, 3], [
+    (6, 0, 0, F(3, 4)), (0, 0, 0, F(1, 2)), (3, 1, 0, F(1, 2)),
+    (5, 0, 1, F(1, 2)), (2, 0, 1, F(2, 3)), (8, 1, 3, F(1, 4)),
+    (1, 2, 1, F(3, 4)), (4, 2, 2, F(1, 3))])
 
 
 @pytest.mark.parametrize("g, base, R", [
@@ -219,6 +263,18 @@ _B2, _B3, _B3E, _B4 = (_bounded(2, 0), _bounded(3, 6), _bounded(3, 5),
     pytest.param(theta_graph(), (1, F(1, 3)), F(5, 2), id="theta-edge-point"),
     pytest.param(_B3E, (_B3E.edges[2].id, _B3E.edges[2].length / 3), F(4, 5),
                  id="bounded-b3-edge-point"),
+    # listed in descending id order, all of one length: sorted by length,
+    # the states of a key must still be cut in (edge id, direction) order
+    pytest.param(MetricGraph.build([0, 1, 2], [(9, 2, 0, 1), (7, 1, 2, 1),
+                                               (4, 0, 1, 1), (2, 1, 0, 1),
+                                               (1, 2, 2, 1)]), 1, F(3),
+                 id="equal-lengths-descending-ids"),
+    pytest.param(_LOOPS_PARALLEL_LEAF, 1, F(5, 2),
+                 id="loops-parallel-edges-and-leaf"),
+    pytest.param(_LOOPS_PARALLEL_LEAF, 3, F(5, 2),
+                 id="loops-parallel-edges-and-leaf-at-leaf"),
+    pytest.param(_LOOPS_PARALLEL_LEAF, (5, F(1, 3)), F(2),
+                 id="loops-parallel-edges-and-leaf-edge-point"),
 ])
 def test_matches_heap_oracle_at_every_budget(g, base, R):
     assert _matches_at_every_budget(g, base, R) > 1
