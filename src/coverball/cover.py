@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter, index, mul
 
-from .graphs import Edge, GraphError, MetricGraph, shortest_paths
+from .graphs import Edge, GraphError, MetricGraph, grid_shortest_paths
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -95,6 +95,16 @@ class GrowthReport:
         if self.profile is None:
             raise GraphError("report carries no growth profile")
         return self.profile.report(self.base, r)
+
+
+def _count_arg(name: str, value, error: type[ValueError] = GraphError) -> int:
+    """``value`` as an int of at least 1, through ``operator.index``: a
+    ``bool`` is not a count, and 2.5, "3" or None are refused, not
+    converted.  ``error`` names the argument and the value."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__") \
+            and index(value) >= 1:
+        return index(value)
+    raise error(f"{name} {value!r} is not an integer of at least 1")
 
 
 def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
@@ -166,10 +176,7 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
     R = Fraction(R)
     if R < 0:
         raise GraphError("radius must be nonnegative")
-    if (isinstance(budget, bool) or not hasattr(type(budget), "__index__")
-            or index(budget) < 1):
-        raise GraphError(f"budget {budget!r} is not an integer of at least 1")
-    budget = index(budget)
+    budget = _count_arg("budget", budget)
     if not g.is_connected():
         raise GraphError("ball_length requires a connected graph")
     orig_base = base
@@ -272,15 +279,17 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
 
 def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fraction:
     """Total length of the radius-R ball in the graph itself (not the cover),
-    measured by shortest-path distances."""
+    measured by the grid distances of ``grid_shortest_paths`` from the base,
+    each taken back to a ``Fraction`` once."""
     R = Fraction(R)
     if R < 0:
         raise GraphError("radius must be nonnegative")
     g, base_v = _with_base_vertex(g, base)
-    dist, _ = shortest_paths(g, base_v)
+    D = g.int_grid()[0]
+    dist, _ = grid_shortest_paths(g, base_v)
     # an edge is covered R - d(v) in from each end v within R; a loop has
     # both ends at v
-    left = {v: max(R - d, 0) for v, d in dist.items()}
+    left = {v: max(R - Fraction(d, D), 0) for v, d in dist.items()}
     return sum((min(e.length, left.get(e.u, 0) + left.get(e.w, 0))
                 for e in g.edges), Fraction(0))
 

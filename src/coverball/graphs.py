@@ -9,8 +9,8 @@ Every vertex-distance search goes through one Dijkstra core,
 ``grid_shortest_paths``, on the common-denominator integer grid.  It runs on
 anything that has ``int_grid()`` (a ``MetricGraph`` or a surface), with an
 optional cutoff and a per-vertex bound past it, and returns grid distances
-and a shortest-path tree.  ``shortest_paths`` wraps it for exact
-``Fraction`` distances.
+and a shortest-path tree.  A caller that needs exact distances divides by
+D itself, and only where it reports them.
 ``reduce_graph`` prunes leaves and smooths degree-2 vertices in one pass
 over a table of degrees and incident edge ids.
 """
@@ -164,17 +164,6 @@ def girth(g: MetricGraph) -> Fraction | None:
     return None if best is None else Fraction(best, D)
 
 
-def shortest_paths(g, src: int) -> tuple[dict[int, Fraction], dict[int, int | None]]:
-    """Exact distances from ``src``: ``grid_shortest_paths`` with the
-    distances taken back to ``Fraction``s.
-
-    Returns (dist, parent) as the core does.
-    """
-    D = g.int_grid()[0]
-    dist, parent = grid_shortest_paths(g, src)
-    return {v: Fraction(d, D) for v, d in dist.items()}, parent
-
-
 def grid_shortest_paths(g, src: int, cutoff: int | None = None,
                         bound: Mapping[int, int] | None = None
                         ) -> tuple[dict[int, int], dict[int, int | None]]:
@@ -217,7 +206,8 @@ def grid_shortest_paths(g, src: int, cutoff: int | None = None,
 
 
 def tree_path(parent: Mapping[int, int | None], v: int) -> list[int]:
-    """Vertex path from the root of a ``shortest_paths`` tree down to v."""
+    """Vertex path from the root of a ``grid_shortest_paths`` tree (its
+    parent map) down to v."""
     path = [v]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])

@@ -244,12 +244,13 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
 
     Every stage is diagnostic: hypothesis failures are recorded and the
     remaining stages still run, since the constructed capturing graph is
-    only approximately minimal anyway.
+    only approximately minimal anyway.  ``r_grid`` and ``budget`` are
+    checked before any stage runs, by ``ball_length``'s budget rule.  Each
+    ball-domination row reads the surface's kept grid tree of u (the
+    witness, or gamma's least vertex) through ``surfballs.ball``.
     """
-    if r_grid < 1:
-        raise SurfaceError("r_grid must be at least 1")
-    if budget < 1:
-        raise SurfaceError("budget must be at least 1")
+    r_grid = cover._count_arg("r_grid", r_grid, SurfaceError)
+    budget = cover._count_arg("budget", budget, SurfaceError)
     g = s.genus
     report: dict = {"genus": g, "stages": []}
     area = s.total_area()
@@ -336,12 +337,15 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     sys_cap = sys_len if sys_len is not None else Fraction(1)
     rmax = sys_cap / 2
     gamma_girth = girth(gamma)
-    dist_u = s.distances_from(u)
+    D = s.int_grid()[0]
+    grid_u = surfballs._base_tree(s, u)[0]
+    # every end of an image edge, in or out of gamma's largest component
+    dist_u = {v: Fraction(grid_u[v], D) for e in image_edges for v in e}
     cover_growth = cover.ball_length(gamma, u, rmax, budget)
     rows = []
     for k in range(1, r_grid + 1):
         r = rmax * k / r_grid
-        ball = surfballs._ball_from(s, u, dist_u, r)
+        ball = surfballs.ball(s, u, r)
         bplus = surfballs.fill_to_bplus(s, ball)
         boundary = bplus.boundary_length(s)
         # portion of the capturing graph inside the surface ball, with

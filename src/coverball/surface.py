@@ -8,9 +8,10 @@ surface adds one integer grid table: the common denominator D of the edge
 lengths, each edge's length in units of 1/D and the grid adjacency
 (``int_grid``).  Every later surface computation reads these tables:
 shortest paths (``graphs.grid_shortest_paths`` runs on the surface itself),
-homology, face areas, balls, capture and the nerve.  ``skeleton()`` is a
-graph-side view, a ``MetricGraph`` of ``Edge`` objects that shares the
-grid table, for code that works on graphs.
+homology, face areas, balls, capture and the nerve.  There is one graph
+view, ``subgraph_metric_graph(s, edges)``, a ``MetricGraph`` of the given
+edges (all of ``s.edges`` for the 1-skeleton), and one ``Fraction`` view
+of distances, ``distances_from``, which no computation here reads.
 
 The surface metric is the shortest-path metric on the 1-skeleton; face
 areas come from Heron's formula on the grid lengths.  First homology is
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Edge, MetricGraph, betti, shortest_paths
+from .graphs import Edge, MetricGraph, betti, grid_shortest_paths
 from .linalg import Echelon
 
 
@@ -95,7 +96,6 @@ class TriSurface:
     genus: int
     # derived views, each built on first use
     _grid: tuple | None = field(**_LAZY)          # (D, grid lengths, adj)
-    _skeleton: MetricGraph | None = field(**_LAZY)
     _homology: HomologyData | None = field(**_LAZY)
     _face_areas: list[float] | None = field(**_LAZY)
 
@@ -205,8 +205,7 @@ class TriSurface:
     def _grid_table(self) -> tuple:
         """(D, lengths, adj): D is the lcm of the length denominators,
         ``lengths[i]`` is ``edges[i]``'s length times D, and adj[v] lists
-        (grid length, other end) for the edges at v in ``edges`` order,
-        which is the skeleton's ``incident`` order."""
+        (grid length, other end) for the edges at v in ``edges`` order."""
         if self._grid is None:
             ls = [self.edge_lengths[e] for e in self.edges]
             D = math.lcm(*(l.denominator for l in ls))
@@ -219,8 +218,10 @@ class TriSurface:
         return self._grid
 
     def int_grid(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
-        """(D, adj), equal to ``self.skeleton().int_grid()``, without the
-        skeleton."""
+        """(D, adj): the common denominator D of the edge lengths and, per
+        vertex, (grid length, other end) in ``edges`` order.  It equals
+        ``subgraph_metric_graph(self, self.edges).int_grid()``, without
+        building that graph."""
         D, _, adj = self._grid_table()
         return D, adj
 
@@ -244,19 +245,14 @@ class TriSurface:
     def total_area(self) -> float:
         return sum(self.face_area(i) for i in range(len(self.faces)))
 
-    def skeleton(self) -> MetricGraph:
-        """The 1-skeleton as a ``MetricGraph``, edge ids in ``edges`` order;
-        its ``int_grid()`` is the surface's own table."""
-        if self._skeleton is None:
-            es = tuple(Edge(i, u, w, self.edge_lengths[(u, w)])
-                       for i, (u, w) in enumerate(self.edges))
-            g = MetricGraph(frozenset(self.vertices), es)
-            object.__setattr__(g, "_grid", self.int_grid())
-            self._skeleton = g
-        return self._skeleton
-
     def distances_from(self, src: int) -> dict[int, Fraction]:
-        return shortest_paths(self, src)[0]
+        """Exact distances from ``src``: ``grid_shortest_paths`` on the
+        surface, each grid distance taken back to a ``Fraction``.  No
+        computation in the package reads it; it is the ``Fraction`` view
+        for tests and for tracing."""
+        D = self.int_grid()[0]
+        return {v: Fraction(d, D)
+                for v, d in grid_shortest_paths(self, src)[0].items()}
 
     def homology(self) -> "HomologyData":
         if self._homology is None:

@@ -241,23 +241,15 @@ class BallSubcomplex:
 
 
 def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
-    """The ball of radius R about x: the vertices within R of x, decided on
-    the integer grid (grid distance <= floor(R * D)) from the surface's
-    shortest-path tree of x (``_base_tree``), and the faces they span."""
+    """The ball of radius R about x: the vertices within R of x and the
+    faces they span.  A vertex at grid distance n from x, read from the
+    surface's kept shortest-path tree of x (``_base_tree``), lies within R
+    iff n <= floor(R * D), as n is an integer; R * D need not be one."""
     R = Fraction(R)
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
-    return _ball_from(s, x, _base_tree(s, x)[0], R,
-                      math.floor(R * s.int_grid()[0]))
-
-
-def _ball_from(s: TriSurface, x: int, dist: dict, R: Fraction,
-               cut: Fraction | int | None = None) -> BallSubcomplex:
-    """The ball of radius R about x from a distance map ``dist`` from x
-    that is complete up to R: exact distances, or grid distances with
-    ``cut`` = floor(R * D)."""
-    cut = R if cut is None else cut
-    interior = frozenset(v for v, d in dist.items() if d <= cut)
+    cut = math.floor(R * s.int_grid()[0])
+    interior = frozenset(v for v, d in _base_tree(s, x)[0].items() if d <= cut)
     faces = _ball_faces(s, interior)
     return BallSubcomplex(x, R, interior, faces,
                           _boundary_edges(s, faces), False)

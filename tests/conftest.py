@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from coverball import cover, surfballs
+from coverball import cover, fixtures, surfballs
 from coverball.graphs import (Edge, GraphError, MetricGraph, delete_edge,
-                             grid_shortest_paths, shortest_paths, tree_path)
+                             grid_shortest_paths, tree_path)
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
-                               parse_surface, subgraph_length)
+                               parse_surface, subgraph_length,
+                               subgraph_metric_graph)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -241,10 +242,11 @@ def edge_by_edge_girth(g: MetricGraph) -> Fraction | None:
         if e.is_loop:
             cand = e.length
         else:
-            d = shortest_paths(delete_edge(g, e.id), e.u)[0].get(e.w)
+            h = delete_edge(g, e.id)
+            d = grid_shortest_paths(h, e.u)[0].get(e.w)
             if d is None:
                 continue
-            cand = d + e.length
+            cand = Fraction(d, h.int_grid()[0]) + e.length
         if best is None or cand < best:
             best = cand
     return best
@@ -259,7 +261,7 @@ def enumerate_simple_cycles(s: TriSurface, bound: Fraction,
     and second vertex smaller than the last.  Pruned by straight-line
     shortest-path distance back to the start.
     """
-    g = s.skeleton()
+    g = subgraph_metric_graph(s, s.edges)
     cycles = []
     starts = [through] if through is not None else sorted(s.vertices)
     for start in starts:
@@ -533,7 +535,7 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None):
     and is shorter than every nontrivial candidate found before it.
     """
     classes = walked_homology(s)[2]
-    g = s.skeleton()
+    g = subgraph_metric_graph(s, s.edges)
     best = None
     sep = None
     sources = [base] if base is not None else sorted(s.vertices)
@@ -588,6 +590,23 @@ def corpus_surface(name: str) -> TriSurface:
     return parse_surface((resources.files("coverball") / "corpus" / name).read_text())
 
 
+def mixed_torus() -> TriSurface:
+    """torus7 with lengths 2/3, 4/7, 5/6 and 3/5 in turn along the edges,
+    so D = 210: any three of them meet the triangle inequality."""
+    t = fixtures.torus7()
+    cycle = (Fraction(2, 3), Fraction(4, 7), Fraction(5, 6), Fraction(3, 5))
+    return TriSurface.build(t.faces, {e: cycle[i % 4] for i, e in enumerate(t.edges)})
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so each call appends its arguments to the
+    returned list."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
 def relabeled(s: TriSurface, seed: int) -> TriSurface:
     """s with its vertex ids shuffled, so vertex order and edge-id order
     disagree with the original's."""
@@ -634,7 +653,7 @@ def walked_homology(s: TriSurface):
     tree-cotree decomposition, each cotree edge's class summed by walking
     its face's other two directed edges as tuples.  Returns
     (tree_parent, generators, edge_class)."""
-    g = s.skeleton()
+    g = subgraph_metric_graph(s, s.edges)
     root = min(s.vertices)
     tree = set()
     tree_parent = {root: None}
@@ -716,7 +735,7 @@ def tuple_class_dijkstra(s: TriSurface, source: int, bound: int):
     once more than ``surfballs._STATE_CAP`` states are reached.
     """
     classes = walked_homology(s)[2]
-    _, grid = s.skeleton().int_grid()
+    _, grid = s.int_grid()
     adj = {v: [(l, u, tuple_step(classes, v, u)) for l, u in es]
            for v, es in grid.items()}
     start = (source, (0,) * (2 * s.genus))
@@ -786,7 +805,7 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
     family's arcs found per vertex pair by brute force over every foot w
     and every pair of table entries, kept in a dict per arc class (the
     first least-cost (w, entry) wins)."""
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     ub, _ = surfballs._greedy_capture(s, x)
     best = surfballs._on_grid(ub, D)
     cache = surfballs._capture_cache(s)
@@ -804,7 +823,7 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
                      for v, lst in zip(cache.packing.verts, searches[r].lists)}
                  for u, r in rank.items()}
     if x is not None:
-        distx, parx = grid_shortest_paths(s.skeleton(), x)
+        distx, parx = grid_shortest_paths(subgraph_metric_graph(s, s.edges), x)
     # the incumbent: its walks as (source, final state), and the vertex its
     # arc from x ends at (None when unbased)
     best_walks = None

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_face_components, arc_dict_exact_capture,
+from conftest import (_count_calls, _face_components, arc_dict_exact_capture,
                       boundary_components, by_target, capture_by_cycle_pairs,
                       class_of_walk, class_tuple, corpus_surface, face_set_chi,
                       faces_with_all_corners_in, fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
-                      relabeled, shortest_essential_cycle, tuple_capture_tables,
-                      tuple_class_dijkstra, walked_homology)
+                      mixed_torus, relabeled, shortest_essential_cycle,
+                      tuple_capture_tables, tuple_class_dijkstra,
+                      walked_homology)
 from coverball import fixtures, surfballs
 from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
@@ -161,7 +162,7 @@ CANDIDATE_SURFACES = {
 def test_grid_candidates_match_fraction_oracle(name):
     s = CANDIDATE_SURFACES[name]()
     if name == "torus7_mixed":
-        assert s.skeleton().int_grid()[0] > 1
+        assert s.int_grid()[0] > 1
     hom, classes = s.homology(), walked_homology(s)[2]
     for base in [None] + sorted(s.vertices):
         D, cands, sep = surfballs._grid_candidates(s, base)
@@ -230,6 +231,39 @@ def test_fill_never_shrinks_area_or_adds_boundary(torus, g2):
                 assert b.faces <= bp.faces
 
 
+def _assert_ball_matches_distances(s, b, dist):
+    """The ball b against its definition: the vertices at exact distance
+    at most R in ``dist`` (``distances_from`` of its centre), the faces
+    with all three corners among them, in ``list(faces)`` order too, and
+    the edges with one of those faces on one side only."""
+    assert b.interior == {v for v, d in dist.items() if d <= b.radius}
+    want = faces_with_all_corners_in(s, b.interior)
+    assert b.faces == want and list(b.faces) == list(want)
+    assert b.boundary_edges == {e for e, fs in s.edge_faces.items()
+                                if sum(f in b.faces for f in fs) == 1}
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
+                                  mixed_torus],
+                         ids=["torus7_sub", "mixed_torus"])
+def test_ball_at_off_grid_radii_matches_distance_oracle(make):
+    """``ball`` decides n <= floor(R * D) on the grid; at radii k/3, k/7
+    and k/11 (off the grid of D = 2 for most k, and at k/11 off that of
+    D = 210) its interior and faces are those the exact distances give."""
+    s = make()
+    D = s.int_grid()[0]
+    off_grid = 0
+    for x in sorted(s.vertices):
+        full = s.distances_from(x)
+        far = max(full.values())
+        for q in (3, 7, 11):
+            for k in range(1, int(q * far) + 2):
+                R = F(k, q)
+                _assert_ball_matches_distances(s, surfballs.ball(s, x, R), full)
+                off_grid += (R * D).denominator != 1
+    assert off_grid > 50
+
+
 def _piece_surfaces():
     """The corpus surfaces, each subdivided once, and the tetrahedron."""
     corpus = [corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
@@ -244,9 +278,8 @@ def _fan_pieces(s, faces, cut):
 def test_face_pieces_match_fan_oracle():
     """``_face_pieces`` (chi = F - J + C) against the corner-fan oracle:
     seeded random face and cut sets, then the complement and the filled
-    ball of every ball at every vertex and radius k/4; and ``_ball_from``
-    on a full distance map against ``ball`` and the face-by-face
-    definition, in ``list(faces)`` order too."""
+    ball of every ball at every vertex and radius k/4; and each ball
+    against the distance oracle ``_assert_ball_matches_distances``."""
     rng = random.Random(14)
     checked = 0
     for s in _piece_surfaces():
@@ -264,13 +297,7 @@ def test_face_pieces_match_fan_oracle():
             for k in range(1, int(4 * max(full.values())) + 2):
                 R = F(k, 4)
                 b = surfballs.ball(s, x, R)
-                got = surfballs._ball_from(s, x, full, R)
-                assert got == b and list(got.faces) == list(b.faces)
-                assert list(b.faces) == list(frozenset(
-                    i for i, f in enumerate(s.faces) if all(v in b.interior for v in f)))
-                assert b.boundary_edges == {
-                    e for e, fs in s.edge_faces.items()
-                    if sum(f in b.faces for f in fs) == 1}
+                _assert_ball_matches_distances(s, b, full)
                 outside = set(range(nf)) - b.faces
                 assert surfballs._face_pieces(s, outside, b.boundary_edges) == \
                     _fan_pieces(s, outside, b.boundary_edges)
@@ -296,15 +323,6 @@ def test_ball_faces_match_corner_oracle():
                 assert got == want and list(got) == list(want)
                 checked += bool(want)
     assert checked > 200
-
-
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Wrap ``owner.name`` so each call appends its arguments to the
-    returned list."""
-    calls = []
-    fn = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
-    return calls
 
 
 def test_based_op_runs_one_shortest_path_tree(monkeypatch):
@@ -406,7 +424,7 @@ def _assert_captures_with_length(s, x, L, edges):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_capture_on_mixed_denominators(seed):
     s = _mixed_torus(seed)
-    assert s.skeleton().int_grid()[0] > 1
+    assert s.int_grid()[0] > 1
     for x in (None, 0, 2, 5):
         L, edges = surfballs.capture_length(s, mode="exact", x=x)
         assert L == capture_by_cycle_pairs(s, x=x)[0]
@@ -443,14 +461,14 @@ def test_capture_cache_leaves_results_unchanged(make):
 
 def _grid_bound(s, x=None) -> int:
     """The greedy upper bound of a capture call, on the integer grid."""
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     return surfballs._on_grid(surfballs.capture_length(s, mode="greedy", x=x)[0], D)
 
 
 def _table_bound(s, x=None) -> int:
     """The class-table bound of an exact capture call: the greedy bound less
     the shortest nonzero-class cycle, on the integer grid."""
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     lambda1 = surfballs.systole(s, mode="homological")[0]
     return _grid_bound(s, x) - surfballs._on_grid(lambda1, D)
 
@@ -741,7 +759,7 @@ def test_arc_search_matches_table_brute_force(make):
     C = len(verts) * I
     adj = [[(l * C, delta) for l, delta in es] for es in pk.adj]
     for x in (verts[0], verts[-1]):
-        distx = grid_shortest_paths(s.skeleton(), x)[0]
+        distx = grid_shortest_paths(s, x)[0]
         dx = [distx[w] for w in verts]
         for ru, u in enumerate(verts):
             lists = surfballs._arc_search(pk, adj, I, searches[ru].lists, dx,
@@ -795,7 +813,7 @@ def test_greedy_capture_matches_fraction_oracle(name):
         assert edges <= ex and x in {v for e in ex for v in e}, x
         assert capturing_test(s, ex)[0], x
     lengths = [length for length, _ in fraction_homology_candidates(s)[0]]
-    D = s.skeleton().int_grid()[0]
+    D = s.int_grid()[0]
     assert s._capture_cache.lambda1 == surfballs._on_grid(min(lengths), D)
 
 

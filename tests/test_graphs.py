@@ -11,7 +11,7 @@ from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
                               figure_eight, format_graph, girth,
                               grid_shortest_paths, is_separating,
                               parse_graph, random_connected, reduce_graph,
-                              scale, shortest_paths, theta_graph, tree_path,
+                              scale, theta_graph, tree_path,
                               trivalent_reference, validate)
 
 
@@ -187,17 +187,14 @@ def _bellman_ford(g, src, cutoff=None, skip_edge=None):
 @example(4, 22, 22, None)     # skips a loop edge
 @settings(max_examples=60, deadline=None)
 def test_shortest_paths_match_bellman_ford(b, seed, skip, cutoff):
-    # the cutoff cases run on the grid core, the only one that takes one
     g = random_connected(b, (F(1, 4), F(1)), seed)
     src = min(g.vertices)
     skip_edge = None if skip is None else g.edges[skip % len(g.edges)].id
     h = g if skip_edge is None else delete_edge(g, skip_edge)
-    if cutoff is None:
-        dist, parent = shortest_paths(h, src)
-    else:
-        D = h.int_grid()[0]
-        grid, parent = grid_shortest_paths(h, src, math.floor(cutoff * D))
-        dist = {v: F(d, D) for v, d in grid.items()}
+    D = h.int_grid()[0]
+    grid, parent = grid_shortest_paths(
+        h, src, None if cutoff is None else math.floor(cutoff * D))
+    dist = {v: F(d, D) for v, d in grid.items()}
     assert dist == _bellman_ford(g, src, cutoff, skip_edge)
     assert set(parent) == set(dist) and parent[src] is None
     for v in dist:
@@ -262,11 +259,11 @@ def test_shortest_paths_tie_rule_and_unknown_source():
     # first one popped (1) becomes its parent
     g = MetricGraph.build(range(4), [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1),
                                      (3, 3, 0, 1)])
-    dist, parent = shortest_paths(g, 0)
-    assert dist[2] == 2 and parent[2] == 1
+    dist, parent = grid_shortest_paths(g, 0)
+    assert F(dist[2], g.int_grid()[0]) == 2 and parent[2] == 1
     assert tree_path(parent, 2) == [0, 1, 2]
     with pytest.raises(GraphError):
-        shortest_paths(g, 9)
+        grid_shortest_paths(g, 9)
 
 
 def test_scale_is_exact():

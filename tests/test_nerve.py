@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from conftest import farthest_point_packing, relabeled
+from conftest import (_count_calls, corpus_surface, farthest_point_packing,
+                      relabeled)
 from coverball import fixtures, nerve, surfballs
-from coverball.surface import (SurfaceError, _pair, capturing_test,
+from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
                                parse_surface)
 
 
@@ -197,6 +199,30 @@ def test_pipeline_runs_one_candidate_pass(name, monkeypatch):
     rep = nerve.surface_growth_pipeline(s)
     assert "greedy-capture" in {st["stage"] for st in rep["stages"]}
     assert passes == [(s,)]
+
+
+@pytest.mark.parametrize("name", ["torus7_sub.surf", "genus2.surf"])
+def test_pipeline_builds_no_fraction_distance_map(name, monkeypatch):
+    # each ball-domination row takes its ball from the surface's grid tree
+    s = corpus_surface(name)
+    maps = _count_calls(monkeypatch, TriSurface, "distances_from")
+    balls = _count_calls(monkeypatch, surfballs, "ball")
+    rep = nerve.surface_growth_pipeline(s, r_grid=4)
+    rows = {st["stage"]: st for st in rep["stages"]}["ball-domination"]["rows"]
+    assert maps == []
+    assert [a[2] for a in balls] == [row["R"] for row in rows]
+    assert len({a[1] for a in balls}) == 1
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True, 0, None])
+@pytest.mark.parametrize("arg", ["r_grid", "budget"])
+def test_pipeline_refuses_a_bad_count_before_any_stage(arg, value, monkeypatch):
+    def stage(*a, **k):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(surfballs, "systole", stage)
+    monkeypatch.setattr(nerve, "nerve_graph", stage)
+    with pytest.raises(SurfaceError, match=f"^{arg} {re.escape(repr(value))} "):
+        nerve.surface_growth_pipeline(fixtures.torus7(), **{arg: value})
 
 
 def test_pipeline_skips_capture_on_sphere():

@@ -15,8 +15,8 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                prune_to_iso, subgraph_length,
                                subgraph_metric_graph, _pair)
 
-from conftest import (corpus_surface, pack_class, prune_by_capturing_test, relabeled,
-                      walked_homology)
+from conftest import (_count_calls, corpus_surface, mixed_torus, pack_class,
+                      prune_by_capturing_test, relabeled, walked_homology)
 
 
 def test_tetrahedron_is_a_sphere():
@@ -143,19 +143,12 @@ def test_incidence_tables_match_definitions():
                                fixtures.subdivide(fixtures.torus7())],
                          ids=["genus2", "torus7_sub"])
 def test_skeleton_grid_adjacency_in_edge_id_order(s):
-    g = s.skeleton()
+    g = subgraph_metric_graph(s, s.edges)
     D, adj = g.int_grid()
+    assert (D, adj) == s.int_grid()
     for v in s.vertices:
         es = sorted(g.incident(v), key=lambda e: e.id)
         assert adj[v] == [(e.length * D, e.other(v)) for e in es]
-
-
-def _mixed_torus() -> TriSurface:
-    """torus7 with lengths 2/3, 4/7, 5/6 and 3/5 in turn along the edges,
-    so D = 210: any three of them meet the triangle inequality."""
-    t = fixtures.torus7()
-    cycle = (F(2, 3), F(4, 7), F(5, 6), F(3, 5))
-    return TriSurface.build(t.faces, {e: cycle[i % 4] for i, e in enumerate(t.edges)})
 
 
 GRID_SURFACES = {
@@ -164,8 +157,8 @@ GRID_SURFACES = {
     "genus2.surf": lambda: corpus_surface("genus2.surf"),
     "genus2x1": lambda: fixtures.subdivide(fixtures.genus2()),
     "torus7x2": lambda: fixtures.subdivide(fixtures.torus7(), 2),
-    "mixed_torus": _mixed_torus,
-    "mixed_torus_x1_relabeled": lambda: relabeled(fixtures.subdivide(_mixed_torus()), 6),
+    "mixed_torus": mixed_torus,
+    "mixed_torus_x1_relabeled": lambda: relabeled(fixtures.subdivide(mixed_torus()), 6),
 }
 
 
@@ -185,12 +178,14 @@ def test_grid_table_matches_metric_graph_and_fractions(name):
 
 
 @pytest.mark.parametrize("name", list(GRID_SURFACES))
-def test_nerve_capture_and_pruning_build_no_skeleton(name):
+def test_nerve_capture_and_pruning_build_no_skeleton(name, monkeypatch):
+    # they read the surface's grid table: the one graph built is the nerve
     s = GRID_SURFACES[name]()
-    nerve.nerve_graph(s)
+    built = _count_calls(monkeypatch, MetricGraph, "__post_init__")
+    rep = nerve.nerve_graph(s)
     capturing_test(s, s.edges)
     prune_pieces(s, [[e] for e in s.edges])
-    assert s._skeleton is None
+    assert [a[0] for a in built] == [rep.nerve]
 
 
 def test_heron_area_unit_torus():
@@ -434,7 +429,6 @@ HOMOLOGY_SURFACES = {
 def test_homology_matches_walked_oracle(name):
     s = HOMOLOGY_SURFACES[name]()
     hom = s.homology()
-    assert s._skeleton is None      # the BFS reads the grid table
     tree_parent, generators, edge_class = walked_homology(s)
     assert hom.tree_parent == tree_parent
     assert hom.generators == generators
@@ -496,7 +490,7 @@ PRUNE_SURFACES = {
 def _random_pieces(s, rng):
     """Walks of 1 to 6 steps, so pieces overlap, then (mostly, and always
     when the walks alone do not capture) each uncovered edge on its own."""
-    g = s.skeleton()
+    g = subgraph_metric_graph(s, s.edges)
     nbrs = {v: sorted(e.other(v) for e in g.incident(v)) for v in s.vertices}
     pieces = []
     for _ in range(rng.randint(1, len(s.edges))):
