@@ -281,17 +281,27 @@ def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fractio
     """Total length of the radius-R ball in the graph itself (not the cover),
     measured by the grid distances of ``grid_shortest_paths`` from the base,
     each taken back to a ``Fraction`` once."""
-    R = Fraction(R)
-    if R < 0:
+    return finite_ball_lengths(g, base, [R])[0]
+
+
+def finite_ball_lengths(g: MetricGraph, base, radii) -> list[Fraction]:
+    """``finite_ball_length`` at each radius of ``radii``, in order, all
+    read from one shortest-path tree of the base."""
+    radii = [Fraction(R) for R in radii]
+    if any(R < 0 for R in radii):
         raise GraphError("radius must be nonnegative")
     g, base_v = _with_base_vertex(g, base)
     D = g.int_grid()[0]
     dist, _ = grid_shortest_paths(g, base_v)
-    # an edge is covered R - d(v) in from each end v within R; a loop has
-    # both ends at v
-    left = {v: max(R - Fraction(d, D), 0) for v, d in dist.items()}
-    return sum((min(e.length, left.get(e.u, 0) + left.get(e.w, 0))
-                for e in g.edges), Fraction(0))
+    dist = {v: Fraction(d, D) for v, d in dist.items()}
+    out = []
+    for R in radii:
+        # an edge is covered R - d(v) in from each end v within R; a loop
+        # has both ends at v
+        left = {v: max(R - d, 0) for v, d in dist.items()}
+        out.append(sum((min(e.length, left.get(e.u, 0) + left.get(e.w, 0))
+                        for e in g.edges), Fraction(0)))
+    return out
 
 
 def trivalent_tree_ball(R: Fraction | int | str) -> Fraction:

@@ -107,16 +107,21 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
     reach = math.floor((4 * r0 + 2 * eps) * D)
     centers, dists, parents = _farthest_point_packing(s, separation, reach)
 
+    # each center's tree gives the later centers within reach, by index, so
+    # the edges come in (i, j) order with no pass over every pair; the key
+    # views intersect over the smaller of the tree and the later centers
+    later = {c: i for i, c in enumerate(centers)}
     cdist = {}
     phi = {}
     nerve_edges = []
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            d = dists[centers[i]].get(centers[j])
-            if d is not None and d <= reach:
-                cdist[(i, j)] = Fraction(d, D)
-                phi[(i, j)] = tree_path(parents[centers[i]], centers[j])
-                nerve_edges.append((i, j))
+    for i, c in enumerate(centers):
+        del later[c]
+        dist = dists[c]
+        for j in sorted(later[v] for v in dist.keys() & later.keys()
+                        if dist[v] <= reach):
+            cdist[(i, j)] = Fraction(dist[centers[j]], D)
+            phi[(i, j)] = tree_path(parents[c], centers[j])
+            nerve_edges.append((i, j))
 
     quarter = Fraction(1, 4)
     nerve = MetricGraph(frozenset(range(len(centers))),
@@ -247,7 +252,9 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     only approximately minimal anyway.  ``r_grid`` and ``budget`` are
     checked before any stage runs, by ``ball_length``'s budget rule.  Each
     ball-domination row reads the surface's kept grid tree of u (the
-    witness, or gamma's least vertex) through ``surfballs.ball``.
+    witness, or gamma's least vertex) through ``surfballs.ball``, and its
+    ball in gamma from one grid tree of u in gamma, built once for all rows
+    (``cover.finite_ball_lengths``).
     """
     r_grid = cover._count_arg("r_grid", r_grid, SurfaceError)
     budget = cover._count_arg("budget", budget, SurfaceError)
@@ -342,9 +349,9 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     # every end of an image edge, in or out of gamma's largest component
     dist_u = {v: Fraction(grid_u[v], D) for e in image_edges for v in e}
     cover_growth = cover.ball_length(gamma, u, rmax, budget)
+    radii = [rmax * k / r_grid for k in range(1, r_grid + 1)]
     rows = []
-    for k in range(1, r_grid + 1):
-        r = rmax * k / r_grid
+    for r, gball in zip(radii, cover.finite_ball_lengths(gamma, u, radii)):
         ball = surfballs.ball(s, u, r)
         bplus = surfballs.fill_to_bplus(s, ball)
         boundary = bplus.boundary_length(s)
@@ -356,7 +363,6 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
             covered = max(Fraction(0), r - dist_u[va]) \
                 + max(Fraction(0), r - dist_u[vb])
             gamma_cap += min(l, covered)
-        gball = cover.finite_ball_length(gamma, u, r)
         cover_ball = cover_growth.at(r)
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:

@@ -465,16 +465,32 @@ def _path_edges(parent: dict, v: int) -> set:
 # The class search runs at any genus; exact capture is genus-1 only.
 #
 # Table bound: a call with greedy upper bound ``best`` (unbased, or based
-# with its arc) grows the tables to best - lambda1, lambda1 the shortest
-# cycle of nonzero class, which is the first cycle of the greedy basis.  A
-# candidate can beat best only if each of its walks is shorter than
-# best - lambda1: each walk pairs with another walk of the candidate, of a
-# different class, into a closed walk of nonzero class, at least lambda1
-# long.  The pairs are two of the three u-v paths of a theta, the two
-# closed walks of a figure eight or a disjoint pair, and, in the based
-# theta, the split arc path against a plain path.  So the tables hold
-# every walk the search can use; the search checks that their shortest
-# nonzero-class closed walk is lambda1 whenever lambda1 is within them.
+# with its arc) that the tables it finds cannot settle (see the trial below)
+# grows them to best - lambda1, lambda1 the shortest cycle of nonzero
+# class, which is the first cycle of the greedy basis.  A candidate can
+# beat best only if each of its walks is shorter than best - lambda1: each
+# walk pairs with another walk of the candidate, of a different class, into
+# a closed walk of nonzero class, at least lambda1 long.  The pairs are
+# two of the three u-v paths of a theta, the two closed walks of a figure
+# eight or a disjoint pair, and, in the based theta, the split arc path
+# against a plain path.  So the tables hold every walk the search can use;
+# the search checks that their shortest nonzero-class closed walk is
+# lambda1 whenever lambda1 is within them.
+#
+# Trial: by the same pairing, tables at bound B hold every walk of each
+# candidate that totals less than B + lambda1.  So a call that finds tables
+# with B + lambda1 < best, and no cached floor at or above B + lambda1,
+# first runs the search with best = B + lambda1 on the tables as they are,
+# growing nothing (``_least_candidate``).  Only if that finds no candidate
+# does it grow the tables to best - lambda1 and search again from best.
+# The search returns the first candidate, in enumeration order, of least
+# total, or nothing if none beats best; a candidate the trial finds is that
+# one.  Growing the tables only appends entries longer than B, so any
+# candidate reading one totals more than B + lambda1: it is no least
+# candidate, and it cannot change a minimum m or cx, an arc or a pair that a
+# least candidate reads.  An arc's key order, (cost, foot rank, entry
+# index), does not depend on I or C either.  Nothing here uses x, so an
+# unbased call whose tables were grown by based calls takes the trial too.
 #
 # Width rule: every bound is at most best <= 2*S with S the total grid
 # length; a state within the bound, or one edge past it, is reached by a
@@ -531,13 +547,16 @@ class _CaptureCache:
     unbased candidate pass and its least nonzero-class grid length
     ``lambda1``, the unbased greedy and exact results, and one resumable
     class search per source rank (no parents kept), its ``lists`` indexed
-    by target rank, each grown to the grid bound ``bound``, which only
-    rises.  A call with greedy grid bound best needs the searches grown to
-    best - lambda1 only: every walk of a candidate shorter than best closes,
-    with another walk of the candidate, a closed walk of nonzero class, so
-    the rest of the candidate is at least lambda1 long.  ``base_tree`` is
-    the last base x asked about with its grid (dist, parent) maps from
-    ``grid_shortest_paths``, which every based reader shares."""
+    by target rank, each grown to the grid bound ``bound``, which never
+    falls.  Every walk of a candidate closes, with another walk of the
+    candidate, a closed walk of nonzero class, so the rest of the candidate
+    is at least lambda1 long.  Tables at ``bound`` thus settle every
+    candidate below bound + lambda1, and a call with greedy grid bound best
+    searches them as they are when that is below best (the trial above);
+    it grows them, to best - lambda1 only, when they settle nothing.
+    ``base_tree`` is the last base x asked about with its grid (dist,
+    parent) maps from ``grid_shortest_paths``, which every based reader
+    shares."""
 
     def __init__(self):
         self.candidates = None      # unbased _grid_candidates (D, cands, sep)
@@ -735,7 +754,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if x is None:
         ub, ub_edges = _greedy_capture(s)
     else:
-        distx, parx = tree = _base_tree(s, x)
+        tree = _base_tree(s, x)
         ub, ub_edges = _with_arc(s, tree, *_greedy_capture(s))
     best = _on_grid(ub, D)
     # see the floor above: a based call stops once best reaches the cached
@@ -743,18 +762,54 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     floor = None if cache.exact is None else _on_grid(cache.exact[0], D)
     if best == floor:
         return ub, ub_edges
-    # see the table bound above: no walk of a candidate beating best is
-    # longer than best - lambda1
+    # see the trial above: the tables as they are settle every candidate
+    # below their bound plus lambda1
     lambda1 = cache.lambda1
-    searches = _capture_tables(s, best - lambda1)
-    pk = cache.packing
+    trial = cache.bound + lambda1
+    found = None
+    if cache.searches is not None and trial < best \
+            and (floor is None or floor < trial):
+        found = _least_candidate(s, x, trial, floor)
+    if found is None:
+        # see the table bound above: no walk of a candidate beating best is
+        # longer than best - lambda1
+        _capture_tables(s, best - lambda1)
+        found = _least_candidate(s, x, best, floor)
+    if found is None:
+        # the greedy subgraph is already optimal
+        return ub, ub_edges
+    best, best_walks, best_foot = found
+    searches, pk = cache.searches, cache.packing
+    edges = set() if x is None else _path_edges(tree[1], pk.verts[best_foot])
+    # recover the walks from the cached searches, which cover every one
+    for source, (v, h) in best_walks:
+        edges |= searches[source].walk_edges(pk.state(v, h))
+    realized = subgraph_length(s, edges)
+    if x is not None and not any(x in e for e in edges):
+        raise SurfaceError("based capture candidate misses the base point")
+    ok, rank = capturing_test(s, edges)
+    if not ok:
+        raise SurfaceError(f"exact capture candidate fails to capture (rank {rank})")
+    if realized * D > best:
+        raise SurfaceError("exact capture bookkeeping mismatch")
+    return realized, edges
+
+
+def _least_candidate(s: TriSurface, x: int | None, best: int,
+                     floor: int | None) -> tuple | None:
+    """The first candidate, in enumeration order, of least grid total below
+    ``best``, on the cached class tables as they are: (total, walks, foot),
+    its walks as (source rank, (target rank, class)) and foot the rank its
+    arc from x ends at (read when based), or None if no candidate totals
+    less than ``best``.  A candidate reaching ``floor`` ends the search."""
+    cache = _capture_cache(s)
+    searches, pk, lambda1 = cache.searches, cache.packing, cache.lambda1
     n, width = len(pk.verts), s.homology().width
     if x is None:
         dx = [0] * n
     else:
+        distx = _base_tree(s, x)[0]
         dx = [distx[v] for v in pk.verts]
-    # the incumbent: its walks as (source rank, (target rank, class)), and
-    # the rank its arc from x ends at (read when based)
     best_walks = None
     best_foot = None
 
@@ -867,21 +922,8 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
                                            (v, (best_foot, g1 - h1))]
 
     if best_walks is None:
-        # the greedy subgraph is already optimal
-        return ub, ub_edges
-    edges = set() if x is None else _path_edges(parx, pk.verts[best_foot])
-    # recover the walks from the cached searches, which cover every one
-    for source, (v, h) in best_walks:
-        edges |= searches[source].walk_edges(pk.state(v, h))
-    realized = subgraph_length(s, edges)
-    if x is not None and not any(x in e for e in edges):
-        raise SurfaceError("based capture candidate misses the base point")
-    ok, rank = capturing_test(s, edges)
-    if not ok:
-        raise SurfaceError(f"exact capture candidate fails to capture (rank {rank})")
-    if realized * D > best:
-        raise SurfaceError("exact capture bookkeeping mismatch")
-    return realized, edges
+        return None
+    return best, best_walks, best_foot
 
 
 def height(s: TriSurface, x: int, mode: str = "exact") -> dict:

@@ -643,6 +643,24 @@ def farthest_point_packing(s: TriSurface, separation: int, reach: int):
                 mind[v] = d
 
 
+def pairwise_nerve_edges(centers, dists, parents, reach: int, D: int):
+    """Oracle for the nerve edges of ``nerve.nerve_graph``: every pair of
+    centers i < j, joined when j lies within ``reach`` in the grid tree of
+    center i.  Returns (nerve edges, center distances, phi paths), the
+    edges and both dicts in (i, j) order."""
+    cdist = {}
+    phi = {}
+    nerve_edges = []
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            d = dists[centers[i]].get(centers[j])
+            if d is not None and d <= reach:
+                cdist[(i, j)] = Fraction(d, D)
+                phi[(i, j)] = tree_path(parents[centers[i]], centers[j])
+                nerve_edges.append((i, j))
+    return nerve_edges, cdist, phi
+
+
 def _directed(face):
     a, b, c = face
     return ((a, b), (b, c), (c, a))

@@ -431,17 +431,31 @@ def test_exact_capture_on_mixed_denominators(seed):
         _assert_captures_with_length(s, x, L, edges)
 
 
-@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
-                                  lambda: _mixed_torus(2)],
-                         ids=["torus7_sub", "torus7_mixed"])
-def test_capture_cache_leaves_results_unchanged(make):
-    s = make()
+def _greedy_ends_and_far(s):
+    """The least and the largest vertex of the unbased greedy graph, and the
+    base farthest from it (the largest greedy bound), the least on ties."""
     _, greedy = surfballs.capture_length(s, mode="greedy")
     on = sorted({v for e in greedy for v in e})
     dx = {v: min(s.distances_from(v)[w] for w in on) for v in s.vertices}
-    a, b = on[0], on[-1]
-    far = max(sorted(s.vertices), key=dx.get)   # largest greedy bound
+    far = max(sorted(s.vertices), key=dx.get)
     assert dx[far] > 0
+    # the tables a, b leave settle no candidate at far: L(M, far) is not
+    # below their bound plus lambda1, the unbased greedy length, so far grows
+    # them (on torus7_sub every base has H'' = 0 and no base does)
+    assert surfballs.capture_length(s, mode="exact", x=far)[0] >= \
+        surfballs.capture_length(s, mode="greedy")[0]
+    return on[0], on[-1], far
+
+
+# inputs whose farthest base from the greedy graph has a large H'': the
+# tables of the bases on the greedy graph cannot settle it
+FAR_MAKERS = [lambda: _skewed_sub_torus(7), lambda: _mixed_torus(2)]
+FAR_IDS = ["torus7_sub_skewed7", "torus7_mixed"]
+
+
+@pytest.mark.parametrize("make", FAR_MAKERS, ids=FAR_IDS)
+def test_capture_cache_leaves_results_unchanged(make):
+    a, b, far = _greedy_ends_and_far(make())
     # far after a, b raises the table bound; b after far reads larger tables
     for order in ((a, b, far), (far, a, b)):
         s = make()
@@ -566,16 +580,9 @@ def test_det_matches_tuple_determinant():
         assert surfballs._det(p, q, w) == a * d - b * c, ((a, b), (c, d))
 
 
-@pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
-                                  lambda: _mixed_torus(2)],
-                         ids=["torus7_sub", "torus7_mixed"])
+@pytest.mark.parametrize("make", FAR_MAKERS, ids=FAR_IDS)
 def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
-    s = make()
-    _, greedy = surfballs.capture_length(s, mode="greedy")
-    on = sorted({v for e in greedy for v in e})
-    dx = {v: min(s.distances_from(v)[w] for w in on) for v in s.vertices}
-    a, b = on[0], on[-1]
-    far = max(sorted(s.vertices), key=dx.get)
+    a, b, far = _greedy_ends_and_far(make())
     for order in ((a, b, far), (far, a, b)):
         s = make()
         for x in order:
@@ -659,19 +666,83 @@ def _skewed_sub_torus(seed: int) -> TriSurface:
 
 def test_based_capture_floor_leaves_results_unchanged():
     # after the unbased call a based call stops at the unbased optimum; it
-    # returns what it returns with nothing cached, and what the oracle does
+    # returns what it returns with nothing cached, and what the oracle does.
+    # The oracle grows the tables it reads, so the bases are also taken in a
+    # shuffled order on a surface that only the capture calls grow, where
+    # each call meets the tables the calls before it left
     heights = set()
-    for make in ARC_ORACLE_MAKERS + [lambda seed=seed: _skewed_sub_torus(seed)
-                                     for seed in (1, 2, 3)]:
+    for k, make in enumerate(ARC_ORACLE_MAKERS + [
+            lambda seed=seed: _skewed_sub_torus(seed) for seed in (1, 2, 3)]):
         s, fresh = make(), make()
         L, _ = surfballs.capture_length(s, mode="exact")
+        want = {}
         for x in sorted(s.vertices):
-            got = surfballs.capture_length(s, mode="exact", x=x)
+            got = want[x] = surfballs.capture_length(s, mode="exact", x=x)
             assert got == surfballs.capture_length(fresh, mode="exact", x=x) == \
                 arc_dict_exact_capture(s, x), x
             heights.add(got[0] > L)
         assert fresh._capture_cache.exact is None
+        shuffled = sorted(want)
+        random.Random(k).shuffle(shuffled)
+        s = make()
+        surfballs.capture_length(s, mode="exact")
+        for x in shuffled:
+            assert surfballs.capture_length(s, mode="exact", x=x) == want[x], x
     assert heights == {False, True}
+
+
+def test_height_sweep_keeps_the_unbased_table_bound():
+    # every base of torus7_sub has H'' = 0: the tables the unbased call
+    # grows settle each based search, so none grows them further
+    s = fixtures.subdivide(fixtures.torus7())
+    L, _ = surfballs.capture_length(s, mode="exact")
+    bound = s._capture_cache.bound
+    assert bound == _table_bound(s)
+    bases = sorted(s.vertices)
+    assert len(bases) == 28
+    for x in bases:
+        assert surfballs.height(s, x)["Hpp"] == 0, x
+        assert s._capture_cache.bound == bound, x
+
+
+@pytest.mark.parametrize("make", [lambda: _skewed_sub_torus(1),
+                                  lambda: _mixed_torus(1)],
+                         ids=["torus7_sub_skewed1", "torus7_mixed1"])
+def test_capture_on_smaller_tables_matches_fresh_build(make):
+    # tables grown to b hold every walk of a candidate below b + lambda1: a
+    # call whose optimum lies below that keeps them as they are, any other
+    # grows them to its greedy bound less lambda1, and either returns what
+    # a fresh surface does, unbased and based alike
+    fresh = make()
+    D = fresh.int_grid()[0]
+    lambda1 = surfballs._on_grid(surfballs.systole(fresh, mode="homological")[0], D)
+    bases = sorted(fresh.vertices)
+    for x in (None, bases[0], bases[len(bases) // 2], bases[-1]):
+        want = surfballs.capture_length(make(), mode="exact", x=x)
+        need = _table_bound(fresh, x)
+        edge = surfballs._on_grid(want[0], D) - lambda1   # kept above edge
+        kept = set()
+        for b in sorted({0, lambda1 - 1, edge - 1, edge, edge + 1, need - 1}):
+            if not 0 <= b < need:
+                continue
+            s = make()
+            surfballs._capture_tables(s, b)
+            assert surfballs.capture_length(s, mode="exact", x=x) == want, (x, b)
+            assert s._capture_cache.bound == (b if b > edge else need), (x, b)
+            kept.add(b > edge)
+        if x is None:
+            assert kept == {False, True}
+
+
+@pytest.mark.parametrize("make", ARC_ORACLE_MAKERS + [lambda: _skewed_sub_torus(2)],
+                         ids=ARC_ORACLE_IDS + ["torus7_sub_skewed2"])
+def test_unbased_capture_after_based_calls_matches_fresh(make):
+    s = make()
+    for x in sorted(s.vertices)[::3]:
+        surfballs.capture_length(s, mode="exact", x=x)
+    assert s._capture_cache.exact is None
+    assert surfballs.capture_length(s, mode="exact") == \
+        surfballs.capture_length(make(), mode="exact")
 
 
 def test_based_capture_floor_skips_arc_searches(monkeypatch):

@@ -7,8 +7,8 @@ from importlib import resources
 import pytest
 
 from conftest import (_count_calls, corpus_surface, farthest_point_packing,
-                      relabeled)
-from coverball import fixtures, nerve, surfballs
+                      pairwise_nerve_edges, relabeled)
+from coverball import cover, fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
                                parse_surface)
 
@@ -104,6 +104,29 @@ def test_pruned_packing_matches_farthest_point_oracle(name, r0, eps, monkeypatch
     assert len(want.centers) > 1
     for f in dataclasses.fields(nerve.NerveReport):
         assert getattr(rep, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize("r0, eps", [(F(1, 32), F(1, 64)), (F(1, 20), F(1, 64))])
+@pytest.mark.parametrize("name", list(PACKING_SURFACES) + ["torus7x3_unscaled"])
+def test_nerve_edges_match_pairwise_oracle(name, r0, eps, monkeypatch):
+    # the edges read off each center's tree against a test of every pair of
+    # centers: the same edges, distances and phi paths, in the same order
+    make = PACKING_SURFACES.get(name) or (lambda: relabeled(
+        fixtures.subdivide(fixtures.torus7(), 3), 5))
+    s = make()
+    packings = []
+    pack = nerve._farthest_point_packing
+    monkeypatch.setattr(nerve, "_farthest_point_packing",
+                        lambda *a: packings.append(pack(*a)) or packings[-1])
+    rep = nerve.nerve_graph(s, r0, eps)
+    (centers, dists, parents), = packings
+    D = s.int_grid()[0]
+    reach = math.floor((4 * r0 + 2 * eps) * D)
+    edges, cdist, phi = pairwise_nerve_edges(centers, dists, parents, reach, D)
+    assert edges
+    assert [(e.u, e.w) for e in rep.nerve.edges] == edges
+    assert list(rep.center_distances.items()) == list(cdist.items())
+    assert list(rep.phi_paths.items()) == list(phi.items())
 
 
 def test_nerve_on_a_sphere_prunes_to_the_empty_nerve():
@@ -212,6 +235,22 @@ def test_pipeline_builds_no_fraction_distance_map(name, monkeypatch):
     assert maps == []
     assert [a[2] for a in balls] == [row["R"] for row in rows]
     assert len({a[1] for a in balls}) == 1
+
+
+@pytest.mark.parametrize("name", ["torus7_sub.surf", "genus2.surf"])
+def test_pipeline_rows_read_one_tree_of_gamma(name, monkeypatch):
+    # one shortest-path tree of gamma from the row base serves every row's
+    # ball in gamma, and each row is the one-radius call at its R
+    s = corpus_surface(name)
+    trees = _count_calls(monkeypatch, cover, "grid_shortest_paths")
+    rep = nerve.surface_growth_pipeline(s, r_grid=5)
+    rows = {st["stage"]: st for st in rep["stages"]}["ball-domination"]["rows"]
+    assert len(trees) == 1
+    gamma, u = trees[0]
+    monkeypatch.undo()
+    assert [row["gamma_ball"] for row in rows] == \
+        [cover.finite_ball_length(gamma, u, row["R"]) for row in rows]
+    assert len(set(row["gamma_ball"] for row in rows)) > 1
 
 
 @pytest.mark.parametrize("value", [2.5, "3", True, 0, None])
