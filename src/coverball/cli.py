@@ -334,7 +334,6 @@ FORMATS = ("json", "csv")
 
 
 def _everywhere(sp):
-    sp.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--format", default=",".join(FORMATS),
@@ -372,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("growth", "entropy"):
             sp.add_argument("--base", type=int, default=None)
             _common(sp)
+        if name in ("growth", "entropy", "verify"):
+            sp.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
         if name in ("witness", "verify"):
             sp.add_argument("--lambda", dest="lam", type=_frac,
                             default=Fraction(1, 6))
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         if name == "systole":
             sp.add_argument("--mode", default="auto",
-                            choices=["auto", "exact", "homological"])
+                            choices=["auto", "homological"])
         if name == "capture":
             sp.add_argument("--mode", default="greedy",
                             choices=["greedy", "exact"])
@@ -401,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--eps", type=_frac, default=nerve.DEFAULT_EPS)
         if name == "pipeline":
             sp.add_argument("--grid", type=int, default=8)
+            sp.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
         _everywhere(sp)
 
     ref = top.add_parser("ref").add_subparsers(dest="op", required=True)

@@ -136,31 +136,6 @@ def _with_base_vertex(g: MetricGraph, base) -> tuple[MetricGraph, int]:
     return MetricGraph(g.vertices | {nv}, edges), nv
 
 
-def _transitions(g: MetricGraph):
-    """Directed-traversal tables.
-
-    A traversal is (edge id, direction); direction 0 runs u->w, 1 runs w->u.
-    A loop contributes two distinct departures at its vertex; only the exact
-    reversal of the incoming traversal is forbidden.
-    """
-    head = {}
-    length = {}
-    departures: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        head[(e.id, 0)] = e.w
-        head[(e.id, 1)] = e.u
-        length[(e.id, 0)] = length[(e.id, 1)] = e.length
-        departures[e.u].append((e.id, 0))
-        departures[e.w].append((e.id, 1))
-    for v in departures:
-        departures[v].sort()
-    nxt = {}
-    for t in head:
-        rev = (t[0], 1 - t[1])
-        nxt[t] = [s for s in departures[head[t]] if s != rev]
-    return head, length, departures, nxt
-
-
 def ball_length(g: MetricGraph, base, R: Fraction | int | str,
                 budget: int = DEFAULT_BUDGET) -> GrowthReport:
     """Exact total length of the radius-R ball around any lift of ``base``.
@@ -312,29 +287,6 @@ def trivalent_tree_ball(R: Fraction | int | str) -> Fraction:
         raise GraphError("radius must be nonnegative")
     m = int(R)
     return 3 * (2**m - 1) + 3 * (R - m) * 2**m
-
-
-def v_prime(g: MetricGraph, R: Fraction | int | str, refinement: int = 0,
-            budget: int = DEFAULT_BUDGET) -> GrowthReport:
-    """Maximum ball length over all vertices plus ``refinement`` equally
-    spaced interior points per edge: a certified lower bound for the
-    supremum over the whole cover."""
-    R = Fraction(R)
-    if refinement < 0:
-        raise GraphError("refinement must be nonnegative")
-    bases: list[object] = sorted(g.vertices)
-    for e in sorted(g.edges, key=lambda e: e.id):
-        for j in range(1, refinement + 1):
-            bases.append((e.id, e.length * j / (refinement + 1)))
-    best: GrowthReport | None = None
-    truncated = False
-    for b in bases:
-        rep = ball_length(g, b, R, budget)
-        truncated = truncated or rep.truncated
-        if best is None or rep.total_length > best.total_length:
-            best = rep
-    assert best is not None
-    return GrowthReport(best.base, R, best.total_length, best.node_count, truncated)
 
 
 def hyperbolic_ball_area(R: float) -> float:

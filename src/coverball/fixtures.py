@@ -13,14 +13,6 @@ from fractions import Fraction
 from .surface import TriSurface, _pair
 
 
-def tetrahedron(length=1) -> TriSurface:
-    l = Fraction(length)
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    lengths = {e: l for f in faces for e in
-               [(_pair(f[0], f[1])), (_pair(f[1], f[2])), (_pair(f[0], f[2]))]}
-    return TriSurface.build(faces, lengths)
-
-
 def torus7(length=1) -> TriSurface:
     l = Fraction(length)
     faces = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + \

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cover, surfballs, witness
-from .graphs import (Edge, GraphError, MetricGraph, betti, girth,
+from .graphs import (Edge, MetricGraph, betti, girth,
                      grid_shortest_paths, induced_subgraph, scale, tree_path)
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       prune_pieces, subgraph_length, subgraph_metric_graph)
@@ -187,57 +187,6 @@ def coarea_closed_form(R: float) -> float:
         return (math.cosh(R * math.log(2)) - 1.0) / (2.0 * math.log(2))
     except OverflowError:
         return math.inf
-
-
-def area_shrink_factor(a: float) -> float:
-    """Shrink factor c with a*V_H2(R) >= V_H2(R*c): c = sqrt(min(a, 1))."""
-    if a <= 0:
-        raise GraphError("shrink factor input must be positive")
-    return math.sqrt(min(a, 1.0))
-
-
-def shrink_factor_grid_check(a: float, radii) -> dict:
-    c = area_shrink_factor(a)
-    rows = []
-    worst = float("inf")
-    for R in radii:
-        lhs = a * cover.hyperbolic_ball_area(R)
-        rhs = cover.hyperbolic_ball_area(R * c)
-        rows.append({"R": R, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
-        worst = min(worst, lhs - rhs)
-    # a row whose sides both exceed every float has a NaN margin: it decides
-    # nothing, so it cannot pass
-    return {"a": a, "c": c, "rows": rows, "worst_margin": worst,
-            "ok": all(row["margin"] >= -1e-9 for row in rows)}
-
-
-def rescaling_lambda_search(lam_grid, radii) -> dict:
-    """Smallest grid lambda with (1/(4 pi lam^2 ln2)) V_H2(lam R ln2) >=
-    V_H2(R) on the whole R grid, plus the induced area ratio delta."""
-    radii = list(radii)
-    if not radii:
-        raise GraphError("empty radius grid")
-    results = []
-    found = None
-    for lam in lam_grid:
-        if lam <= 0:
-            raise GraphError("lambda grid entries must be positive")
-        ok = True
-        for R in radii:
-            lhs = cover.hyperbolic_ball_area(lam * R * math.log(2)) \
-                / (4.0 * math.pi * lam * lam * math.log(2))
-            rhs = cover.hyperbolic_ball_area(R)
-            # with both sides beyond float range the comparison decides nothing
-            if lhs < rhs or rhs == math.inf:
-                ok = False
-                break
-        results.append({"lam": lam, "ok": ok})
-        if ok and found is None:
-            found = lam
-    out = {"results": results, "lam": found}
-    if found is not None:
-        out["delta"] = 1.0 / ((1 << 13) * math.pi * found * found)
-    return out
 
 
 # ---------------------------------------------------------------------------

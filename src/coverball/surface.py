@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Edge, MetricGraph, betti, grid_shortest_paths
+from .graphs import Edge, MetricGraph, grid_shortest_paths
 from .linalg import Echelon
 
 
@@ -519,26 +519,6 @@ def prune_pieces(s: TriSurface, pieces) -> list[int]:
     return kept
 
 
-def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
-    """Greedy edge removal keeping the epimorphism; ends with Betti = 2g.
-
-    One ``capturing_test`` checks that the input captures.  Then each edge,
-    longest first (ties by edge), leaves while the rest still captures:
-    ``prune_pieces`` with one edge per piece, which tests each removal as
-    one dual edge added to its face union-find, so the whole pass costs
-    about O(E log F) integer operations.
-    """
-    ok, rank = capturing_test(s, sub_edges)
-    if not ok:
-        raise SurfaceError(f"subgraph does not capture the topology (rank {rank})")
-    order = sorted(_edge_set(s, sub_edges),
-                   key=lambda e: (-s.edge_lengths[e], e))
-    cur = {order[k] for k in prune_pieces(s, [[e] for e in order])}
-    if betti(subgraph_metric_graph(s, cur)) != 2 * s.genus:
-        raise SurfaceError("pruned subgraph has wrong Betti number")
-    return cur
-
-
 def subgraph_length(s: TriSurface, sub_edges) -> Fraction:
     return sum((s.edge_lengths[e] for e in _edge_set(s, sub_edges)), Fraction(0))
 
@@ -574,15 +554,3 @@ def parse_surface(text: str) -> TriSurface:
         except (ValueError, IndexError, ZeroDivisionError):
             raise SurfaceError(f"malformed surface line: {raw!r}") from None
     return TriSurface.build(faces, lengths)
-
-
-def format_surface(s: TriSurface) -> str:
-    lines = ["TSURF", f"nv {len(s.vertices)}"]
-    for f in s.faces:
-        lines.append(f"f {f[0]} {f[1]} {f[2]}")
-    for (u, w) in s.edges:
-        l = s.edge_lengths[(u, w)]
-        if l != 1:
-            lines.append(f"el {u} {w} {l.numerator}/{l.denominator}")
-    return "\n".join(lines) + "\n"
-

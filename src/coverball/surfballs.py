@@ -193,18 +193,17 @@ def systole(s: TriSurface, base: int | None = None,
     Some shortest non-contractible cycle is two shortest-path-tree paths
     plus one edge (Thomassen's 3-path condition, as used by Erickson and
     Har-Peled), so the result is read off the surface's candidate pass
-    (``_grid_candidates``) over the tree T_v of every vertex v.  Modes
-    "auto" and "exact" are the same: the pass's ``sep`` when it is strictly
-    shorter than every candidate of nonzero class, else the first of those
-    of least length.  Mode "homological" ignores ``sep``; on genus >= 2
-    that can exceed the systole, since a separating essential cycle has
-    class zero.
+    (``_grid_candidates``) over the tree T_v of every vertex v.  Mode
+    "auto" gives the pass's ``sep`` when it is strictly shorter than every
+    candidate of nonzero class, else the first of those of least length.
+    Mode "homological" ignores ``sep``; on genus >= 2 that can exceed the
+    systole, since a separating essential cycle has class zero.
 
     With ``base`` the result is the shortest essential simple cycle among
     two T_base-paths plus one edge (only nontrivial ones in mode
     "homological"), from an uncached pass over T_base alone.
     """
-    if mode not in ("auto", "exact", "homological"):
+    if mode not in ("auto", "homological"):
         raise SurfaceError(f"unknown systole mode {mode!r}")
     if s.genus == 0:
         raise SurfaceError("genus-0 surface has no non-contractible cycle")

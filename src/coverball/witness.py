@@ -15,8 +15,6 @@ from . import cover
 from .graphs import (GraphError, MetricGraph, betti, delete_edge,
                      induced_subgraph, reduce_graph, is_separating, scale)
 
-SUBTREE_NODE_LIMIT = 200_000    # nodes build_cover_subtree may grow
-
 
 class TheoremViolation(AssertionError):
     """A step the underlying theorem guarantees has failed: implementation bug."""
@@ -119,93 +117,6 @@ def find_witness(g: MetricGraph, lam: Fraction | int | str) -> WitnessCertificat
     if witness not in g.vertices:
         raise TheoremViolation("witness did not pull back to the original graph")
     return WitnessCertificate(witness, 1 - 3 * lam, lam, tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# explicit subtree construction behind the baby case
-
-@dataclass(frozen=True)
-class SubtreeWitness:
-    base: int
-    nodes: tuple[tuple, ...]           # cover nodes as traversal tuples ((),) is root
-    node_depth: tuple[int, ...]
-    super_edges: tuple[tuple[int, int, tuple, Fraction], ...]
-    # (parent node index, child node index, traversal path, exact length)
-
-
-def _path_length(g: MetricGraph, traversals) -> Fraction:
-    return sum((g.edge_by_id(e).length for e, _ in traversals), Fraction(0))
-
-
-def cover_distance(g: MetricGraph, p: tuple, q: tuple) -> Fraction:
-    """Distance in the universal cover between the endpoints of two
-    non-backtracking paths from the same base lift."""
-    k = 0
-    while k < len(p) and k < len(q) and p[k] == q[k]:
-        k += 1
-    return _path_length(g, p[k:]) + _path_length(g, q[k:])
-
-
-def build_cover_subtree(g: MetricGraph, c_prime: Fraction | int | str,
-                         depth: int) -> SubtreeWitness:
-    """Greedy trivalent subtree in the cover with super-edges in [C', C'+c].
-
-    From the base lift, grow three edge-disjoint reduced paths, each stopped
-    at the first vertex where the accumulated length reaches ``c_prime``;
-    from every frontier node grow two more, to combinatorial depth ``depth``.
-    Departures are always the smallest-id ones available.
-    """
-    c_prime = Fraction(c_prime)
-    if c_prime <= 0:
-        raise GraphError("c_prime must be positive")
-    if not g.is_connected():
-        raise GraphError("subtree construction requires a connected graph")
-    if min(g.degree(v) for v in g.vertices) < 3:
-        raise GraphError("subtree construction requires an at least trivalent graph")
-    head, length, departures, nxt = cover._transitions(g)
-
-    base = min(g.vertices)
-    nodes: list[tuple] = [()]
-    node_depth = [0]
-    super_edges: list[tuple[int, int, tuple, Fraction]] = []
-
-    def grow_path(first: tuple[int, int]) -> tuple[tuple, Fraction]:
-        path = [first]
-        acc = length[first]
-        while acc < c_prime:
-            t = min(nxt[path[-1]])
-            path.append(t)
-            acc += length[t]
-        return tuple(path), acc
-
-    frontier = []  # (node index, incoming traversal or None)
-    first_three = sorted(departures[base])[:3]
-    for t in first_three:
-        path, acc = grow_path(t)
-        nodes.append(path)
-        node_depth.append(1)
-        super_edges.append((0, len(nodes) - 1, path, acc))
-        frontier.append((len(nodes) - 1, path[-1]))
-    d = 1
-    while d < depth:
-        nxt_frontier = []
-        for idx, incoming in frontier:
-            rev = (incoming[0], 1 - incoming[1])
-            opts = sorted(s for s in departures[head[incoming]] if s != rev)[:2]
-            for t in opts:
-                if len(nodes) > SUBTREE_NODE_LIMIT:
-                    raise GraphError("subtree depth budget exceeded")
-                path, acc = grow_path(t)
-                # grow_path returns the path relative to the node; store the
-                # absolute path from the base lift
-                abs_path = nodes[idx] + path
-                nodes.append(abs_path)
-                node_depth.append(d + 1)
-                super_edges.append((idx, len(nodes) - 1, path, acc))
-                nxt_frontier.append((len(nodes) - 1, path[-1]))
-        frontier = nxt_frontier
-        d += 1
-    return SubtreeWitness(base, tuple(nodes), tuple(node_depth), tuple(super_edges))
 
 
 def verify_certificate(g: MetricGraph, cert: WitnessCertificate, radii,

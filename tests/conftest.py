@@ -1,16 +1,17 @@
 import heapq
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from coverball import cover, fixtures, surfballs
-from coverball.graphs import (Edge, GraphError, MetricGraph, delete_edge,
+from coverball.graphs import (Edge, GraphError, MetricGraph, betti, delete_edge,
                              grid_shortest_paths, tree_path)
 from coverball.linalg import Echelon
-from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
-                               parse_surface, subgraph_length,
-                               subgraph_metric_graph)
+from coverball.surface import (SurfaceError, TriSurface, _edge_set, _pair,
+                               capturing_test, parse_surface, prune_pieces,
+                               subgraph_length, subgraph_metric_graph)
 
 
 def _cover_tree_edges(g: MetricGraph, base: int, R: Fraction):
@@ -51,6 +52,31 @@ def brute_force_cover_nodes(g: MetricGraph, base: int, R: Fraction) -> int:
     return 1 + sum(d + l <= R for d, l in _cover_tree_edges(g, base, R))
 
 
+def _transitions(g: MetricGraph):
+    """Directed-traversal tables.
+
+    A traversal is (edge id, direction); direction 0 runs u->w, 1 runs w->u.
+    A loop contributes two distinct departures at its vertex; only the exact
+    reversal of the incoming traversal is forbidden.
+    """
+    head = {}
+    length = {}
+    departures: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        head[(e.id, 0)] = e.w
+        head[(e.id, 1)] = e.u
+        length[(e.id, 0)] = length[(e.id, 1)] = e.length
+        departures[e.u].append((e.id, 0))
+        departures[e.w].append((e.id, 1))
+    for v in departures:
+        departures[v].sort()
+    nxt = {}
+    for t in head:
+        rev = (t[0], 1 - t[1])
+        nxt[t] = [s for s in departures[head[t]] if s != rev]
+    return head, length, departures, nxt
+
+
 def heap_ball_length(g: MetricGraph, base, R, budget: int = cover.DEFAULT_BUDGET):
     """Independent oracle for ``cover.ball_length``: the state-by-state
     expansion, one heap of keys and a dict of traversal multiplicities per
@@ -72,7 +98,7 @@ def heap_ball_length(g: MetricGraph, base, R, budget: int = cover.DEFAULT_BUDGET
     K = R * D
     assert K.denominator == 1
     K = K.numerator
-    _, length, departures, nxt = cover._transitions(g)
+    _, length, departures, nxt = _transitions(g)
     # traversals as ints in sorted (edge id, direction) order, which is the
     # order states of one key are expanded in, so the budget cuts the same
     trav = sorted(length)
@@ -971,3 +997,192 @@ def arc_dict_exact_capture(s: TriSurface, x: int | None) -> tuple[Fraction, set]
     if realized * D > best:
         raise SurfaceError("exact capture bookkeeping mismatch")
     return realized, edges
+
+
+# ---------------------------------------------------------------------------
+# criterion 03: the explicit subtree behind the baby case
+
+SUBTREE_NODE_LIMIT = 200_000    # nodes build_cover_subtree may grow
+
+
+@dataclass(frozen=True)
+class SubtreeWitness:
+    base: int
+    nodes: tuple[tuple, ...]           # cover nodes as traversal tuples ((),) is root
+    node_depth: tuple[int, ...]
+    super_edges: tuple[tuple[int, int, tuple, Fraction], ...]
+    # (parent node index, child node index, traversal path, exact length)
+
+
+def _path_length(g: MetricGraph, traversals) -> Fraction:
+    return sum((g.edge_by_id(e).length for e, _ in traversals), Fraction(0))
+
+
+def cover_distance(g: MetricGraph, p: tuple, q: tuple) -> Fraction:
+    """Distance in the universal cover between the endpoints of two
+    non-backtracking paths from the same base lift."""
+    k = 0
+    while k < len(p) and k < len(q) and p[k] == q[k]:
+        k += 1
+    return _path_length(g, p[k:]) + _path_length(g, q[k:])
+
+
+def build_cover_subtree(g: MetricGraph, c_prime: Fraction | int | str,
+                         depth: int) -> SubtreeWitness:
+    """Greedy trivalent subtree in the cover with super-edges in [C', C'+c].
+
+    From the base lift, grow three edge-disjoint reduced paths, each stopped
+    at the first vertex where the accumulated length reaches ``c_prime``;
+    from every frontier node grow two more, to combinatorial depth ``depth``.
+    Departures are always the smallest-id ones available.
+    """
+    c_prime = Fraction(c_prime)
+    if c_prime <= 0:
+        raise GraphError("c_prime must be positive")
+    if not g.is_connected():
+        raise GraphError("subtree construction requires a connected graph")
+    if min(g.degree(v) for v in g.vertices) < 3:
+        raise GraphError("subtree construction requires an at least trivalent graph")
+    head, length, departures, nxt = _transitions(g)
+
+    base = min(g.vertices)
+    nodes: list[tuple] = [()]
+    node_depth = [0]
+    super_edges: list[tuple[int, int, tuple, Fraction]] = []
+
+    def grow_path(first: tuple[int, int]) -> tuple[tuple, Fraction]:
+        path = [first]
+        acc = length[first]
+        while acc < c_prime:
+            t = min(nxt[path[-1]])
+            path.append(t)
+            acc += length[t]
+        return tuple(path), acc
+
+    frontier = []  # (node index, incoming traversal or None)
+    first_three = sorted(departures[base])[:3]
+    for t in first_three:
+        path, acc = grow_path(t)
+        nodes.append(path)
+        node_depth.append(1)
+        super_edges.append((0, len(nodes) - 1, path, acc))
+        frontier.append((len(nodes) - 1, path[-1]))
+    d = 1
+    while d < depth:
+        nxt_frontier = []
+        for idx, incoming in frontier:
+            rev = (incoming[0], 1 - incoming[1])
+            opts = sorted(s for s in departures[head[incoming]] if s != rev)[:2]
+            for t in opts:
+                if len(nodes) > SUBTREE_NODE_LIMIT:
+                    raise GraphError("subtree depth budget exceeded")
+                path, acc = grow_path(t)
+                # grow_path returns the path relative to the node; store the
+                # absolute path from the base lift
+                abs_path = nodes[idx] + path
+                nodes.append(abs_path)
+                node_depth.append(d + 1)
+                super_edges.append((idx, len(nodes) - 1, path, acc))
+                nxt_frontier.append((len(nodes) - 1, path[-1]))
+        frontier = nxt_frontier
+        d += 1
+    return SubtreeWitness(base, tuple(nodes), tuple(node_depth), tuple(super_edges))
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: hyperbolic-area shrink factor and rescaling lambda
+
+def area_shrink_factor(a: float) -> float:
+    """Shrink factor c with a*V_H2(R) >= V_H2(R*c): c = sqrt(min(a, 1))."""
+    if a <= 0:
+        raise GraphError("shrink factor input must be positive")
+    return math.sqrt(min(a, 1.0))
+
+
+def shrink_factor_grid_check(a: float, radii) -> dict:
+    c = area_shrink_factor(a)
+    rows = []
+    worst = float("inf")
+    for R in radii:
+        lhs = a * cover.hyperbolic_ball_area(R)
+        rhs = cover.hyperbolic_ball_area(R * c)
+        rows.append({"R": R, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
+        worst = min(worst, lhs - rhs)
+    # a row whose sides both exceed every float has a NaN margin: it decides
+    # nothing, so it cannot pass
+    return {"a": a, "c": c, "rows": rows, "worst_margin": worst,
+            "ok": all(row["margin"] >= -1e-9 for row in rows)}
+
+
+def rescaling_lambda_search(lam_grid, radii) -> dict:
+    """Smallest grid lambda with (1/(4 pi lam^2 ln2)) V_H2(lam R ln2) >=
+    V_H2(R) on the whole R grid, plus the induced area ratio delta."""
+    radii = list(radii)
+    if not radii:
+        raise GraphError("empty radius grid")
+    results = []
+    found = None
+    for lam in lam_grid:
+        if lam <= 0:
+            raise GraphError("lambda grid entries must be positive")
+        ok = True
+        for R in radii:
+            lhs = cover.hyperbolic_ball_area(lam * R * math.log(2)) \
+                / (4.0 * math.pi * lam * lam * math.log(2))
+            rhs = cover.hyperbolic_ball_area(R)
+            # with both sides beyond float range the comparison decides nothing
+            if lhs < rhs or rhs == math.inf:
+                ok = False
+                break
+        results.append({"lam": lam, "ok": ok})
+        if ok and found is None:
+            found = lam
+    out = {"results": results, "lam": found}
+    if found is not None:
+        out["delta"] = 1.0 / ((1 << 13) * math.pi * found * found)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# criterion 06: pruning a capturing subgraph to a homology isomorphism
+
+def prune_to_iso(s: TriSurface, sub_edges) -> set[tuple[int, int]]:
+    """Greedy edge removal keeping the epimorphism; ends with Betti = 2g.
+
+    One ``capturing_test`` checks that the input captures.  Then each edge,
+    longest first (ties by edge), leaves while the rest still captures:
+    ``prune_pieces`` with one edge per piece, which tests each removal as
+    one dual edge added to its face union-find, so the whole pass costs
+    about O(E log F) integer operations.
+    """
+    ok, rank = capturing_test(s, sub_edges)
+    if not ok:
+        raise SurfaceError(f"subgraph does not capture the topology (rank {rank})")
+    order = sorted(_edge_set(s, sub_edges),
+                   key=lambda e: (-s.edge_lengths[e], e))
+    cur = {order[k] for k in prune_pieces(s, [[e] for e in order])}
+    if betti(subgraph_metric_graph(s, cur)) != 2 * s.genus:
+        raise SurfaceError("pruned subgraph has wrong Betti number")
+    return cur
+
+
+# ---------------------------------------------------------------------------
+# surface text and the sphere fixture
+
+def format_surface(s: TriSurface) -> str:
+    lines = ["TSURF", f"nv {len(s.vertices)}"]
+    for f in s.faces:
+        lines.append(f"f {f[0]} {f[1]} {f[2]}")
+    for (u, w) in s.edges:
+        l = s.edge_lengths[(u, w)]
+        if l != 1:
+            lines.append(f"el {u} {w} {l.numerator}/{l.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def tetrahedron(length=1) -> TriSurface:
+    l = Fraction(length)
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    lengths = {e: l for f in faces for e in
+               [(_pair(f[0], f[1])), (_pair(f[1], f[2])), (_pair(f[0], f[2]))]}
+    return TriSurface.build(faces, lengths)

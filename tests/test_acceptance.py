@@ -8,13 +8,15 @@ from importlib import resources
 
 import pytest
 
-from conftest import random_bounded_instance
+from conftest import (build_cover_subtree, cover_distance, format_surface,
+                      prune_to_iso, random_bounded_instance,
+                      rescaling_lambda_search, shrink_factor_grid_check)
 from coverball import cli, cover, fixtures, nerve, surfballs, witness
 from coverball.graphs import (MetricGraph, betti, format_graph, girth,
                               parse_graph, random_connected, reduce_graph,
                               scale, trivalent_reference)
-from coverball.surface import (capturing_test, format_surface, parse_surface,
-                               prune_to_iso, subgraph_metric_graph, _pair)
+from coverball.surface import (capturing_test, parse_surface,
+                               subgraph_metric_graph, _pair)
 
 LAMBDAS = [F(1, 20), F(1, 10), F(1, 6), F(1, 4), F(3, 10)]
 
@@ -70,7 +72,7 @@ def test_criterion_03_subtree_structure():
         g = MetricGraph.build(
             sorted(base.vertices),
             [(e.id, e.u, e.w, F(rng.randint(1, 8), 8)) for e in base.edges])
-        sw = witness.build_cover_subtree(g, c_prime, depth=4)
+        sw = build_cover_subtree(g, c_prime, depth=4)
         for (_, _, _, length) in sw.super_edges:
             ok &= c_prime <= length <= c_prime + 1
         # tree combinatorial distances by BFS over super-edges
@@ -90,7 +92,7 @@ def test_criterion_03_subtree_structure():
                         seen[y] = seen[x] + 1
                         q.append(y)
             for s1 in range(s0 + 1, n):
-                d = witness.cover_distance(g, sw.nodes[s0], sw.nodes[s1])
+                d = cover_distance(g, sw.nodes[s0], sw.nodes[s1])
                 ok &= c_prime * seen[s1] <= d <= (c_prime + 1) * seen[s1]
         if not ok:
             break
@@ -233,11 +235,11 @@ def test_criterion_10_shrink_and_lambda_search():
     ok = True
     radii = [k / 10 for k in range(1, 201)]        # (0, 20]
     for a in (0.1, 0.25, 0.5, 1.0, 4.0):
-        ok &= nerve.shrink_factor_grid_check(a, radii)["ok"]
+        ok &= shrink_factor_grid_check(a, radii)["ok"]
     grid = [k / 2 for k in range(1, 201)]
-    found = nerve.rescaling_lambda_search(grid, list(range(1, 101)))
+    found = rescaling_lambda_search(grid, list(range(1, 101)))
     ok &= found["lam"] is not None and found["delta"] > 0
-    failing = nerve.rescaling_lambda_search(grid, list(range(1, 101)) + [0.01])
+    failing = rescaling_lambda_search(grid, list(range(1, 101)) + [0.01])
     ok &= failing["lam"] is None
     report(10, ok, f"lambda = {found['lam']}")
 

@@ -12,8 +12,8 @@ from conftest import (_count_calls, _face_components, arc_dict_exact_capture,
                       faces_with_all_corners_in, fraction_greedy_capture,
                       fraction_homology_candidates, is_contractible_cycle,
                       mixed_torus, relabeled, shortest_essential_cycle,
-                      tuple_capture_tables, tuple_class_dijkstra,
-                      walked_homology)
+                      tetrahedron, tuple_capture_tables,
+                      tuple_class_dijkstra, walked_homology)
 from coverball import fixtures, surfballs
 from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
@@ -67,7 +67,7 @@ def test_essential_cycle_detected(torus):
 
 
 def test_systole_torus_exhaustive_oracle(torus):
-    length, cyc = surfballs.systole(torus, mode="exact")
+    length, cyc = surfballs.systole(torus, mode="auto")
     assert length == 3
     assert not is_contractible_cycle(torus, cyc)
     # oracle: sweep every simple cycle up to length 3 and take the shortest
@@ -77,19 +77,17 @@ def test_systole_torus_exhaustive_oracle(torus):
 
 def test_systole_modes_agree(torus, sub_torus, g2):
     for s in (torus, sub_torus, g2):
-        exact, _ = surfballs.systole(s, mode="exact")
         hom, _ = surfballs.systole(s, mode="homological")
         auto, _ = surfballs.systole(s, mode="auto")
-        assert exact == hom == auto == 3
+        assert hom == auto == 3
 
 
 def test_separating_neck_is_the_systole(neck):
     # the shrunk neck is essential but null-homologous, so only the
     # homological quantity misses it
-    for mode in ("auto", "exact"):
-        length, cyc = surfballs.systole(neck, mode=mode)
-        assert length == F(9, 5)
-        assert not is_contractible_cycle(neck, cyc)
+    length, cyc = surfballs.systole(neck, mode="auto")
+    assert length == F(9, 5)
+    assert not is_contractible_cycle(neck, cyc)
     assert surfballs.systole(neck, mode="homological")[0] == F(13, 5)
 
 
@@ -267,7 +265,7 @@ def test_ball_at_off_grid_radii_matches_distance_oracle(make):
 def _piece_surfaces():
     """The corpus surfaces, each subdivided once, and the tetrahedron."""
     corpus = [corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
-    return corpus + [fixtures.subdivide(s) for s in corpus] + [fixtures.tetrahedron()]
+    return corpus + [fixtures.subdivide(s) for s in corpus] + [tetrahedron()]
 
 
 def _fan_pieces(s, faces, cut):

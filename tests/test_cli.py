@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_surface
 import coverball
 from coverball import cli, fixtures, surfballs
 from coverball.graphs import (GraphError, format_graph, parse_graph, scale,
                               theta_graph)
-from coverball.surface import SurfaceError, format_surface, parse_surface
+from coverball.surface import SurfaceError, parse_surface
 
 
 def run_cli(capsys, *argv):
@@ -35,8 +36,10 @@ def strip_time(doc: str) -> dict:
 def test_corpus_round_trip_byte_stability():
     root = resources.files("coverball") / "corpus"
     names = sorted(p.name for p in root.iterdir())
-    assert names == ["figure_eight.graph", "genus2.surf", "theta.graph",
-                     "torus7.surf", "torus7_sub.surf", "trivalent_b3.graph",
+    assert names == ["figure_eight.graph", "genus2.surf", "genus2_neck.surf",
+                     "theta.graph", "theta_bridge.graph", "theta_eighth.graph",
+                     "theta_loop.graph", "torus7.surf", "torus7_sub.surf",
+                     "torus7_sub_sixth.surf", "trivalent_b3.graph",
                      "trivalent_b4.graph"]
     for name in names:
         text = (root / name).read_text()
@@ -89,6 +92,58 @@ def test_exit_2_on_missing_corpus_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["graph", "growth", "no_such_instance.graph"])
     assert exc.value.code == 2
+
+
+# every subcommand but the four that read --budget (growth, entropy, verify
+# and pipeline, whose MALFORMED cases refuse a budget of 0 with exit 1)
+UNBUDGETED = (["graph", "validate", "theta.graph"], ["graph", "reduce", "theta.graph"],
+              ["graph", "witness", "theta_eighth.graph"],
+              ["surface", "validate", "torus7.surf"],
+              ["surface", "systole", "torus7.surf"],
+              ["surface", "capture", "torus7.surf"],
+              ["surface", "nerve", "torus7.surf"], ["ref", "curves"], ["gen"])
+
+
+@pytest.mark.parametrize("argv", UNBUDGETED, ids=" ".join)
+def test_budget_option_refused_where_it_is_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*argv, "--budget", "3"])
+    assert exc.value.code == 2
+
+
+def test_systole_mode_exact_refused():
+    with pytest.raises(SurfaceError, match="unknown systole mode 'exact'"):
+        surfballs.systole(fixtures.torus7(), mode="exact")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["surface", "systole", "torus7.surf", "--mode", "exact"])
+    assert exc.value.code == 2
+
+
+def test_verify_passes_on_bundled_small_theta(capsys):
+    rc, out, _ = run_cli(capsys, "graph", "verify", "theta_eighth.graph")
+    doc = json.loads(out)
+    assert rc == 0 and doc["ok"] is True and doc["failures"] == 0
+
+
+@pytest.mark.parametrize("name, trace", [
+    ("theta_loop.graph", ["remove-nonseparating(3)", "baby-case"]),
+    ("theta_bridge.graph", ["split-separating(6,betti=2)", "baby-case"]),
+])
+def test_witness_edge_removal_traces_on_corpus(capsys, name, trace):
+    rc, out, _ = run_cli(capsys, "graph", "witness", name)
+    assert rc == 0 and json.loads(out)["trace"] == trace
+
+
+def test_nerve_captures_on_scaled_torus(capsys):
+    rc, out, _ = run_cli(capsys, "surface", "nerve", "torus7_sub_sixth.surf")
+    doc = json.loads(out)
+    assert rc == 0 and doc["image_captures"] is True
+    assert len(doc["centers"]) == 28 and doc["pruned_length"] == "7/2"
+
+
+def test_systole_on_genus2_neck_is_the_separating_neck(capsys):
+    rc, out, _ = run_cli(capsys, "surface", "systole", "genus2_neck.surf")
+    assert rc == 0 and json.loads(out)["systole"] == "9/5"
 
 
 def test_witness_verify_round_trip(tmp_path, capsys):

@@ -131,14 +131,6 @@ def test_budget_truncation_is_flagged_lower_bound():
     assert (one.total_length, one.node_count, one.truncated) == (1, 2, True)
 
 
-def test_v_prime_dominates_every_vertex():
-    g = random_connected(3, (F(1, 4), F(1)), 11)
-    R = F(3, 2)
-    best = cover.v_prime(g, R, refinement=2)
-    for v in g.vertices:
-        assert best.total_length >= cover.ball_length(g, v, R).total_length
-
-
 def test_entropy_estimates():
     theta = cover.entropy_estimate(theta_graph(), [F(8), F(10)])
     assert abs(theta[-1]["estimate"] - math.log(2)) < 0.2
@@ -177,7 +169,6 @@ def test_bad_budget_rejected_by_value(budget):
     h = random_bounded_instance(3, lam * 6, 0, denom=64)
     cert = witness.find_witness(h, lam)
     calls = [lambda: cover.ball_length(g, 0, 2, budget),
-             lambda: cover.v_prime(g, 2, budget=budget),
              lambda: cover.entropy_estimate(g, [1, 2], budget=budget),
              lambda: witness.verify_certificate(h, cert, [1, 2], budget)]
     for call in calls:

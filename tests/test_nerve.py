@@ -6,8 +6,10 @@ from importlib import resources
 
 import pytest
 
-from conftest import (_count_calls, corpus_surface, farthest_point_packing,
-                      pairwise_nerve_edges, relabeled)
+from conftest import (_count_calls, area_shrink_factor, corpus_surface,
+                      farthest_point_packing, pairwise_nerve_edges, relabeled,
+                      rescaling_lambda_search, shrink_factor_grid_check,
+                      tetrahedron)
 from coverball import cover, fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
                                parse_surface)
@@ -131,10 +133,10 @@ def test_nerve_edges_match_pairwise_oracle(name, r0, eps, monkeypatch):
 
 def test_nerve_on_a_sphere_prunes_to_the_empty_nerve():
     # the empty nerve captures a sphere, so the length bound holds at 0
-    bare = nerve.nerve_graph(fixtures.tetrahedron(), r0=F(1, 64), eps=F(1, 64))
+    bare = nerve.nerve_graph(tetrahedron(), r0=F(1, 64), eps=F(1, 64))
     assert not bare.nerve.edges
     fine = nerve.nerve_graph(fixtures.scale_surface(
-        fixtures.subdivide(fixtures.tetrahedron(), 2), F(1, 4)))
+        fixtures.subdivide(tetrahedron(), 2), F(1, 4)))
     assert len(fine.nerve.edges) > 0
     for rep in (bare, fine):
         assert rep.image_captures and rep.image_rank == 0
@@ -165,7 +167,7 @@ def test_coarea_matches_numeric_quadrature():
 @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 1.0, 4.0])
 def test_area_shrink_factor_grid(a):
     radii = [k / 10 for k in range(1, 201)]
-    rep = nerve.shrink_factor_grid_check(a, radii)
+    rep = shrink_factor_grid_check(a, radii)
     assert rep["ok"]
     assert rep["c"] == math.sqrt(min(a, 1.0))
 
@@ -173,24 +175,24 @@ def test_area_shrink_factor_grid(a):
 def test_shrink_factor_rejects_nonpositive():
     from coverball.graphs import GraphError
     with pytest.raises(GraphError):
-        nerve.area_shrink_factor(0.0)
+        area_shrink_factor(0.0)
 
 
 def test_lambda_search_finds_and_fails():
     grid = [k / 2 for k in range(1, 201)]    # the search wants lambda large
     radii = [k for k in range(1, 101)]
-    rep = nerve.rescaling_lambda_search(grid, radii)
+    rep = rescaling_lambda_search(grid, radii)
     assert rep["lam"] is not None
     assert rep["delta"] == 1.0 / ((1 << 13) * math.pi * rep["lam"] ** 2)
-    bad = nerve.rescaling_lambda_search(grid, radii + [0.01])
+    bad = rescaling_lambda_search(grid, radii + [0.01])
     assert bad["lam"] is None
 
 
 def test_rows_beyond_float_range_never_pass():
     # lambda = 6/5 fails at R = 100; at R = 1000 both sides exceed every float
-    assert nerve.rescaling_lambda_search([1.2], [100])["lam"] is None
-    assert nerve.rescaling_lambda_search([1.2], [1000])["lam"] is None
-    rep = nerve.shrink_factor_grid_check(0.5, [1, 2000])
+    assert rescaling_lambda_search([1.2], [100])["lam"] is None
+    assert rescaling_lambda_search([1.2], [1000])["lam"] is None
+    rep = shrink_factor_grid_check(0.5, [1, 2000])
     assert math.isnan(rep["rows"][1]["margin"]) and not rep["ok"]
 
 
@@ -265,7 +267,7 @@ def test_pipeline_refuses_a_bad_count_before_any_stage(arg, value, monkeypatch):
 
 
 def test_pipeline_skips_capture_on_sphere():
-    rep = nerve.surface_growth_pipeline(fixtures.tetrahedron())
+    rep = nerve.surface_growth_pipeline(tetrahedron())
     kinds = [st["stage"] for st in rep["stages"]]
     assert "capture" in kinds
     assert rep["genus"] == 0

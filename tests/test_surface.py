@@ -11,16 +11,16 @@ from coverball import fixtures, nerve
 from coverball.graphs import MetricGraph, betti
 from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
-                               format_surface, heron, parse_surface, prune_pieces,
-                               prune_to_iso, subgraph_length,
-                               subgraph_metric_graph, _pair)
+                               heron, parse_surface, prune_pieces,
+                               subgraph_length, subgraph_metric_graph, _pair)
 
-from conftest import (_count_calls, corpus_surface, mixed_torus, pack_class,
-                      prune_by_capturing_test, relabeled, walked_homology)
+from conftest import (_count_calls, corpus_surface, format_surface, mixed_torus,
+                      pack_class, prune_by_capturing_test, prune_to_iso,
+                      relabeled, tetrahedron, walked_homology)
 
 
 def test_tetrahedron_is_a_sphere():
-    s = fixtures.tetrahedron()
+    s = tetrahedron()
     assert s.genus == 0
     assert len(s.vertices) == 4 and len(s.edges) == 6 and len(s.faces) == 4
     assert len(s.homology().generators) == 0
@@ -117,7 +117,7 @@ def _reversed_face_inputs(s):
 
 def test_incidence_tables_match_definitions():
     base = [corpus_surface(n) for n in ("torus7.surf", "torus7_sub.surf", "genus2.surf")]
-    base += [fixtures.tetrahedron()]
+    base += [tetrahedron()]
     surfaces = base + [fixtures.subdivide(s) for s in base]
     surfaces += [relabeled(s, seed) for s in base for seed in (1, 2)]
     surfaces += [TriSurface.build(faces, s.edge_lengths)

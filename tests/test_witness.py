@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded_instance
+from conftest import build_cover_subtree, cover_distance, random_bounded_instance
 from coverball import cover, witness
 from coverball.graphs import (GraphError, MetricGraph, delete_edge,
                              is_separating, scale, theta_graph,
@@ -126,13 +126,13 @@ def test_is_separating_matches_edge_deletion():
 def test_subtree_super_edge_lengths():
     g = trivalent_reference(3)
     c_prime = F(3, 2)
-    sw = witness.build_cover_subtree(g, c_prime, depth=3)
+    sw = build_cover_subtree(g, c_prime, depth=3)
     for (_, _, _, length) in sw.super_edges:
         assert c_prime <= length <= c_prime + 1
 
 
 def test_subtree_is_trivalent_in_counts():
-    sw = witness.build_cover_subtree(trivalent_reference(2), F(1), depth=4)
+    sw = build_cover_subtree(trivalent_reference(2), F(1), depth=4)
     per_depth = {}
     for d in sw.node_depth:
         per_depth[d] = per_depth.get(d, 0) + 1
@@ -142,7 +142,7 @@ def test_subtree_is_trivalent_in_counts():
 def test_subtree_bilipschitz_to_cover():
     g = trivalent_reference(2)
     c_prime = F(1)
-    sw = witness.build_cover_subtree(g, c_prime, depth=3)
+    sw = build_cover_subtree(g, c_prime, depth=3)
     # tree distance between nodes i, j in super-edge steps
     import collections
     adj = collections.defaultdict(list)
@@ -161,7 +161,7 @@ def test_subtree_bilipschitz_to_cover():
                     q.append(y)
         for j in range(i + 1, n):
             steps = seen[j]
-            d = witness.cover_distance(g, sw.nodes[i], sw.nodes[j])
+            d = cover_distance(g, sw.nodes[i], sw.nodes[j])
             assert c_prime * steps <= d <= (c_prime + 1) * steps
 
 
