@@ -1,13 +1,15 @@
 """Command-line front end: file I/O, bundled corpus, and report emission.
 
 Exit codes: 0 success (budget exhaustion is reported, not fatal), 1 for
-precondition/input errors, 2 for usage errors and internal assertion
-failures (the latter must never occur on valid inputs).
+precondition/input errors (a missing input file among them), 2 for usage
+errors and internal assertion failures (the latter must never occur on
+valid inputs).
 
 The argument parser is built once per process (``build_parser`` is
 cached) and shared by every ``run`` call: parsing fills a fresh
 ``Namespace`` and leaves the parser unchanged.  Each ``cmd_*`` handler
-takes ``(parser, args)`` and uses the parser only for ``parser.error``.
+takes the parsed ``args``, whose ``args.parser`` is the subcommand's own
+parser: usage errors are reported against it.
 """
 
 from __future__ import annotations
@@ -119,8 +121,7 @@ def corpus_names() -> list[str]:
     return sorted(p.name for p in root.iterdir())
 
 
-def read_input(parser: argparse.ArgumentParser, name: str,
-               error: type[ValueError]) -> str:
+def read_input(name: str, error: type[ValueError]) -> str:
     p = Path(name)
     if p.exists():
         try:
@@ -134,16 +135,16 @@ def read_input(parser: argparse.ArgumentParser, name: str,
     entry = root / name
     if entry.is_file():
         return entry.read_text()
-    parser.error(f"no such file and no corpus entry {name!r}; "
-                 f"corpus has: {', '.join(corpus_names())}")
+    raise error(f"no such file and no corpus entry {name!r}; "
+                f"corpus has: {', '.join(corpus_names())}")
 
 
-def load_graph(parser, name: str) -> MetricGraph:
-    return parse_graph(read_input(parser, name, GraphError))
+def load_graph(name: str) -> MetricGraph:
+    return parse_graph(read_input(name, GraphError))
 
 
-def load_surf(parser, name: str) -> TriSurface:
-    return parse_surface(read_input(parser, name, SurfaceError))
+def load_surf(name: str) -> TriSurface:
+    return parse_surface(read_input(name, SurfaceError))
 
 
 def grid_radii(rmax: Fraction, grid: int) -> list[Fraction]:
@@ -155,15 +156,15 @@ def grid_radii(rmax: Fraction, grid: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # graph subcommands
 
-def cmd_graph_validate(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_validate(args) -> None:
+    g = load_graph(args.input)
     rep = validate(g)
     rep["girth"] = girth(g)
     emit(args, {"command": "graph validate", "input": args.input, **rep})
 
 
-def cmd_graph_growth(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_growth(args) -> None:
+    g = load_graph(args.input)
     base = args.base if args.base is not None else min(g.vertices)
     radii = grid_radii(args.rmax, args.grid)
     growth = cover.ball_length(g, base, args.rmax, args.budget)
@@ -180,8 +181,8 @@ def cmd_graph_growth(parser, args) -> None:
          {"rows": rows})
 
 
-def cmd_graph_entropy(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_entropy(args) -> None:
+    g = load_graph(args.input)
     base = args.base if args.base is not None else min(g.vertices)
     radii = [r for r in grid_radii(args.rmax, args.grid) if r > 0]
     rows = cover.entropy_estimate(g, radii, base, args.budget)
@@ -189,8 +190,8 @@ def cmd_graph_entropy(parser, args) -> None:
                 "rows": rows}, {"rows": rows})
 
 
-def cmd_graph_reduce(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_reduce(args) -> None:
+    g = load_graph(args.input)
     reduced, removed = reduce_graph(g)
     rep = {
         "command": "graph reduce", "input": args.input,
@@ -202,16 +203,16 @@ def cmd_graph_reduce(parser, args) -> None:
     emit(args, rep)
 
 
-def cmd_graph_witness(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_witness(args) -> None:
+    g = load_graph(args.input)
     cert = witness.find_witness(g, args.lam)
     emit(args, {"command": "graph witness", "input": args.input,
                 "lambda": args.lam, "witness": cert.witness,
                 "factor": cert.factor, "trace": list(cert.trace)})
 
 
-def cmd_graph_verify(parser, args) -> None:
-    g = load_graph(parser, args.input)
+def cmd_graph_verify(args) -> None:
+    g = load_graph(args.input)
     cert = witness.find_witness(g, args.lam)
     params = witness.params_from_lambda(args.lam)
     rmax = args.rmax if args.rmax is not None else 4 * params.mu
@@ -226,8 +227,8 @@ def cmd_graph_verify(parser, args) -> None:
 # ---------------------------------------------------------------------------
 # surface subcommands
 
-def cmd_surface_validate(parser, args) -> None:
-    s = load_surf(parser, args.input)
+def cmd_surface_validate(args) -> None:
+    s = load_surf(args.input)
     emit(args, {"command": "surface validate", "input": args.input,
                 "vertices": len(s.vertices), "edges": len(s.edges),
                 "faces": len(s.faces), "genus": s.genus,
@@ -235,16 +236,16 @@ def cmd_surface_validate(parser, args) -> None:
                 "total_edge_length": sum(s.edge_lengths.values(), Fraction(0))})
 
 
-def cmd_surface_systole(parser, args) -> None:
-    s = load_surf(parser, args.input)
+def cmd_surface_systole(args) -> None:
+    s = load_surf(args.input)
     length, cyc = surfballs.systole(s, mode=args.mode)
     emit(args, {"command": "surface systole", "input": args.input,
                 "systole": length, "cycle": cyc, "mode": args.mode,
                 "simple_cycle_assumed": True})
 
 
-def cmd_surface_capture(parser, args) -> None:
-    s = load_surf(parser, args.input)
+def cmd_surface_capture(args) -> None:
+    s = load_surf(args.input)
     length, edges = surfballs.capture_length(s, mode=args.mode, x=args.base)
     ok, rank = capturing_test(s, edges)
     emit(args, {"command": "surface capture", "input": args.input,
@@ -252,8 +253,8 @@ def cmd_surface_capture(parser, args) -> None:
                 "edges": sorted(edges), "captures": ok, "rank": rank})
 
 
-def cmd_surface_nerve(parser, args) -> None:
-    s = load_surf(parser, args.input)
+def cmd_surface_nerve(args) -> None:
+    s = load_surf(args.input)
     rep = nerve.nerve_graph(s, args.r0, args.eps)
     rows = [{"center": c, "ball_area": a}
             for c, a in zip(rep.centers, rep.ball_areas)]
@@ -269,8 +270,8 @@ def cmd_surface_nerve(parser, args) -> None:
                 "checks": rep.checks}, {"balls": rows})
 
 
-def cmd_surface_pipeline(parser, args) -> None:
-    s = load_surf(parser, args.input)
+def cmd_surface_pipeline(args) -> None:
+    s = load_surf(args.input)
     rep = nerve.surface_growth_pipeline(s, r_grid=args.grid, budget=args.budget)
     tables = {}
     for st in rep["stages"]:
@@ -283,7 +284,7 @@ def cmd_surface_pipeline(parser, args) -> None:
 # ---------------------------------------------------------------------------
 # reference curves and generation
 
-def cmd_ref_curves(parser, args) -> None:
+def cmd_ref_curves(args) -> None:
     rows = []
     for R in grid_radii(args.rmax, args.grid):
         rows.append({
@@ -295,14 +296,10 @@ def cmd_ref_curves(parser, args) -> None:
                 "grid": args.grid, "rows": rows}, {"rows": rows})
 
 
-def cmd_gen(parser, args) -> None:
-    params = {}
-    if args.b is not None:
-        params["b"] = args.b
-    try:
-        g = generate(args.kind, params, args.seed)
-    except KeyError as exc:
-        parser.error(f"kind {args.kind!r} needs parameter {exc}")
+def cmd_gen(args) -> None:
+    if args.b is None and args.kind in ("trivalent_reference", "random_connected"):
+        args.parser.error(f"kind {args.kind!r} needs parameter 'b'")
+    g = generate(args.kind, args.b, args.seed)
     if args.b is not None and args.b != betti(g):
         raise GraphError(f"kind {args.kind!r} has Betti number {betti(g)}, "
                          f"not --b {args.b}")
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("verify", cmd_graph_verify)]:
         sp = graph.add_parser(name)
         sp.add_argument("input", help="file path or corpus name")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parser=sp)
         if name in ("growth", "entropy"):
             sp.add_argument("--base", type=int, default=None)
             _common(sp)
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("pipeline", cmd_surface_pipeline)]:
         sp = surf.add_parser(name)
         sp.add_argument("input", help="file path or corpus name")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parser=sp)
         if name == "systole":
             sp.add_argument("--mode", default="auto",
                             choices=["auto", "homological"])
@@ -407,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ref = top.add_parser("ref").add_subparsers(dest="op", required=True)
     sp = ref.add_parser("curves")
-    sp.set_defaults(fn=cmd_ref_curves)
+    sp.set_defaults(fn=cmd_ref_curves, parser=sp)
     _common(sp)
     _everywhere(sp)
 
     sp = top.add_parser("gen")
-    sp.set_defaults(fn=cmd_gen)
+    sp.set_defaults(fn=cmd_gen, parser=sp)
     sp.add_argument("--kind", default="random_connected",
                     choices=["theta", "figure_eight", "trivalent_reference",
                              "random_connected"])
@@ -422,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     for token in args.format.split(","):
         if token not in FORMATS:
             print(f"error: unknown --format {token!r}; choose from "
@@ -436,7 +434,7 @@ def run(argv=None) -> int:
             print(f"error: cannot create --out directory: {exc}", file=sys.stderr)
             return 1
     try:
-        args.fn(parser, args)
+        args.fn(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2

@@ -345,13 +345,15 @@ def scale(g: MetricGraph, mu: Fraction | int | str) -> MetricGraph:
 # ---------------------------------------------------------------------------
 # generators
 
-def theta_graph(length: Fraction | int = 1) -> MetricGraph:
-    l = Fraction(length)
+def theta_graph() -> MetricGraph:
+    """Two vertices joined by three unit edges."""
+    l = Fraction(1)
     return MetricGraph.build([0, 1], [(0, 0, 1, l), (1, 0, 1, l), (2, 0, 1, l)])
 
 
-def figure_eight(length: Fraction | int = 1) -> MetricGraph:
-    l = Fraction(length)
+def figure_eight() -> MetricGraph:
+    """One vertex with two unit loops."""
+    l = Fraction(1)
     return MetricGraph.build([0], [(0, 0, 0, l), (1, 0, 0, l)])
 
 
@@ -374,7 +376,7 @@ def trivalent_reference(b: int) -> MetricGraph:
 
 
 def random_connected(b: int, length_range: tuple[Fraction, Fraction], seed: int,
-                     n_vertices: int | None = None, denom: int = 8) -> MetricGraph:
+                     denom: int = 8) -> MetricGraph:
     """Seeded random connected multigraph of first Betti number b.
 
     Lengths are multiples of 1/denom inside ``length_range``.
@@ -390,7 +392,7 @@ def random_connected(b: int, length_range: tuple[Fraction, Fraction], seed: int,
     def rand_len():
         return Fraction(rng.randint(int(klo), int(khi)), denom)
 
-    nv = n_vertices if n_vertices is not None else rng.randint(2, 2 * b)
+    nv = rng.randint(2, 2 * b)
     verts = list(range(nv))
     edges = []
     eid = 0
@@ -408,20 +410,16 @@ def random_connected(b: int, length_range: tuple[Fraction, Fraction], seed: int,
     return MetricGraph.build(verts, edges)
 
 
-def generate(kind: str, params: dict | None = None, seed: int = 0) -> MetricGraph:
-    params = dict(params or {})
+def generate(kind: str, b: int | None = None, seed: int = 0) -> MetricGraph:
+    """A graph of the named kind; the last two kinds need the Betti number b."""
     if kind == "theta":
-        return theta_graph(params.get("length", 1))
+        return theta_graph()
     if kind == "figure_eight":
-        return figure_eight(params.get("length", 1))
+        return figure_eight()
     if kind == "trivalent_reference":
-        return trivalent_reference(int(params["b"]))
+        return trivalent_reference(b)
     if kind == "random_connected":
-        return random_connected(int(params["b"]),
-                                params.get("length_range", (Fraction(1, 4), Fraction(1))),
-                                seed,
-                                n_vertices=params.get("n_vertices"),
-                                denom=int(params.get("denom", 8)))
+        return random_connected(b, (Fraction(1, 4), Fraction(1)), seed)
     raise GraphError(f"unknown graph kind {kind!r}")
 
 

@@ -274,7 +274,7 @@ class HomologyData:
 
     ``edge_class[(u, w)]`` is one int: the 2g coordinates as signed digits
     in base 2**``width``, coordinate i in digit 2g-1-i, so int order is the
-    order of the coordinate tuples (``unpack`` reads them back).  Each
+    order of the coordinate tuples (``digits`` reads them back).  Each
     coordinate is -1, 0 or 1, as it counts the signed crossings of the edge
     with one simple dual cycle: generator i's dual edge plus the C-path
     between its faces.  ``width = N.bit_length() + 1`` with N = max(4|E|,
@@ -356,20 +356,24 @@ class HomologyData:
             return self.edge_class[(x, y)]
         return -self.edge_class[(y, x)]
 
-    def unpack(self, packed: int) -> dict[int, int]:
-        """The 2g signed digits of a packed class, as the sparse dict
-        ``Echelon`` takes (coordinate i under key i, zeros left out)."""
-        out = {}
+    def digits(self, packed: int) -> list[int]:
+        """The 2g signed digits of a packed class, coordinate i at index i."""
         width = self.width
         half, mask = 1 << (width - 1), (1 << width) - 1
-        for i in reversed(range(len(self.generators))):
-            x = packed & mask
-            if x >= half:
-                x -= 1 << width
-            if x:
-                out[i] = x
+        out = []
+        for _ in self.generators:
+            x = ((packed + half) & mask) - half
+            out.append(x)
             packed = (packed - x) >> width
+        out.reverse()
         return out
+
+    def det(self, p: int, q: int) -> int:
+        """ad - bc for the genus-1 classes p = (a, b), q = (c, d):
+        t(p)*q - t(q)*p, t(p) = a the top digit."""
+        w = self.width
+        half = 1 << (w - 1)
+        return ((p + half) >> w) * q - ((q + half) >> w) * p
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +412,7 @@ def capturing_test(s: TriSurface, sub_edges) -> tuple[bool, int]:
             break
         c = pot[u] + hom.edge_class[(u, w)] - pot[w]
         if c:
-            ech.add(hom.unpack(c))
+            ech.add(hom.digits(c))
     return ech.rank == full, ech.rank
 
 

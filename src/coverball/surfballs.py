@@ -378,7 +378,7 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
         ech = Echelon()
         edges: set = set()
         for _, cyc, cls in sorted(_candidate_pass(s)[1], key=lambda t: (t[0], t[1])):
-            if ech.add(hom.unpack(cls)):
+            if ech.add(hom.digits(cls)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             if ech.rank == k:
                 break
@@ -624,13 +624,6 @@ class _ClassPacking:
         return self.verts[state // self.M]
 
 
-def _det(p: int, q: int, width: int) -> int:
-    """ad - bc for the genus-1 classes p = (a, b), q = (c, d) packed as in
-    ``HomologyData``: t(p)*q - t(q)*p, t(p) = a the top digit."""
-    half = 1 << (width - 1)
-    return ((p + half) >> width) * q - ((q + half) >> width) * p
-
-
 class _ClassSearch:
     """Shortest walks stratified by homology class, on packed states: the
     one resumable, seeded Dijkstra behind both the class tables and the
@@ -803,7 +796,7 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
     less than ``best``.  A candidate reaching ``floor`` ends the search."""
     cache = _capture_cache(s)
     searches, pk, lambda1 = cache.searches, cache.packing, cache.lambda1
-    n, width = len(pk.verts), s.homology().width
+    n, det = len(pk.verts), s.homology().det
     if x is None:
         dx = [0] * n
     else:
@@ -841,7 +834,7 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
             tot = c1 + d2
             if tot >= best:
                 break
-            if not _det(h1, h2, width):
+            if not det(h1, h2):
                 continue
             best = tot
             best_walks = [(r1, (r1, h1)), (r2, (r2, h2))]
@@ -908,7 +901,7 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
                         tot = d1 + d2 + d3
                         if tot >= best:
                             break
-                        if not _det(h21, h3 - h1, width):
+                        if not det(h21, h3 - h1):
                             continue
                         best = tot
                         best_walks = [(u, (v, h2)), (u, (v, h3))]

@@ -8,7 +8,6 @@ from importlib import resources
 from coverball import cover, fixtures, surfballs
 from coverball.graphs import (Edge, GraphError, MetricGraph, betti, delete_edge,
                              grid_shortest_paths, tree_path)
-from coverball.linalg import Echelon
 from coverball.surface import (SurfaceError, TriSurface, _edge_set, _pair,
                                capturing_test, parse_surface, prune_pieces,
                                subgraph_length, subgraph_metric_graph)
@@ -437,6 +436,49 @@ def shortest_essential_cycle(s: TriSurface, bound: Fraction,
     return None
 
 
+class FractionEchelon:
+    """Independent oracle for ``linalg.Echelon``: an incremental sparse row
+    echelon basis over Q.  Vectors are dicts mapping column index to a
+    nonzero coefficient; entries are coerced to ``Fraction``."""
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec against the current basis (vec is not modified)."""
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        done = -1
+        while True:
+            todo = [c for c in v if c > done and c in self.pivots]
+            if not todo:
+                break
+            c = min(todo)
+            done = c
+            row = self.pivots[c]
+            coeff = v[c]
+            for col, x in row.items():
+                nv = v.get(col, 0) - coeff * x
+                if nv:
+                    v[col] = nv
+                else:
+                    v.pop(col, None)
+        return v
+
+    def add(self, vec: dict) -> bool:
+        """Insert vec; returns True if it enlarged the span."""
+        res = self.reduce(vec)
+        if not res:
+            return False
+        c = min(res)
+        lead = res[c]
+        self.pivots[c] = {col: x / lead for col, x in res.items()}
+        return True
+
+
 def tuple_step(classes, x: int, y: int) -> tuple[int, ...]:
     """Tuple class of the directed edge x -> y under ``walked_homology``'s
     edge classes."""
@@ -445,8 +487,9 @@ def tuple_step(classes, x: int, y: int) -> tuple[int, ...]:
 
 def class_of_walk(classes, walk_vertices) -> dict[int, int]:
     """Homology class of a closed walk given as a vertex list (first and
-    last vertex equal, or closure implied), as the sparse vector ``Echelon``
-    takes: the tuple classes of ``walked_homology`` summed along the walk."""
+    last vertex equal, or closure implied), as the sparse vector
+    ``FractionEchelon`` takes: the tuple classes of ``walked_homology``
+    summed along the walk."""
     vs = list(walk_vertices)
     if vs[0] != vs[-1]:
         vs.append(vs[0])
@@ -457,14 +500,51 @@ def class_of_walk(classes, walk_vertices) -> dict[int, int]:
     return {i: c for i, c in enumerate(acc) if c}
 
 
+def fundamental_cycles(edges) -> list[list[int]]:
+    """The fundamental cycles, as vertex lists, of a BFS spanning forest of
+    the graph on the vertex pairs ``edges``: one per edge off the forest."""
+    pairs = sorted({_pair(*e) for e in edges})
+    adj: dict[int, list[int]] = {}
+    for u, w in pairs:
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
+    parent: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
+    forest = set()
+    for r in sorted(adj):
+        if r in parent:
+            continue
+        parent[r], depth[r] = None, 0
+        queue = [r]
+        for v in queue:
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u], depth[u] = v, depth[v] + 1
+                    forest.add(_pair(u, v))
+                    queue.append(u)
+    cycles = []
+    for u, w in pairs:
+        if (u, w) in forest:
+            continue
+        # climb from both ends to their common ancestor
+        a, b = [u], [w]
+        while a[-1] != b[-1]:
+            if depth[a[-1]] >= depth[b[-1]]:
+                a.append(parent[a[-1]])
+            else:
+                b.append(parent[b[-1]])
+        cycles.append(a + b[-2::-1])
+    return cycles
+
+
 def fraction_greedy_capture(s: TriSurface):
     """Independent oracle for the unbased ``surfballs._greedy_capture``: the
     candidates of ``fraction_homology_candidates`` sorted by (``Fraction``
-    length, cycle), each class summed along its walk and added to an
-    ``Echelon`` until it spans H1."""
+    length, cycle), each class summed along its walk and added to a
+    ``FractionEchelon`` until it spans H1."""
     classes = walked_homology(s)[2]
     cands = sorted(fraction_homology_candidates(s)[0], key=lambda t: (t[0], t[1]))
-    ech = Echelon()
+    ech = FractionEchelon()
     edges: set = set()
     for length, cyc in cands:
         if ech.add(class_of_walk(classes, cyc)):
@@ -477,7 +557,7 @@ def fraction_greedy_capture(s: TriSurface):
 
 
 def independent_pair_rank(hom_classes) -> int:
-    ech = Echelon()
+    ech = FractionEchelon()
     for c in hom_classes:
         ech.add(c)
     return ech.rank
@@ -757,8 +837,7 @@ def walked_homology(s: TriSurface):
 
 def class_tuple(hom, packed: int) -> tuple:
     """The 2g coordinates of a class packed as in ``HomologyData``."""
-    digits = hom.unpack(packed)
-    return tuple(digits.get(i, 0) for i in range(len(hom.generators)))
+    return tuple(hom.digits(packed))
 
 
 def pack_class(hom, h: tuple) -> int:

@@ -270,10 +270,12 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
 
     rc, _ = run("graph", "witness", "theta.graph", "--lambda", "1/6")
     ok &= rc == 1                      # forced hypothesis violation
+    rc, _ = run("graph", "growth", "not_in_corpus.graph")
+    ok &= rc == 1                      # input absent from the corpus
     try:
-        cli.run(["graph", "growth", "not_in_corpus.graph"])
+        cli.run(["graph", "growth", "theta.graph", "--no-such-option"])
         ok = False
     except SystemExit as exc:
-        ok &= exc.code == 2            # input absent from the corpus
+        ok &= exc.code == 2            # usage error
     capsys.readouterr()
     report(11, ok, "round trip, determinism, exit codes 1/2")

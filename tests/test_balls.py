@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_count_calls, _face_components, arc_dict_exact_capture,
-                      boundary_components, by_target, capture_by_cycle_pairs,
-                      class_of_walk, class_tuple, corpus_surface, face_set_chi,
-                      faces_with_all_corners_in, fraction_greedy_capture,
-                      fraction_homology_candidates, is_contractible_cycle,
-                      mixed_torus, relabeled, shortest_essential_cycle,
-                      tetrahedron, tuple_capture_tables,
-                      tuple_class_dijkstra, walked_homology)
+from conftest import (FractionEchelon, _count_calls, _face_components,
+                      arc_dict_exact_capture, boundary_components, by_target,
+                      capture_by_cycle_pairs, class_of_walk, class_tuple,
+                      corpus_surface, face_set_chi, faces_with_all_corners_in,
+                      fraction_greedy_capture, fraction_homology_candidates,
+                      fundamental_cycles, is_contractible_cycle, mixed_torus,
+                      relabeled, shortest_essential_cycle, tetrahedron,
+                      tuple_capture_tables, tuple_class_dijkstra,
+                      walked_homology)
 from coverball import fixtures, surfballs
 from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
@@ -156,6 +157,23 @@ CANDIDATE_SURFACES = {
 }
 
 
+@pytest.mark.parametrize("name", ["genus2", "genus2_sub", "torus7_sub", "neck"])
+def test_capturing_test_matches_fraction_oracle(name):
+    """On random edge subsets, ``capturing_test`` gives the rank that
+    ``FractionEchelon`` finds for the ``walked_homology`` classes of the
+    subgraph's fundamental cycles."""
+    s = CANDIDATE_SURFACES[name]()
+    classes = walked_homology(s)[2]
+    edges = sorted(s.edges)
+    rng = random.Random(name)
+    for _ in range(40):
+        sub = rng.sample(edges, rng.randint(1, len(edges)))
+        oracle = FractionEchelon()
+        for cyc in fundamental_cycles(sub):
+            oracle.add(class_of_walk(classes, cyc))
+        assert capturing_test(s, sub) == (oracle.rank == 2 * s.genus, oracle.rank)
+
+
 @pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
 def test_grid_candidates_match_fraction_oracle(name):
     s = CANDIDATE_SURFACES[name]()
@@ -165,7 +183,8 @@ def test_grid_candidates_match_fraction_oracle(name):
     for base in [None] + sorted(s.vertices):
         D, cands, sep = surfballs._grid_candidates(s, base)
         assert all(type(n) is int for n, _, _ in cands)
-        assert all(hom.unpack(c) == class_of_walk(classes, cyc)
+        assert all({i: x for i, x in enumerate(hom.digits(c)) if x}
+                   == class_of_walk(classes, cyc)
                    for _, cyc, c in cands)
         got = [(F(n, D), cyc) for n, cyc, _ in cands]
         want, want_sep = fraction_homology_candidates(s, base)
@@ -517,7 +536,7 @@ def _vertex_tables(s, bound) -> dict:
 def _check_class_search(s, bounds):
     """Each source's one search, resumed through the rising ``bounds``,
     against ``tuple_class_dijkstra``: settled lengths, parents and sorted
-    per-target lists, states and classes decoded through ``hom.unpack``."""
+    per-target lists, states and classes decoded through ``hom.digits``."""
     hom = s.homology()
     packing = surfballs._ClassPacking(s)
 
@@ -575,7 +594,7 @@ def test_det_matches_tuple_determinant():
                     for _ in range(2)) for _ in range(2000)]
     for (a, b), (c, d) in pairs:
         p, q = (a << w) + b, (c << w) + d
-        assert surfballs._det(p, q, w) == a * d - b * c, ((a, b), (c, d))
+        assert hom.det(p, q) == a * d - b * c, ((a, b), (c, d))
 
 
 @pytest.mark.parametrize("make", FAR_MAKERS, ids=FAR_IDS)

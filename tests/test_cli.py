@@ -88,10 +88,12 @@ def test_exit_1_on_hypothesis_violation(capsys):
     assert "hypothesis" in err
 
 
-def test_exit_2_on_missing_corpus_input(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["graph", "growth", "no_such_instance.graph"])
-    assert exc.value.code == 2
+def test_exit_1_on_missing_corpus_input(capsys):
+    rc, out, err = run_cli(capsys, "graph", "growth", "no_such_instance.graph")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: no such file and no corpus entry "
+                          "'no_such_instance.graph'; corpus has: ")
+    assert "theta.graph" in err
 
 
 # every subcommand but the four that read --budget (growth, entropy, verify
@@ -105,10 +107,23 @@ UNBUDGETED = (["graph", "validate", "theta.graph"], ["graph", "reduce", "theta.g
 
 
 @pytest.mark.parametrize("argv", UNBUDGETED, ids=" ".join)
-def test_budget_option_refused_where_it_is_not_read(argv):
+def test_budget_option_refused_where_it_is_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run([*argv, "--budget", "3"])
     assert exc.value.code == 2
+    # the usage line is the subcommand's, not the top parser's
+    sub = " ".join(a for a in argv if "." not in a)
+    assert capsys.readouterr().err.startswith(f"usage: coverball {sub} [-h]")
+
+
+@pytest.mark.parametrize("kind", ["trivalent_reference", "random_connected"])
+def test_gen_without_b_is_a_usage_error_of_gen(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["gen", "--kind", kind])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coverball gen [-h]")
+    assert f"kind {kind!r} needs parameter 'b'" in err
 
 
 def test_systole_mode_exact_refused():
@@ -384,9 +399,9 @@ def test_shared_parser_after_usage_error(capsys):
     rc, before, _ = run_cli(capsys, "graph", "validate", "theta.graph")
     assert rc == 0
     with pytest.raises(SystemExit) as exc:
-        cli.run(["graph", "validate", "no_such_instance.graph"])
+        cli.run(["graph", "validate", "theta.graph", "--no-such-option"])
     assert exc.value.code == 2
-    assert "no_such_instance.graph" in capsys.readouterr().err
+    assert "--no-such-option" in capsys.readouterr().err
     rc, after, _ = run_cli(capsys, "graph", "validate", "theta.graph")
     assert rc == 0
     assert strip_time(after) == strip_time(before)

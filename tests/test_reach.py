@@ -127,7 +127,7 @@ def entered_defs(out_dir) -> set:
     # violated theorem (exit 2)
     assert {k: rc for k, rc in exits.items() if rc not in (0, 1)} == {}
     assert csv_run == 0 and (out_dir / "graph_growth_rows.csv").exists()
-    assert missing == 2
+    assert missing == 1
     assert checks and all(c["status"] == "pass" for c in checks)
     assert packed.image_captures
     defs = package_defs()

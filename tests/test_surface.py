@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverball import fixtures, nerve
@@ -14,9 +15,10 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                heron, parse_surface, prune_pieces,
                                subgraph_length, subgraph_metric_graph, _pair)
 
-from conftest import (_count_calls, corpus_surface, format_surface, mixed_torus,
-                      pack_class, prune_by_capturing_test, prune_to_iso,
-                      relabeled, tetrahedron, walked_homology)
+from conftest import (FractionEchelon, _count_calls, corpus_surface,
+                      format_surface, mixed_torus, pack_class,
+                      prune_by_capturing_test, prune_to_iso, relabeled,
+                      tetrahedron, walked_homology)
 
 
 def test_tetrahedron_is_a_sphere():
@@ -278,7 +280,7 @@ def test_prune_to_iso_on_1344_edge_torus():
 
 
 def test_echelon_rank_and_membership():
-    e = Echelon()
+    e = FractionEchelon()
     assert e.add({0: F(1), 2: F(2)})
     assert e.add({2: F(1)})
     assert not e.add({0: F(2), 2: F(4)})
@@ -293,10 +295,56 @@ def test_echelon_exact_on_integer_input():
     # division once made it look independent
     vecs = [{0: 6, 1: -9, 2: 6, 3: -8}, {0: 9, 1: 9, 2: 3, 3: -4, 4: -4},
             {0: 7, 1: -2, 2: -9, 3: -3, 4: 8}, {0: 7, 1: -47, 2: 3, 3: -19, 4: 16}]
-    e = Echelon()
+    e = FractionEchelon()
     assert [e.add(v) for v in vecs] == [True, True, True, False]
     assert e.rank == 3
     assert all(isinstance(x, F) for row in e.pivots.values() for x in row.values())
+
+
+def _width_rule_n(s: TriSurface) -> int:
+    """N of the width rule in ``HomologyData``: max(4|E|, 2(2S // lmin + 1))."""
+    lengths = s.edge_lengths.values()
+    return max(4 * len(s.edges), 2 * (2 * sum(lengths) // min(lengths) + 1))
+
+
+# N on the nerve-pack surface, genus 2 subdivided twice: its packing keeps
+# the coordinates of a sum of up to N edge classes, each at most N in size
+ROW_N = _width_rule_n(fixtures.subdivide(fixtures.genus2(), 2))
+
+
+@st.composite
+def echelon_rows(draw):
+    """Rows of k <= 30 integer entries in [-N, N], zeros and units often,
+    some rows exact integer combinations of earlier ones."""
+    k = draw(st.integers(1, 30))
+    entry = st.sampled_from((0, 0, 1, -1)) | st.integers(-ROW_N, ROW_N)
+    rows = []
+    for _ in range(draw(st.integers(1, k + 3))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[i] for c, r in zip(coeffs, rows))
+                         for i in range(k)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=k, max_size=k)))
+    return rows
+
+
+@example([[6, -9, 6, -8, 0], [9, 9, 3, -4, -4], [7, -2, -9, -3, 8],
+          [7, -47, 3, -19, 16]])      # the fourth row is 3v1 - 2v2 + v3
+@settings(max_examples=200, deadline=None)
+@given(echelon_rows())
+def test_integer_echelon_matches_fraction_oracle(rows):
+    ech, oracle = Echelon(), FractionEchelon()
+    assert [ech.add(r) for r in rows] == [oracle.add(dict(enumerate(r))) for r in rows]
+    assert ech.rank == oracle.rank
+    # the same pivot columns; each integer pivot row is primitive and a
+    # multiple of the oracle's, whose lead is 1
+    assert ech.pivots.keys() == oracle.pivots.keys()
+    for c, p in ech.pivots.items():
+        assert math.gcd(*p) == 1
+        assert [F(x, p[c]) for x in p] == [oracle.pivots[c].get(i, 0)
+                                           for i in range(len(p))]
 
 
 def test_surface_round_trip():
@@ -432,23 +480,19 @@ def test_homology_matches_walked_oracle(name):
     tree_parent, generators, edge_class = walked_homology(s)
     assert hom.tree_parent == tree_parent
     assert hom.generators == generators
-    k = len(generators)
-    unpacked = {e: tuple(hom.unpack(c).get(i, 0) for i in range(k))
-                for e, c in hom.edge_class.items()}
-    assert unpacked == edge_class
+    assert {e: tuple(hom.digits(c)) for e, c in hom.edge_class.items()} == edge_class
 
 
 @pytest.mark.parametrize("name", list(HOMOLOGY_SURFACES))
 def test_packed_class_width_rule(name):
     """Edge class digits are -1, 0 or 1, coordinate i in digit 2g-1-i, and
     ``width`` leaves room for a signed sum of N = max(4|E|, 2(2S//lmin + 1))
-    of them: ``unpack`` inverts packing at digits of magnitude N and on such
+    of them: ``digits`` inverts packing at digits of magnitude N and on such
     sums, and int order is the order of the coordinate tuples."""
     s = HOMOLOGY_SURFACES[name]()
     hom = s.homology()
-    lengths = s.edge_lengths.values()
     k, four_e = 2 * s.genus, 4 * len(s.edges)
-    n = max(four_e, 2 * (2 * sum(lengths) // min(lengths) + 1))
+    n = _width_rule_n(s)
     # the length term widens the digits only where an edge is short
     assert (hom.width > four_e.bit_length() + 1) == (name == "torus7_sub_short_edge")
 
@@ -460,7 +504,7 @@ def test_packed_class_width_rule(name):
         assert set(digits[e]) <= {-1, 0, 1}
         assert c == pack(digits[e])
     for vec in itertools.product((-n, -1, 0, 1, n), repeat=k):
-        assert hom.unpack(pack(vec)) == {i: x for i, x in enumerate(vec) if x}
+        assert hom.digits(pack(vec)) == list(vec)
     rng = random.Random(n)
     edges = sorted(hom.edge_class)
     for _ in range(10):
@@ -470,7 +514,7 @@ def test_packed_class_width_rule(name):
             total += sign * hom.edge_class[e]
             for i, x in enumerate(digits[e]):
                 want[i] += sign * x
-        assert hom.unpack(total) == {i: x for i, x in enumerate(want) if x}
+        assert hom.digits(total) == want
     vecs = [tuple(rng.randint(-n, n) for _ in range(k)) for _ in range(200)]
     vecs += list(itertools.product((-n, 0, n), repeat=k))
     assert sorted(vecs, key=pack) == sorted(vecs)
