@@ -7,9 +7,16 @@ valid inputs).
 
 The argument parser is built once per process (``build_parser`` is
 cached) and shared by every ``run`` call: parsing fills a fresh
-``Namespace`` and leaves the parser unchanged.  Each ``cmd_*`` handler
-takes the parsed ``args``, whose ``args.parser`` is the subcommand's own
-parser: usage errors are reported against it.
+``Namespace`` and leaves the parser unchanged.
+
+One path leads from the arguments to the report.  ``run`` loads the input
+of a ``graph`` or ``surface`` subcommand (None for ``ref`` and ``gen``) and
+calls the subcommand's handler as ``cmd_*(args, loaded)``, which returns
+``(report, tables)``: the report's own fields, and the CSV tables by name
+(empty where the command writes none).  ``emit`` alone stamps the fields
+every report shares (command, input, seed and timestamp) and writes the
+output.  ``args.parser`` is the subcommand's own parser: usage errors are
+reported against it.
 """
 
 from __future__ import annotations
@@ -75,10 +82,6 @@ def jsonable(x):
         return out
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(jsonable(v) for v in x)
-    if hasattr(x, "__dataclass_fields__"):
-        return jsonable(vars(x))
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
     return str(x)
@@ -88,20 +91,25 @@ def _cell(v):
     return _ratio(v) if isinstance(v, Fraction) else v
 
 
-def emit(args, report: dict, tables: dict[str, list[dict]] | None = None) -> None:
-    """With --out, write JSON and CSV files; then print the JSON summary, so
-    a file that cannot be written (OSError) leaves stdout empty."""
-    report = dict(report)
-    report["seed"] = args.seed
-    report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+def emit(args, report: dict, tables: dict[str, list[dict]]) -> None:
+    """Stamp a handler's report with the fields every report shares: the
+    command (its words before the input), the input where the subcommand
+    reads one, the seed and the time.  With --out, write JSON and CSV files
+    named after the command; then print the JSON summary, so a file that
+    cannot be written (OSError) leaves stdout empty."""
+    command = args.group + (f" {args.op}" if hasattr(args, "op") else "")
+    report = {**report, "command": command, "seed": args.seed,
+              "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    if hasattr(args, "input"):
+        report["input"] = args.input
     doc = json.dumps(jsonable(report), indent=2, sort_keys=True)
     if args.out is not None:
         out = Path(args.out)
         formats = args.format.split(",")
-        stem = report["command"].replace(" ", "_")
+        stem = command.replace(" ", "_")
         if "json" in formats:
             (out / f"{stem}.json").write_text(doc + "\n")
-        if "csv" in formats and tables:
+        if "csv" in formats:
             for name, rows in tables.items():
                 if not rows:
                     continue
@@ -156,15 +164,13 @@ def grid_radii(rmax: Fraction, grid: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # graph subcommands
 
-def cmd_graph_validate(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_validate(args, g):
     rep = validate(g)
     rep["girth"] = girth(g)
-    emit(args, {"command": "graph validate", "input": args.input, **rep})
+    return rep, {}
 
 
-def cmd_graph_growth(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_growth(args, g):
     base = args.base if args.base is not None else min(g.vertices)
     radii = grid_radii(args.rmax, args.grid)
     growth = cover.ball_length(g, base, args.rmax, args.budget)
@@ -175,44 +181,33 @@ def cmd_graph_growth(args) -> None:
         truncated = truncated or rep.truncated
         rows.append({"R": R, "length": rep.total_length,
                      "truncated": rep.truncated})
-    emit(args, {"command": "graph growth", "input": args.input, "base": base,
-                "rmax": args.rmax, "grid": args.grid, "budget": args.budget,
-                "truncated": truncated, "rows": rows},
-         {"rows": rows})
+    return ({"base": base, "rmax": args.rmax, "grid": args.grid,
+             "budget": args.budget, "truncated": truncated, "rows": rows},
+            {"rows": rows})
 
 
-def cmd_graph_entropy(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_entropy(args, g):
     base = args.base if args.base is not None else min(g.vertices)
     radii = [r for r in grid_radii(args.rmax, args.grid) if r > 0]
     rows = cover.entropy_estimate(g, radii, base, args.budget)
-    emit(args, {"command": "graph entropy", "input": args.input, "base": base,
-                "rows": rows}, {"rows": rows})
+    return {"base": base, "rows": rows}, {"rows": rows}
 
 
-def cmd_graph_reduce(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_reduce(args, g):
     reduced, removed = reduce_graph(g)
-    rep = {
-        "command": "graph reduce", "input": args.input,
-        "betti": betti(g), "betti_reduced": betti(reduced),
-        "length": g.total_length(), "length_reduced": reduced.total_length(),
-        "removed_vertices": sorted(removed),
-        "reduced": format_graph(reduced),
-    }
-    emit(args, rep)
+    return {"betti": betti(g), "betti_reduced": betti(reduced),
+            "length": g.total_length(), "length_reduced": reduced.total_length(),
+            "removed_vertices": sorted(removed),
+            "reduced": format_graph(reduced)}, {}
 
 
-def cmd_graph_witness(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_witness(args, g):
     cert = witness.find_witness(g, args.lam)
-    emit(args, {"command": "graph witness", "input": args.input,
-                "lambda": args.lam, "witness": cert.witness,
-                "factor": cert.factor, "trace": list(cert.trace)})
+    return {"lambda": args.lam, "witness": cert.witness,
+            "factor": cert.factor, "trace": list(cert.trace)}, {}
 
 
-def cmd_graph_verify(args) -> None:
-    g = load_graph(args.input)
+def cmd_graph_verify(args, g):
     cert = witness.find_witness(g, args.lam)
     params = witness.params_from_lambda(args.lam)
     rmax = args.rmax if args.rmax is not None else 4 * params.mu
@@ -220,71 +215,56 @@ def cmd_graph_verify(args) -> None:
     rep = witness.verify_certificate(g, cert, radii, args.budget)
     if not rep["ok"]:
         raise TheoremViolation("certificate verification failed")
-    emit(args, {"command": "graph verify", "input": args.input,
-                "lambda": args.lam, **rep}, {"rows": rep["rows"]})
+    return {"lambda": args.lam, **rep}, {"rows": rep["rows"]}
 
 
 # ---------------------------------------------------------------------------
 # surface subcommands
 
-def cmd_surface_validate(args) -> None:
-    s = load_surf(args.input)
-    emit(args, {"command": "surface validate", "input": args.input,
-                "vertices": len(s.vertices), "edges": len(s.edges),
-                "faces": len(s.faces), "genus": s.genus,
-                "area": s.total_area(),
-                "total_edge_length": sum(s.edge_lengths.values(), Fraction(0))})
+def cmd_surface_validate(args, s):
+    return {"vertices": len(s.vertices), "edges": len(s.edges),
+            "faces": len(s.faces), "genus": s.genus, "area": s.total_area(),
+            "total_edge_length": sum(s.edge_lengths.values(), Fraction(0))}, {}
 
 
-def cmd_surface_systole(args) -> None:
-    s = load_surf(args.input)
+def cmd_surface_systole(args, s):
     length, cyc = surfballs.systole(s, mode=args.mode)
-    emit(args, {"command": "surface systole", "input": args.input,
-                "systole": length, "cycle": cyc, "mode": args.mode,
-                "simple_cycle_assumed": True})
+    return {"systole": length, "cycle": cyc, "mode": args.mode,
+            "simple_cycle_assumed": True}, {}
 
 
-def cmd_surface_capture(args) -> None:
-    s = load_surf(args.input)
+def cmd_surface_capture(args, s):
     length, edges = surfballs.capture_length(s, mode=args.mode, x=args.base)
     ok, rank = capturing_test(s, edges)
-    emit(args, {"command": "surface capture", "input": args.input,
-                "mode": args.mode, "base": args.base, "length": length,
-                "edges": sorted(edges), "captures": ok, "rank": rank})
+    return {"mode": args.mode, "base": args.base, "length": length,
+            "edges": sorted(edges), "captures": ok, "rank": rank}, {}
 
 
-def cmd_surface_nerve(args) -> None:
-    s = load_surf(args.input)
+def cmd_surface_nerve(args, s):
     rep = nerve.nerve_graph(s, args.r0, args.eps)
     rows = [{"center": c, "ball_area": a}
             for c, a in zip(rep.centers, rep.ball_areas)]
-    emit(args, {"command": "surface nerve", "input": args.input,
-                "r0": rep.r0, "eps": rep.eps, "centers": rep.centers,
-                "precondition_ok": rep.precondition_ok,
-                "packing_bound_ok": rep.packing_bound_ok,
-                "non_expansion_ok": rep.non_expansion_ok,
-                "image_captures": rep.image_captures,
-                "image_rank": rep.image_rank,
-                "pruned_length": rep.pruned_length,
-                "length_bound_ok": rep.length_bound_ok,
-                "checks": rep.checks}, {"balls": rows})
+    return {"r0": rep.r0, "eps": rep.eps, "centers": rep.centers,
+            "precondition_ok": rep.precondition_ok,
+            "packing_bound_ok": rep.packing_bound_ok,
+            "non_expansion_ok": rep.non_expansion_ok,
+            "image_captures": rep.image_captures,
+            "image_rank": rep.image_rank,
+            "pruned_length": rep.pruned_length,
+            "length_bound_ok": rep.length_bound_ok,
+            "checks": rep.checks}, {"balls": rows}
 
 
-def cmd_surface_pipeline(args) -> None:
-    s = load_surf(args.input)
+def cmd_surface_pipeline(args, s):
     rep = nerve.surface_growth_pipeline(s, r_grid=args.grid, budget=args.budget)
-    tables = {}
-    for st in rep["stages"]:
-        if st["stage"] == "ball-domination":
-            tables["margins"] = st["rows"]
-    emit(args, {"command": "surface pipeline", "input": args.input,
-                **rep}, tables)
+    return rep, {"margins": st["rows"] for st in rep["stages"]
+                 if st["stage"] == "ball-domination"}
 
 
 # ---------------------------------------------------------------------------
 # reference curves and generation
 
-def cmd_ref_curves(args) -> None:
+def cmd_ref_curves(args, _):
     rows = []
     for R in grid_radii(args.rmax, args.grid):
         rows.append({
@@ -292,11 +272,10 @@ def cmd_ref_curves(args) -> None:
             "trivalent_tree_ball": cover.trivalent_tree_ball(R),
             "hyperbolic_ball_area": cover.hyperbolic_ball_area(float(R)),
         })
-    emit(args, {"command": "ref curves", "rmax": args.rmax,
-                "grid": args.grid, "rows": rows}, {"rows": rows})
+    return {"rmax": args.rmax, "grid": args.grid, "rows": rows}, {"rows": rows}
 
 
-def cmd_gen(args) -> None:
+def cmd_gen(args, _):
     if args.b is None and args.kind in ("trivalent_reference", "random_connected"):
         args.parser.error(f"kind {args.kind!r} needs parameter 'b'")
     g = generate(args.kind, args.b, args.seed)
@@ -304,12 +283,10 @@ def cmd_gen(args) -> None:
         raise GraphError(f"kind {args.kind!r} has Betti number {betti(g)}, "
                          f"not --b {args.b}")
     text = format_graph(g)
-    rep = {"command": "gen", "kind": args.kind, "b": args.b,
-           "betti": betti(g), "total_length": g.total_length(),
-           "graph": text}
     if args.out is not None:
         (Path(args.out) / f"{args.kind}_seed{args.seed}.graph").write_text(text)
-    emit(args, rep)
+    return {"kind": args.kind, "b": args.b, "betti": betti(g),
+            "total_length": g.total_length(), "graph": text}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     is fixed, and argparse looks up ``sys.stderr`` only when it prints.
     Each subcommand's handler is bound by ``set_defaults(fn=...)`` when
     the parser is built, so replacing a ``cmd_*`` function afterwards does
-    not reach ``run``.
+    not reach ``run``.  A handler takes ``(args, loaded)`` and returns
+    ``(report, tables)``; the report's command is ``args.group`` and
+    ``args.op`` (``gen`` has no op), stamped by ``emit`` with the input,
+    seed and time.
     """
     parser = argparse.ArgumentParser(
         prog="coverball",
@@ -433,8 +413,10 @@ def run(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot create --out directory: {exc}", file=sys.stderr)
             return 1
+    load = {"graph": load_graph, "surface": load_surf}.get(args.group)
     try:
-        args.fn(args)
+        loaded = load(args.input) if load is not None else None
+        emit(args, *args.fn(args, loaded))
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 The 7-vertex torus is the minimal simplicial torus (every vertex pair is an
 edge); the genus-2 surface is two copies of it glued along a removed face.
+Both have unit edge lengths; ``scale_surface`` rescales.
 Midpoint subdivision quarters each face and halves the mesh size, keeping
 lengths exact via the midline rule.
 """
@@ -13,17 +14,16 @@ from fractions import Fraction
 from .surface import TriSurface, _pair
 
 
-def torus7(length=1) -> TriSurface:
-    l = Fraction(length)
+def torus7() -> TriSurface:
     faces = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + \
             [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
-    lengths = {(i, j): l for i in range(7) for j in range(i + 1, 7)}
+    lengths = {(i, j): Fraction(1) for i in range(7) for j in range(i + 1, 7)}
     return TriSurface.build(faces, lengths)
 
 
-def genus2(length=1) -> TriSurface:
+def genus2() -> TriSurface:
     """Connected sum of two 7-vertex tori along the removed face (0,1,3)."""
-    base = torus7(length)
+    base = torus7()
     glued = {0: 0, 1: 1, 3: 3}
 
     def relabel(v):

@@ -161,6 +161,24 @@ def test_systole_on_genus2_neck_is_the_separating_neck(capsys):
     assert rc == 0 and json.loads(out)["systole"] == "9/5"
 
 
+# the default systoles, 9/5 (the neck) and 3, are pinned above and in
+# test_surface_commands
+@pytest.mark.parametrize("name, homological", [("genus2_neck.surf", "13/5"),
+                                               ("torus7.surf", "3/1")])
+def test_systole_homological_mode(capsys, name, homological):
+    # the neck of genus2_neck is the systole but its class is zero, so the
+    # homological mode reads the shortest cycle of nonzero class: lambda1
+    rc, out, _ = run_cli(capsys, "surface", "systole", name,
+                         "--mode", "homological")
+    doc = json.loads(out)
+    assert rc == 0 and doc["systole"] == homological
+    assert doc["mode"] == "homological"
+    s = cli.load_surf(name)
+    length, _ = surfballs.systole(s, mode="homological")
+    lambda1 = surfballs._capture_cache(s).lambda1
+    assert length == F(lambda1, s.int_grid()[0]) == F(homological)
+
+
 def test_witness_verify_round_trip(tmp_path, capsys):
     g = scale(theta_graph(), F(1, 6))
     path = tmp_path / "small.graph"
@@ -189,6 +207,40 @@ def test_out_dir_artifacts(tmp_path, capsys):
     assert (tmp_path / "graph_growth.json").exists()
     csv_text = (tmp_path / "graph_growth_rows.csv").read_text()
     assert csv_text.splitlines()[0] == "R,length,truncated"
+
+
+# one run per subcommand: (command words, input or None, further options)
+STAMPED = [
+    (["graph", "validate"], "theta.graph", []),
+    (["graph", "growth"], "theta.graph", []),
+    (["graph", "entropy"], "theta.graph", []),
+    (["graph", "reduce"], "theta.graph", []),
+    (["graph", "witness"], "theta_loop.graph", []),
+    (["graph", "verify"], "theta_eighth.graph", []),
+    (["surface", "validate"], "torus7.surf", []),
+    (["surface", "systole"], "torus7.surf", []),
+    (["surface", "capture"], "torus7.surf", []),
+    (["surface", "nerve"], "torus7.surf", []),
+    (["surface", "pipeline"], "torus7.surf", []),
+    (["ref", "curves"], None, []),
+    (["gen"], None, ["--kind", "theta"]),
+]
+
+
+@pytest.mark.parametrize("words, name, options", STAMPED,
+                         ids=[" ".join(w) for w, _, _ in STAMPED])
+def test_every_report_is_stamped(tmp_path, capsys, words, name, options):
+    argv = [*words, *([name] if name else []), *options]
+    rc, out, _ = run_cli(capsys, *argv, "--seed", "3", "--out", str(tmp_path))
+    doc = json.loads(out)
+    assert rc == 0 and doc["command"] == " ".join(words)
+    assert ("input" in doc) == (name is not None)
+    assert doc.get("input") == name and doc["seed"] == 3 and "timestamp" in doc
+    stem = "_".join(words)
+    assert json.loads((tmp_path / f"{stem}.json").read_text()) == doc
+    written = {p.name for p in tmp_path.iterdir()} - {"theta_seed3.graph"}
+    assert all(f.startswith(stem) for f in written)
+    assert (tmp_path / "theta_seed3.graph").exists() == (words == ["gen"])
 
 
 def test_surface_nerve_writes_one_ball_row_per_center(tmp_path, capsys):
