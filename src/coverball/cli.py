@@ -105,19 +105,16 @@ def emit(args, report: dict, tables: dict[str, list[dict]]) -> None:
     doc = json.dumps(jsonable(report), indent=2, sort_keys=True)
     if args.out is not None:
         out = Path(args.out)
-        formats = args.format.split(",")
         stem = command.replace(" ", "_")
-        if "json" in formats:
-            (out / f"{stem}.json").write_text(doc + "\n")
-        if "csv" in formats:
-            for name, rows in tables.items():
-                if not rows:
-                    continue
-                with open(out / f"{stem}_{name}.csv", "w", newline="") as fh:
-                    w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                    w.writeheader()
-                    for row in rows:
-                        w.writerow({k: _cell(v) for k, v in row.items()})
+        (out / f"{stem}.json").write_text(doc + "\n")
+        for name, rows in tables.items():
+            if not rows:
+                continue
+            with open(out / f"{stem}_{name}.csv", "w", newline="") as fh:
+                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                w.writeheader()
+                for row in rows:
+                    w.writerow({k: _cell(v) for k, v in row.items()})
     print(doc)
 
 
@@ -304,14 +301,10 @@ def _common(sp):
     sp.add_argument("--grid", type=int, default=8)
 
 
-FORMATS = ("json", "csv")
-
-
 def _everywhere(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--format", default=",".join(FORMATS),
-                    help="comma-separated output files for --out: json, csv")
+    sp.add_argument("--out", default=None,
+                    help="output directory for the JSON report and CSV tables")
 
 
 @functools.cache
@@ -402,11 +395,6 @@ def run(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    for token in args.format.split(","):
-        if token not in FORMATS:
-            print(f"error: unknown --format {token!r}; choose from "
-                  f"{', '.join(FORMATS)}", file=sys.stderr)
-            return 1
     if args.out is not None:
         try:
             Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -269,14 +269,20 @@ def finite_ball_lengths(g: MetricGraph, base, radii) -> list[Fraction]:
     D = g.int_grid()[0]
     dist, _ = grid_shortest_paths(g, base_v)
     dist = {v: Fraction(d, D) for v, d in dist.items()}
-    out = []
-    for R in radii:
-        # an edge is covered R - d(v) in from each end v within R; a loop
-        # has both ends at v
-        left = {v: max(R - d, 0) for v, d in dist.items()}
-        out.append(sum((min(e.length, left.get(e.u, 0) + left.get(e.w, 0))
-                        for e in g.edges), Fraction(0)))
-    return out
+    # an end the base does not reach covers nothing, as one at distance R;
+    # a loop has both ends at one vertex
+    return [sum((covered_length(e.length, R, dist.get(e.u, R),
+                                dist.get(e.w, R)) for e in g.edges),
+                Fraction(0))
+            for R in radii]
+
+
+def covered_length(length: Fraction, R: Fraction, du: Fraction,
+                   dw: Fraction) -> Fraction:
+    """The part of an edge of ``length`` within R of a base at distances du
+    and dw from its ends: R - d in from each end within R, and never more
+    than the whole edge."""
+    return min(length, max(R - du, 0) + max(R - dw, 0))
 
 
 def trivalent_tree_ball(R: Fraction | int | str) -> Fraction:

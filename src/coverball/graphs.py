@@ -209,9 +209,10 @@ def tree_path(parent: Mapping[int, int | None], v: int) -> list[int]:
     """Vertex path from the root of a ``grid_shortest_paths`` tree (its
     parent map) down to v."""
     path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+    while (v := parent[v]) is not None:
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def validate(g: MetricGraph) -> dict:

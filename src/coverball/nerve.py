@@ -36,7 +36,6 @@ class NerveReport:
     precondition_ok: bool                           # every r0-ball area >= r0^2/4
     packing_bound_ok: bool                          # |I| <= 2^12 * area
     non_expansion_ok: bool                          # every phi path <= 1/4
-    image_edges: set = field(default_factory=set)
     image_captures: bool = False
     image_rank: int = 0
     pruned_nerve_edges: list[tuple[int, int]] = field(default_factory=list)
@@ -152,8 +151,7 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
     captures, rank = capturing_test(s, image)
     rep = NerveReport(r0, eps, centers, nerve, phi, cdist, areas,
                       precondition_ok, packing_ok, non_exp,
-                      image_edges=image, image_captures=captures,
-                      image_rank=rank)
+                      image_captures=captures, image_rank=rank)
 
     if captures:
         kept = prune_pieces(s, [image_of([e]) for e in nerve_edges])
@@ -294,7 +292,7 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     rmax = sys_cap / 2
     gamma_girth = girth(gamma)
     D = s.int_grid()[0]
-    grid_u = surfballs._base_tree(s, u)[0]
+    grid_u = s.tree(u)[0]
     # every end of an image edge, in or out of gamma's largest component
     dist_u = {v: Fraction(grid_u[v], D) for e in image_edges for v in e}
     cover_growth = cover.ball_length(gamma, u, rmax, budget)
@@ -306,12 +304,9 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
         boundary = bplus.boundary_length(s)
         # portion of the capturing graph inside the surface ball, with
         # partial edges measured by surface distances from u
-        gamma_cap = Fraction(0)
-        for (va, vb) in image_edges:
-            l = s.edge_lengths[(va, vb)]
-            covered = max(Fraction(0), r - dist_u[va]) \
-                + max(Fraction(0), r - dist_u[vb])
-            gamma_cap += min(l, covered)
+        gamma_cap = sum((cover.covered_length(s.edge_lengths[(va, vb)], r,
+                                              dist_u[va], dist_u[vb])
+                         for va, vb in image_edges), Fraction(0))
         cover_ball = cover_growth.at(r)
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:

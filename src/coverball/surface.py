@@ -3,12 +3,22 @@
 ``TriSurface.build`` validates and orients a complex in one pass over its
 faces and keeps that pass's incidence tables on the surface: the edges,
 the two faces of each edge (the one running u -> w first, then the one
-running w -> u, for u < w) and the faces at each vertex.  On first use the
-surface adds one integer grid table: the common denominator D of the edge
-lengths, each edge's length in units of 1/D and the grid adjacency
-(``int_grid``).  Every later surface computation reads these tables:
-shortest paths (``graphs.grid_shortest_paths`` runs on the surface itself),
-homology, face areas, balls, capture and the nerve.  There is one graph
+running w -> u, for u < w) and the faces at each vertex.  The surface owns
+every other per-surface table as a declared field, each built on first use;
+no other module attaches state to a surface:
+
+- the integer grid (``int_grid``, ``grid_lengths``): the common denominator
+  D of the edge lengths, each edge's length in units of 1/D and the grid
+  adjacency;
+- the face table (``face_edges``): per face, its three edges, each with the
+  face across it;
+- the grid shortest-path tree of the last base asked about (``tree``);
+- the homology (``homology``) and the Heron face areas (``face_area``);
+- the capture cache of ``surfballs`` (``capture_cache``).
+
+Every later surface computation reads these tables: shortest paths
+(``graphs.grid_shortest_paths`` runs on the surface itself), homology,
+face areas, balls, capture and the nerve.  There is one graph
 view, ``subgraph_metric_graph(s, edges)``, a ``MetricGraph`` of the given
 edges (all of ``s.edges`` for the 1-skeleton), and one ``Fraction`` view
 of distances, ``distances_from``, which no computation here reads.
@@ -98,6 +108,9 @@ class TriSurface:
     _grid: tuple | None = field(**_LAZY)          # (D, grid lengths, adj)
     _homology: HomologyData | None = field(**_LAZY)
     _face_areas: list[float] | None = field(**_LAZY)
+    _face_edges: list | None = field(**_LAZY)     # see face_edges
+    _tree: tuple | None = field(**_LAZY)          # (x, dist, parent), see tree
+    _capture_cache: object | None = field(**_LAZY)   # see capture_cache
 
     @staticmethod
     def build(faces, lengths=None) -> "TriSurface":
@@ -245,6 +258,38 @@ class TriSurface:
     def total_area(self) -> float:
         return sum(self.face_area(i) for i in range(len(self.faces)))
 
+    def face_edges(self) -> list[list[tuple[tuple[int, int], int]]]:
+        """Per face (a, b, c), its edges (a, b), (b, c) and (a, c), each as
+        (edge, the face across it).  One pass over ``edge_faces`` fills
+        both faces of each edge, placing it by the face's vertex off it."""
+        if self._face_edges is None:
+            rows = [[None] * 3 for _ in self.faces]
+            for e, (f1, f2) in self.edge_faces.items():
+                for f, h in ((f1, f2), (f2, f1)):
+                    a, b, c = self.faces[f]
+                    z = a + b + c - e[0] - e[1]
+                    rows[f][0 if z == c else 1 if z == a else 2] = (e, h)
+            self._face_edges = rows
+        return self._face_edges
+
+    def tree(self, x: int) -> tuple[dict[int, int], dict[int, int | None]]:
+        """The grid (dist, parent) maps of ``grid_shortest_paths`` from x,
+        kept for the last base asked about, so that every based reader at
+        one x shares one Dijkstra.  A ``bool`` never matches the kept base
+        (True == 1), so it reaches ``grid_shortest_paths``, which refuses it
+        as it refuses an unknown vertex."""
+        kept = self._tree
+        if kept is None or isinstance(x, bool) or kept[0] != x:
+            kept = self._tree = (x, *grid_shortest_paths(self, x))
+        return kept[1], kept[2]
+
+    def capture_cache(self, new):
+        """What ``surfballs`` reuses across systole and capture calls on this
+        surface (its ``_CaptureCache``), made by ``new()`` on first use."""
+        if self._capture_cache is None:
+            self._capture_cache = new()
+        return self._capture_cache
+
     def distances_from(self, src: int) -> dict[int, Fraction]:
         """Exact distances from ``src``: ``grid_shortest_paths`` on the
         surface, each grid distance taken back to a ``Fraction``.  No
@@ -312,7 +357,7 @@ class HomologyData:
                 x = root_of[x]
             return x
 
-        dual: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        cotree = set()
         self.generators: list[tuple[int, int]] = []
         for e in s.edges:
             if e in tree:
@@ -323,8 +368,7 @@ class HomologyData:
                 self.generators.append(e)
             else:
                 root_of[r1] = r2
-                dual.setdefault(f1, []).append((e, f2))
-                dual.setdefault(f2, []).append((e, f1))
+                cotree.add(e)
         if len(self.generators) != 2 * s.genus:
             raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
         n = max(4 * len(s.edges), 2 * (2 * sum(lengths) // min(lengths) + 1))
@@ -337,9 +381,10 @@ class HomologyData:
         # towards its dual parent so that its boundary sums to zero
         up = {0: None}
         forder = [0]
+        across = s.face_edges()
         for f in forder:
-            for e, h in dual.get(f, ()):
-                if h not in up:
+            for e, h in across[f]:
+                if h not in up and e in cotree:
                     up[h] = e
                     forder.append(h)
         for f in reversed(forder[1:]):

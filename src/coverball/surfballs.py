@@ -39,22 +39,6 @@ EXACT_CAPTURE_EDGE_LIMIT = 2000
 # ---------------------------------------------------------------------------
 # systole
 
-def _face_neighbours(s: TriSurface) -> list:
-    """Per face, its three edges as (edge, face across it); built once per
-    surface and kept on it."""
-    table = getattr(s, "_face_neighbours", None)
-    if table is None:
-        table = []
-        for f, (a, b, c) in enumerate(s.faces):
-            row = []
-            for e in (_pair(a, b), _pair(b, c), _pair(a, c)):
-                f1, f2 = s.edge_faces[e]
-                row.append((e, f2 if f1 == f else f1))
-            table.append(tuple(row))
-        s._face_neighbours = table
-    return table
-
-
 def _cotree_sides(s: TriSurface, tree: set) -> dict:
     """Disk data for a spanning tree T of the 1-skeleton.
 
@@ -66,7 +50,7 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
     up: dict[int, tuple[int, tuple[int, int]]] = {}   # face -> (parent, edge)
     depth = {0: 0}
     order = [0]
-    across = _face_neighbours(s)
+    across = s.face_edges()
     for f in order:
         for e, h in across[f]:
             if e in tree:
@@ -100,7 +84,7 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     """The candidate pass: two shortest-tree paths plus a closing edge, over
     the tree of ``base``, or of every vertex in ascending order.  Returns
     (D, cands, sep), each grid length n standing for n/D.  A based pass
-    reads the distances of the surface's kept ``_base_tree``.
+    reads the distances of the surface's kept ``tree`` of the base.
 
     ``cands`` holds every simple candidate of nonzero class as (grid length,
     simple vertex cycle, packed class), its class packed as in
@@ -127,10 +111,10 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     if base is None:
         roots = ((v0, grid_shortest_paths(s, v0)[0]) for v0 in sorted(s.vertices))
     else:
-        roots = [(base, _base_tree(s, base)[0])]
+        roots = [(base, s.tree(base)[0])]
     cands = []
     for v0, dist in roots:
-        parent = {v0: v0}
+        parent = {v0: None}
         pot = {v0: 0}
         top = {v0: v0}
         for v in sorted(dist, key=lambda v: (dist[v], v)):
@@ -146,14 +130,7 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
 
         def cycle(u, w):
             # v0 down the tree to u, then w up to the child of v0
-            c = [u]
-            while c[-1] != v0:
-                c.append(parent[c[-1]])
-            c.reverse()
-            while w != v0:
-                c.append(w)
-                w = parent[w]
-            return c
+            return tree_path(parent, u) + tree_path(parent, w)[:0:-1]
 
         sides = None        # _cotree_sides of this tree, built on first use
         for (u, w), l in glen:
@@ -169,7 +146,7 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
                 # on either side holds no L-edge
                 if sides is None:
                     sides = _cotree_sides(s, {_pair(v, p) for v, p in parent.items()
-                                              if v != v0})
+                                              if p is not None})
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
                     sep = (length, cycle(u, w), 0)
                     least = length
@@ -225,12 +202,10 @@ def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
 
 @dataclass(frozen=True)
 class BallSubcomplex:
-    center: int
     radius: Fraction
     interior: frozenset[int]
     faces: frozenset[int]
     boundary_edges: frozenset[tuple[int, int]]
-    filled: bool
 
     def area(self, s: TriSurface) -> float:
         return sum(s.face_area(i) for i in self.faces)
@@ -242,16 +217,16 @@ class BallSubcomplex:
 def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
     """The ball of radius R about x: the vertices within R of x and the
     faces they span.  A vertex at grid distance n from x, read from the
-    surface's kept shortest-path tree of x (``_base_tree``), lies within R
-    iff n <= floor(R * D), as n is an integer; R * D need not be one."""
+    surface's kept shortest-path tree of x (``TriSurface.tree``), lies
+    within R iff n <= floor(R * D), as n is an integer; R * D need not be
+    one."""
     R = Fraction(R)
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
     cut = math.floor(R * s.int_grid()[0])
-    interior = frozenset(v for v, d in _base_tree(s, x)[0].items() if d <= cut)
+    interior = frozenset(v for v, d in s.tree(x)[0].items() if d <= cut)
     faces = _ball_faces(s, interior)
-    return BallSubcomplex(x, R, interior, faces,
-                          _boundary_edges(s, faces), False)
+    return BallSubcomplex(R, interior, faces, _boundary_edges(s, faces))
 
 
 def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
@@ -266,7 +241,7 @@ def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
 
 
 def _boundary_edges(s: TriSurface, faces: frozenset[int]) -> frozenset[tuple[int, int]]:
-    across = _face_neighbours(s)
+    across = s.face_edges()
     return frozenset(e for f in faces for e, h in across[f] if h not in faces)
 
 
@@ -282,7 +257,7 @@ def _face_pieces(s: TriSurface, faces, cut) -> list[tuple[set[int], int]]:
     j = f (the fans close up), and the 3F face sides are 2J join sides
     plus the other edges, each counted once.
     """
-    across = _face_neighbours(s)
+    across = s.face_edges()
     left = set(faces)
     out = []
     for start in sorted(left):
@@ -319,8 +294,7 @@ def fill_to_bplus(s: TriSurface, b: BallSubcomplex) -> BallSubcomplex:
         if chi == 1:
             fill |= comp
     faces = b.faces | fill
-    return replace(b, faces=faces, boundary_edges=_boundary_edges(s, faces),
-                   filled=True)
+    return replace(b, faces=faces, boundary_edges=_boundary_edges(s, faces))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +362,7 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
     length, edges = cache.greedy
     if x is None:
         return length, set(edges)
-    return _with_arc(s, _base_tree(s, x), length, edges)
+    return _with_arc(s, s.tree(x), length, edges)
 
 
 def _with_arc(s: TriSurface, tree: tuple, length: Fraction,
@@ -500,19 +474,19 @@ def _path_edges(parent: dict, v: int) -> set:
 # than mis-order its states.
 #
 # Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
-# its lambda1, the unbased greedy basis and exact result, one resumable
-# class search per source, and the grid shortest-path tree of the last base
-# asked about (``_base_tree``).  Every based reader takes its distances from
-# x there: the based greedy arc, the exact search's dist(x, .) and arc, the
-# based candidate pass, ``height``'s distance bound and ``ball``; so height,
-# systole and balls at one x run one Dijkstra from x.  Sources and targets
-# are vertex ranks: the tables are ``searches[u].lists[v]``, the walks from
-# the vertex of rank u to that of rank v, and no other index is kept over
-# them.  A search settles states in increasing (length, state) order and
-# appends each to its target's (grid length, class) list, so every list
-# stays sorted; when a base needs a larger bound, each search pops on from
-# where it stopped, with its relaxations past the old bound still on its
-# heap.
+# its lambda1, the unbased greedy basis and exact result, and one resumable
+# class search per source.  Every based reader takes its distances from x
+# from the surface's own grid shortest-path tree of the last base asked
+# about (``TriSurface.tree``): the based greedy arc, the exact search's
+# dist(x, .) and arc, the based candidate pass, ``height``'s distance bound
+# and ``ball``; so height, systole and balls at one x run one Dijkstra from
+# x.  Sources and targets are vertex ranks: the tables are
+# ``searches[u].lists[v]``, the walks from the vertex of rank u to that of
+# rank v, and no other index is kept over them.  A search settles states
+# in increasing (length, state) order and appends each to its target's
+# (grid length, class) list, so every list stays sorted; when a base needs
+# a larger bound, each search pops on from where it stopped, with its
+# relaxations past the old bound still on its heap.
 #
 # Floor: a based call on a surface whose unbased exact result is cached
 # (``height`` makes the unbased call first) takes its length L(M) as a
@@ -552,10 +526,9 @@ class _CaptureCache:
     is at least lambda1 long.  Tables at ``bound`` thus settle every
     candidate below bound + lambda1, and a call with greedy grid bound best
     searches them as they are when that is below best (the trial above);
-    it grows them, to best - lambda1 only, when they settle nothing.
-    ``base_tree`` is the last base x asked about with its grid (dist,
-    parent) maps from ``grid_shortest_paths``, which every based reader
-    shares."""
+    it grows them, to best - lambda1 only, when they settle nothing.  The
+    surface keeps it (``TriSurface.capture_cache``), beside its own tables:
+    the distances from a base come from ``TriSurface.tree``."""
 
     def __init__(self):
         self.candidates = None      # unbased _grid_candidates (D, cands, sep)
@@ -566,26 +539,10 @@ class _CaptureCache:
         self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
         self.longest = 0            # longest list of the searches at bound
-        self.base_tree = None       # (x, dist, parent) of the last base
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
-    cache = getattr(s, "_capture_cache", None)
-    if cache is None:
-        cache = s._capture_cache = _CaptureCache()
-    return cache
-
-
-def _base_tree(s: TriSurface, x: int) -> tuple[dict, dict]:
-    """The grid (dist, parent) maps of ``grid_shortest_paths`` from x on the
-    surface, kept for the last base asked about.  A ``bool`` never matches
-    the kept base (True == 1), so it reaches ``grid_shortest_paths``, which
-    refuses it as it refuses an unknown vertex."""
-    cache = _capture_cache(s)
-    kept = cache.base_tree
-    if kept is None or isinstance(x, bool) or kept[0] != x:
-        kept = cache.base_tree = (x, *grid_shortest_paths(s, x))
-    return kept[1], kept[2]
+    return s.capture_cache(_CaptureCache)
 
 
 def _on_grid(q: Fraction, D: int) -> int:
@@ -746,7 +703,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if x is None:
         ub, ub_edges = _greedy_capture(s)
     else:
-        tree = _base_tree(s, x)
+        tree = s.tree(x)
         ub, ub_edges = _with_arc(s, tree, *_greedy_capture(s))
     best = _on_grid(ub, D)
     # see the floor above: a based call stops once best reaches the cached
@@ -800,7 +757,7 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
     if x is None:
         dx = [0] * n
     else:
-        distx = _base_tree(s, x)[0]
+        distx = s.tree(x)[0]
         dx = [distx[v] for v in pk.verts]
     best_walks = None
     best_foot = None
@@ -920,11 +877,11 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
 
 def height(s: TriSurface, x: int, mode: str = "exact") -> dict:
     """H''(x) = L(M,x) - L(M,h), plus the distance bound H'' <= dist(x, G),
-    read off the surface's grid shortest-path tree of x (``_base_tree``),
-    the one the based capture call has just used."""
+    read off the surface's grid shortest-path tree of x
+    (``TriSurface.tree``), the one the based capture call has just used."""
     L, gmin = capture_length(s, mode)
     Lx, gx = capture_length(s, mode, x=x)
-    dx = _base_tree(s, x)[0]
+    dx = s.tree(x)[0]
     dist_bound = Fraction(min(dx[v] for e in gmin for v in e),
                           s.int_grid()[0])
     return {
@@ -939,13 +896,19 @@ def small_ball_area_check(s: TriSurface, x: int, R: Fraction | int | str,
     """Check area B(x,R) >= (R - H''(x))^2 / 2 inside the admissible window
     H''(x) < R < sys(M,x)/2, given H''(x) (``height``) and sys(M,x)
     (``systole_at``).  Substituting H'' for min(H',H'') means only the
-    implied weaker inequality is tested."""
+    implied weaker inequality is tested.  The area is that of the inner
+    ball (``ball``), a lower bound on the ball's, so one below the target
+    reads inconclusive, never fail."""
     R = Fraction(R)
     if not (hpp < R < sys_x / 2):
         return {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
                 "status": "inconclusive", "reason": "outside admissible window"}
     area = ball(s, x, R).area(s)
     required = float(R - hpp) ** 2 / 2.0
-    return {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
-            "area": area, "required": required, "margin": area - required,
-            "status": "pass" if area >= required else "fail"}
+    rep = {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
+           "area": area, "required": required, "margin": area - required,
+           "status": "pass"}
+    if area < required:
+        rep.update(status="inconclusive",
+                   reason="inner-ball area, a lower bound, is below the target")
+    return rep

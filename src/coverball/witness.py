@@ -38,7 +38,6 @@ class WitnessParams:
 class WitnessCertificate:
     witness: int                       # vertex id in the original graph
     factor: Fraction                   # 1 - 3*lambda
-    lam: Fraction
     trace: tuple[str, ...]
 
     def __post_init__(self):
@@ -116,7 +115,7 @@ def find_witness(g: MetricGraph, lam: Fraction | int | str) -> WitnessCertificat
 
     if witness not in g.vertices:
         raise TheoremViolation("witness did not pull back to the original graph")
-    return WitnessCertificate(witness, 1 - 3 * lam, lam, tuple(trace))
+    return WitnessCertificate(witness, 1 - 3 * lam, tuple(trace))
 
 
 def verify_certificate(g: MetricGraph, cert: WitnessCertificate, radii,

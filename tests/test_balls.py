@@ -15,7 +15,7 @@ from conftest import (FractionEchelon, _count_calls, _face_components,
                       relabeled, shortest_essential_cycle, tetrahedron,
                       tuple_capture_tables, tuple_class_dijkstra,
                       walked_homology)
-from coverball import fixtures, surfballs
+from coverball import fixtures, surface, surfballs
 from coverball.graphs import GraphError, grid_shortest_paths
 from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                subgraph_length)
@@ -345,10 +345,12 @@ def test_ball_faces_match_corner_oracle():
 def test_based_op_runs_one_shortest_path_tree(monkeypatch):
     """A capture-height op at x (height, systole at x, three small-ball
     checks) runs one grid Dijkstra, from x, and builds no Fraction distance
-    map: every based reader shares the surface's kept tree of x."""
+    map: every based reader shares the surface's kept tree of x
+    (``TriSurface.tree``)."""
     s = relabeled(fixtures.subdivide(fixtures.torus7()), 1)
     surfballs.capture_length(s, "exact")    # the unbased pass, once per surface
-    trees = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
+    trees = _count_calls(monkeypatch, surface, "grid_shortest_paths")
+    trees_here = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
     maps = _count_calls(monkeypatch, TriSurface, "distances_from")
     balls = _count_calls(monkeypatch, surfballs, "ball")
     for x in sorted(s.vertices):
@@ -359,8 +361,8 @@ def test_based_op_runs_one_shortest_path_tree(monkeypatch):
         for k in (1, 2, 3):
             R = hpp + (sys_x / 2 - hpp) * F(k, 4)
             check = surfballs.small_ball_area_check(s, x, R, hpp=hpp, sys_x=sys_x)
-            assert check["status"] != "inconclusive"
-        assert [a[1] for a in trees] == [x]
+            assert check.get("reason") != "outside admissible window"
+        assert [a[1] for a in trees] == [x] and trees_here == []
         assert maps == []
     assert len(balls) == 3 * len(s.vertices)
 
@@ -949,6 +951,24 @@ def test_window_check_passes_on_refined_torus(sub_torus):
     rep = surfballs.small_ball_area_check(sub_torus, 7, F(5, 4), hpp=h["Hpp"],
                                           sys_x=sys_x)
     assert rep["status"] == "pass"
+
+
+def test_window_check_reads_a_low_inner_area_as_inconclusive():
+    """The inner ball's area is only a lower bound: at base 0 of torus7_sub,
+    R = 1/4 and 3/8 lie in the window (H'' = 0, sys/2 = 3/2), but no face
+    has all three corners within R, so the area 0 misses the target and
+    proves nothing; at R = 1/2 the check passes."""
+    s = corpus_surface("torus7_sub.surf")
+    h = surfballs.height(s, 0)
+    sys_x, _ = surfballs.systole_at(s, 0)
+    assert h["Hpp"] == 0 and sys_x == 3
+    for R in (F(1, 4), F(3, 8)):
+        rep = surfballs.small_ball_area_check(s, 0, R, hpp=h["Hpp"], sys_x=sys_x)
+        assert rep["status"] == "inconclusive" and rep["area"] == 0
+        assert rep["required"] == float(R) ** 2 / 2
+        assert rep["reason"] == "inner-ball area, a lower bound, is below the target"
+    rep = surfballs.small_ball_area_check(s, 0, F(1, 2), hpp=h["Hpp"], sys_x=sys_x)
+    assert rep["status"] == "pass" and rep["margin"] >= 0 and "reason" not in rep
 
 
 def test_window_check_inconclusive_outside(sub_torus):

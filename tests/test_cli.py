@@ -295,10 +295,6 @@ MALFORMED = {
                                         "--budget", "0"]),
     "gen-theta-b": (None, ["gen", "--kind", "theta", "--b", "5"]),
     "gen-figure-eight-b": (None, ["gen", "--kind", "figure_eight", "--b", "5"]),
-    "format-unknown": (None, ["graph", "growth", "theta.graph",
-                              "--format", "xml", "--out", "{bad}"]),
-    "format-mixed": (None, ["graph", "growth", "theta.graph",
-                            "--format", "json,xml", "--out", "{bad}"]),
     # a genus-0 greedy capturing graph is empty, so no arc reaches a base
     "capture-genus-0-base-greedy": (TETRAHEDRON, ["surface", "capture", "{bad}",
                                                   "--base", "0"]),
@@ -324,8 +320,6 @@ def test_malformed_file_exit_1(tmp_path, capsys, case):
     rc, out, err = run_cli(capsys, *(a.replace("{bad}", str(bad))
                                      .replace("{dir}", str(tmp_path)) for a in argv))
     assert rc == 1 and "error" in err and out == ""
-    if case.startswith("format-"):
-        assert "'xml'" in err and not bad.exists()
     if case.endswith("-is-a-directory"):
         assert err.startswith("error:") and str(tmp_path) in err
 
@@ -460,16 +454,20 @@ def test_shared_parser_after_usage_error(capsys):
     assert json.loads(after)["betti"] == 2
 
 
-def test_shared_parser_after_format_error(tmp_path, capsys):
-    rc, out, err = run_cli(capsys, "graph", "growth", "theta.graph",
-                           "--format", "json,xml", "--out", str(tmp_path / "bad"))
-    assert rc == 1 and out == "" and "'xml'" in err
+def test_format_option_is_a_usage_error(tmp_path, capsys):
+    """There is no --format: --out always writes the JSON report and every
+    CSV table."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["graph", "growth", "theta.graph", "--format", "json",
+                 "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: coverball graph growth [-h]")
+    assert not (tmp_path / "bad").exists()
     rc, out, _ = run_cli(capsys, "graph", "growth", "theta.graph",
                          "--out", str(tmp_path / "good"))
     assert rc == 0 and json.loads(out)["rmax"] == "2/1"
     assert (tmp_path / "good" / "graph_growth.json").exists()
     assert (tmp_path / "good" / "graph_growth_rows.csv").exists()
-    assert not (tmp_path / "bad").exists()
 
 
 # token-level mutations of the corpus files: every mutant parses or is

@@ -13,6 +13,7 @@ names it with its reason.
 
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import coverball
 from coverball import cli, fixtures, nerve, surfballs
+from coverball.surface import TriSurface
 
 PACKAGE = Path(coverball.__file__).resolve().parent
 CORPUS = resources.files("coverball") / "corpus"
@@ -144,3 +146,33 @@ def test_every_package_def_is_entered(tmp_path):
     missing = sorted(defs - entered - set(UNREACHED))
     assert missing == [], ("defs that no command or workload enters: "
                            + ", ".join(f"{f}:{n}" for f, n in missing))
+
+
+def test_surfaces_keep_only_declared_fields(monkeypatch):
+    """Every table a run keeps on a surface is a declared ``TriSurface``
+    field: no module attaches state of its own to a surface.  The runs are
+    every surface subcommand on every corpus surface and the two benchmark
+    ops above."""
+    surfaces = []
+    load = cli.load_surf
+
+    def keep(name):
+        surfaces.append(load(name))
+        return surfaces[-1]
+
+    monkeypatch.setattr(cli, "load_surf", keep)
+    names = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".surf"))
+    for name in names:
+        for op in SURFACE_OPS:
+            assert _cli(["surface", op[0], name, *op[1:]]) in (0, 1)
+    assert len(surfaces) == len(names) * len(SURFACE_OPS)
+    surfaces.append(fixtures.subdivide(fixtures.torus7()))
+    assert _capture_height_op(surfaces[-1], 5)
+    surfaces.append(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.genus2(), 2), F(1, 8)))
+    assert nerve.nerve_graph(surfaces[-1]).image_captures
+    declared = {f.name for f in dataclasses.fields(TriSurface)}
+    assert {key for s in surfaces for key in vars(s)} == declared
+    # the runs fill every lazy table somewhere
+    assert all(any(getattr(s, key) is not None for s in surfaces)
+               for key in declared)

@@ -137,6 +137,11 @@ def test_incidence_tables_match_definitions():
                                 for (u, w), i in runs.items() if u < w}
         assert s.vertex_faces == at
         assert s.edges == tuple(sorted(s.edge_faces))
+        # per face (a, b, c): edges (a, b), (b, c), (a, c), each with the
+        # face that runs it the other way
+        assert s.face_edges() == [
+            [(_pair(u, w), runs[(w, u)]) for u, w in ((a, b), (b, c), (c, a))]
+            for a, b, c in s.faces]
         V, E, F_ = len(s.vertices), len(s.edges), len(s.faces)
         assert 2 * s.genus == 2 - V + E - F_
 

@@ -168,6 +168,6 @@ def test_subtree_bilipschitz_to_cover():
 def test_verify_reports_failures():
     from coverball.graphs import MetricGraph
     loop = MetricGraph.build([0], [(0, 0, 0, 1)])   # cover is a line: slow growth
-    cert = witness.WitnessCertificate(0, F(1, 2), F(1, 6), ("baby-case",))
+    cert = witness.WitnessCertificate(0, F(1, 2), ("baby-case",))
     rep = witness.verify_certificate(loop, cert, [F(2)])
     assert not rep["ok"] and rep["failures"] == 1
