@@ -83,7 +83,7 @@ class GrowthReport:
     total_length: Fraction
     node_count: int
     truncated: bool
-    profile: _Profile | None = field(default=None, compare=False, repr=False)
+    profile: _Profile = field(compare=False, repr=False)
 
     def at(self, r: Fraction | int | str) -> "GrowthReport":
         """The report ``ball_length(g, base, r, budget)`` returns, for
@@ -92,8 +92,6 @@ class GrowthReport:
         r = Fraction(r)
         if not 0 <= r <= self.radius:
             raise GraphError(f"radius {r} outside [0, {self.radius}]")
-        if self.profile is None:
-            raise GraphError("report carries no growth profile")
         return self.profile.report(self.base, r)
 
 

@@ -349,7 +349,8 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
         "target": target,
         "area_vs_target_margin": ball_area_val - target,
         "closed_form": coarea_closed_form(R_final),
-        "status": "pass" if ball_area_val >= target else
-                  "area below hyperbolic target",
+        "status": "pass" if ball_area_val >= target else "inconclusive",
     })
+    if ball_area_val < target:      # the inner ball's area is a lower bound
+        report["stages"][-1]["reason"] = surfballs.LOW_INNER_AREA
     return report

@@ -337,14 +337,12 @@ class HomologyData:
         tree = set()
         self.tree_parent: dict[int, int | None] = {root: None}
         order = [root]
-        seenv = {root}
         qi = 0
         while qi < len(order):
             v = order[qi]
             qi += 1
             for _, u in adj[v]:
-                if u not in seenv:
-                    seenv.add(u)
+                if u not in self.tree_parent:
                     tree.add(_pair(v, u))
                     self.tree_parent[u] = v
                     order.append(u)

@@ -7,14 +7,14 @@ components that are disks (Euler characteristic 1, counted as F - J + C in
 one walk over the faces, see ``_face_pieces``).
 
 One candidate pass per surface, two shortest-path-tree paths plus one
-edge, serves the systole, the greedy capture basis and lambda1.  A
-candidate of nonzero homology class is essential.  One of class zero is
-tested against a tree-cotree decomposition of the same tree: it is the
-boundary of the faces below its edge in the dual spanning tree, and it
-bounds a disk iff that side, or the other, holds none of the 2g leftover
-edges.  On ties a nonzero-class candidate wins, the first in root and edge
-order.  Each root's distances, tree and candidate lengths are integers on
-the surface's common-denominator integer grid (``TriSurface.int_grid``),
+edge, serves the systole at every base and unbased, the greedy capture
+basis and lambda1.  A candidate of nonzero homology class is essential.
+One of class zero is tested against a tree-cotree decomposition of the
+same tree: it is the boundary of the faces below its edge in the dual
+spanning tree, and it bounds a disk iff that side, or the other, holds
+none of the 2g leftover edges.  On ties a nonzero-class candidate wins,
+the first in root and edge order.  Each root's distances, tree and
+candidate lengths are integers on the surface's common-denominator integer grid (``TriSurface.int_grid``),
 and each candidate's simplicity and class are read off its two endpoints
 in O(1); only returned lengths are ``Fraction``s.
 """
@@ -28,12 +28,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .graphs import grid_shortest_paths, tree_path
+from .graphs import GraphError, grid_shortest_paths, tree_path
 from .linalg import Echelon
 from .surface import (SurfaceError, TriSurface, _pair, capturing_test,
                       subgraph_length)
 
 EXACT_CAPTURE_EDGE_LIMIT = 2000
+LOW_INNER_AREA = "inner-ball area, a lower bound, is below the target"
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +81,19 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
     return below
 
 
-def _grid_candidates(s: TriSurface, base: int | None = None):
+def _grid_candidates(s: TriSurface):
     """The candidate pass: two shortest-tree paths plus a closing edge, over
-    the tree of ``base``, or of every vertex in ascending order.  Returns
-    (D, cands, sep), each grid length n standing for n/D.  A based pass
-    reads the distances of the surface's kept ``tree`` of the base.
+    the tree of every vertex in ascending order.  Returns (cands, best,
+    sep), each grid length n standing for n/D.
 
     ``cands`` holds every simple candidate of nonzero class as (grid length,
     simple vertex cycle, packed class), its class packed as in
-    ``HomologyData``, in discovery order: root order, then edge order.
-    ``sep`` is the first shortest simple candidate of class zero that
-    bounds no disk and is shorter than every nonzero-class candidate found
-    before it, as (grid length, cycle, 0), or None; it is sought on genus
-    >= 2 only (on the torus a simple cycle of class zero bounds a disk).
+    ``HomologyData``, in discovery order: root order, then edge order;
+    ``best[v]`` is the first shortest of those rooted at v.  ``sep[v]`` is
+    root v's first shortest simple candidate of class zero that bounds no
+    disk and is shorter than every nonzero-class one of root v before it,
+    as (grid length, cycle, 0); it is sought on genus >= 2 only (on the
+    torus a simple cycle of class zero bounds a disk).
 
     Each root's work runs on the surface's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
@@ -104,16 +105,11 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
     than 2 * |V| edge classes.
     """
     packed = s.homology().edge_class
-    D, adj = s.int_grid()
+    adj = s.int_grid()[1]
     glen = list(zip(s.edges, s.grid_lengths()))
-    least = math.inf    # least grid length of the candidates kept so far
-    sep = None
-    if base is None:
-        roots = ((v0, grid_shortest_paths(s, v0)[0]) for v0 in sorted(s.vertices))
-    else:
-        roots = [(base, s.tree(base)[0])]
-    cands = []
-    for v0, dist in roots:
+    cands, best, sep = [], {}, {}
+    for v0 in sorted(s.vertices):
+        dist = grid_shortest_paths(s, v0)[0]
         parent = {v0: None}
         pot = {v0: 0}
         top = {v0: v0}
@@ -132,6 +128,8 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
             # v0 down the tree to u, then w up to the child of v0
             return tree_path(parent, u) + tree_path(parent, w)[:0:-1]
 
+        first = len(cands)  # this root's candidates are cands[first:]
+        least = math.inf    # least grid length of this root's kept candidates
         sides = None        # _cotree_sides of this tree, built on first use
         for (u, w), l in glen:
             if parent[u] == w or parent[w] == u or top[u] == top[w]:
@@ -148,17 +146,19 @@ def _grid_candidates(s: TriSurface, base: int | None = None):
                     sides = _cotree_sides(s, {_pair(v, p) for v, p in parent.items()
                                               if p is not None})
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
-                    sep = (length, cycle(u, w), 0)
+                    sep[v0] = (length, cycle(u, w), 0)
                     least = length
-    return D, cands, sep
+        if len(cands) > first:
+            best[v0] = min(cands[first:], key=lambda t: t[0])
+    return cands, best, sep
 
 
 def _candidate_pass(s: TriSurface):
-    """The unbased ``_grid_candidates`` of ``s``, kept with its lambda1."""
+    """The ``_grid_candidates`` of ``s``, kept with its lambda1."""
     cache = _capture_cache(s)
     if cache.candidates is None:
         cache.candidates = _grid_candidates(s)
-        cache.lambda1 = min((n for n, _, _ in cache.candidates[1]), default=None)
+        cache.lambda1 = min((n for n, _, _ in cache.candidates[1].values()), default=None)
     return cache.candidates
 
 
@@ -171,26 +171,34 @@ def systole(s: TriSurface, base: int | None = None,
     plus one edge (Thomassen's 3-path condition, as used by Erickson and
     Har-Peled), so the result is read off the surface's candidate pass
     (``_grid_candidates``) over the tree T_v of every vertex v.  Mode
-    "auto" gives the pass's ``sep`` when it is strictly shorter than every
-    candidate of nonzero class, else the first of those of least length.
+    "auto" gives the first shortest ``sep`` when it is strictly shorter than
+    the first shortest ``best``, else that ``best``, both in root order.
     Mode "homological" ignores ``sep``; on genus >= 2 that can exceed the
     systole, since a separating essential cycle has class zero.
 
     With ``base`` the result is the shortest essential simple cycle among
     two T_base-paths plus one edge (only nontrivial ones in mode
-    "homological"), from an uncached pass over T_base alone.
+    "homological"), by the same rule on root ``base`` of the cached pass.
+    A based call runs the whole pass if it is not cached yet, though no
+    command or workload does so: ``height`` runs the pass first.
     """
     if mode not in ("auto", "homological"):
         raise SurfaceError(f"unknown systole mode {mode!r}")
     if s.genus == 0:
         raise SurfaceError("genus-0 surface has no non-contractible cycle")
-    D, cands, sep = _candidate_pass(s) if base is None else _grid_candidates(s, base)
-    best = min(cands, key=lambda t: t[0], default=None)
-    if mode != "homological" and sep is not None and (best is None or sep[0] < best[0]):
-        best = sep
-    if best is None:
+    if base is not None and (isinstance(base, bool) or base not in s.int_grid()[1]):
+        raise GraphError(f"unknown source vertex {base!r}")
+    _, best, sep = _candidate_pass(s)
+    if base is None:
+        hit = min(best.values(), key=lambda t: t[0], default=None)
+        cut = min(sep.values(), key=lambda t: t[0], default=None)
+    else:
+        hit, cut = best.get(base), sep.get(base)
+    if mode != "homological" and cut is not None and (hit is None or cut[0] < hit[0]):
+        hit = cut
+    if hit is None:
         raise SurfaceError("no homologically nontrivial candidate loop found")
-    return Fraction(best[0], D), list(best[1])
+    return Fraction(hit[0], s.int_grid()[0]), list(hit[1])
 
 
 def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
@@ -351,7 +359,7 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
         hom = s.homology()
         ech = Echelon()
         edges: set = set()
-        for _, cyc, cls in sorted(_candidate_pass(s)[1], key=lambda t: (t[0], t[1])):
+        for _, cyc, cls in sorted(_candidate_pass(s)[0], key=lambda t: (t[0], t[1])):
             if ech.add(hom.digits(cls)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             if ech.rank == k:
@@ -473,20 +481,20 @@ def _path_edges(parent: dict, v: int) -> set:
 # width.  A search asked for a bound above 2*S raises SurfaceError rather
 # than mis-order its states.
 #
-# Each surface keeps one ``_CaptureCache``: the unbased candidate pass and
-# its lambda1, the unbased greedy basis and exact result, and one resumable
-# class search per source.  Every based reader takes its distances from x
-# from the surface's own grid shortest-path tree of the last base asked
-# about (``TriSurface.tree``): the based greedy arc, the exact search's
-# dist(x, .) and arc, the based candidate pass, ``height``'s distance bound
-# and ``ball``; so height, systole and balls at one x run one Dijkstra from
-# x.  Sources and targets are vertex ranks: the tables are
-# ``searches[u].lists[v]``, the walks from the vertex of rank u to that of
-# rank v, and no other index is kept over them.  A search settles states
-# in increasing (length, state) order and appends each to its target's
-# (grid length, class) list, so every list stays sorted; when a base needs
-# a larger bound, each search pops on from where it stopped, with its
-# relaxations past the old bound still on its heap.
+# Each surface keeps one ``_CaptureCache``: the candidate pass, which
+# serves every base, and its lambda1, the unbased greedy basis and exact
+# result, and one resumable class search per source.  Every based reader
+# takes its distances from x from the surface's own grid shortest-path tree
+# of the last base asked about (``TriSurface.tree``): the based greedy arc,
+# the exact search's dist(x, .) and arc, ``height``'s distance bound and
+# ``ball``; so height and balls at one x run one Dijkstra from x, and the
+# systole at x none once the pass exists.  Sources and targets are vertex
+# ranks: the tables are ``searches[u].lists[v]``, the walks from the vertex
+# of rank u to that of rank v, and no other index is kept over them.  A
+# search settles states in increasing (length, state) order and appends
+# each to its target's (grid length, class) list, so every list stays
+# sorted; when a base needs a larger bound, each search pops on from where
+# it stopped, with its relaxations past the old bound still on its heap.
 #
 # Floor: a based call on a surface whose unbased exact result is cached
 # (``height`` makes the unbased call first) takes its length L(M) as a
@@ -517,22 +525,17 @@ _STATE_CAP = 2_000_000
 
 class _CaptureCache:
     """What systole and capture reuse across calls on one surface: the
-    unbased candidate pass and its least nonzero-class grid length
-    ``lambda1``, the unbased greedy and exact results, and one resumable
-    class search per source rank (no parents kept), its ``lists`` indexed
-    by target rank, each grown to the grid bound ``bound``, which never
-    falls.  Every walk of a candidate closes, with another walk of the
-    candidate, a closed walk of nonzero class, so the rest of the candidate
-    is at least lambda1 long.  Tables at ``bound`` thus settle every
-    candidate below bound + lambda1, and a call with greedy grid bound best
-    searches them as they are when that is below best (the trial above);
-    it grows them, to best - lambda1 only, when they settle nothing.  The
-    surface keeps it (``TriSurface.capture_cache``), beside its own tables:
-    the distances from a base come from ``TriSurface.tree``."""
+    candidate pass, which serves the systole at every base, and its least
+    nonzero-class grid length ``lambda1``, the unbased greedy and exact
+    results, and one resumable class search per source rank (no parents
+    kept), its ``lists`` indexed by target rank, each grown to the grid
+    bound ``bound``, which never falls (see the table bound and the trial
+    above).  The surface keeps it (``TriSurface.capture_cache``), beside
+    its own tables: the distances from a base come from ``TriSurface.tree``."""
 
     def __init__(self):
-        self.candidates = None      # unbased _grid_candidates (D, cands, sep)
-        self.lambda1 = None         # least grid length in candidates
+        self.candidates = None      # _grid_candidates (cands, best, sep)
+        self.lambda1 = None         # least grid length in best
         self.greedy = None          # unbased greedy (length, edges)
         self.exact = None           # unbased exact (length, edges)
         self.packing = None         # see _ClassPacking
@@ -909,6 +912,5 @@ def small_ball_area_check(s: TriSurface, x: int, R: Fraction | int | str,
            "area": area, "required": required, "margin": area - required,
            "status": "pass"}
     if area < required:
-        rep.update(status="inconclusive",
-                   reason="inner-ball area, a lower bound, is below the target")
+        rep.update(status="inconclusive", reason=LOW_INNER_AREA)
     return rep

@@ -174,32 +174,84 @@ def test_capturing_test_matches_fraction_oracle(name):
         assert capturing_test(s, sub) == (oracle.rank == 2 * s.genus, oracle.rank)
 
 
+def _oracle_systoles(cands, sep):
+    """The systole of an oracle pass (``fraction_homology_candidates``) in
+    modes auto and homological, as (length, cycle): the first shortest
+    candidate, unless ``sep`` is strictly shorter in mode auto."""
+    hom = min(cands, key=lambda t: t[0], default=None)
+    if sep is not None and (hom is None or sep[0] < hom[0]):
+        return sep, hom
+    return hom, hom
+
+
 @pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
 def test_grid_candidates_match_fraction_oracle(name):
+    """The one pass against the oracle run at every base and unbased: root
+    v's candidates, ``best[v]`` and ``sep[v]`` are the oracle's pass over
+    the tree of v alone, and ``cands`` is its pass over every tree."""
     s = CANDIDATE_SURFACES[name]()
     if name == "torus7_mixed":
         assert s.int_grid()[0] > 1
     hom, classes = s.homology(), walked_homology(s)[2]
-    for base in [None] + sorted(s.vertices):
-        D, cands, sep = surfballs._grid_candidates(s, base)
-        assert all(type(n) is int for n, _, _ in cands)
-        assert all({i: x for i, x in enumerate(hom.digits(c)) if x}
-                   == class_of_walk(classes, cyc)
-                   for _, cyc, c in cands)
-        got = [(F(n, D), cyc) for n, cyc, _ in cands]
-        want, want_sep = fraction_homology_candidates(s, base)
-        assert got == want, base
-        assert all(type(length) is F for length, _ in got)
+    D = s.int_grid()[0]
+    cands, best, sep = surfballs._grid_candidates(s)
+    assert all(type(n) is int for n, _, _ in cands)
+    assert all({i: x for i, x in enumerate(hom.digits(c)) if x}
+               == class_of_walk(classes, cyc)
+               for _, cyc, c in cands)
+    got = [(F(n, D), cyc) for n, cyc, _ in cands]
+    unbased = fraction_homology_candidates(s)
+    assert got == unbased[0]
+    assert all(type(length) is F for length, _ in got)
+    assert list(best) == sorted(best) and list(sep) == sorted(sep)
+    for v in sorted(s.vertices):
+        want, want_sep = fraction_homology_candidates(s, v)
+        assert [c for c in got if c[1][0] == v] == want, v
         if want_sep is None:
-            assert sep is None, base
+            assert v not in sep, v
         else:
-            n, cyc, c = sep
+            n, cyc, c = sep[v]
             assert type(n) is int and c == 0
-            assert (F(n, D), cyc) == want_sep, base
+            assert (F(n, D), cyc) == want_sep, v
             assert not class_of_walk(classes, cyc)
-        if base is None:
-            # the shrunk neck undercuts every nonzero class
-            assert (sep is not None) == (name == "neck")
+        n, cyc, _ = best[v]
+        assert (F(n, D), cyc) == min(want, key=lambda t: t[0]), v
+        # the based systole in both modes, read off best[v] and sep.get(v)
+        for mode, (length, cyc) in zip(("auto", "homological"),
+                                       _oracle_systoles(want, want_sep)):
+            assert surfballs.systole(s, base=v, mode=mode) == (length, cyc), (v, mode)
+    auto, homological = (surfballs.systole(s, mode=m)[0] for m in ("auto", "homological"))
+    # the shrunk neck undercuts every nonzero class
+    assert (auto < homological) == (name == "neck")
+    for mode, (length, cyc) in zip(("auto", "homological"), _oracle_systoles(*unbased)):
+        assert surfballs.systole(s, mode=mode) == (length, cyc), mode
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
+def test_systole_at_reads_the_cached_pass(name, monkeypatch):
+    # after one unbased call, the systole at every base in both modes runs
+    # no Dijkstra, reads no kept base tree and runs no pass
+    s = CANDIDATE_SURFACES[name]()
+    surfballs.systole(s)
+    trees = _count_calls(monkeypatch, surface, "grid_shortest_paths")
+    trees_here = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
+    kept = _count_calls(monkeypatch, TriSurface, "tree")
+    passes = _count_calls(monkeypatch, surfballs, "_grid_candidates")
+    for x in sorted(s.vertices):
+        surfballs.systole_at(s, x)
+        surfballs.systole(s, base=x, mode="homological")
+    assert trees == trees_here == kept == passes == []
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
+def test_systole_at_on_a_fresh_surface_runs_one_pass(name, monkeypatch):
+    s = CANDIDATE_SURFACES[name]()
+    passes = _count_calls(monkeypatch, surfballs, "_grid_candidates")
+    surfballs.systole_at(s, max(s.vertices))
+    assert passes == [(s,)]
+    surfballs.systole(s)
+    surfballs.systole(s, mode="homological")
+    assert passes == [(s,)]
 
 
 SYSTOLE_AND_GREEDY = {
@@ -345,8 +397,9 @@ def test_ball_faces_match_corner_oracle():
 def test_based_op_runs_one_shortest_path_tree(monkeypatch):
     """A capture-height op at x (height, systole at x, three small-ball
     checks) runs one grid Dijkstra, from x, and builds no Fraction distance
-    map: every based reader shares the surface's kept tree of x
-    (``TriSurface.tree``)."""
+    map: height and the ball checks share the surface's kept tree of x
+    (``TriSurface.tree``), and the systole at x reads the candidate pass
+    that serves every base, which runs none once built."""
     s = relabeled(fixtures.subdivide(fixtures.torus7()), 1)
     surfballs.capture_length(s, "exact")    # the unbased pass, once per surface
     trees = _count_calls(monkeypatch, surface, "grid_shortest_paths")
@@ -384,7 +437,7 @@ def test_cached_base_refuses_bool():
             with pytest.raises(GraphError, match=f"^unknown source vertex {bool(v)}$"):
                 call(bool(v))
     for call in based:
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^unknown source vertex 99$"):
             call(99)
 
 

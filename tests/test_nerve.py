@@ -213,6 +213,22 @@ def test_pipeline_stages_on_subdivided_torus():
     assert "coarea" in stages
 
 
+def test_pipeline_coarea_reads_a_low_inner_area_as_inconclusive():
+    """The coarea stage's ball area is the inner ball's, a lower bound: on
+    genus2_neck no face lies within R = 9/10 of u, so the area 0 misses the
+    target and proves nothing.  The golden surfaces clear the target."""
+    stages = {st["stage"]: st for st in
+              nerve.surface_growth_pipeline(corpus_surface("genus2_neck.surf"))["stages"]}
+    coarea = stages["coarea"]
+    assert coarea["R"] == F(9, 10) and coarea["ball_area"] == 0 < coarea["target"]
+    assert coarea["status"] == "inconclusive"
+    assert coarea["reason"] == "inner-ball area, a lower bound, is below the target"
+    for name in ("genus2.surf", "torus7_sub.surf"):
+        rep = nerve.surface_growth_pipeline(corpus_surface(name))
+        coarea = {st["stage"]: st for st in rep["stages"]}["coarea"]
+        assert coarea["status"] == "pass" and "reason" not in coarea, name
+
+
 @pytest.mark.parametrize("name", ["torus7_sub.surf", "genus2.surf"])
 def test_pipeline_runs_one_candidate_pass(name, monkeypatch):
     # systole and greedy capture read the same unbased pass
