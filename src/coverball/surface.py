@@ -7,9 +7,10 @@ running w -> u, for u < w) and the faces at each vertex.  The surface owns
 every other per-surface table as a declared field, each built on first use;
 no other module attaches state to a surface:
 
-- the integer grid (``int_grid``, ``grid_lengths``): the common denominator
-  D of the edge lengths, each edge's length in units of 1/D and the grid
-  adjacency;
+- the integer grid (``int_grid``, ``grid_lengths``): build sets the common
+  denominator D of the edge lengths and each edge's length in units of
+  1/D, and compares the triangle inequality on those integers; the grid
+  adjacency is built on first use;
 - the face table (``face_edges``): per face, its three edges, each with the
   face across it;
 - the grid shortest-path tree of the last base asked about (``tree``);
@@ -66,7 +67,9 @@ def _pair(u: int, w: int) -> tuple[int, int]:
 
 def _vertex_id(v) -> int:
     """v as an int vertex id, through ``operator.index``: 2.5 is refused,
-    not truncated, and so is a ``bool``."""
+    not truncated, and so is a ``bool``.  A plain int is returned as it is."""
+    if type(v) is int:
+        return v
     if not isinstance(v, bool):
         try:
             return operator.index(v)
@@ -85,12 +88,16 @@ def _length_key(k) -> tuple[int, int]:
 
 
 def _length_value(k, v) -> Fraction:
+    """v as a ``Fraction``; a plain ``Fraction`` is returned as it is."""
+    if type(v) is Fraction:
+        return v
     try:
         return Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError):
         raise SurfaceError(f"length {v!r} on {k!r} is not a rational number") from None
 
 
+_ONE = Fraction(1)
 _LAZY = dict(default=None, init=False, repr=False, compare=False)
 
 
@@ -104,8 +111,12 @@ class TriSurface:
     edge_faces: dict[tuple[int, int], tuple[int, int]]
     vertex_faces: dict[int, list[int]]             # faces at v, ascending
     genus: int
+    # the integer grid, set by build: D and each edge's length times D, in
+    # ``edges`` order (see _grid_table)
+    _D: int = field(repr=False, compare=False)
+    _grid_lengths: list[int] = field(repr=False, compare=False)
     # derived views, each built on first use
-    _grid: tuple | None = field(**_LAZY)          # (D, grid lengths, adj)
+    _adj: dict | None = field(**_LAZY)            # grid adjacency
     _homology: HomologyData | None = field(**_LAZY)
     _face_areas: list[float] | None = field(**_LAZY)
     _face_edges: list | None = field(**_LAZY)     # see face_edges
@@ -127,15 +138,24 @@ class TriSurface:
         (u, w), u < w, with its two (face, runs u -> w?) sides, and one walk
         from face 0 across it both connects and orients: a face is flipped
         relative to its neighbour iff both run their shared edge the same
-        way.
+        way.  The three edge keys each face gets in that table's pass are
+        reused by the link walk, the orientation walk and the triangle
+        check.
 
-        The surface keeps the incidence tables of that pass: ``edges`` in
-        ascending order, ``edge_faces[(u, w)]`` as (the face that runs
-        u -> w, the face that runs w -> u) once oriented, ``vertex_faces``
-        with the faces at each vertex in ascending order, and the genus
-        from V - E + F = 2 - 2g.
+        No ``Fraction`` arithmetic runs.  Positivity reads each length's
+        numerator; then D, the lcm of the length denominators, puts every
+        edge on the integer grid (length times D), and each face's three
+        strict triangle inequalities are compared as integers, which is the
+        ``Fraction`` test since D > 0.
+
+        The surface keeps the tables of that pass: ``edges`` in ascending
+        order, ``edge_faces[(u, w)]`` as (the face that runs u -> w, the
+        face that runs w -> u) once oriented, ``vertex_faces`` with the
+        faces at each vertex in ascending order, the genus from
+        V - E + F = 2 - 2g, and D with the grid lengths in ``edges`` order
+        (``int_grid``, ``grid_lengths``).
         """
-        faces = [tuple(_vertex_id(v) for v in f) for f in faces]
+        faces = [tuple(map(_vertex_id, f)) for f in faces]
         if not faces:
             raise SurfaceError("no faces")
         verts = sorted({v for f in faces for v in f})
@@ -144,10 +164,15 @@ class TriSurface:
                 raise SurfaceError(f"degenerate face {f}")
         sides: dict[tuple[int, int], list[tuple[int, bool]]] = {}
         vfaces: dict[int, list[int]] = {v: [] for v in verts}
+        fkeys = []                     # per face, its edges ab, bc, ca
         for i, (a, b, c) in enumerate(faces):
+            keys = []
             for u, w in ((a, b), (b, c), (c, a)):
-                sides.setdefault(_pair(u, w), []).append((i, u < w))
+                e = (u, w) if u < w else (w, u)
+                sides.setdefault(e, []).append((i, u < w))
                 vfaces[u].append(i)
+                keys.append(e)
+            fkeys.append(keys)
         for e, fs in sides.items():
             if len(fs) != 2:
                 raise SurfaceError(f"non-manifold: edge {e} lies in {len(fs)} faces")
@@ -156,9 +181,9 @@ class TriSurface:
             link = {vfaces[v][0]}
             stack = [vfaces[v][0]]
             while stack:
-                for u in faces[stack.pop()]:
-                    if u != v:
-                        for j, _ in sides[_pair(u, v)]:
+                for e in fkeys[stack.pop()]:
+                    if v in e:
+                        for j, _ in sides[e]:
                             if j not in link:
                                 link.add(j)
                                 stack.append(j)
@@ -169,9 +194,8 @@ class TriSurface:
         twisted = False
         while stack:
             i = stack.pop()
-            a, b, c = faces[i]
-            for u, w in ((a, b), (b, c), (c, a)):
-                (h, dh), (j, dj) = sides[_pair(u, w)]
+            for e in fkeys[i]:
+                (h, dh), (j, dj) = sides[e]
                 if j == i:
                     j = h
                 want = flip[i] ^ (dh == dj)
@@ -195,16 +219,16 @@ class TriSurface:
                 raise SurfaceError(f"length given for {e}, which is not an edge of any face")
         full = {}
         for e in sides:
-            l = lengths.get(e, Fraction(1))
-            if l <= 0:
+            l = lengths.get(e, _ONE)
+            if l.numerator <= 0:
                 raise SurfaceError(f"nonpositive length on edge {e}")
             full[e] = l
-        for (a, b, c) in oriented:
-            la = full[_pair(b, c)]
-            lb = full[_pair(a, c)]
-            lc = full[_pair(a, b)]
-            if not (la < lb + lc and lb < la + lc and lc < la + lb):
-                raise SurfaceError(f"triangle inequality fails on face {(a, b, c)}")
+        D = math.lcm(*{l.denominator for l in full.values()})
+        grid = {e: l.numerator * (D // l.denominator) for e, l in full.items()}
+        for i, (x, y, z) in enumerate(fkeys):
+            lx, ly, lz = grid[x], grid[y], grid[z]
+            if not (lx < ly + lz and ly < lx + lz and lz < lx + ly):
+                raise SurfaceError(f"triangle inequality fails on face {oriented[i]}")
         edges = tuple(sorted(sides))
         edge_faces = {}
         for e in edges:
@@ -212,43 +236,43 @@ class TriSurface:
             edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
         genus = (2 - len(verts) + len(edges) - len(faces)) // 2
         return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
-                          vfaces, genus)
+                          vfaces, genus, D, [grid[e] for e in edges])
 
     # -- derived views -----------------------------------------------------
     def _grid_table(self) -> tuple:
-        """(D, lengths, adj): D is the lcm of the length denominators,
-        ``lengths[i]`` is ``edges[i]``'s length times D, and adj[v] lists
-        (grid length, other end) for the edges at v in ``edges`` order."""
-        if self._grid is None:
-            ls = [self.edge_lengths[e] for e in self.edges]
-            D = math.lcm(*(l.denominator for l in ls))
-            lengths = [l.numerator * (D // l.denominator) for l in ls]
+        """(D, lengths, adj): D, the lcm of the length denominators, and
+        ``lengths[i]``, ``edges[i]``'s length times D, both set by build;
+        adj[v] lists (grid length, other end) for the edges at v in
+        ``edges`` order, built on first use."""
+        if self._adj is None:
             adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
-            for (u, w), n in zip(self.edges, lengths):
+            for (u, w), n in zip(self.edges, self._grid_lengths):
                 adj[u].append((n, w))
                 adj[w].append((n, u))
-            self._grid = (D, lengths, adj)
-        return self._grid
+            self._adj = adj
+        return self._D, self._grid_lengths, self._adj
 
     def int_grid(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
-        """(D, adj): the common denominator D of the edge lengths and, per
-        vertex, (grid length, other end) in ``edges`` order.  It equals
+        """(D, adj): the common denominator D of the edge lengths, set by
+        build, and, per vertex, (grid length, other end) in ``edges`` order,
+        built on first use.  It equals
         ``subgraph_metric_graph(self, self.edges).int_grid()``, without
         building that graph."""
         D, _, adj = self._grid_table()
         return D, adj
 
     def grid_lengths(self) -> list[int]:
-        """Each edge's length times D, in ``edges`` order."""
-        return self._grid_table()[1]
+        """Each edge's length times D, in ``edges`` order, as build computed
+        it for the triangle inequality."""
+        return self._grid_lengths
 
     def face_area(self, i: int) -> float:
         """Heron's formula on the edge lengths as floats.  Each is n / D on
         the grid: int true division rounds correctly, so it is the float of
         the ``Fraction`` length."""
         if self._face_areas is None:
-            D, lengths, _ = self._grid_table()
-            ln = dict(zip(self.edges, lengths))
+            D = self._D
+            ln = dict(zip(self.edges, self._grid_lengths))
             self._face_areas = [
                 heron(ln[_pair(b, c)] / D, ln[_pair(a, c)] / D,
                       ln[_pair(a, b)] / D)

@@ -79,20 +79,84 @@ def _shifted(faces, k):
     (TET, {(5, 0): 1}, "length given for (0, 5), which is not an edge of any face"),
     (TET, {(2, 1): 0}, "nonpositive length on edge (1, 2)"),
     (TET, {(0, 1): 2}, "triangle inequality fails on face (0, 1, 2)"),
+    # the message names the face as oriented: (0, 1, 3) runs 0 -> 1 as
+    # face 0 does, so it is flipped
+    (TET, {(1, 3): 2}, "triangle inequality fails on face (0, 3, 1)"),
     # an id is taken through operator.index, never truncated by int()
     ([(0, 1, 2.5)] + TET[1:], None, "vertex id 2.5 is not an integer"),
     ([(0, 1, True)] + TET[1:], None, "vertex id True is not an integer"),
     (TET, {(0, 1, 2): 1}, "length key (0, 1, 2) is not a vertex pair"),
     (TET, {(0, 1): "x"}, "length 'x' on (0, 1) is not a rational number"),
     (TET, {(0, 1): "1/0"}, "length '1/0' on (0, 1) is not a rational number"),
+    # positivity runs before the triangle check: (0, 1) = 2 makes face
+    # (0, 1, 2) flat, but the zero on (2, 3) is named
+    (TET, {(0, 1): 2, (2, 3): 0}, "nonpositive length on edge (2, 3)"),
+    # lengths on non-edges are refused before any length is read
+    (TET, {(0, 1): 0, (5, 0): 1},
+     "length given for (0, 5), which is not an edge of any face"),
 ], ids=["no_faces", "degenerate", "four_vertex_face", "edge_in_one_face",
         "two_tetrahedra", "rp2", "rp2_and_tetrahedron", "length_on_non_edge",
-        "nonpositive_length", "triangle_inequality", "non_integer_vertex",
+        "nonpositive_length", "triangle_inequality",
+        "triangle_inequality_on_flipped_face", "non_integer_vertex",
         "bool_vertex", "length_key_not_a_pair", "length_not_rational",
-        "length_zero_denominator"])
+        "length_zero_denominator", "zero_length_before_flat_face",
+        "non_edge_before_zero_length"])
 def test_build_rejects_with_message(faces, lengths, message):
     with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
         TriSurface.build(faces, lengths)
+
+
+NEAR_ONE = F(10**12 - 1, 10**12 + 1)        # a denominator near 10**12
+# in [1/2, 1] any three lengths meet the strict triangle inequality but
+# (1, 1/2, 1/2), which is flat; the wide pool adds short sides
+NARROW = [F(1, 2), F(8, 15), F(4, 7), F(3, 5), F(2, 3), F(5, 6), F(1), NEAR_ONE]
+WIDE = NARROW + [F(1, 3), F(1, 5), F(1, 7), F(7, 15), F(1, 6)]
+
+
+def _first_bad_face(s, ls):
+    """Fraction oracle: the first face of ``s`` whose lengths under ``ls``
+    miss a strict triangle inequality, or None."""
+    for a, b, c in s.faces:
+        la, lb, lc = ls[_pair(b, c)], ls[_pair(a, c)], ls[_pair(a, b)]
+        if not (la < lb + lc and lb < la + lc and lc < la + lb):
+            return (a, b, c)
+    return None
+
+
+@given(st.sampled_from(["tetrahedron", "torus7"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_build_triangle_check_matches_fraction_oracle(name, data):
+    s = tetrahedron() if name == "tetrahedron" else fixtures.torus7()
+    pool = data.draw(st.sampled_from([NARROW, WIDE]))
+    scale = data.draw(st.sampled_from([F(1), F(1, 3), F(7, 15), F(1, 10**12 + 3)]))
+    ls = {e: data.draw(st.sampled_from(pool)) * scale for e in s.edges}
+    if data.draw(st.booleans()):
+        # one face made exactly flat: 1/3 + 1/6 = 1/2
+        a, b, c = data.draw(st.sampled_from(s.faces))
+        flat = data.draw(st.permutations([F(1, 3), F(1, 6), F(1, 2)]))
+        for e, l in zip((_pair(a, b), _pair(b, c), _pair(a, c)), flat):
+            ls[e] = l * scale
+    bad = _first_bad_face(s, ls)
+    if bad is not None:
+        message = f"triangle inequality fails on face {bad}"
+        with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
+            TriSurface.build(s.faces, ls)
+        return
+    t = TriSurface.build(s.faces, ls)
+    assert t.faces == s.faces and t.edge_lengths == ls
+    D = math.lcm(*(l.denominator for l in ls.values()))
+    assert t.int_grid()[0] == D
+    assert t.grid_lengths() == [ls[e] * D for e in t.edges]
+
+
+def test_build_runs_no_fraction_arithmetic(monkeypatch):
+    # the nerve-pack torus7x3 mesh: 1344 edges of length 1/32
+    m = fixtures.scale_surface(fixtures.subdivide(fixtures.torus7(), 3), F(1, 4))
+    calls = {name: _count_calls(monkeypatch, F, name)
+             for name in ("__add__", "__sub__", "__lt__", "__le__", "__gt__", "__ge__")}
+    s = TriSurface.build(m.faces, m.edge_lengths)
+    assert len(s.edges) == 1344
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 ORIENTED = [fixtures.torus7(), fixtures.genus2(), fixtures.subdivide(fixtures.torus7())]
@@ -158,6 +222,14 @@ def test_skeleton_grid_adjacency_in_edge_id_order(s):
         assert adj[v] == [(e.length * D, e.other(v)) for e in es]
 
 
+def near_one_torus() -> TriSurface:
+    """torus7 with lengths 2/3, 4/7, NEAR_ONE, 5/6 and 3/5 in turn, all in
+    (1/2, 1), so D = 210 * (10**12 + 1)."""
+    t = fixtures.torus7()
+    cycle = (F(2, 3), F(4, 7), NEAR_ONE, F(5, 6), F(3, 5))
+    return TriSurface.build(t.faces, {e: cycle[i % 5] for i, e in enumerate(t.edges)})
+
+
 GRID_SURFACES = {
     "torus7.surf": lambda: corpus_surface("torus7.surf"),
     "torus7_sub.surf": lambda: corpus_surface("torus7_sub.surf"),
@@ -166,17 +238,24 @@ GRID_SURFACES = {
     "torus7x2": lambda: fixtures.subdivide(fixtures.torus7(), 2),
     "mixed_torus": mixed_torus,
     "mixed_torus_x1_relabeled": lambda: relabeled(fixtures.subdivide(mixed_torus()), 6),
+    "torus7x2_scaled": lambda: fixtures.scale_surface(
+        fixtures.subdivide(fixtures.torus7(), 2), F(7, 15)),
+    "genus2x1_scaled_relabeled": lambda: relabeled(fixtures.scale_surface(
+        fixtures.subdivide(fixtures.genus2()), F(1, 3)), 4),
+    "near_one_torus_x1": lambda: fixtures.subdivide(near_one_torus()),
 }
 
 
 @pytest.mark.parametrize("name", list(GRID_SURFACES))
 def test_grid_table_matches_metric_graph_and_fractions(name):
     s = GRID_SURFACES[name]()
-    g = MetricGraph.build(s.vertices, [(i, u, w, s.edge_lengths[(u, w)])
-                                       for i, (u, w) in enumerate(s.edges)])
-    D, adj = s.int_grid()
-    assert (D, adj) == g.int_grid()
+    # build keeps D and the grid lengths; the adjacency waits for first use
+    assert s._adj is None
+    D = math.lcm(*(l.denominator for l in s.edge_lengths.values()))
     assert s.grid_lengths() == [s.edge_lengths[e] * D for e in s.edges]
+    assert s._adj is None
+    assert s.int_grid() == subgraph_metric_graph(s, s.edges).int_grid()
+    assert s.int_grid()[0] == D
     for i, (a, b, c) in enumerate(s.faces):
         want = heron(float(s.edge_lengths[_pair(b, c)]),
                      float(s.edge_lengths[_pair(a, c)]),
