@@ -27,7 +27,10 @@ of distances, ``distances_from``, which no computation here reads.
 The surface metric is the shortest-path metric on the 1-skeleton; face
 areas come from Heron's formula on the grid lengths.  First homology is
 exact: a tree-cotree decomposition gives each edge its class in Z^{2g},
-packed into one int (``HomologyData``).
+packed into one int (``HomologyData``).  Two spanning trees fix every
+class: T on the vertices and C on the faces.  A cotree edge's class is
+its signed crossings with the generators' dual cycles, read off by walking
+each generator's path in C, so the homology builds no face table.
 
 A subgraph captures when its cycles span H1(M).  ``capturing_test`` is the
 one-shot query: it returns (captures, rank of the image) by exact
@@ -334,12 +337,21 @@ class HomologyData:
 
     T is a BFS spanning tree of the 1-skeleton (``tree_parent``) and C a
     spanning tree of the dual graph on the remaining edges, taken greedily
-    in edge order; the 2g edges in neither are the generators.  Every edge
-    (u, w), u < w, carries its class in Z^{2g}: zero on T, the i-th unit
-    vector on the i-th generator, and on C the value its face relations
-    force: peeling dual leaves, each face sets its cotree edge's class to
-    the signed sum of its other two edge classes.  The class of a closed
-    walk is the sum of its directed edge classes (``step``).
+    in edge order by a union-find; the 2g edges in neither are the
+    generators.  Every edge (u, w), u < w, carries its class in Z^{2g}:
+    zero on T, the i-th unit vector on the i-th generator, and on C the
+    value its face relations force.  That value is the edge's signed
+    crossings with the dual cycles: generator i's dual cycle crosses it
+    from its u -> w face to its w -> u face and returns along C.  So with C
+    rooted at face 0 (through ``edge_faces``), each generator walks its two
+    faces' paths up to the root, the common part cancelling, and adds
+    +-unit i to each edge of C it crosses (Eppstein, "Dynamic generators of
+    topologically embedded graphs", SODA 2003).  The face relations are
+    then checked once: each nonzero class is added to the face whose
+    triangle runs u -> w and subtracted from the other, and every face
+    total must be zero.  The cost is O(V + E + F + g * depth(C)).  The
+    class of a closed walk is the sum of its directed edge classes
+    (``step``).
 
     ``edge_class[(u, w)]`` is one int: the 2g coordinates as signed digits
     in base 2**``width``, coordinate i in digit 2g-1-i, so int order is the
@@ -379,43 +391,69 @@ class HomologyData:
                 x = root_of[x]
             return x
 
-        cotree = set()
+        edge_faces = s.edge_faces
+        cotree = [[] for _ in s.faces]          # per face, its edges in C
         self.generators: list[tuple[int, int]] = []
         for e in s.edges:
             if e in tree:
                 continue
-            f1, f2 = s.edge_faces[e]
+            f1, f2 = edge_faces[e]
             r1, r2 = find(f1), find(f2)
             if r1 == r2:
                 self.generators.append(e)
             else:
                 root_of[r1] = r2
-                cotree.add(e)
+                cotree[f1].append(e)
+                cotree[f2].append(e)
         if len(self.generators) != 2 * s.genus:
             raise SurfaceError("tree-cotree decomposition has the wrong number of generators")
         n = max(4 * len(s.edges), 2 * (2 * sum(lengths) // min(lengths) + 1))
         self.width = width = n.bit_length() + 1
-        cls = dict.fromkeys(tree, 0)
+        cls = dict.fromkeys(s.edges, 0)
         for i, e in enumerate(reversed(self.generators)):
             cls[e] = 1 << (i * width)
         self.edge_class = cls
-        # peel dual leaves: each face, children first, fixes the cotree edge
-        # towards its dual parent so that its boundary sums to zero
-        up = {0: None}
+        # root C at face 0: up[f] is the edge of C from f towards face 0
+        up = [None] * len(s.faces)
         forder = [0]
-        across = s.face_edges()
         for f in forder:
-            for e, h in across[f]:
-                if h not in up and e in cotree:
+            for e in cotree[f]:
+                if e != up[f]:
+                    f1, f2 = edge_faces[e]
+                    h = f2 if f1 == f else f1
                     up[h] = e
                     forder.append(h)
-        for f in reversed(forder[1:]):
-            u, w = e = up[f]
-            z = sum(s.faces[f]) - u - w          # the face's third vertex
-            cls[e] = self.step(u, z) + self.step(z, w)
-        for a, b, c in s.faces:
-            if self.step(a, b) + self.step(b, c) + self.step(c, a):
-                raise SurfaceError("face boundary has a nonzero homology class")
+        # generator i's dual cycle crosses it from its u -> w face fl to its
+        # w -> u face fr, then returns along C from fr to fl: up from fr,
+        # down to fl, the common part cancelling.  Crossing an edge of C from
+        # its u -> w face to its w -> u face adds unit i, the other way
+        # subtracts it.
+        for g in self.generators:
+            unit = cls[g]
+            fl, fr = edge_faces[g]
+            for f, step in ((fr, unit), (fl, -unit)):
+                while f:
+                    e = up[f]
+                    f1, f2 = edge_faces[e]
+                    if f == f1:
+                        cls[e] += step
+                        f = f2
+                    else:
+                        cls[e] -= step
+                        f = f1
+        # each face's boundary, read off its oriented triangle, sums to zero
+        total = [0] * len(s.faces)
+        faces = s.faces
+        for (u, w), c in cls.items():
+            if c:
+                f1, f2 = edge_faces[(u, w)]
+                tri = faces[f1]
+                if tri[tri.index(u) - 2] != w:   # f1 does not run u -> w
+                    c = -c
+                total[f1] += c
+                total[f2] -= c
+        if any(total):
+            raise SurfaceError("face boundary has a nonzero homology class")
 
     def step(self, x: int, y: int) -> int:
         """Packed class of the directed edge x -> y."""

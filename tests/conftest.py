@@ -713,15 +713,30 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def relabeled(s: TriSurface, seed: int) -> TriSurface:
+def relabeled(s: TriSurface, seed: int, shuffle_faces: bool = False) -> TriSurface:
     """s with its vertex ids shuffled, so vertex order and edge-id order
-    disagree with the original's."""
+    disagree with the original's; with ``shuffle_faces`` its face list is
+    shuffled too, so face 0 moves."""
     vs = sorted(s.vertices)
     perm = vs[:]
-    random.Random(seed).shuffle(perm)
+    rng = random.Random(seed)
+    rng.shuffle(perm)
     m = dict(zip(vs, perm))
-    return TriSurface.build([tuple(m[v] for v in f) for f in s.faces],
-                            {(m[a], m[b]): l for (a, b), l in s.edge_lengths.items()})
+    faces = [tuple(m[v] for v in f) for f in s.faces]
+    if shuffle_faces:
+        rng.shuffle(faces)
+    return TriSurface.build(faces, {(m[a], m[b]): l
+                                    for (a, b), l in s.edge_lengths.items()})
+
+
+# the meshes of the nerve-pack benchmark workload, built here: edges of
+# length 1/32, 1344 on the torus and 624 on genus 2
+NERVE_PACK_MESHES = {
+    "torus7x3": lambda: fixtures.scale_surface(
+        fixtures.subdivide(fixtures.torus7(), 3), Fraction(1, 4)),
+    "genus2x2": lambda: fixtures.scale_surface(
+        fixtures.subdivide(fixtures.genus2(), 2), Fraction(1, 8)),
+}
 
 
 def farthest_point_packing(s: TriSurface, separation: int, reach: int):

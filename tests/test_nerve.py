@@ -6,10 +6,10 @@ from importlib import resources
 
 import pytest
 
-from conftest import (_count_calls, area_shrink_factor, corpus_surface,
-                      farthest_point_packing, pairwise_nerve_edges, relabeled,
-                      rescaling_lambda_search, shrink_factor_grid_check,
-                      tetrahedron)
+from conftest import (NERVE_PACK_MESHES, _count_calls, area_shrink_factor,
+                      corpus_surface, farthest_point_packing,
+                      pairwise_nerve_edges, relabeled, rescaling_lambda_search,
+                      shrink_factor_grid_check, tetrahedron)
 from coverball import cover, fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
                                parse_surface)
@@ -87,10 +87,8 @@ PACKING_SURFACES = {
         fixtures.subdivide(fixtures.torus7(), 2), F(1, 8)), 1),
     "genus2x1": lambda: relabeled(fixtures.scale_surface(
         fixtures.subdivide(fixtures.genus2()), F(1, 16)), 2),
-    "torus7x3_pack": lambda: relabeled(fixtures.scale_surface(
-        fixtures.subdivide(fixtures.torus7(), 3), F(1, 4)), 3),
-    "genus2x2_pack": lambda: relabeled(fixtures.scale_surface(
-        fixtures.subdivide(fixtures.genus2(), 2), F(1, 8)), 4),
+    "torus7x3_pack": lambda: relabeled(NERVE_PACK_MESHES["torus7x3"](), 3),
+    "genus2x2_pack": lambda: relabeled(NERVE_PACK_MESHES["genus2x2"](), 4),
 }
 
 

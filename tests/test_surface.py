@@ -15,8 +15,8 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                heron, parse_surface, prune_pieces,
                                subgraph_length, subgraph_metric_graph, _pair)
 
-from conftest import (FractionEchelon, _count_calls, corpus_surface,
-                      format_surface, mixed_torus, pack_class,
+from conftest import (NERVE_PACK_MESHES, FractionEchelon, _count_calls,
+                      corpus_surface, format_surface, mixed_torus, pack_class,
                       prune_by_capturing_test, prune_to_iso, relabeled,
                       tetrahedron, walked_homology)
 
@@ -554,6 +554,10 @@ HOMOLOGY_SURFACES = {
     "torus7_sub_relabeled": lambda: relabeled(fixtures.subdivide(fixtures.torus7()), 5),
     "torus7_sub_short_edge": _short_edge_torus,
     **GRID_SURFACES,
+    # face 0 and the union-find's edge order both move, so C differs
+    **{f"{name}_pack_shuffled{seed}":
+       lambda make=make, seed=seed: relabeled(make(), seed, shuffle_faces=True)
+       for name, make in NERVE_PACK_MESHES.items() for seed in (1, 2)},
 }
 
 
@@ -565,6 +569,32 @@ def test_homology_matches_walked_oracle(name):
     assert hom.tree_parent == tree_parent
     assert hom.generators == generators
     assert {e: tuple(hom.digits(c)) for e, c in hom.edge_class.items()} == edge_class
+
+
+def test_face_check_reads_the_oriented_triangles():
+    """The face relations are checked on the triangles, not on
+    ``edge_faces`` alone: with one generator's two faces listed the wrong
+    way round, T, C and the generators stay, but the walk's classes no
+    longer close up around the triangles."""
+    hom = fixtures.genus2().homology()
+    t = fixtures.genus2()
+    g = hom.generators[0]
+    t.edge_faces = {**t.edge_faces, g: t.edge_faces[g][::-1]}
+    with pytest.raises(SurfaceError,
+                       match="^face boundary has a nonzero homology class$"):
+        t.homology()
+
+
+@pytest.mark.parametrize("name", list(NERVE_PACK_MESHES))
+def test_homology_and_nerve_build_no_face_table(name):
+    """The edge classes come from the two spanning trees alone, so neither
+    the homology nor a whole nerve run fills ``face_edges``."""
+    s = NERVE_PACK_MESHES[name]()
+    s.homology()
+    assert s._face_edges is None
+    s = NERVE_PACK_MESHES[name]()
+    assert nerve.nerve_graph(s).image_captures
+    assert s._homology is not None and s._face_edges is None
 
 
 @pytest.mark.parametrize("name", list(HOMOLOGY_SURFACES))
