@@ -83,17 +83,18 @@ def _cotree_sides(s: TriSurface, tree: set) -> dict:
 
 def _grid_candidates(s: TriSurface):
     """The candidate pass: two shortest-tree paths plus a closing edge, over
-    the tree of every vertex in ascending order.  Returns (cands, best,
+    the tree of every vertex in ascending order.  Returns (reps, best,
     sep), each grid length n standing for n/D.
 
-    ``cands`` holds every simple candidate of nonzero class as (grid length,
-    simple vertex cycle, packed class), its class packed as in
-    ``HomologyData``, in discovery order: root order, then edge order;
-    ``best[v]`` is the first shortest of those rooted at v.  ``sep[v]`` is
-    root v's first shortest simple candidate of class zero that bounds no
-    disk and is shorter than every nonzero-class one of root v before it,
-    as (grid length, cycle, 0); it is sought on genus >= 2 only (on the
-    torus a simple cycle of class zero bounds a disk).
+    ``reps`` maps each class c != 0 that some simple candidate has, up to
+    sign and keyed by ``abs(c)``, its class packed as in ``HomologyData``,
+    to the least such candidate in (grid length, cycle) order, as (grid
+    length, simple vertex cycle, packed class).  ``best[v]`` is the first
+    shortest simple nonzero-class candidate rooted at v, in edge order.
+    ``sep[v]`` is root v's first shortest simple candidate of class zero
+    that bounds no disk and is shorter than every nonzero-class one of root
+    v before it, as (grid length, cycle, 0); it is sought on genus >= 2
+    only (on the torus a simple cycle of class zero bounds a disk).
 
     Each root's work runs on the surface's integer grid.  Its tree takes
     the vertices in (distance, vertex) order, each hanging from its first
@@ -102,12 +103,15 @@ def _grid_candidates(s: TriSurface):
     root it descends from.  A non-tree edge (u, w) then closes a cycle of
     grid length dist(u) + dist(w) + len(u, w), simple iff the branches of
     u and w differ, of class pot(u) + [u -> w] - pot(w), a sum of fewer
-    than 2 * |V| edge classes.
+    than 2 * |V| edge classes.  A cycle starts at its root and roots
+    ascend, so a vertex list is built only for a candidate that is shorter
+    than its class's representative or ties it at the same root, and for
+    ``best[v]`` once root v is done.
     """
     packed = s.homology().edge_class
     adj = s.int_grid()[1]
     glen = list(zip(s.edges, s.grid_lengths()))
-    cands, best, sep = [], {}, {}
+    reps, best, sep = {}, {}, {}
     for v0 in sorted(s.vertices):
         dist = grid_shortest_paths(s, v0)[0]
         parent = {v0: None}
@@ -128,7 +132,7 @@ def _grid_candidates(s: TriSurface):
             # v0 down the tree to u, then w up to the child of v0
             return tree_path(parent, u) + tree_path(parent, w)[:0:-1]
 
-        first = len(cands)  # this root's candidates are cands[first:]
+        first = None        # (grid length, u, w, class) of this root's best
         least = math.inf    # least grid length of this root's kept candidates
         sides = None        # _cotree_sides of this tree, built on first use
         for (u, w), l in glen:
@@ -137,7 +141,15 @@ def _grid_candidates(s: TriSurface):
             length = dist[u] + dist[w] + l
             cls = pot[u] + packed[(u, w)] - pot[w]
             if cls:
-                cands.append((length, cycle(u, w), cls))
+                rep = reps.get(abs(cls))
+                if rep is None or length < rep[0]:
+                    reps[abs(cls)] = (length, cycle(u, w), cls)
+                elif length == rep[0] and rep[1][0] == v0:
+                    cyc = cycle(u, w)
+                    if cyc < rep[1]:
+                        reps[abs(cls)] = (length, cyc, cls)
+                if first is None or length < first[0]:
+                    first = (length, u, w, cls)
                 least = min(least, length)
             elif s.genus >= 2 and length < least:
                 # the cycle bounds the faces below (u, w) in C; a disk
@@ -148,9 +160,10 @@ def _grid_candidates(s: TriSurface):
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
                     sep[v0] = (length, cycle(u, w), 0)
                     least = length
-        if len(cands) > first:
-            best[v0] = min(cands[first:], key=lambda t: t[0])
-    return cands, best, sep
+        if first is not None:
+            length, u, w, cls = first
+            best[v0] = (length, cycle(u, w), cls)
+    return reps, best, sep
 
 
 def _candidate_pass(s: TriSurface):
@@ -347,9 +360,12 @@ def capture_length(s: TriSurface, mode: str = "greedy",
 def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]:
     """Greedy homology basis from the candidate pass; yields an upper bound.
 
-    Candidates are taken in (grid length, cycle) order, each ranked by its
-    packed class.  The first one is a shortest cycle of nonzero class
-    (Erickson and Whittlesey, SODA 2005), the cache's ``lambda1``.  Based,
+    The pass's class representatives are taken in (grid length, cycle)
+    order, each ranked by its packed class.  The first one is a shortest
+    cycle of nonzero class (Erickson and Whittlesey, SODA 2005), the cache's
+    ``lambda1``.  Taking every simple candidate in that order spans the
+    same basis: one whose class, up to sign, came earlier in the order is
+    always dependent, so only each class's first candidate can enter.  Based,
     the graph is the basis plus its shortest arc from ``x`` (see
     ``_with_arc``), so it passes through ``x``.
     """
@@ -359,7 +375,8 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
         hom = s.homology()
         ech = Echelon()
         edges: set = set()
-        for _, cyc, cls in sorted(_candidate_pass(s)[0], key=lambda t: (t[0], t[1])):
+        reps = _candidate_pass(s)[0].values()
+        for _, cyc, cls in sorted(reps, key=lambda t: (t[0], t[1])):
             if ech.add(hom.digits(cls)):
                 edges |= {_pair(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
             if ech.rank == k:
@@ -428,8 +445,8 @@ def _path_edges(parent: dict, v: int) -> set:
 # cut best - P0 - P1, P0 and P1 the two shortest u-v walks, and best only
 # falls, so one search to the largest cut of u's pairs serves them all; it
 # settles no label past cut*C - 1 and relaxes none.  P0 and P1 differ in
-# class, so P0 + P1 >= lambda1 and every arc tried costs less than
-# best - lambda1: both of its walks lie inside the table bound below, so
+# class, so P0 + P1 >= lambda1 and every arc tried costs at most
+# best - lambda1 - 1: both of its walks lie inside the table bound below, so
 # the winner's walks are settled states of the cached searches from u and
 # v, and no state leaves the width rule.
 #
@@ -447,31 +464,33 @@ def _path_edges(parent: dict, v: int) -> set:
 #
 # Table bound: a call with greedy upper bound ``best`` (unbased, or based
 # with its arc) that the tables it finds cannot settle (see the trial below)
-# grows them to best - lambda1, lambda1 the shortest cycle of nonzero
-# class, which is the first cycle of the greedy basis.  A candidate can
-# beat best only if each of its walks is shorter than best - lambda1: each
-# walk pairs with another walk of the candidate, of a different class, into
-# a closed walk of nonzero class, at least lambda1 long.  The pairs are
-# two of the three u-v paths of a theta, the two closed walks of a figure
-# eight or a disjoint pair, and, in the based theta, the split arc path
-# against a plain path.  So the tables hold every walk the search can use;
-# the search checks that their shortest nonzero-class closed walk is
-# lambda1 whenever lambda1 is within them.
+# grows them to best - lambda1 - 1, lambda1 the shortest cycle of nonzero
+# class, which is the first cycle of the greedy basis.  Each walk of a
+# candidate of grid total t pairs with another walk of the candidate, of a
+# different class, into a closed walk of nonzero class, at least lambda1
+# long, so the walk is at most t - lambda1 long; and a candidate beats best
+# only if t <= best - 1.  The pairs are two of the three u-v paths of a
+# theta, the two closed walks of a figure eight or a disjoint pair, and, in
+# the based theta, the split arc path against a plain path.  So the tables
+# hold every walk the search can use; the search checks that their
+# shortest nonzero-class closed walk is lambda1 whenever lambda1 is within
+# them.
 #
 # Trial: by the same pairing, tables at bound B hold every walk of each
-# candidate that totals less than B + lambda1.  So a call that finds tables
-# with B + lambda1 < best, and no cached floor at or above B + lambda1,
-# first runs the search with best = B + lambda1 on the tables as they are,
-# growing nothing (``_least_candidate``).  Only if that finds no candidate
-# does it grow the tables to best - lambda1 and search again from best.
-# The search returns the first candidate, in enumeration order, of least
-# total, or nothing if none beats best; a candidate the trial finds is that
-# one.  Growing the tables only appends entries longer than B, so any
-# candidate reading one totals more than B + lambda1: it is no least
-# candidate, and it cannot change a minimum m or cx, an arc or a pair that a
-# least candidate reads.  An arc's key order, (cost, foot rank, entry
-# index), does not depend on I or C either.  Nothing here uses x, so an
-# unbased call whose tables were grown by based calls takes the trial too.
+# candidate that totals at most B + lambda1.  So a call that finds tables
+# with B + lambda1 + 1 < best, and no cached floor at or above
+# B + lambda1 + 1, first runs the search with best = B + lambda1 + 1 on the
+# tables as they are, growing nothing (``_least_candidate``).  Only if that
+# finds no candidate does it grow the tables to best - lambda1 - 1 and
+# search again from best.  The search returns the first candidate, in
+# enumeration order, of least total, or nothing if none beats best; a
+# candidate the trial finds is that one.  Growing the tables only appends
+# entries longer than B, so any candidate reading one totals more than
+# B + lambda1: it is no least candidate, and it cannot change a minimum m or
+# cx, an arc or a pair that a least candidate reads.  An arc's key order,
+# (cost, foot rank, entry index), does not depend on I or C either.
+# Nothing here uses x, so an unbased call whose tables were grown by based
+# calls takes the trial too.
 #
 # Width rule: every bound is at most best <= 2*S with S the total grid
 # length; a state within the bound, or one edge past it, is reached by a
@@ -525,7 +544,8 @@ _STATE_CAP = 2_000_000
 
 class _CaptureCache:
     """What systole and capture reuse across calls on one surface: the
-    candidate pass, which serves the systole at every base, and its least
+    candidate pass, which serves the systole at every base and keeps one
+    cycle per root and one per class up to sign, and its least
     nonzero-class grid length ``lambda1``, the unbased greedy and exact
     results, and one resumable class search per source rank (no parents
     kept), its ``lists`` indexed by target rank, each grown to the grid
@@ -534,7 +554,7 @@ class _CaptureCache:
     its own tables: the distances from a base come from ``TriSurface.tree``."""
 
     def __init__(self):
-        self.candidates = None      # _grid_candidates (cands, best, sep)
+        self.candidates = None      # _grid_candidates (reps, best, sep)
         self.lambda1 = None         # least grid length in best
         self.greedy = None          # unbased greedy (length, edges)
         self.exact = None           # unbased exact (length, edges)
@@ -715,17 +735,17 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     if best == floor:
         return ub, ub_edges
     # see the trial above: the tables as they are settle every candidate
-    # below their bound plus lambda1
+    # of total at most their bound plus lambda1
     lambda1 = cache.lambda1
-    trial = cache.bound + lambda1
+    trial = cache.bound + lambda1 + 1
     found = None
     if cache.searches is not None and trial < best \
             and (floor is None or floor < trial):
         found = _least_candidate(s, x, trial, floor)
     if found is None:
         # see the table bound above: no walk of a candidate beating best is
-        # longer than best - lambda1
-        _capture_tables(s, best - lambda1)
+        # longer than best - lambda1 - 1
+        _capture_tables(s, best - lambda1 - 1)
         found = _least_candidate(s, x, best, floor)
     if found is None:
         # the greedy subgraph is already optimal

@@ -133,6 +133,18 @@ def test_default_systole_on_twice_subdivided_genus2():
     assert surfballs.systole(s)[0] == 3
 
 
+def test_candidate_pass_keeps_one_cycle_per_class_and_root():
+    # genus 2 subdivided twice has 15,692 simple nonzero-class candidates;
+    # the kept pass holds one per class up to sign, and one per root
+    s = fixtures.subdivide(fixtures.genus2(), 2)
+    surfballs.systole(s)
+    reps, best, sep = s._capture_cache.candidates
+    assert len(reps) == 15
+    assert all(key == abs(c) for key, (_, _, c) in reps.items())
+    assert sorted(best) == sorted(s.vertices)
+    assert all(cyc[0] == v for v, (_, cyc, _) in best.items())
+
+
 def test_systole_scales(torus):
     s = fixtures.scale_surface(torus, F(1, 4))
     assert surfballs.systole(s)[0] == F(3, 4)
@@ -184,29 +196,41 @@ def _oracle_systoles(cands, sep):
     return hom, hom
 
 
+def _up_to_sign(cls: dict) -> frozenset:
+    """A sparse ``class_of_walk`` class and its negative, as one key."""
+    return frozenset({tuple(sorted(cls.items())),
+                      tuple(sorted((i, -x) for i, x in cls.items()))})
+
+
 @pytest.mark.parametrize("name", sorted(CANDIDATE_SURFACES))
 def test_grid_candidates_match_fraction_oracle(name):
-    """The one pass against the oracle run at every base and unbased: root
-    v's candidates, ``best[v]`` and ``sep[v]`` are the oracle's pass over
-    the tree of v alone, and ``cands`` is its pass over every tree."""
+    """The one pass against the oracle run at every base and unbased:
+    ``best[v]`` and ``sep[v]`` are the oracle's pass over the tree of v
+    alone, and ``reps`` holds, for each class up to sign of the oracle's
+    pass over every tree, its least candidate in (length, cycle) order."""
     s = CANDIDATE_SURFACES[name]()
     if name == "torus7_mixed":
         assert s.int_grid()[0] > 1
     hom, classes = s.homology(), walked_homology(s)[2]
     D = s.int_grid()[0]
-    cands, best, sep = surfballs._grid_candidates(s)
-    assert all(type(n) is int for n, _, _ in cands)
+    reps, best, sep = surfballs._grid_candidates(s)
+    assert all(type(n) is int and key == abs(c) for key, (n, _, c) in reps.items())
     assert all({i: x for i, x in enumerate(hom.digits(c)) if x}
                == class_of_walk(classes, cyc)
-               for _, cyc, c in cands)
-    got = [(F(n, D), cyc) for n, cyc, _ in cands]
+               for _, cyc, c in reps.values())
+    got = {_up_to_sign(class_of_walk(classes, cyc)): (F(n, D), cyc)
+           for n, cyc, _ in reps.values()}
+    assert len(got) == len(reps)
     unbased = fraction_homology_candidates(s)
-    assert got == unbased[0]
-    assert all(type(length) is F for length, _ in got)
+    want_reps = {}
+    for length, cyc in unbased[0]:
+        key = _up_to_sign(class_of_walk(classes, cyc))
+        want_reps[key] = min(want_reps.get(key, (length, cyc)), (length, cyc))
+    assert got == want_reps
+    assert all(type(length) is F for length, _ in got.values())
     assert list(best) == sorted(best) and list(sep) == sorted(sep)
     for v in sorted(s.vertices):
         want, want_sep = fraction_homology_candidates(s, v)
-        assert [c for c in got if c[1][0] == v] == want, v
         if want_sep is None:
             assert v not in sep, v
         else:
@@ -220,6 +244,9 @@ def test_grid_candidates_match_fraction_oracle(name):
         for mode, (length, cyc) in zip(("auto", "homological"),
                                        _oracle_systoles(want, want_sep)):
             assert surfballs.systole(s, base=v, mode=mode) == (length, cyc), (v, mode)
+    # the greedy basis from the representatives is the one from every
+    # candidate
+    assert surfballs._greedy_capture(s) == fraction_greedy_capture(s)
     auto, homological = (surfballs.systole(s, mode=m)[0] for m in ("auto", "homological"))
     # the shrunk neck undercuts every nonzero class
     assert (auto < homological) == (name == "neck")
@@ -553,10 +580,10 @@ def _grid_bound(s, x=None) -> int:
 
 def _table_bound(s, x=None) -> int:
     """The class-table bound of an exact capture call: the greedy bound less
-    the shortest nonzero-class cycle, on the integer grid."""
+    the shortest nonzero-class cycle, less one, on the integer grid."""
     D = s.int_grid()[0]
     lambda1 = surfballs.systole(s, mode="homological")[0]
-    return _grid_bound(s, x) - surfballs._on_grid(lambda1, D)
+    return _grid_bound(s, x) - surfballs._on_grid(lambda1, D) - 1
 
 
 GENUS1_MAKERS = [fixtures.torus7,
@@ -781,10 +808,10 @@ def test_height_sweep_keeps_the_unbased_table_bound():
                                   lambda: _mixed_torus(1)],
                          ids=["torus7_sub_skewed1", "torus7_mixed1"])
 def test_capture_on_smaller_tables_matches_fresh_build(make):
-    # tables grown to b hold every walk of a candidate below b + lambda1: a
-    # call whose optimum lies below that keeps them as they are, any other
-    # grows them to its greedy bound less lambda1, and either returns what
-    # a fresh surface does, unbased and based alike
+    # tables grown to b hold every walk of a candidate of total at most
+    # b + lambda1: a call whose optimum is at most that keeps them as they
+    # are, any other grows them to its greedy bound less lambda1 less one,
+    # and either returns what a fresh surface does, unbased and based alike
     fresh = make()
     D = fresh.int_grid()[0]
     lambda1 = surfballs._on_grid(surfballs.systole(fresh, mode="homological")[0], D)
@@ -792,7 +819,7 @@ def test_capture_on_smaller_tables_matches_fresh_build(make):
     for x in (None, bases[0], bases[len(bases) // 2], bases[-1]):
         want = surfballs.capture_length(make(), mode="exact", x=x)
         need = _table_bound(fresh, x)
-        edge = surfballs._on_grid(want[0], D) - lambda1   # kept above edge
+        edge = surfballs._on_grid(want[0], D) - lambda1   # kept from edge on
         kept = set()
         for b in sorted({0, lambda1 - 1, edge - 1, edge, edge + 1, need - 1}):
             if not 0 <= b < need:
@@ -800,8 +827,8 @@ def test_capture_on_smaller_tables_matches_fresh_build(make):
             s = make()
             surfballs._capture_tables(s, b)
             assert surfballs.capture_length(s, mode="exact", x=x) == want, (x, b)
-            assert s._capture_cache.bound == (b if b > edge else need), (x, b)
-            kept.add(b > edge)
+            assert s._capture_cache.bound == (b if b >= edge else need), (x, b)
+            kept.add(b >= edge)
         if x is None:
             assert kept == {False, True}
 
