@@ -9,8 +9,12 @@ Every vertex-distance search goes through one Dijkstra core,
 ``grid_shortest_paths``, on the common-denominator integer grid.  It runs on
 anything that has ``int_grid()`` (a ``MetricGraph`` or a surface), with an
 optional cutoff and a per-vertex bound past it, and returns grid distances
-and a shortest-path tree.  A caller that needs exact distances divides by
-D itself, and only where it reports them.
+and a shortest-path tree.  Its queue is a bucket of vertices per grid
+distance under a heap of the distinct distances (Dial's), each bucket
+settled in ascending vertex order, so a vertex's parent is the first
+vertex in (distance, vertex) order that reached it at its final distance.
+A caller that needs exact distances divides by D itself, and only where it
+reports them.
 ``reduce_graph`` prunes leaves and smooths degree-2 vertices in one pass
 over a table of degrees and incident edge ids.
 """
@@ -174,9 +178,14 @@ def grid_shortest_paths(g, src: int, cutoff: int | None = None,
 
     Returns (dist, parent).  ``dist`` maps every reached vertex to its
     distance; ``parent`` maps ``src`` to None and every other reached vertex
-    to the vertex that first reached it at its final distance (heap entries
-    (d, v), strict improvement, edges in ``incident`` order).  A relaxation
-    beyond ``cutoff`` is dropped, unless ``bound`` is given and it beats
+    to the vertex that first reached it at its final distance.  The queue is
+    Dial's: a bucket of vertices per grid distance, under a heap of the
+    distinct distances.  Each bucket is settled in ascending vertex order,
+    skipping entries whose distance has since fallen, and relaxes edges in
+    ``incident`` order on strict improvement.  Every grid length is at
+    least 1, so no relaxation lands in the bucket being settled, and
+    vertices settle in (distance, vertex) order.  A relaxation beyond
+    ``cutoff`` is dropped, unless ``bound`` is given and it beats
     ``bound[u]``.  So every vertex within the cutoff is reached with its
     true distance and parent, and so is every vertex whose distance beats
     its bound, when the bound is 1-Lipschitz (every vertex on a shortest
@@ -188,20 +197,28 @@ def grid_shortest_paths(g, src: int, cutoff: int | None = None,
         raise GraphError(f"unknown source vertex {src!r}")
     dist = {src: 0}
     parent: dict[int, int | None] = {src: None}
-    heap = [(0, src)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for l, u in adj[v]:
-            nd = d + l
-            if cutoff is not None and nd > cutoff and (
-                    bound is None or nd >= bound[u]):
-                continue
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                parent[u] = v
-                heapq.heappush(heap, (nd, u))
+    buckets = {0: [src]}
+    keys = [0]
+    while keys:
+        d = heapq.heappop(keys)
+        bucket = buckets.pop(d)
+        bucket.sort()
+        for v in bucket:
+            if dist[v] != d:
+                continue        # stale: v settled at a shorter distance
+            for l, u in adj[v]:
+                nd = d + l
+                if cutoff is not None and nd > cutoff and (
+                        bound is None or nd >= bound[u]):
+                    continue
+                if u not in dist or nd < dist[u]:
+                    dist[u] = nd
+                    parent[u] = v
+                    if nd in buckets:
+                        buckets[nd].append(u)
+                    else:
+                        buckets[nd] = [u]
+                        heapq.heappush(keys, nd)
     return dist, parent
 
 

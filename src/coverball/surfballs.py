@@ -510,10 +510,14 @@ def _path_edges(parent: dict, v: int) -> set:
 # systole at x none once the pass exists.  Sources and targets are vertex
 # ranks: the tables are ``searches[u].lists[v]``, the walks from the vertex
 # of rank u to that of rank v, and no other index is kept over them.  A
-# search settles states in increasing (length, state) order and appends
-# each to its target's (grid length, class) list, so every list stays
-# sorted; when a base needs a larger bound, each search pops on from where
-# it stopped, with its relaxations past the old bound still on its heap.
+# search keeps one bucket of states per grid length under a heap of the
+# distinct lengths (Dial's queue), settles each bucket in ascending state
+# order, and appends each state to its target's (grid length, class) list;
+# every step is at least 1 grid unit, so no relaxation lands in the bucket
+# being settled, states settle in increasing (length, state) order and
+# every list stays sorted.  When a base needs a larger bound, each search
+# goes on from where it stopped: its relaxations past the old bound stay
+# in their buckets.
 #
 # Floor: a based call on a surface whose unbased exact result is cached
 # (``height`` makes the unbased call first) takes its length L(M) as a
@@ -535,9 +539,10 @@ def _path_edges(parent: dict, v: int) -> set:
 # bases came before.
 #
 # ``_STATE_CAP`` bounds the states one search has reached, its frontier past
-# the bound included.  It is checked before each pop, so a search that hits
-# it is left whole: the cache's bound does not rise, and the next call
-# raises again or, under a larger cap, resumes.
+# the bound included.  It is checked before each state a bucket yields, so
+# a search that hits it, even inside a bucket, is left whole: the unsettled
+# rest of the bucket stays, the cache's bound does not rise, and the next
+# call raises again or, under a larger cap, resumes.
 
 _STATE_CAP = 2_000_000
 
@@ -609,18 +614,22 @@ class _ClassSearch:
     one resumable, seeded Dijkstra behind both the class tables and the
     based theta's arcs.
 
-    ``seeds`` lists (key, state) pairs, one per state, and becomes the heap;
-    ``adj[r]`` lists (key step, state delta) for each directed edge out of
-    the vertex of rank r, least step first; ``limit`` is the largest key
-    the search may ever settle.  A table search is seeded with its source's
-    zero-class state at key 0 and steps by grid lengths up to the packing's
-    limit; an arc search's keys are labels, grid units times C (see the arc
-    search above).  ``grow(bound)`` settles every state of key <= bound in
-    increasing (key, state) order, appending (key, class) to ``lists[r]``,
-    r its target's rank; relaxations past the bound stay on the heap for a
-    later, larger bound, and those past ``limit`` are dropped.  ``dist``
-    maps each reached state to its key so far, final once it is <= the
-    bound.
+    ``seeds`` lists (key, state) pairs, one per state, each put in the
+    bucket of its key; ``adj[r]`` lists (key step, state delta) for each
+    directed edge out of the vertex of rank r, least step first, every
+    step at least 1; ``limit`` is the largest key the search may ever
+    settle.  A table search is seeded with its source's zero-class state at
+    key 0 and steps by grid lengths up to the packing's limit; an arc
+    search's keys are labels, grid units times C (see the arc search
+    above).  ``buckets`` maps each pending key to its states and
+    ``keys`` is a heap of those keys.  ``grow(bound)`` settles whole buckets
+    up to the bound, each sorted descending and popped from its end, so
+    states settle in increasing (key, state) order; it appends (key, class)
+    to ``lists[r]``, r its target's rank.  Relaxations past the bound stay
+    in their buckets for a later, larger bound, and those past ``limit`` are
+    dropped.  ``dist`` maps each reached state to its key so far, final
+    once it is <= the bound; a bucket entry whose key is above it is
+    stale and skipped.
     """
 
     def __init__(self, packing: _ClassPacking, seeds: list, adj: list, limit: int):
@@ -628,35 +637,49 @@ class _ClassSearch:
         self.adj = adj
         self.limit = limit
         self.dist = {st: k for k, st in seeds}
-        self.heap = seeds
-        heapify(seeds)
+        self.buckets: dict[int, list[int]] = {}
+        for k, st in seeds:
+            self.buckets.setdefault(k, []).append(st)
+        self.keys = list(self.buckets)
+        heapify(self.keys)
         self.lists = [[] for _ in packing.verts]
 
     def grow(self, bound: int) -> None:
         if bound > self.limit:
             raise SurfaceError("class search bound exceeds its packing width")
         pk = self.packing
-        dist, heap, lists, adj = self.dist, self.heap, self.lists, self.adj
+        dist, buckets, keys = self.dist, self.buckets, self.keys
+        lists, adj = self.lists, self.adj
         limit = self.limit
         past = limit + 1        # the key of a state not reached yet
         M, Z, classes = pk.M, pk.Z, pk.classes
         cap = _STATE_CAP
-        while heap and heap[0][0] <= bound:
-            if len(dist) > cap:
-                raise SurfaceError("class search state budget exceeded")
-            d, st = heappop(heap)
-            if d > dist[st]:
-                continue
-            r, low = divmod(st, M)
-            lists[r].append((d, classes.setdefault(low, low - Z)))
-            for l, delta in adj[r]:
-                nd = d + l
-                if nd > limit:
-                    break       # so is every later step of adj[r]
-                ns = st + delta
-                if nd < dist.get(ns, past):
-                    dist[ns] = nd
-                    heappush(heap, (nd, ns))
+        while keys and keys[0] <= bound:
+            d = keys[0]
+            bucket = buckets[d]
+            bucket.sort(reverse=True)
+            while bucket:
+                if len(dist) > cap:
+                    raise SurfaceError("class search state budget exceeded")
+                st = bucket.pop()
+                if dist[st] != d:
+                    continue    # stale: settled at a lower key
+                r, low = divmod(st, M)
+                lists[r].append((d, classes.setdefault(low, low - Z)))
+                for l, delta in adj[r]:
+                    nd = d + l
+                    if nd > limit:
+                        break   # so is every later step of adj[r]
+                    ns = st + delta
+                    if nd < dist.get(ns, past):
+                        dist[ns] = nd
+                        if nd in buckets:
+                            buckets[nd].append(ns)
+                        else:
+                            buckets[nd] = [ns]
+                            heappush(keys, nd)
+            heappop(keys)
+            del buckets[d]
 
     def parent(self, state: int) -> int | None:
         """The settled state that first reached ``state`` at its final

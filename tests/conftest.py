@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import Mapping
 
 from coverball import cover, fixtures, surfballs
 from coverball.graphs import (Edge, GraphError, MetricGraph, betti, delete_edge,
@@ -256,6 +257,35 @@ def prune_then_smooth(g: MetricGraph) -> tuple[MetricGraph, tuple[int, ...]]:
     pruned, r1 = prune_leaves(g)
     reduced, r2 = smooth_degree2(pruned)
     return reduced, r1 + r2
+
+
+def heap_grid_shortest_paths(g, src: int, cutoff: int | None = None,
+                             bound: Mapping[int, int] | None = None
+                             ) -> tuple[dict[int, int], dict[int, int | None]]:
+    """Oracle for ``graphs.grid_shortest_paths``: the same search on a heap
+    of (d, v) entries, one pushed per strict improvement and stale ones
+    skipped, so each vertex's parent is the vertex that first reached it at
+    its final distance in (d, v) pop order, edges in ``incident`` order."""
+    adj = g.int_grid()[1]
+    if isinstance(src, bool) or src not in adj:
+        raise GraphError(f"unknown source vertex {src!r}")
+    dist = {src: 0}
+    parent: dict[int, int | None] = {src: None}
+    heap = [(0, src)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for l, u in adj[v]:
+            nd = d + l
+            if cutoff is not None and nd > cutoff and (
+                    bound is None or nd >= bound[u]):
+                continue
+            if u not in dist or nd < dist[u]:
+                dist[u] = nd
+                parent[u] = v
+                heapq.heappush(heap, (nd, u))
+    return dist, parent
 
 
 def edge_by_edge_girth(g: MetricGraph) -> Fraction | None:
@@ -742,22 +772,23 @@ NERVE_PACK_MESHES = {
 def farthest_point_packing(s: TriSurface, separation: int, reach: int):
     """Oracle for ``nerve._farthest_point_packing``: the greedy
     farthest-point rule as a max over all vertices of (mind, -v), on a
-    ``MetricGraph`` built here.  The first center's tree is complete; each
-    later one runs to max(mind[far], reach), beyond which no vertex can get
-    closer.  Returns (centers, dists, parents) on the grid."""
+    ``MetricGraph`` built here, its trees from ``heap_grid_shortest_paths``
+    rather than the queue under test.  The first center's tree is
+    complete; each later one runs to max(mind[far], reach), beyond which no
+    vertex can get closer.  Returns (centers, dists, parents) on the grid."""
     g = MetricGraph.build(s.vertices, [(i, u, w, s.edge_lengths[(u, w)])
                                        for i, (u, w) in enumerate(s.edges)])
     verts = sorted(s.vertices)
     centers = [verts[0]]
     dists, parents = {}, {}
-    dists[verts[0]], parents[verts[0]] = grid_shortest_paths(g, verts[0])
+    dists[verts[0]], parents[verts[0]] = heap_grid_shortest_paths(g, verts[0])
     mind = dict(dists[verts[0]])
     while True:
         far = max(verts, key=lambda v: (mind[v], -v))
         if mind[far] <= separation:
             return centers, dists, parents
         centers.append(far)
-        dists[far], parents[far] = grid_shortest_paths(
+        dists[far], parents[far] = heap_grid_shortest_paths(
             g, far, max(mind[far], reach))
         for v, d in dists[far].items():
             if d < mind[v]:

@@ -717,6 +717,38 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
     assert _vertex_tables(s, high) == _vertex_tables(make(), high)
 
 
+def test_state_cap_inside_a_bucket_leaves_the_search_whole(monkeypatch):
+    # torus7x2 has one grid length, so each key's bucket holds many states.
+    # A cap equal to the states search 0 has reached once every key below
+    # d has settled trips after the first state of bucket d, inside it
+    def make():
+        return fixtures.subdivide(fixtures.torus7(), 2)
+
+    s = make()
+    low, high = 4, 8
+    cache = surfballs._capture_cache(s)
+    first = surfballs._capture_tables(s, low)[0]
+    d = low + 1
+    size = len(first.buckets[d])
+    assert size > 1
+    monkeypatch.setattr(surfballs, "_STATE_CAP", len(first.dist))
+    with pytest.raises(SurfaceError) as oracle:
+        tuple_class_dijkstra(s, min(s.vertices), high)
+    for _ in range(2):
+        with pytest.raises(SurfaceError) as raised:
+            surfballs._capture_tables(s, high)
+        assert str(raised.value) == str(oracle.value)
+        assert cache.bound == low
+        assert 0 < len(first.buckets[d]) < size     # the rest of bucket d
+    monkeypatch.undo()
+    resumed = surfballs._capture_tables(s, high)
+    fresh = surfballs._capture_tables(make(), high)
+    assert cache.bound == high
+    for a, b in zip(resumed, fresh):
+        assert a.lists == b.lists
+        assert a.dist == b.dist
+
+
 @pytest.mark.parametrize("make", GENUS1_MAKERS, ids=GENUS1_IDS)
 def test_exact_capture_independent_of_table_bound(make):
     # tables grown first to the largest greedy bound of any call give the

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_by_edge_girth, prune_then_smooth, random_bounded_instance
+from conftest import (NERVE_PACK_MESHES, corpus_surface, edge_by_edge_girth,
+                      heap_grid_shortest_paths, prune_then_smooth,
+                      random_bounded_instance, relabeled)
 from coverball.graphs import (GraphError, MetricGraph, betti, delete_edge,
                               figure_eight, format_graph, girth,
                               grid_shortest_paths, is_separating,
@@ -230,6 +232,78 @@ def test_grid_shortest_paths_bound_past_cutoff(b, seed, rng):
     assert parent == {v: full_parent[v] for v in dist}
 
 
+def _lipschitz_bound(g, rng) -> dict:
+    """min over a few sources c of d(c, v) + a_c, 1-Lipschitz on the grid
+    like the packing's min over its centers (no source leaves every vertex
+    unbounded)."""
+    bound = dict.fromkeys(g.int_grid()[1], math.inf)
+    for c in rng.sample(sorted(bound), rng.randint(0, min(3, len(bound)))):
+        a = rng.randint(0, 8)
+        for v, d in heap_grid_shortest_paths(g, c)[0].items():
+            bound[v] = min(bound[v], d + a)
+    return bound
+
+
+def _assert_heap_tree(g, src, rng):
+    """``grid_shortest_paths`` from src gives the heap oracle's very dist
+    and parent maps, with no cutoff, a cutoff alone, and a cutoff with a
+    1-Lipschitz bound: the same first tight reacher of every vertex."""
+    full = heap_grid_shortest_paths(g, src)
+    assert grid_shortest_paths(g, src) == full, src
+    cutoff = rng.randint(0, max(full[0].values()) + 1)
+    assert grid_shortest_paths(g, src, cutoff) == \
+        heap_grid_shortest_paths(g, src, cutoff), (src, cutoff)
+    bound = _lipschitz_bound(g, rng)
+    assert grid_shortest_paths(g, src, cutoff, bound) == \
+        heap_grid_shortest_paths(g, src, cutoff, bound), (src, cutoff)
+
+
+@st.composite
+def _tie_graphs(draw):
+    """Multigraphs with loops and parallel edges, their lengths all equal,
+    drawn from three values, or all distinct (k/997, k unique)."""
+    n = draw(st.integers(1, 8))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=16))
+    kind = draw(st.sampled_from(["equal", "few", "distinct"]))
+    if kind == "equal":
+        lengths = [F(1, 3)] * len(ends)
+    elif kind == "few":
+        lengths = draw(st.lists(st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+                                min_size=len(ends), max_size=len(ends)))
+    else:
+        lengths = [F(k, 997) for k in draw(st.lists(
+            st.integers(1, 3000), unique=True, min_size=len(ends), max_size=len(ends)))]
+    return MetricGraph.build(range(n), [(i, u, w, l) for i, ((u, w), l)
+                                        in enumerate(zip(ends, lengths))])
+
+
+@given(_tie_graphs(), st.randoms(use_true_random=False))
+@example(theta_graph(), random.Random(0))
+@example(trivalent_reference(5), random.Random(0))
+@settings(max_examples=150, deadline=None)
+def test_shortest_path_trees_match_heap_oracle(g, rng):
+    for src in sorted(g.vertices):
+        _assert_heap_tree(g, src, rng)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: corpus_surface(n) for n in (
+        "torus7.surf", "torus7_sub.surf", "torus7_sub_sixth.surf",
+        "genus2.surf", "genus2_neck.surf")),
+    *(lambda m=m: relabeled(m(), 5, shuffle_faces=True)
+      for m in NERVE_PACK_MESHES.values())],
+    ids=["torus7", "torus7_sub", "torus7_sub_sixth", "genus2", "genus2_neck",
+         *(f"{n}_relabeled" for n in NERVE_PACK_MESHES)])
+def test_surface_shortest_path_trees_match_heap_oracle(make):
+    # every root of a corpus surface, a dozen of each nerve-pack mesh
+    s = make()
+    rng = random.Random(11)
+    verts = sorted(s.vertices)
+    for src in verts if len(verts) <= 100 else rng.sample(verts, 12):
+        _assert_heap_tree(s, src, rng)
+
+
 @st.composite
 def _multigraphs(draw):
     """Small multigraphs, not necessarily connected: loops, parallel and
@@ -255,8 +329,8 @@ def test_girth_and_separating_match_edge_deletion(g):
 
 
 def test_shortest_paths_tie_rule_and_unknown_source():
-    # unit 4-cycle 0-1-2-3: both neighbours reach 2 at distance 2, the
-    # first one popped (1) becomes its parent
+    # unit 4-cycle 0-1-2-3: both neighbours reach 2 at distance 2, and the
+    # first settled in the bucket of distance 1, vertex 1, is its parent
     g = MetricGraph.build(range(4), [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1),
                                      (3, 3, 0, 1)])
     dist, parent = grid_shortest_paths(g, 0)
