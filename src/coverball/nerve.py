@@ -129,10 +129,11 @@ def nerve_graph(s: TriSurface, r0: Fraction | str = DEFAULT_R0,
 
     # the face set surfballs.ball(s, p, r0) builds, in the same order
     radius = math.floor(r0 * D)
+    face_areas = s.face_areas()
     areas = []
     for p in centers:
         inside = {v for v, d in dists[p].items() if d <= radius}
-        areas.append(sum(s.face_area(i)
+        areas.append(sum(face_areas[i]
                          for i in surfballs._ball_faces(s, inside)))
     min_area = float(r0) ** 2 / 4.0
     precondition_ok = all(a >= min_area for a in areas)

@@ -9,12 +9,13 @@ no other module attaches state to a surface:
 
 - the integer grid (``int_grid``, ``grid_lengths``): build sets the common
   denominator D of the edge lengths and each edge's length in units of
-  1/D, and compares the triangle inequality on those integers; the grid
-  adjacency is built on first use;
+  1/D, and compares the triangle inequality on those integers; it keeps
+  those lengths by edge too, which face areas and ``subgraph_length`` read;
+  the grid adjacency is built on first use;
 - the face table (``face_edges``): per face, its three edges, each with the
   face across it;
 - the grid shortest-path tree of the last base asked about (``tree``);
-- the homology (``homology``) and the Heron face areas (``face_area``);
+- the homology (``homology``) and the Heron face areas (``face_areas``);
 - the capture cache of ``surfballs`` (``capture_cache``).
 
 Every later surface computation reads these tables: shortest paths
@@ -115,9 +116,10 @@ class TriSurface:
     vertex_faces: dict[int, list[int]]             # faces at v, ascending
     genus: int
     # the integer grid, set by build: D and each edge's length times D, in
-    # ``edges`` order (see _grid_table)
+    # ``edges`` order (see _grid_table) and by edge
     _D: int = field(repr=False, compare=False)
     _grid_lengths: list[int] = field(repr=False, compare=False)
+    _edge_grid: dict[tuple[int, int], int] = field(repr=False, compare=False)
     # derived views, each built on first use
     _adj: dict | None = field(**_LAZY)            # grid adjacency
     _homology: HomologyData | None = field(**_LAZY)
@@ -156,7 +158,7 @@ class TriSurface:
         face that runs w -> u) once oriented, ``vertex_faces`` with the
         faces at each vertex in ascending order, the genus from
         V - E + F = 2 - 2g, and D with the grid lengths in ``edges`` order
-        (``int_grid``, ``grid_lengths``).
+        (``int_grid``, ``grid_lengths``), and the grid lengths by edge.
         """
         faces = [tuple(map(_vertex_id, f)) for f in faces]
         if not faces:
@@ -239,7 +241,7 @@ class TriSurface:
             edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
         genus = (2 - len(verts) + len(edges) - len(faces)) // 2
         return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
-                          vfaces, genus, D, [grid[e] for e in edges])
+                          vfaces, genus, D, [grid[e] for e in edges], grid)
 
     # -- derived views -----------------------------------------------------
     def _grid_table(self) -> tuple:
@@ -269,21 +271,23 @@ class TriSurface:
         it for the triangle inequality."""
         return self._grid_lengths
 
-    def face_area(self, i: int) -> float:
-        """Heron's formula on the edge lengths as floats.  Each is n / D on
-        the grid: int true division rounds correctly, so it is the float of
-        the ``Fraction`` length."""
+    def face_areas(self) -> list[float]:
+        """Each face's area, in ``faces`` order, built on first use and kept:
+        the list itself is returned, so callers read it and never change
+        it.  Heron's formula on the edge lengths as floats: each is n / D
+        on the grid, and int true division rounds correctly, so it is the
+        float of the ``Fraction`` length."""
         if self._face_areas is None:
-            D = self._D
-            ln = dict(zip(self.edges, self._grid_lengths))
+            D, ln = self._D, self._edge_grid
             self._face_areas = [
                 heron(ln[_pair(b, c)] / D, ln[_pair(a, c)] / D,
                       ln[_pair(a, b)] / D)
                 for a, b, c in self.faces]
-        return self._face_areas[i]
+        return self._face_areas
 
     def total_area(self) -> float:
-        return sum(self.face_area(i) for i in range(len(self.faces)))
+        """The sum of ``face_areas`` in face order."""
+        return sum(self.face_areas())
 
     def face_edges(self) -> list[list[tuple[tuple[int, int], int]]]:
         """Per face (a, b, c), its edges (a, b), (b, c) and (a, c), each as
@@ -629,7 +633,12 @@ def prune_pieces(s: TriSurface, pieces) -> list[int]:
 
 
 def subgraph_length(s: TriSurface, sub_edges) -> Fraction:
-    return sum((s.edge_lengths[e] for e in _edge_set(s, sub_edges)), Fraction(0))
+    """Total length of the edges of the vertex pairs ``sub_edges``, each
+    counted once: their grid lengths summed as ints, taken to a
+    ``Fraction`` once.  SurfaceError names the first pair that is not an
+    edge."""
+    grid = s._edge_grid
+    return Fraction(sum(grid[e] for e in _edge_set(s, sub_edges)), s._D)
 
 
 def subgraph_metric_graph(s: TriSurface, sub_edges) -> MetricGraph:

@@ -229,7 +229,10 @@ class BallSubcomplex:
     boundary_edges: frozenset[tuple[int, int]]
 
     def area(self, s: TriSurface) -> float:
-        return sum(s.face_area(i) for i in self.faces)
+        """The sum of the faces' areas (``TriSurface.face_areas``), in the
+        order the face set iterates."""
+        areas = s.face_areas()
+        return sum(areas[i] for i in self.faces)
 
     def boundary_length(self, s: TriSurface) -> Fraction:
         return sum((s.edge_lengths[e] for e in self.boundary_edges), Fraction(0))
@@ -237,17 +240,25 @@ class BallSubcomplex:
 
 def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
     """The ball of radius R about x: the vertices within R of x and the
-    faces they span.  A vertex at grid distance n from x, read from the
-    surface's kept shortest-path tree of x (``TriSurface.tree``), lies
-    within R iff n <= floor(R * D), as n is an integer; R * D need not be
-    one."""
+    faces they span (``_inner_ball``), with the edges of those faces that
+    border a face outside, which the pipeline's boundary lengths and
+    ``fill_to_bplus`` read."""
     R = Fraction(R)
+    interior, faces = _inner_ball(s, x, R)
+    return BallSubcomplex(R, interior, faces, _boundary_edges(s, faces))
+
+
+def _inner_ball(s: TriSurface, x: int, R: Fraction) -> tuple[frozenset, frozenset]:
+    """(interior, faces) of the ball of radius R about x, the one reading
+    of a ball that ``ball`` and ``small_ball_area_check`` share.  A vertex
+    at grid distance n from x, read from the surface's kept shortest-path
+    tree of x (``TriSurface.tree``), lies within R iff n <= floor(R * D),
+    as n is an integer; R * D need not be one."""
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
     cut = math.floor(R * s.int_grid()[0])
     interior = frozenset(v for v, d in s.tree(x)[0].items() if d <= cut)
-    faces = _ball_faces(s, interior)
-    return BallSubcomplex(R, interior, faces, _boundary_edges(s, faces))
+    return interior, _ball_faces(s, interior)
 
 
 def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
@@ -352,8 +363,8 @@ def capture_length(s: TriSurface, mode: str = "greedy",
     cache = _capture_cache(s)
     if cache.exact is None:
         L, edges = _exact_capture_search(s, None)
-        cache.exact = (L, frozenset(edges))
-    L, edges = cache.exact
+        cache.exact = (L, _on_grid(L, s.int_grid()[0]), frozenset(edges))
+    L, _, edges = cache.exact
     return L, set(edges)
 
 
@@ -369,6 +380,16 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
     the graph is the basis plus its shortest arc from ``x`` (see
     ``_with_arc``), so it passes through ``x``.
     """
+    length, n, edges = _greedy_basis(s)
+    if x is None:
+        return length, set(edges)
+    n, edges = _with_arc(s.tree(x), n, edges)
+    return Fraction(n, s.int_grid()[0]), edges
+
+
+def _greedy_basis(s: TriSurface) -> tuple[Fraction, int, frozenset]:
+    """The unbased greedy graph, kept in the cache as (length, grid length,
+    edges), so that based calls add their arcs on the grid."""
     cache = _capture_cache(s)
     if cache.greedy is None:
         k = 2 * s.genus
@@ -383,28 +404,24 @@ def _greedy_capture(s: TriSurface, x: int | None = None) -> tuple[Fraction, set]
                 break
         if ech.rank != k:
             raise SurfaceError("greedy capture failed to span H1")
-        cache.greedy = (subgraph_length(s, edges), frozenset(edges))
-    length, edges = cache.greedy
-    if x is None:
-        return length, set(edges)
-    return _with_arc(s, s.tree(x), length, edges)
+        length = subgraph_length(s, edges)
+        cache.greedy = (length, _on_grid(length, s.int_grid()[0]), frozenset(edges))
+    return cache.greedy
 
 
-def _with_arc(s: TriSurface, tree: tuple, length: Fraction,
-              edges) -> tuple[Fraction, set]:
-    """The graph ``edges`` of length ``length`` joined to the root x of
+def _with_arc(tree: tuple, n: int, edges) -> tuple[int, set]:
+    """The graph ``edges`` of grid length ``n`` joined to the root x of
     ``tree``, the grid (dist, parent) maps of ``grid_shortest_paths`` from
     x, by the tree path from x to the graph's vertex nearest x, the least
-    one on ties.  The path's inner vertices are nearer x than every vertex
-    of the graph, so it adds exactly its own length."""
+    one on ties: (grid length, edges).  The path's inner vertices are
+    nearer x than every vertex of the graph, so it adds exactly its own
+    length, the foot's grid distance."""
     if not edges:
         raise SurfaceError("genus-0 surface has an empty capturing graph, "
                            "which no arc from a base point reaches")
     dist, parent = tree
-    foot = min((dist[v], v) for e in edges for v in e)[1]
-    D = s.int_grid()[0]
-    return (length + Fraction(dist[foot], D),
-            set(edges) | _path_edges(parent, foot))
+    d, foot = min((dist[v], v) for e in edges for v in e)
+    return n + d, set(edges) | _path_edges(parent, foot)
 
 
 def _path_edges(parent: dict, v: int) -> set:
@@ -438,17 +455,21 @@ def _path_edges(parent: dict, v: int) -> set:
 # Its keys are labels in grid units times C: cost*C + rank(w)*I + i, i the
 # index of g1 in u's list at w, I one more than the longest table list and
 # C = |V|*I, so key order is the order of (cost, rank of w, i) and each
-# directed edge steps by its grid length times C.  Of equal-cost arcs of
-# one class, the least foot and then the least entry wins, the first in
-# (w, entry) order; the arcs of one pair are tried in (cost, class) order,
-# as its plain paths are.  An arc of the pair u,v is tried only below its
-# cut best - P0 - P1, P0 and P1 the two shortest u-v walks, and best only
-# falls, so one search to the largest cut of u's pairs serves them all; it
-# settles no label past cut*C - 1 and relaxes none.  P0 and P1 differ in
-# class, so P0 + P1 >= lambda1 and every arc tried costs at most
-# best - lambda1 - 1: both of its walks lie inside the table bound below, so
-# the winner's walks are settled states of the cached searches from u and
-# v, and no state leaves the width rule.
+# directed edge steps by its grid length times C.  That adjacency, the
+# packing's with each grid length times C, is kept in the cache (``adjC``,
+# with its ``scale`` C) and rebuilt only when C changes, that is when the
+# tables grow a longer list; a based call at unchanged tables reuses it.
+# Of equal-cost arcs of one class, the least foot and then the least entry
+# wins, the first in (w, entry) order; the arcs of one pair are tried in
+# (cost, class) order, as its plain paths are.  An arc of the pair u,v is
+# tried only below its cut best - P0 - P1, P0 and P1 the two shortest u-v
+# walks, and best only falls, so one search to the largest cut of u's pairs
+# serves them all; it settles no label past cut*C - 1 and relaxes none, and
+# a foot w with dist(x, w) at or past the cut seeds nothing.  P0 and P1
+# differ in class, so P0 + P1 >= lambda1 and every arc tried costs at most
+# best - lambda1 - 1: both of its walks lie inside the table bound below,
+# so the winner's walks are settled states of the cached searches from u
+# and v, and no state leaves the width rule.
 #
 # The search runs on the surface's common-denominator integer grid
 # (``TriSurface.int_grid``): every length, distance and bound is the
@@ -502,22 +523,24 @@ def _path_edges(parent: dict, v: int) -> set:
 #
 # Each surface keeps one ``_CaptureCache``: the candidate pass, which
 # serves every base, and its lambda1, the unbased greedy basis and exact
-# result, and one resumable class search per source.  Every based reader
-# takes its distances from x from the surface's own grid shortest-path tree
-# of the last base asked about (``TriSurface.tree``): the based greedy arc,
-# the exact search's dist(x, .) and arc, ``height``'s distance bound and
-# ``ball``; so height and balls at one x run one Dijkstra from x, and the
-# systole at x none once the pass exists.  Sources and targets are vertex
-# ranks: the tables are ``searches[u].lists[v]``, the walks from the vertex
-# of rank u to that of rank v, and no other index is kept over them.  A
-# search keeps one bucket of states per grid length under a heap of the
-# distinct lengths (Dial's queue), settles each bucket in ascending state
-# order, and appends each state to its target's (grid length, class) list;
-# every step is at least 1 grid unit, so no relaxation lands in the bucket
-# being settled, states settle in increasing (length, state) order and
-# every list stays sorted.  When a base needs a larger bound, each search
-# goes on from where it stopped: its relaxations past the old bound stay
-# in their buckets.
+# result, each with its grid length, so that a based call reads its greedy
+# bound and its floor as ints, and one resumable class search per source.
+# Every based reader takes its distances from x from the surface's own grid
+# shortest-path tree of the last base asked about (``TriSurface.tree``):
+# the based greedy arc, the exact search's dist(x, .) and arc, ``height``'s
+# distance bound and the inner ball (``_inner_ball``, read by ``ball`` and
+# the small-ball check); so height and balls at one x run one Dijkstra from
+# x, and the systole at x none once the pass exists.  Sources and targets
+# are vertex ranks: the tables are ``searches[u].lists[v]``, the walks from
+# the vertex of rank u to that of rank v, and no other index is kept over
+# them.  A search keeps one bucket of states per grid length under a heap
+# of the distinct lengths (Dial's queue), settles each bucket in ascending
+# state order, and appends each state to its target's (grid length, class)
+# list; every step is at least 1 grid unit, so no relaxation lands in the
+# bucket being settled, states settle in increasing (length, state) order
+# and every list stays sorted.  When a base needs a larger bound, each
+# search goes on from where it stopped: its relaxations past the old bound
+# stay in their buckets.
 #
 # Floor: a based call on a surface whose unbased exact result is cached
 # (``height`` makes the unbased call first) takes its length L(M) as a
@@ -552,21 +575,25 @@ class _CaptureCache:
     candidate pass, which serves the systole at every base and keeps one
     cycle per root and one per class up to sign, and its least
     nonzero-class grid length ``lambda1``, the unbased greedy and exact
-    results, and one resumable class search per source rank (no parents
-    kept), its ``lists`` indexed by target rank, each grown to the grid
-    bound ``bound``, which never falls (see the table bound and the trial
-    above).  The surface keeps it (``TriSurface.capture_cache``), beside
-    its own tables: the distances from a base come from ``TriSurface.tree``."""
+    results with their grid lengths, one resumable class search per source
+    rank (no parents kept), its ``lists`` indexed by target rank, each
+    grown to the grid bound ``bound``, which never falls (see the table
+    bound and the trial above), and the arc searches' adjacency at its
+    scale C (see the arc search above).  The surface keeps it
+    (``TriSurface.capture_cache``), beside its own tables: the distances
+    from a base come from ``TriSurface.tree``."""
 
     def __init__(self):
         self.candidates = None      # _grid_candidates (reps, best, sep)
         self.lambda1 = None         # least grid length in best
-        self.greedy = None          # unbased greedy (length, edges)
-        self.exact = None           # unbased exact (length, edges)
+        self.greedy = None          # unbased greedy (length, grid length, edges)
+        self.exact = None           # unbased exact (length, grid length, edges)
         self.packing = None         # see _ClassPacking
         self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
         self.longest = 0            # longest list of the searches at bound
+        self.scale = None           # the arc label scale C of adjC
+        self.adjC = None            # the packing's adjacency, lengths times C
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
@@ -731,13 +758,16 @@ def _arc_search(pk: _ClassPacking, adj: list, I: int, row: list, dx: list,
     lists by target rank, ``dx`` dist(x, w) by rank of w, and ``adj`` the
     packing's adjacency with each grid length times C."""
     C = len(row) * I
+    M, Z = pk.M, pk.Z
     seeds = []
     for r, (lst, d) in enumerate(zip(row, dx)):
+        if d >= cut:
+            continue    # every arc from this foot costs at least the cut
         for i, (d1, g1) in enumerate(lst):
             c = d1 + d
             if c >= cut:
                 break
-            seeds.append((c * C + r * I + i, pk.state(r, g1)))
+            seeds.append((c * C + r * I + i, r * M + Z + g1))   # pk.state(r, g1)
     search = _ClassSearch(pk, seeds, adj, cut * C - 1)
     search.grow(cut * C - 1)
     return search
@@ -746,17 +776,18 @@ def _arc_search(pk: _ClassPacking, adj: list, I: int, row: list, dx: list,
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
     D = s.int_grid()[0]
     cache = _capture_cache(s)
-    if x is None:
-        ub, ub_edges = _greedy_capture(s)
-    else:
+    # the greedy bound and the floor are read on the grid, as the cache
+    # keeps them: a based call converts no Fraction
+    _, ub, ub_edges = _greedy_basis(s)
+    if x is not None:
         tree = s.tree(x)
-        ub, ub_edges = _with_arc(s, tree, *_greedy_capture(s))
-    best = _on_grid(ub, D)
+        ub, ub_edges = _with_arc(tree, ub, ub_edges)
+    best = ub
     # see the floor above: a based call stops once best reaches the cached
     # unbased optimum (an unbased call never finds one cached)
-    floor = None if cache.exact is None else _on_grid(cache.exact[0], D)
+    floor = None if cache.exact is None else cache.exact[1]
     if best == floor:
-        return ub, ub_edges
+        return Fraction(ub, D), set(ub_edges)
     # see the trial above: the tables as they are settle every candidate
     # of total at most their bound plus lambda1
     lambda1 = cache.lambda1
@@ -772,7 +803,7 @@ def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
         found = _least_candidate(s, x, best, floor)
     if found is None:
         # the greedy subgraph is already optimal
-        return ub, ub_edges
+        return Fraction(ub, D), set(ub_edges)
     best, best_walks, best_foot = found
     searches, pk = cache.searches, cache.packing
     edges = set() if x is None else _path_edges(tree[1], pk.verts[best_foot])
@@ -800,11 +831,21 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
     cache = _capture_cache(s)
     searches, pk, lambda1 = cache.searches, cache.packing, cache.lambda1
     n, det = len(pk.verts), s.homology().det
+    # an arc's label is its grid cost times C plus its foot and entry (see
+    # the arc search above), and the arc searches' adjacency is kept while C
+    # holds; unbased, a special path's label is its grid length, C = 1
     if x is None:
         dx = [0] * n
+        C = 1
     else:
         distx = s.tree(x)[0]
         dx = [distx[v] for v in pk.verts]
+        I = 1 + cache.longest
+        C = n * I
+        if cache.scale != C:
+            cache.adjC = [[(l * C, delta) for l, delta in es] for es in pk.adj]
+            cache.scale = C
+        adjC = cache.adjC
     best_walks = None
     best_foot = None
 
@@ -845,11 +886,6 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
 
     # theta family: three u-v paths with non-collinear classes; in the based
     # variant exactly one path is split at an arc foot w paying dist(x, w)
-    # an arc's label is its grid cost times C plus its foot and entry (see
-    # the arc search above); unbased, a special path's label is its grid
-    # length, C = 1
-    C = 1
-    adjC = None             # the packing's adjacency, grid lengths times C
     for u in range(n):
         if best == floor:
             break
@@ -873,10 +909,6 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
         if not pairs:
             continue
         if x is not None:
-            if adjC is None:
-                I = 1 + cache.longest
-                C = n * I
-                adjC = [[(l * C, delta) for l, delta in es] for es in pk.adj]
             arcs = _arc_search(pk, adjC, I, row, dx, cut).lists
         for v, P in pairs:
             if best == floor:
@@ -943,13 +975,17 @@ def small_ball_area_check(s: TriSurface, x: int, R: Fraction | int | str,
     H''(x) < R < sys(M,x)/2, given H''(x) (``height``) and sys(M,x)
     (``systole_at``).  Substituting H'' for min(H',H'') means only the
     implied weaker inequality is tested.  The area is that of the inner
-    ball (``ball``), a lower bound on the ball's, so one below the target
-    reads inconclusive, never fail."""
+    ball, a lower bound on the ball's, so one below the target reads
+    inconclusive, never fail.  It is ``ball(s, x, R).area(s)`` to the last
+    bit: the faces of ``_inner_ball``, which ``ball`` reads too, their
+    areas summed in the same order; the check reads no ball boundary, so it
+    builds none."""
     R = Fraction(R)
     if not (hpp < R < sys_x / 2):
         return {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
                 "status": "inconclusive", "reason": "outside admissible window"}
-    area = ball(s, x, R).area(s)
+    areas = s.face_areas()
+    area = sum(areas[i] for i in _inner_ball(s, x, R)[1])
     required = float(R - hpp) ** 2 / 2.0
     rep = {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
            "area": area, "required": required, "margin": area - required,

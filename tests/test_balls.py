@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -426,13 +427,15 @@ def test_based_op_runs_one_shortest_path_tree(monkeypatch):
     checks) runs one grid Dijkstra, from x, and builds no Fraction distance
     map: height and the ball checks share the surface's kept tree of x
     (``TriSurface.tree``), and the systole at x reads the candidate pass
-    that serves every base, which runs none once built."""
+    that serves every base, which runs none once built.  Each check reads
+    the inner ball's faces once and builds no ball boundary."""
     s = relabeled(fixtures.subdivide(fixtures.torus7()), 1)
     surfballs.capture_length(s, "exact")    # the unbased pass, once per surface
     trees = _count_calls(monkeypatch, surface, "grid_shortest_paths")
     trees_here = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
     maps = _count_calls(monkeypatch, TriSurface, "distances_from")
-    balls = _count_calls(monkeypatch, surfballs, "ball")
+    inner = _count_calls(monkeypatch, surfballs, "_inner_ball")
+    boundaries = _count_calls(monkeypatch, surfballs, "_boundary_edges")
     for x in sorted(s.vertices):
         trees.clear()
         h = surfballs.height(s, x, mode="exact")
@@ -444,7 +447,8 @@ def test_based_op_runs_one_shortest_path_tree(monkeypatch):
             assert check.get("reason") != "outside admissible window"
         assert [a[1] for a in trees] == [x] and trees_here == []
         assert maps == []
-    assert len(balls) == 3 * len(s.vertices)
+    assert len(inner) == 3 * len(s.vertices)
+    assert boundaries == []
 
 
 def test_cached_base_refuses_bool():
@@ -1089,3 +1093,98 @@ def test_window_check_inconclusive_outside(sub_torus):
     rep = surfballs.small_ball_area_check(sub_torus, 0, F(2), hpp=h["Hpp"],
                                           sys_x=sys_x)   # 2 >= sys/2 = 3/2
     assert rep["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: corpus_surface("torus7_sub.surf"),
+    lambda: relabeled(corpus_surface("torus7_sub.surf"), 3),
+    lambda: _skewed_sub_torus(1)],
+    ids=["torus7_sub", "torus7_sub_relabeled3", "torus7_sub_skewed1"])
+def test_window_check_area_is_the_ball_area(make):
+    """The check's area is ``ball(s, x, R).area(s)`` as a float, bit for
+    bit, and its status and reason follow from that area: at every vertex,
+    for each multiple of 1/8 inside the window (H'', sys_x/2) and for
+    R = 11/8, in the window or not."""
+    s = make()
+    statuses = set()
+    for x in sorted(s.vertices):
+        hpp = surfballs.height(s, x)["Hpp"]
+        sys_x, _ = surfballs.systole_at(s, x)
+        radii = [F(k, 8) for k in range(math.floor(8 * hpp) + 1, math.ceil(4 * sys_x))]
+        assert radii and all(hpp < R < sys_x / 2 for R in radii)
+        for R in radii + [F(11, 8)]:
+            rep = surfballs.small_ball_area_check(s, x, R, hpp=hpp, sys_x=sys_x)
+            if not hpp < R < sys_x / 2:
+                assert (rep["status"], rep["reason"]) == \
+                    ("inconclusive", "outside admissible window")
+                continue
+            area = surfballs.ball(s, x, R).area(s)
+            assert rep["area"] == area, (x, R)
+            low = area < float(R - hpp) ** 2 / 2
+            assert rep["status"] == ("inconclusive" if low else "pass"), (x, R)
+            assert rep.get("reason") == (surfballs.LOW_INNER_AREA if low else None)
+            statuses.add(rep["status"])
+    assert statuses == {"pass", "inconclusive"}
+
+
+def _scaled_corpus(name: str) -> TriSurface:
+    return fixtures.scale_surface(corpus_surface(name), F(1, 10**12 + 3))
+
+
+CORPUS_SURFACES = ["torus7.surf", "torus7_sub.surf", "torus7_sub_sixth.surf",
+                   "genus2.surf", "genus2_neck.surf"]
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["corpus", "scaled"])
+@pytest.mark.parametrize("name", CORPUS_SURFACES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_subgraph_length_matches_fraction_sum(name, scaled, data):
+    """``subgraph_length`` sums grid lengths and builds one Fraction: it
+    equals the Fraction sum over the distinct edges, for any pairs in any
+    order and direction, repeats included, on the corpus and on copies
+    scaled by 1/(10**12 + 3)."""
+    s = _scaled_corpus(name) if scaled else corpus_surface(name)
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(s.edges), st.booleans()),
+                               max_size=2 * len(s.edges)))
+    pairs = [(w, u) if flip else (u, w) for (u, w), flip in picks]
+    want = sum((s.edge_lengths[e] for e in {e for e, _ in picks}), F(0))
+    assert subgraph_length(s, pairs) == want
+
+
+def test_based_exact_capture_adds_no_fractions(monkeypatch):
+    """On torus7_sub with the unbased result cached, a based exact call
+    reads its greedy bound and floor on the grid and sums its realized
+    length as ints: no Fraction addition runs, at any base."""
+    s = corpus_surface("torus7_sub.surf")
+    L, _ = surfballs.capture_length(s, mode="exact")
+    adds = _count_calls(monkeypatch, F, "__add__")
+    for x in sorted(s.vertices):
+        assert surfballs.capture_length(s, mode="exact", x=x)[0] == L, x
+    assert adds == []
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+@pytest.mark.parametrize("make, scales_seen", [(lambda: _skewed_sub_torus(1), 1),
+                                               (lambda: _mixed_torus(3), 2)],
+                         ids=["torus7_sub_skewed1", "torus7_mixed3"])
+def test_kept_arc_adjacency_follows_the_tables(make, scales_seen, descending):
+    """The arc searches' scaled adjacency is kept while its scale C =
+    |V| * (1 + longest) holds.  On fresh surfaces whose based calls grow
+    the tables (the skewed torus7_sub from nothing, the mixed torus7 again
+    later in both orders), after each based call it is the packing's
+    adjacency times the current C, and each result is the oracle's, run on
+    its own copy, which grows its own tables."""
+    s, ref = make(), make()
+    bases = sorted(s.vertices, reverse=descending)
+    cache = surfballs._capture_cache(s)
+    scales = set()
+    for x in bases:
+        got = surfballs.capture_length(s, mode="exact", x=x)
+        assert got == arc_dict_exact_capture(ref, x), x
+        C = len(bases) * (1 + cache.longest)
+        assert cache.scale == C, x
+        assert cache.adjC == [[(l * C, delta) for l, delta in es]
+                              for es in cache.packing.adj], x
+        scales.add(C)
+    assert len(scales) == scales_seen

@@ -260,7 +260,7 @@ def test_grid_table_matches_metric_graph_and_fractions(name):
         want = heron(float(s.edge_lengths[_pair(b, c)]),
                      float(s.edge_lengths[_pair(a, c)]),
                      float(s.edge_lengths[_pair(a, b)]))
-        assert s.face_area(i).hex() == want.hex()
+        assert s.face_areas()[i].hex() == want.hex()
 
 
 @pytest.mark.parametrize("name", list(GRID_SURFACES))
