@@ -452,24 +452,20 @@ def _path_edges(parent: dict, v: int) -> set:
 # once per source u with seeds: each table entry (d1, g1) of u at w seeds
 # the state (w, g1) at cost d1 + dist(x, w), and walking on from w to v adds
 # the walk's class, which is h - g1 when the reversed walk has class g1 - h.
-# Its keys are labels in grid units times C: cost*C + rank(w)*I + i, i the
-# index of g1 in u's list at w, I one more than the longest table list and
-# C = |V|*I, so key order is the order of (cost, rank of w, i) and each
-# directed edge steps by its grid length times C.  That adjacency, the
-# packing's with each grid length times C, is kept in the cache (``adjC``,
-# with its ``scale`` C) and rebuilt only when C changes, that is when the
-# tables grow a longer list; a based call at unchanged tables reuses it.
-# Of equal-cost arcs of one class, the least foot and then the least entry
-# wins, the first in (w, entry) order; the arcs of one pair are tried in
-# (cost, class) order, as its plain paths are.  An arc of the pair u,v is
-# tried only below its cut best - P0 - P1, P0 and P1 the two shortest u-v
-# walks, and best only falls, so one search to the largest cut of u's pairs
-# serves them all; it settles no label past cut*C - 1 and relaxes none, and
-# a foot w with dist(x, w) at or past the cut seeds nothing.  P0 and P1
-# differ in class, so P0 + P1 >= lambda1 and every arc tried costs at most
-# best - lambda1 - 1: both of its walks lie inside the table bound below,
-# so the winner's walks are settled states of the cached searches from u
-# and v, and no state leaves the width rule.
+# Its keys are grid costs on the packing's own adjacency, so each target's
+# list comes out in (cost, class) order, the order in which the arcs of one
+# pair are tried, as its plain paths are.  Of equal-cost arcs of one class
+# the least foot and then the least entry wins: ``_arc_foot`` reads it once,
+# for the final winner, off the seeds that start a shortest walk to its
+# state.  An arc of the pair u,v is tried only below its cut
+# best - P0 - P1, P0 and P1 the two shortest u-v walks, and best only
+# falls, so one search to the largest cut of u's pairs serves them all; it
+# settles no cost past cut - 1 and relaxes none, and a foot w with
+# dist(x, w) at or past the cut seeds nothing.  P0 and P1 differ in class,
+# so P0 + P1 >= lambda1 and every arc tried costs at most best - lambda1 - 1:
+# both of its walks lie inside the table bound below, so the winner's walks
+# are settled states of the cached searches from u and v, and no state
+# leaves the width rule.
 #
 # The search runs on the surface's common-denominator integer grid
 # (``TriSurface.int_grid``): every length, distance and bound is the
@@ -508,8 +504,7 @@ def _path_edges(parent: dict, v: int) -> set:
 # candidate the trial finds is that one.  Growing the tables only appends
 # entries longer than B, so any candidate reading one totals more than
 # B + lambda1: it is no least candidate, and it cannot change a minimum m or
-# cx, an arc or a pair that a least candidate reads.  An arc's key order,
-# (cost, foot rank, entry index), does not depend on I or C either.
+# cx, an arc or a pair that a least candidate reads.
 # Nothing here uses x, so an unbased call whose tables were grown by based
 # calls takes the trial too.
 #
@@ -578,8 +573,7 @@ class _CaptureCache:
     results with their grid lengths, one resumable class search per source
     rank (no parents kept), its ``lists`` indexed by target rank, each
     grown to the grid bound ``bound``, which never falls (see the table
-    bound and the trial above), and the arc searches' adjacency at its
-    scale C (see the arc search above).  The surface keeps it
+    bound and the trial above).  The surface keeps it
     (``TriSurface.capture_cache``), beside its own tables: the distances
     from a base come from ``TriSurface.tree``."""
 
@@ -591,9 +585,6 @@ class _CaptureCache:
         self.packing = None         # see _ClassPacking
         self.searches = None        # _ClassSearch per source rank
         self.bound = -1             # grid bound every search has reached
-        self.longest = 0            # longest list of the searches at bound
-        self.scale = None           # the arc label scale C of adjC
-        self.adjC = None            # the packing's adjacency, lengths times C
 
 
 def _capture_cache(s: TriSurface) -> _CaptureCache:
@@ -645,9 +636,10 @@ class _ClassSearch:
     bucket of its key; ``adj[r]`` lists (key step, state delta) for each
     directed edge out of the vertex of rank r, least step first, every
     step at least 1; ``limit`` is the largest key the search may ever
-    settle.  A table search is seeded with its source's zero-class state at
-    key 0 and steps by grid lengths up to the packing's limit; an arc
-    search's keys are labels, grid units times C (see the arc search
+    settle.  Every key is a grid length and every adjacency the packing's:
+    a table search is seeded with its source's zero-class state at key 0
+    and grows up to the packing's limit, an arc search with its source's
+    table entries at their arc costs up to its cut (see the arc search
     above).  ``buckets`` maps each pending key to its states and
     ``keys`` is a heap of those keys.  ``grow(bound)`` settles whole buckets
     up to the bound, each sorted descending and popped from its end, so
@@ -743,34 +735,51 @@ def _capture_tables(s: TriSurface, bound: int) -> list:
                           for r in range(len(pk.verts))]
     for search in cache.searches:
         search.grow(bound)
-    cache.longest = max(len(lst) for search in cache.searches
-                        for lst in search.lists)
     cache.bound = bound
     return cache.searches
 
 
-def _arc_search(pk: _ClassPacking, adj: list, I: int, row: list, dx: list,
+def _arc_search(pk: _ClassPacking, row: list, dx: list,
                 cut: int) -> _ClassSearch:
     """The seeded class search of one theta source u (see the arc search
-    above), grown to every label below ``cut`` * C, C = |V| * I: its
-    ``lists[v]`` holds u's least arc to the vertex of rank v in each class,
-    as (label, class) in label order.  ``row`` is u's (grid length, class)
-    lists by target rank, ``dx`` dist(x, w) by rank of w, and ``adj`` the
-    packing's adjacency with each grid length times C."""
-    C = len(row) * I
+    above), grown to every grid cost below ``cut``: its ``lists[v]`` holds
+    u's least arc to the vertex of rank v in each class, as (cost, class)
+    in (cost, class) order.  ``row`` is u's (grid length, class) lists by
+    target rank and ``dx`` dist(x, w) by rank of w."""
     M, Z = pk.M, pk.Z
     seeds = []
     for r, (lst, d) in enumerate(zip(row, dx)):
         if d >= cut:
             continue    # every arc from this foot costs at least the cut
-        for i, (d1, g1) in enumerate(lst):
+        for d1, g1 in lst:
             c = d1 + d
             if c >= cut:
                 break
-            seeds.append((c * C + r * I + i, r * M + Z + g1))   # pk.state(r, g1)
-    search = _ClassSearch(pk, seeds, adj, cut * C - 1)
-    search.grow(cut * C - 1)
+            seeds.append((c, r * M + Z + g1))   # pk.state(r, g1)
+    search = _ClassSearch(pk, seeds, pk.adj, cut - 1)
+    search.grow(cut - 1)
     return search
+
+
+def _arc_foot(search: _ClassSearch, row: list, dx: list, state: int) -> tuple:
+    """The least (foot rank, entry index) of the seeds of the arc search
+    ``search`` (``_arc_search`` of ``row`` and ``dx``) that start a shortest
+    walk to ``state``: those met walking back from it through every tight
+    predecessor, as ``_ClassSearch.parent`` does, whose seed cost is their
+    state's final key."""
+    pk, dist = search.packing, search.dist
+    feet, seen, stack = [], {state}, [state]
+    while stack:
+        st = stack.pop()
+        d = dist[st]
+        r, low = divmod(st, pk.M)
+        feet += [(r, i) for i, (d1, g1) in enumerate(row[r])
+                 if g1 == low - pk.Z and d1 + dx[r] == d]
+        for l, delta in search.adj[r]:
+            if st + delta not in seen and dist.get(st + delta) == d - l:
+                seen.add(st + delta)
+                stack.append(st + delta)
+    return min(feet)
 
 
 def _exact_capture_search(s: TriSurface, x: int | None) -> tuple[Fraction, set]:
@@ -831,23 +840,14 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
     cache = _capture_cache(s)
     searches, pk, lambda1 = cache.searches, cache.packing, cache.lambda1
     n, det = len(pk.verts), s.homology().det
-    # an arc's label is its grid cost times C plus its foot and entry (see
-    # the arc search above), and the arc searches' adjacency is kept while C
-    # holds; unbased, a special path's label is its grid length, C = 1
     if x is None:
         dx = [0] * n
-        C = 1
     else:
         distx = s.tree(x)[0]
         dx = [distx[v] for v in pk.verts]
-        I = 1 + cache.longest
-        C = n * I
-        if cache.scale != C:
-            cache.adjC = [[(l * C, delta) for l, delta in es] for es in pk.adj]
-            cache.scale = C
-        adjC = cache.adjC
-    best_walks = None
-    best_foot = None
+    # best_arc is a based theta winner's (arc search, u, v, class), its foot
+    # read once, after the search
+    best_walks = best_foot = best_arc = None
 
     # closed-walk minima per class, as (grid length, base rank): m[h] plain,
     # cx[h] with the arc from x charged to the walk; cx is m when unbased,
@@ -909,19 +909,14 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
         if not pairs:
             continue
         if x is not None:
-            arcs = _arc_search(pk, adjC, I, row, dx, cut).lists
+            arcs = _arc_search(pk, row, dx, cut)
         for v, P in pairs:
             if best == floor:
                 break
-            if x is None:
-                A = P   # unbased, the "special" path is just another plain path
-            else:
-                # one arc per class, in label order: try them by (cost, class)
-                A = arcs[v]
-                if len(A) > 1:
-                    A = sorted(A, key=lambda a: (a[0] // C, a[1]))
-            for label, h1 in A:
-                d1 = label // C
+            # unbased, the "special" path is just another plain path; based,
+            # it is one arc per class, in (cost, class) order
+            A = P if x is None else arcs.lists[v]
+            for d1, h1 in A:
                 if d1 + P[0][0] + P[1][0] >= best:
                     break
                 for j in range(len(P)):
@@ -943,13 +938,16 @@ def _least_candidate(s: TriSurface, x: int | None, best: int,
                         if x is None:
                             best_walks.append((u, (v, h1)))
                         else:
-                            best_foot, i = divmod(label % C, I)
-                            g1 = row[best_foot][i][1]
-                            best_walks += [(u, (best_foot, g1)),
-                                           (v, (best_foot, g1 - h1))]
+                            best_arc = (arcs, u, v, h1)
 
     if best_walks is None:
         return None
+    if best_arc is not None:
+        arcs, u, v, h1 = best_arc
+        row = searches[u].lists
+        best_foot, i = _arc_foot(arcs, row, dx, pk.state(v, h1))
+        g1 = row[best_foot][i][1]
+        best_walks += [(u, (best_foot, g1)), (v, (best_foot, g1 - h1))]
     return best, best_walks, best_foot
 
 

@@ -692,8 +692,6 @@ def test_resumed_capture_tables_equal_fresh_build(make, monkeypatch):
             surfballs.capture_length(s, mode="exact", x=x)
         bound = s._capture_cache.bound
         assert bound == _table_bound(s, far)
-        assert s._capture_cache.longest == max(
-            len(lst) for search in s._capture_cache.searches for lst in search.lists)
         resumed = _vertex_tables(s, bound)
         assert resumed == _vertex_tables(make(), bound)
         assert _reached(resumed) == tuple_capture_tables(s, bound)
@@ -882,31 +880,28 @@ def test_unbased_capture_after_based_calls_matches_fresh(make):
 
 def test_based_capture_floor_skips_arc_searches(monkeypatch):
     # every base of torus7_sub has H'' = 0; the full search runs 27 arc
-    # searches at each.  An arc search is a class search seeded with keys
-    # in grid units times C > 1, so its adjacency is not the packing's.
+    # searches at each
     s = fixtures.subdivide(fixtures.torus7())
-    calls = []
-    init = surfballs._ClassSearch.__init__
-
-    def counting_init(self, packing, seeds, adj, limit):
-        if adj is not packing.adj:
-            calls.append(1)
-        init(self, packing, seeds, adj, limit)
-
-    monkeypatch.setattr(surfballs._ClassSearch, "__init__", counting_init)
+    calls = _count_calls(monkeypatch, surfballs, "_arc_search")
     L, _ = surfballs.capture_length(s, mode="exact")
     assert not calls
     for x in sorted(s.vertices):
         calls.clear()
         assert surfballs.capture_length(s, mode="exact", x=x)[0] == L
         assert len(calls) <= 2, x
+    # the counter sees the arc searches a based call runs
+    fresh = fixtures.subdivide(fixtures.torus7())
+    surfballs.capture_length(fresh, mode="exact", x=5)
+    assert len(calls) > 2
 
 
-@pytest.mark.parametrize("case", ["two-feet", "two-entries"])
+@pytest.mark.parametrize("case", ["two-feet", "two-entries", "past-a-seed",
+                                  "late-seed"])
 def test_arc_search_tie_rule(case):
     # hand-built tables on torus7 (vertex = rank, unit lengths, dist(x, .) = 0)
-    # whose seeds all reach the state (v, (0, 0)) at one cost: of equal-cost
-    # arcs the least foot rank wins, then the least entry index
+    # whose seeds reach the state (v, (0, 0)): of the seeds that start a
+    # shortest walk to it, the least foot rank wins, then the least entry
+    # index
     s = fixtures.torus7()
     packing = surfballs._ClassPacking(s)
     step = s.homology().step
@@ -915,35 +910,59 @@ def test_arc_search_tie_rule(case):
         return -sum(hs)
 
     w1, w2, v, y = 1, 4, 6, 0
+    target = packing.state(v, 0)
     if case == "two-feet":
         # w1 -> v and w2 -> v, one edge each
         seeds = [(w1, (0, neg(step(w1, v)))), (w2, (0, neg(step(w2, v))))]
-        cost = 1
-    else:
+        cost, want = 1, (w1, 0)
+    elif case == "two-entries":
         # w1 -> y -> v from entry 0, w1 -> v from entry 1, w2 -> v
         assert neg(step(w1, y), step(y, v)) != neg(step(w1, v))
         seeds = [(w1, (0, neg(step(w1, y), step(y, v)))),
                  (w1, (1, neg(step(w1, v)))), (w2, (1, neg(step(w2, v))))]
-        cost = 2
+        cost, want = 2, (w1, 0)
+    elif case == "past-a-seed":
+        # a -> z -> v from a's entry, where the entry of z, a larger foot,
+        # seeds the walk's state at z at its final cost 1: the walk back goes
+        # on past that seed to a
+        a, z = 2, w2
+        seeds = [(a, (0, neg(step(a, z), step(z, v)))),
+                 (z, (1, neg(step(z, v))))]
+        cost, want = 2, (a, 0)
+    else:
+        # w1 -> y -> v from w1's entry; the entry of y, a smaller foot, seeds
+        # the walk's state at y at cost 3, past its final cost 1, so its walk
+        # to v costs 4 and it loses
+        seeds = [(y, (3, neg(step(y, v)))),
+                 (w1, (0, neg(step(w1, y), step(y, v))))]
+        cost, want = 2, (w1, 0)
 
-    def winner(chosen):
-        # the cost and (foot rank, entry index) of the arc to (v, (0, 0))
+    def winner(chosen, cut):
+        # the arc search over the chosen entries, the cost of its arc to
+        # (v, (0, 0)) and that arc's (foot rank, entry index)
         row = [[] for _ in packing.verts]
         for w, entry in chosen:
             row[w].append(entry)
-        I = 1 + max(map(len, row))
-        C = len(row) * I
-        adj = [[(l * C, delta) for l, delta in es] for es in packing.adj]
-        found = surfballs._arc_search(packing, adj, I, row, [0] * len(row),
-                                      cost + 1).lists[v]
-        label, = [label for label, h in found if h == 0]
-        return label // C, divmod(label % C, I)
+        dx = [0] * len(row)
+        search = surfballs._arc_search(packing, row, dx, cut)
+        found, = [d for d, h in search.lists[v] if h == 0]
+        return search, (found, surfballs._arc_foot(search, row, dx, target))
 
-    # each seed alone reaches (v, (0, 0)) at the same cost
-    for w, entry in seeds:
-        assert winner([(w, entry)]) == (cost, (w, 0))
-    assert winner([sd for sd in seeds if sd[0] == w1]) == (cost, (w1, 0))
-    assert winner(seeds) == (cost, (w1, 0))
+    # the cut of the full set also seeds the late entry
+    search, got = winner(seeds, cost + 3)
+    assert got == (cost, want)
+    tight = {target + delta for l, delta in packing.adj[v]
+             if search.dist.get(target + delta) == cost - l}
+    if case == "past-a-seed":
+        # every shortest walk to the target runs through z's seeded state
+        assert tight == {packing.state(z, seeds[1][1][1])}
+    elif case == "late-seed":
+        # the late entry's state is the target's one tight predecessor
+        assert tight == {packing.state(y, seeds[0][1][1])}
+    # each seed alone, at the cost it reaches the target at
+    for w, (d1, g1) in seeds:
+        alone = cost if case != "late-seed" or w != y else d1 + 1
+        assert winner([(w, (d1, g1))], alone + 1)[1] == (alone, (w, 0))
 
 
 @pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
@@ -954,24 +973,24 @@ def test_arc_search_matches_table_brute_force(make):
     # oracle's tables: per target v and class h, the least
     # d_u(w, g1) + dist(x, w) + d_v(w, g1 - h) below the cut over every foot
     # w and entry g1 of u at w, with the least (foot rank, entry index) of
-    # the cheapest; every walk of such an arc lies within the tables
+    # the cheapest, which ``_arc_foot`` reads; every walk of such an arc
+    # lies within the tables
     s = make()
     cut = _grid_bound(s)
     searches = surfballs._capture_tables(s, cut)
     tables = tuple_capture_tables(s, cut)
     pk, hom = s._capture_cache.packing, s.homology()
     verts = pk.verts
-    I = 1 + s._capture_cache.longest
-    C = len(verts) * I
-    adj = [[(l * C, delta) for l, delta in es] for es in pk.adj]
     for x in (verts[0], verts[-1]):
         distx = grid_shortest_paths(s, x)[0]
         dx = [distx[w] for w in verts]
         for ru, u in enumerate(verts):
-            lists = surfballs._arc_search(pk, adj, I, searches[ru].lists, dx,
-                                          cut).lists
-            got = {(v, class_tuple(hom, h)): (k // C, *divmod(k % C, I))
-                   for v, lst in zip(verts, lists) for k, h in lst}
+            row = searches[ru].lists
+            search = surfballs._arc_search(pk, row, dx, cut)
+            got = {(v, class_tuple(hom, h)):
+                   (k, *surfballs._arc_foot(search, row, dx, pk.state(rv, h)))
+                   for rv, (v, lst) in enumerate(zip(verts, search.lists))
+                   for k, h in lst}
             want = {}
             for rw, w in enumerate(verts):
                 for i, (d1, g1) in enumerate(tables[u].get(w, ())):
@@ -986,9 +1005,9 @@ def test_arc_search_matches_table_brute_force(make):
                             if (v, h) not in want or (c, rw, i) < want[v, h]:
                                 want[v, h] = (c, rw, i)
             assert got == want, (x, u)
-            # one arc per class, each target's in label order
-            assert len(got) == sum(map(len, lists)), (x, u)
-            assert all(lst == sorted(lst) for lst in lists), (x, u)
+            # one arc per class, each target's in (cost, class) order
+            assert len(got) == sum(map(len, search.lists)), (x, u)
+            assert all(lst == sorted(lst) for lst in search.lists), (x, u)
 
 
 def test_exact_capture_refuses_a_wrong_lambda1():
@@ -1165,26 +1184,21 @@ def test_based_exact_capture_adds_no_fractions(monkeypatch):
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
-@pytest.mark.parametrize("make, scales_seen", [(lambda: _skewed_sub_torus(1), 1),
+@pytest.mark.parametrize("make, bounds_seen", [(lambda: _skewed_sub_torus(1), 1),
                                                (lambda: _mixed_torus(3), 2)],
                          ids=["torus7_sub_skewed1", "torus7_mixed3"])
-def test_kept_arc_adjacency_follows_the_tables(make, scales_seen, descending):
-    """The arc searches' scaled adjacency is kept while its scale C =
-    |V| * (1 + longest) holds.  On fresh surfaces whose based calls grow
-    the tables (the skewed torus7_sub from nothing, the mixed torus7 again
-    later in both orders), after each based call it is the packing's
-    adjacency times the current C, and each result is the oracle's, run on
-    its own copy, which grows its own tables."""
+def test_kept_arc_adjacency_follows_the_tables(make, bounds_seen, descending):
+    """Every arc search runs on the packing's own adjacency, whatever the
+    tables hold.  On fresh surfaces whose based calls grow the tables (the
+    skewed torus7_sub from nothing, the mixed torus7 again later in both
+    orders), each result is the oracle's, run on its own copy, which grows
+    its own tables."""
     s, ref = make(), make()
     bases = sorted(s.vertices, reverse=descending)
     cache = surfballs._capture_cache(s)
-    scales = set()
+    bounds = set()
     for x in bases:
         got = surfballs.capture_length(s, mode="exact", x=x)
         assert got == arc_dict_exact_capture(ref, x), x
-        C = len(bases) * (1 + cache.longest)
-        assert cache.scale == C, x
-        assert cache.adjC == [[(l * C, delta) for l, delta in es]
-                              for es in cache.packing.adj], x
-        scales.add(C)
-    assert len(scales) == scales_seen
+        bounds.add(cache.bound)
+    assert len(bounds) == bounds_seen
