@@ -61,6 +61,8 @@ class _Profile:
     x is x * slope - weighted over the keys below x.  The heap pops keys in
     order, so when the budget stopped the run at key ``stop``, the processed
     states with key below any x are exactly those a run to x would process.
+    ``report`` reads x = r * D = n / q in ints and builds one ``Fraction``,
+    the total (n * slope - q * weighted) / (q * D).
     """
     D: int
     keys: list[int]
@@ -68,11 +70,13 @@ class _Profile:
     stop: int | None
 
     def report(self, base, r: Fraction) -> "GrowthReport":
-        x = r * self.D
-        slope, weighted, _ = self.sums[bisect_left(self.keys, x)]
-        nodes = 1 + self.sums[bisect_right(self.keys, x)][2]
-        total = (x * slope - weighted) / self.D
-        truncated = self.stop is not None and self.stop < x
+        # with x = r * D = n / q: an int key k < x iff k < ceil(x), and
+        # k <= x iff k <= floor(x)
+        n, q = r.numerator * self.D, r.denominator
+        slope, weighted, _ = self.sums[bisect_left(self.keys, -(-n // q))]
+        nodes = 1 + self.sums[bisect_right(self.keys, n // q)][2]
+        total = Fraction(n * slope - q * weighted, q * self.D)
+        truncated = self.stop is not None and self.stop * q < n
         return GrowthReport(base, r, total, nodes, truncated, self)
 
 
@@ -88,7 +92,8 @@ class GrowthReport:
     def at(self, r: Fraction | int | str) -> "GrowthReport":
         """The report ``ball_length(g, base, r, budget)`` returns, for
         0 <= r <= radius, read from the expansion behind this one; equal
-        to it in every field, truncation included."""
+        to it in every field, truncation included.  The read is integer
+        sums on the grid with one ``Fraction`` built, the total length."""
         r = Fraction(r)
         if not 0 <= r <= self.radius:
             raise GraphError(f"radius {r} outside [0, {self.radius}]")
@@ -252,35 +257,45 @@ def ball_length(g: MetricGraph, base, R: Fraction | int | str,
 
 def finite_ball_length(g: MetricGraph, base, R: Fraction | int | str) -> Fraction:
     """Total length of the radius-R ball in the graph itself (not the cover),
-    measured by the grid distances of ``grid_shortest_paths`` from the base,
-    each taken back to a ``Fraction`` once."""
+    measured by the grid distances of ``grid_shortest_paths`` from the base
+    (``grid_covered_length``)."""
     return finite_ball_lengths(g, base, [R])[0]
 
 
 def finite_ball_lengths(g: MetricGraph, base, radii) -> list[Fraction]:
     """``finite_ball_length`` at each radius of ``radii``, in order, all
-    read from one shortest-path tree of the base."""
+    read from one shortest-path tree of the base: each row is an integer
+    sum over the grid lengths and grid distances, with one ``Fraction``
+    per radius."""
     radii = [Fraction(R) for R in radii]
     if any(R < 0 for R in radii):
         raise GraphError("radius must be nonnegative")
     g, base_v = _with_base_vertex(g, base)
     D = g.int_grid()[0]
     dist, _ = grid_shortest_paths(g, base_v)
-    dist = {v: Fraction(d, D) for v, d in dist.items()}
-    # an end the base does not reach covers nothing, as one at distance R;
-    # a loop has both ends at one vertex
-    return [sum((covered_length(e.length, R, dist.get(e.u, R),
-                                dist.get(e.w, R)) for e in g.edges),
-                Fraction(0))
-            for R in radii]
+    # an edge out of the base's reach covers nothing
+    edges = [(e.length.numerator * (D // e.length.denominator),
+              dist[e.u], dist[e.w]) for e in g.edges if e.u in dist]
+    return [grid_covered_length(edges, D, R) for R in radii]
 
 
-def covered_length(length: Fraction, R: Fraction, du: Fraction,
-                   dw: Fraction) -> Fraction:
-    """The part of an edge of ``length`` within R of a base at distances du
-    and dw from its ends: R - d in from each end within R, and never more
-    than the whole edge."""
-    return min(length, max(R - du, 0) + max(R - dw, 0))
+def grid_covered_length(edges, D: int, R: Fraction) -> Fraction:
+    """The total length within R of a base of ``edges``, each given on the
+    integer grid of denominator ``D`` as (grid length l, grid distances du
+    and dw of its ends from the base).  An edge is covered R - d in from
+    each end within R, and never more than whole.  With R * D = n / q that
+    is min(l * q, max(n - du * q, 0) + max(n - dw * q, 0)) in units of
+    1 / (q * D), so the sum is taken in ints and R need not lie on the
+    grid; one ``Fraction`` is built, for the total."""
+    n, q = R.numerator * D, R.denominator
+    total = 0
+    for l, du, dw in edges:
+        lq = l * q
+        a = n - du * q
+        b = n - dw * q
+        c = (a if a > 0 else 0) + (b if b > 0 else 0)
+        total += lq if c > lq else c
+    return Fraction(total, q * D)
 
 
 def trivalent_tree_ball(R: Fraction | int | str) -> Fraction:

@@ -202,7 +202,11 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     ball-domination row reads the surface's kept grid tree of u (the
     witness, or gamma's least vertex) through ``surfballs.ball``, and its
     ball in gamma from one grid tree of u in gamma, built once for all rows
-    (``cover.finite_ball_lengths``).
+    (``cover.finite_ball_lengths``).  The rows' lengths are integer sums on
+    the grid with one ``Fraction`` per reported value: the boundary
+    (``BallSubcomplex.boundary_length``), gamma inside the ball and gamma's
+    own ball (``cover.grid_covered_length``) and the cover ball
+    (``GrowthReport.at``).
     """
     r_grid = cover._count_arg("r_grid", r_grid, SurfaceError)
     budget = cover._count_arg("budget", budget, SurfaceError)
@@ -294,8 +298,10 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     gamma_girth = girth(gamma)
     D = s.int_grid()[0]
     grid_u = s.tree(u)[0]
-    # every end of an image edge, in or out of gamma's largest component
-    dist_u = {v: Fraction(grid_u[v], D) for e in image_edges for v in e}
+    # every image edge, in or out of gamma's largest component, as (grid
+    # length, grid distances of its ends from u on the surface)
+    grid = s._edge_grid
+    image_grid = [(grid[e], grid_u[e[0]], grid_u[e[1]]) for e in image_edges]
     cover_growth = cover.ball_length(gamma, u, rmax, budget)
     radii = [rmax * k / r_grid for k in range(1, r_grid + 1)]
     rows = []
@@ -305,9 +311,7 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
         boundary = bplus.boundary_length(s)
         # portion of the capturing graph inside the surface ball, with
         # partial edges measured by surface distances from u
-        gamma_cap = sum((cover.covered_length(s.edge_lengths[(va, vb)], r,
-                                              dist_u[va], dist_u[vb])
-                         for va, vb in image_edges), Fraction(0))
+        gamma_cap = cover.grid_covered_length(image_grid, D, r)
         cover_ball = cover_growth.at(r)
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:

@@ -235,7 +235,9 @@ class BallSubcomplex:
         return sum(areas[i] for i in self.faces)
 
     def boundary_length(self, s: TriSurface) -> Fraction:
-        return sum((s.edge_lengths[e] for e in self.boundary_edges), Fraction(0))
+        """The boundary edges' grid lengths summed as ints, taken to one
+        ``Fraction`` (``subgraph_length``)."""
+        return subgraph_length(s, self.boundary_edges)
 
 
 def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:

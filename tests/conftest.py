@@ -52,6 +52,28 @@ def brute_force_cover_nodes(g: MetricGraph, base: int, R: Fraction) -> int:
     return 1 + sum(d + l <= R for d, l in _cover_tree_edges(g, base, R))
 
 
+def covered_length(length: Fraction, R: Fraction, du: Fraction,
+                   dw: Fraction) -> Fraction:
+    """Oracle for ``cover.grid_covered_length``, one edge in ``Fraction``s:
+    the part of an edge of ``length`` within R of a base at distances du
+    and dw from its ends, R - d in from each end within R, and never more
+    than the whole edge."""
+    return min(length, max(R - du, 0) + max(R - dw, 0))
+
+
+def fraction_finite_ball(g: MetricGraph, base: int, R: Fraction) -> Fraction:
+    """Oracle for ``cover.finite_ball_length`` at a vertex base:
+    ``covered_length`` summed in ``Fraction``s over the edges, at the heap
+    oracle's distances, an end the base does not reach counted as one at
+    distance R, which covers nothing."""
+    R = Fraction(R)
+    D = g.int_grid()[0]
+    dist = {v: Fraction(d, D)
+            for v, d in heap_grid_shortest_paths(g, base)[0].items()}
+    return sum((covered_length(e.length, R, dist.get(e.u, R), dist.get(e.w, R))
+                for e in g.edges), Fraction(0))
+
+
 def _transitions(g: MetricGraph):
     """Directed-traversal tables.
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_cover_ball, brute_force_cover_nodes,
-                      heap_ball_length, random_bounded_instance)
+                      fraction_finite_ball, heap_ball_length,
+                      random_bounded_instance)
 from coverball import cover, witness
 from coverball.graphs import (GraphError, MetricGraph, figure_eight, girth,
                               random_connected, scale, theta_graph,
@@ -118,6 +119,51 @@ def test_one_expansion_serves_every_smaller_radius(b, seed, which, R, budget):
     for r in (R + F(1, 7), F(-1, 7)):
         with pytest.raises(GraphError):
             full.at(r)
+
+
+@given(st.integers(2, 5), st.integers(0, 60), st.integers(0, 2),
+       st.sampled_from([F(1), F(3, 2), F(7, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_finite_ball_lengths_match_fraction_oracle(b, seed, which, R):
+    # each row is an int sum on the grid; the oracle sums covered_length in
+    # Fractions over Fraction distances, radius by radius
+    g = random_connected(b, (F(1, 4), F(1)), seed)
+    e = g.edges[seed % len(g.edges)]
+    base = [min(g.vertices), max(g.vertices), (e.id, e.length / 3)][which]
+    # grid radii, and radii whose denominators 7 and 11 are not in the grid
+    radii = [R * k / 4 for k in range(5)] + [R / 7, R * 10 / 11]
+    sub, v = cover._with_base_vertex(g, base)
+    assert cover.finite_ball_lengths(g, base, radii) == \
+        [fraction_finite_ball(sub, v, r) for r in radii]
+
+
+def test_finite_ball_counts_only_the_base_component():
+    # edges the base does not reach cover nothing, at every radius
+    g = MetricGraph.build([0, 1, 2, 3], [(0, 0, 1, F(1, 2)), (1, 1, 0, F(2, 3)),
+                                         (2, 2, 3, F(3, 4)), (3, 3, 3, 1)])
+    radii = [F(1, 5), F(1, 2), F(7, 11), F(5)]
+    got = cover.finite_ball_lengths(g, 0, radii)
+    assert got == [fraction_finite_ball(g, 0, r) for r in radii]
+    assert got == [F(2, 5), F(1), F(7, 6), F(7, 6)]
+
+
+@pytest.mark.parametrize("b,seed,budget", [(2, 0, 6), (3, 4, 17), (4, 9, 40),
+                                           (5, 2, 25), (3, 11, 9)])
+def test_at_reads_around_the_budget_stop(b, seed, budget):
+    # a read at r * D = n / q bisects the int keys at ceil and floor of n / q
+    # and is truncated iff stop * q < n: read at the stop key, one grid step
+    # and a third of a step either side, each against a separate run
+    g = random_connected(b, (F(1, 4), F(1)), seed)
+    e = g.edges[seed % len(g.edges)]
+    for base in (min(g.vertices), (e.id, e.length / 3)):
+        full = cover.ball_length(g, base, 4, budget)
+        D, stop = full.profile.D, full.profile.stop
+        assert full.truncated and stop >= 1
+        for x in (stop, stop - 1, stop + 1, stop - F(1, 3), stop + F(1, 3)):
+            r = F(x) / D
+            rep = full.at(r)
+            assert rep == cover.ball_length(g, base, r, budget)
+            assert rep.truncated == (x > stop)
 
 
 def test_budget_truncation_is_flagged_lower_bound():

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from conftest import (NERVE_PACK_MESHES, _count_calls, area_shrink_factor,
-                      corpus_surface, farthest_point_packing,
+                      corpus_surface, covered_length, farthest_point_packing,
                       pairwise_nerve_edges, relabeled, rescaling_lambda_search,
                       shrink_factor_grid_check, tetrahedron)
 from coverball import cover, fixtures, nerve, surfballs
@@ -267,6 +267,37 @@ def test_pipeline_rows_read_one_tree_of_gamma(name, monkeypatch):
     assert [row["gamma_ball"] for row in rows] == \
         [cover.finite_ball_length(gamma, u, row["R"]) for row in rows]
     assert len(set(row["gamma_ball"] for row in rows)) > 1
+
+
+@pytest.mark.parametrize("name", ["torus7.surf", "torus7_sub.surf",
+                                  "torus7_sub_sixth.surf", "genus2.surf",
+                                  "genus2_neck.surf"])
+def test_pipeline_row_lengths_match_fraction_oracles(name):
+    # the rows' gamma_in_ball is the integer covered-length rule on the
+    # grid lengths and the kept grid tree of u, and the boundary length an
+    # int sum of grid lengths; both against Fraction sums, at every vertex,
+    # at the pipeline's radii and at two radii off the grid
+    s = corpus_surface(name)
+    try:
+        rmax = surfballs.systole(s)[0] / 2
+    except SurfaceError:
+        rmax = F(1, 2)
+    radii = [rmax * k / 8 for k in range(1, 9)] + [rmax / 7, rmax * 10 / 11]
+    _, image_edges = surfballs.capture_length(s, "greedy")
+    D = s.int_grid()[0]
+    assert any((r * D).denominator > 1 for r in radii)
+    for u in s.vertices:
+        dist = s.distances_from(u)
+        grid_u = s.tree(u)[0]
+        image_grid = [(s._edge_grid[e], grid_u[e[0]], grid_u[e[1]])
+                      for e in image_edges]
+        for r in radii:
+            assert cover.grid_covered_length(image_grid, D, r) == \
+                sum((covered_length(s.edge_lengths[e], r, dist[e[0]], dist[e[1]])
+                     for e in image_edges), F(0))
+            b = surfballs.ball(s, u, r)
+            assert b.boundary_length(s) == \
+                sum((s.edge_lengths[e] for e in b.boundary_edges), F(0))
 
 
 @pytest.mark.parametrize("value", [2.5, "3", True, 0, None])
