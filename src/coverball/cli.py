@@ -35,7 +35,8 @@ from pathlib import Path
 from . import cover, nerve, surfballs, witness
 from .graphs import (GraphError, MetricGraph, betti, format_graph, generate,
                      girth, parse_graph, reduce_graph, validate)
-from .surface import SurfaceError, TriSurface, capturing_test, parse_surface
+from .surface import (SurfaceError, TriSurface, capturing_test, parse_surface,
+                      subgraph_length)
 from .witness import TheoremViolation
 
 
@@ -221,7 +222,7 @@ def cmd_graph_verify(args, g):
 def cmd_surface_validate(args, s):
     return {"vertices": len(s.vertices), "edges": len(s.edges),
             "faces": len(s.faces), "genus": s.genus, "area": s.total_area(),
-            "total_edge_length": sum(s.edge_lengths.values(), Fraction(0))}, {}
+            "total_edge_length": subgraph_length(s, s.edges)}, {}
 
 
 def cmd_surface_systole(args, s):

@@ -4,7 +4,10 @@ The 7-vertex torus is the minimal simplicial torus (every vertex pair is an
 edge); the genus-2 surface is two copies of it glued along a removed face.
 Both have unit edge lengths; ``scale_surface`` rescales.
 Midpoint subdivision quarters each face and halves the mesh size, keeping
-lengths exact via the midline rule.
+lengths exact via the midline rule.  Each new length is computed once: a
+subdivision makes one half, and a rescaling one product, per distinct
+length, read off the surface's integer grid, and the edges that carry that
+length share it.
 """
 
 from __future__ import annotations
@@ -45,31 +48,35 @@ def genus2() -> TriSurface:
 def subdivide(s: TriSurface, times: int = 1) -> TriSurface:
     """Midpoint subdivision: one new vertex per edge, four faces per face.
     Half edges get half the original length; each medial edge gets half the
-    length of the side it is parallel to."""
+    length of the side it is parallel to.  Each half is computed once per
+    distinct length, as grid length over 2D, and shared by the edges that
+    carry it."""
     for _ in range(times):
         nv = max(s.vertices) + 1
-        mid = {}
-        for e in s.edges:
-            mid[e] = nv
-            nv += 1
+        mid = dict(zip(s.edges, range(nv, nv + len(s.edges))))
+        D, grid = s._D, s._edge_grid
+        halves = {n: Fraction(n, 2 * D) for n in set(grid.values())}
+        half = {e: halves[n] for e, n in grid.items()}
         faces = []
         lengths = {}
         for (a, b, c) in s.faces:
-            mab = mid[_pair(a, b)]
-            mbc = mid[_pair(b, c)]
-            mca = mid[_pair(c, a)]
+            ab, bc, ca = _pair(a, b), _pair(b, c), _pair(c, a)
+            mab, mbc, mca = mid[ab], mid[bc], mid[ca]
             faces += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc),
                       (mab, mbc, mca)]
-            lengths[_pair(mab, mbc)] = s.edge_lengths[_pair(c, a)] / 2
-            lengths[_pair(mbc, mca)] = s.edge_lengths[_pair(a, b)] / 2
-            lengths[_pair(mca, mab)] = s.edge_lengths[_pair(b, c)] / 2
-        for (u, w), l in s.edge_lengths.items():
-            lengths[_pair(u, mid[(u, w)])] = l / 2
-            lengths[_pair(w, mid[(u, w)])] = l / 2
+            lengths[_pair(mab, mbc)] = half[ca]
+            lengths[_pair(mbc, mca)] = half[ab]
+            lengths[_pair(mca, mab)] = half[bc]
+        # mid ids exceed every old vertex, so (u, m) and (w, m) are ordered
+        for (u, w), m in mid.items():
+            lengths[(u, m)] = lengths[(w, m)] = half[(u, w)]
         s = TriSurface.build(faces, lengths)
     return s
 
 
 def scale_surface(s: TriSurface, mu) -> TriSurface:
+    """s with every length times mu: one product per distinct length."""
     mu = Fraction(mu)
-    return TriSurface.build(s.faces, {e: l * mu for e, l in s.edge_lengths.items()})
+    D, grid = s._D, s._edge_grid
+    scaled = {n: Fraction(n, D) * mu for n in set(grid.values())}
+    return TriSurface.build(s.faces, {e: scaled[n] for e, n in grid.items()})

@@ -83,7 +83,12 @@ def _vertex_id(v) -> int:
 
 
 def _length_key(k) -> tuple[int, int]:
-    """A ``lengths`` key as an edge (u, w), u < w."""
+    """A ``lengths`` key as an edge (u, w), u < w; a pair of plain ints
+    already in order is returned as it is."""
+    if type(k) is tuple and len(k) == 2:
+        u, w = k
+        if type(u) is int and type(w) is int:
+            return k if u <= w else (w, u)
     try:
         u, w = k
         return _pair(_vertex_id(u), _vertex_id(w))
@@ -139,16 +144,25 @@ class TriSurface:
         vertex link is one cycle; the faces are connected; they can be
         oriented; each length key is a pair of vertex ids and each value a
         rational; lengths are given only on edges, and are positive; every
-        face meets the triangle inequality.  One table lists each edge
-        (u, w), u < w, with its two (face, runs u -> w?) sides, and one walk
-        from face 0 across it both connects and orients: a face is flipped
-        relative to its neighbour iff both run their shared edge the same
-        way.  The three edge keys each face gets in that table's pass are
-        reused by the link walk, the orientation walk and the triangle
-        check.
+        face meets the triangle inequality.  One unrolled pass over the
+        faces gives each face its three edge keys, lists each edge (u, w),
+        u < w, with its two (face, runs u -> w?) sides, and each vertex
+        with its faces; the keys are reused by the walks below and the
+        triangle check.
+
+        The link check is a fan walk.  Once every edge lies in two faces,
+        the faces at v chain into cycles: from v's first face, cross the
+        edge (v, y) to the other face on it, whose third vertex
+        a + b + c - v - y is the next y.  The link is one cycle iff the
+        walk returns after exactly ``len(vertex_faces[v])`` faces.  The
+        vertices are walked in ascending order, so the first bad one is
+        named.  One walk from face 0 across the sides both connects and
+        orients, reading each face's flip once: a face is flipped relative
+        to its neighbour iff both run their shared edge the same way.
 
         No ``Fraction`` arithmetic runs.  Positivity reads each length's
-        numerator; then D, the lcm of the length denominators, puts every
+        numerator (``as_integer_ratio``, once per edge with the
+        denominator); then D, the lcm of the length denominators, puts every
         edge on the integer grid (length times D), and each face's three
         strict triangle inequalities are compared as integers, which is the
         ``Fraction`` test since D > 0.
@@ -164,72 +178,85 @@ class TriSurface:
         if not faces:
             raise SurfaceError("no faces")
         verts = sorted({v for f in faces for v in f})
-        for f in faces:
-            if len(f) != 3 or len(set(f)) != 3:
-                raise SurfaceError(f"degenerate face {f}")
+        # one pass per face: its edge keys ab, bc, ca, its side on each of
+        # those edges, and its place in each corner's fan
         sides: dict[tuple[int, int], list[tuple[int, bool]]] = {}
         vfaces: dict[int, list[int]] = {v: [] for v in verts}
-        fkeys = []                     # per face, its edges ab, bc, ca
-        for i, (a, b, c) in enumerate(faces):
-            keys = []
-            for u, w in ((a, b), (b, c), (c, a)):
-                e = (u, w) if u < w else (w, u)
-                sides.setdefault(e, []).append((i, u < w))
-                vfaces[u].append(i)
-                keys.append(e)
-            fkeys.append(keys)
+        fkeys = []
+        for i, f in enumerate(faces):
+            if len(f) != 3 or f[0] == f[1] or f[1] == f[2] or f[2] == f[0]:
+                raise SurfaceError(f"degenerate face {f}")
+            a, b, c = f
+            ab = (a, b) if a < b else (b, a)
+            bc = (b, c) if b < c else (c, b)
+            ca = (c, a) if c < a else (a, c)
+            fkeys.append((ab, bc, ca))
+            sides.setdefault(ab, []).append((i, a < b))
+            sides.setdefault(bc, []).append((i, b < c))
+            sides.setdefault(ca, []).append((i, c < a))
+            vfaces[a].append(i)
+            vfaces[b].append(i)
+            vfaces[c].append(i)
         for e, fs in sides.items():
             if len(fs) != 2:
                 raise SurfaceError(f"non-manifold: edge {e} lies in {len(fs)} faces")
-        # a face across an edge at v holds v, so the walk stays in vfaces[v]
+        # the fan walk needs every edge in two faces: then the faces at v
+        # chain into cycles, and the walk cannot leave the one it starts on
+        fsum = [a + b + c for a, b, c in faces]
         for v in verts:
-            link = {vfaces[v][0]}
-            stack = [vfaces[v][0]]
-            while stack:
-                for e in fkeys[stack.pop()]:
-                    if v in e:
-                        for j, _ in sides[e]:
-                            if j not in link:
-                                link.add(j)
-                                stack.append(j)
-            if len(link) != len(vfaces[v]):
+            fan = vfaces[v]
+            first = i = fan[0]
+            a, b, c = faces[i]
+            y = b if a == v else a
+            steps = 0
+            while True:
+                (h, _), (j, _) = sides[(v, y) if v < y else (y, v)]
+                i = h + j - i
+                steps += 1
+                if i == first:
+                    break
+                y = fsum[i] - v - y
+            if steps != len(fan):
                 raise SurfaceError(f"non-manifold vertex {v} (disconnected link)")
-        flip = {0: False}
+        flip = [None] * len(faces)
+        flip[0] = False
         stack = [0]
         twisted = False
         while stack:
             i = stack.pop()
+            fi = flip[i]
             for e in fkeys[i]:
                 (h, dh), (j, dj) = sides[e]
                 if j == i:
                     j = h
-                want = flip[i] ^ (dh == dj)
-                if j not in flip:
+                want = fi ^ (dh == dj)
+                fj = flip[j]
+                if fj is None:
                     flip[j] = want
                     stack.append(j)
-                elif flip[j] != want:
+                elif fj != want:
                     twisted = True
         # connectivity first: a complex with a twisted part and another
         # component reads "disconnected surface"
-        if len(flip) < len(faces):
+        if None in flip:
             raise SurfaceError("disconnected surface")
         if twisted:
             raise SurfaceError("non-orientable surface")
-        oriented = tuple(f if not flip[i] else (f[0], f[2], f[1])
-                         for i, f in enumerate(faces))
+        oriented = tuple(f if not fl else (f[0], f[2], f[1])
+                         for f, fl in zip(faces, flip))
         lengths = {_length_key(k): _length_value(k, v)
                    for k, v in (lengths or {}).items()}
-        for e in lengths:
-            if e not in sides:
-                raise SurfaceError(f"length given for {e}, which is not an edge of any face")
-        full = {}
-        for e in sides:
-            l = lengths.get(e, _ONE)
-            if l.numerator <= 0:
-                raise SurfaceError(f"nonpositive length on edge {e}")
-            full[e] = l
-        D = math.lcm(*{l.denominator for l in full.values()})
-        grid = {e: l.numerator * (D // l.denominator) for e, l in full.items()}
+        if not lengths.keys() <= sides.keys():
+            e = next(e for e in lengths if e not in sides)
+            raise SurfaceError(f"length given for {e}, which is not an edge of any face")
+        full = dict.fromkeys(sides, _ONE)
+        full.update(lengths)
+        ratios = list(map(Fraction.as_integer_ratio, full.values()))
+        if min(ratios)[0] <= 0:                   # the least numerator
+            e = next(e for e, (n, _) in zip(full, ratios) if n <= 0)
+            raise SurfaceError(f"nonpositive length on edge {e}")
+        D = math.lcm(*{d for _, d in ratios})
+        grid = {e: n * (D // d) for e, (n, d) in zip(full, ratios)}
         for i, (x, y, z) in enumerate(fkeys):
             lx, ly, lz = grid[x], grid[y], grid[z]
             if not (lx < ly + lz and ly < lx + lz and lz < lx + ly):

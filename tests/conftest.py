@@ -1,5 +1,6 @@
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -741,6 +742,122 @@ def fraction_homology_candidates(s: TriSurface, base: int | None = None):
                 if 0 < sides.get((u, w), 0) < 2 * s.genus:
                     sep = (length, cyc)
     return out, sep
+
+
+def build_oracle(faces, lengths=None) -> TriSurface:
+    """``TriSurface.build`` as a plain walk over dicts, kept as its oracle:
+    the same checks in the same order with the same messages, and the same
+    fields in the same dict order.  The vertex-link check is a BFS over the
+    faces at v, each face reached across an edge that holds v, rather than
+    the fan walk."""
+    def vertex_id(v):
+        if not isinstance(v, bool):
+            try:
+                return operator.index(v)
+            except TypeError:
+                pass
+        raise SurfaceError(f"vertex id {v!r} is not an integer")
+
+    def length_key(k):
+        try:
+            u, w = k
+            return _pair(vertex_id(u), vertex_id(w))
+        except (TypeError, ValueError):
+            raise SurfaceError(f"length key {k!r} is not a vertex pair") from None
+
+    def length_value(k, v):
+        try:
+            return Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise SurfaceError(f"length {v!r} on {k!r} is not a rational number") from None
+
+    faces = [tuple(vertex_id(v) for v in f) for f in faces]
+    if not faces:
+        raise SurfaceError("no faces")
+    verts = sorted({v for f in faces for v in f})
+    for f in faces:
+        if len(f) != 3 or len(set(f)) != 3:
+            raise SurfaceError(f"degenerate face {f}")
+    sides = {}
+    vfaces = {v: [] for v in verts}
+    fkeys = []
+    for i, (a, b, c) in enumerate(faces):
+        keys = []
+        for u, w in ((a, b), (b, c), (c, a)):
+            e = _pair(u, w)
+            sides.setdefault(e, []).append((i, u < w))
+            vfaces[u].append(i)
+            keys.append(e)
+        fkeys.append(keys)
+    for e, fs in sides.items():
+        if len(fs) != 2:
+            raise SurfaceError(f"non-manifold: edge {e} lies in {len(fs)} faces")
+    for v in verts:
+        link = {vfaces[v][0]}
+        stack = [vfaces[v][0]]
+        while stack:
+            for e in fkeys[stack.pop()]:
+                if v in e:
+                    for j, _ in sides[e]:
+                        if j not in link:
+                            link.add(j)
+                            stack.append(j)
+        if len(link) != len(vfaces[v]):
+            raise SurfaceError(f"non-manifold vertex {v} (disconnected link)")
+    flip = {0: False}
+    stack = [0]
+    twisted = False
+    while stack:
+        i = stack.pop()
+        for e in fkeys[i]:
+            (h, dh), (j, dj) = sides[e]
+            if j == i:
+                j = h
+            want = flip[i] ^ (dh == dj)
+            if j not in flip:
+                flip[j] = want
+                stack.append(j)
+            elif flip[j] != want:
+                twisted = True
+    if len(flip) < len(faces):
+        raise SurfaceError("disconnected surface")
+    if twisted:
+        raise SurfaceError("non-orientable surface")
+    oriented = tuple(f if not flip[i] else (f[0], f[2], f[1])
+                     for i, f in enumerate(faces))
+    lengths = {length_key(k): length_value(k, v)
+               for k, v in (lengths or {}).items()}
+    for e in lengths:
+        if e not in sides:
+            raise SurfaceError(f"length given for {e}, which is not an edge of any face")
+    full = {}
+    for e in sides:
+        l = lengths.get(e, Fraction(1))
+        if l <= 0:
+            raise SurfaceError(f"nonpositive length on edge {e}")
+        full[e] = l
+    for i, (x, y, z) in enumerate(fkeys):
+        lx, ly, lz = full[x], full[y], full[z]
+        if not (lx < ly + lz and ly < lx + lz and lz < lx + ly):
+            raise SurfaceError(f"triangle inequality fails on face {oriented[i]}")
+    D = math.lcm(*(l.denominator for l in full.values()))
+    grid = {e: int(l * D) for e, l in full.items()}
+    edges = tuple(sorted(sides))
+    edge_faces = {}
+    for e in edges:
+        (h, dh), (j, _) = sides[e]
+        edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
+    genus = (2 - len(verts) + len(edges) - len(faces)) // 2
+    return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
+                      vfaces, genus, D, [grid[e] for e in edges], grid)
+
+
+def surface_fields(s: TriSurface) -> tuple:
+    """Every field build sets, each dict as its list of items, so that two
+    surfaces compare equal only with their dicts in the same order."""
+    return (s.vertices, s.faces, list(s.edge_lengths.items()), s.edges,
+            list(s.edge_faces.items()), list(s.vertex_faces.items()), s.genus,
+            s._D, s._grid_lengths, list(s._edge_grid.items()))
 
 
 def corpus_surface(name: str) -> TriSurface:

@@ -16,9 +16,10 @@ from coverball.surface import (SurfaceError, TriSurface, capturing_test,
                                subgraph_length, subgraph_metric_graph, _pair)
 
 from conftest import (NERVE_PACK_MESHES, FractionEchelon, _count_calls,
-                      corpus_surface, format_surface, mixed_torus, pack_class,
-                      prune_by_capturing_test, prune_to_iso, relabeled,
-                      tetrahedron, walked_homology)
+                      build_oracle, corpus_surface, format_surface,
+                      mixed_torus, pack_class, prune_by_capturing_test,
+                      prune_to_iso, relabeled, surface_fields, tetrahedron,
+                      walked_homology)
 
 
 def test_tetrahedron_is_a_sphere():
@@ -104,6 +105,89 @@ def _shifted(faces, k):
 def test_build_rejects_with_message(faces, lengths, message):
     with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
         TriSurface.build(faces, lengths)
+
+
+ORACLE_BASES = {
+    "torus7": fixtures.torus7,
+    "genus2": fixtures.genus2,
+    "torus7x1": lambda: fixtures.subdivide(fixtures.torus7()),
+    "torus7x2": lambda: fixtures.subdivide(fixtures.torus7(), 2),
+    "genus2x1": lambda: fixtures.subdivide(fixtures.genus2()),
+    "genus2x2": lambda: fixtures.subdivide(fixtures.genus2(), 2),
+    "mixed_torus": mixed_torus,
+    **{name: (lambda name=name: corpus_surface(name))
+       for name in ("torus7.surf", "torus7_sub.surf", "torus7_sub_sixth.surf",
+                    "genus2.surf", "genus2_neck.surf")},
+}
+
+
+def _oracle_inputs(s, rng):
+    """(label, faces, lengths) build inputs made from ``s``: the surface as
+    it is, relabeled, shuffled and reversed copies, and corrupted ones."""
+    faces, lengths = list(s.faces), dict(s.edge_lengths)
+    yield "as_is", faces, lengths
+    vs = list(s.vertices)
+    ids = rng.sample(range(-3 * len(vs), 3 * len(vs)), len(vs))
+    m = dict(zip(vs, ids))
+    moved = [tuple(m[v] for v in f) for f in faces]
+    rng.shuffle(moved)
+    moved = [f if rng.random() < 0.5 else (f[0], f[2], f[1]) for f in moved]
+    # keys given in either order, lengths as ints or strings where exact
+    moved_lengths = {(m[w], m[u]) if rng.random() < 0.5 else (m[u], m[w]):
+                     (l.numerator if l.denominator == 1 else str(l))
+                     if rng.random() < 0.3 else l
+                     for (u, w), l in lengths.items()}
+    yield "moved", moved, moved_lengths
+    yield "lists", [list(f) for f in moved], moved_lengths
+    yield "unit", moved, None
+    k = rng.randrange(len(faces))
+    yield "dropped_face", faces[:k] + faces[k + 1:], lengths
+    yield "repeated_face", faces + [faces[k][::-1]], lengths
+    # a second copy glued at one vertex: every edge still lies in two faces
+    v = rng.choice(vs)
+    yield "pinched", moved + [tuple(x if x == m[v] else x + 7 * len(vs)
+                                    for x in f) for f in moved], None
+    top = max(vs) + 1
+    yield "disjoint", faces + [tuple(x + top for x in f) for f in faces], None
+    # two vertices identified: a pinch, a degenerate face or an edge in
+    # four faces
+    a, b = rng.sample(vs, 2)
+    yield "merged", [tuple(a if x == b else x for x in f) for f in faces], None
+    e = rng.choice(s.edges)
+    yield "zero_length", faces, {**lengths, e: F(0)}
+    yield "negative_length", moved, {**moved_lengths, (m[e[1]], m[e[0]]): F(-1, 3)}
+    yield "flat_face", moved, {**moved_lengths,
+                               (m[e[0]], m[e[1]]): 2 * max(lengths.values())}
+    yield "non_edge_length", faces, {**lengths, (top, top + 1): F(1)}
+    yield "bad_key", faces, {**lengths, e + (0,): F(1)}
+
+
+def _build_outcome(build, faces, lengths):
+    try:
+        return surface_fields(build(faces, lengths))
+    except SurfaceError as exc:
+        return ("SurfaceError", str(exc))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_BASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_matches_oracle(name, seed):
+    s = ORACLE_BASES[name]()
+    rng = random.Random(f"{name}/{seed}")
+    for label, faces, lengths in _oracle_inputs(s, rng):
+        want = _build_outcome(build_oracle, faces, lengths)
+        assert _build_outcome(TriSurface.build, faces, lengths) == want, label
+
+
+@pytest.mark.parametrize("faces", [
+    TET + [tuple(v + 3 if v else 0 for v in f) for f in TET], RP2,
+    TET + _shifted(TET, 4), TET + [TET[0]], TET[:3] + [(1, 2, 3)] * 2,
+    [(0, 1, 2), (0, 2, 1)], TET + [(0, 1, 2)] * 2,
+], ids=["pinched_tetrahedra", "rp2", "two_tetrahedra", "repeated_face",
+        "doubled_face", "two_triangle_sphere", "three_copies"])
+def test_build_matches_oracle_on_small_complexes(faces):
+    assert (_build_outcome(TriSurface.build, faces, None)
+            == _build_outcome(build_oracle, faces, None))
 
 
 NEAR_ONE = F(10**12 - 1, 10**12 + 1)        # a denominator near 10**12
@@ -303,6 +387,66 @@ def test_scale_surface():
     s = fixtures.scale_surface(fixtures.torus7(), F(1, 4))
     assert all(l == F(1, 4) for l in s.edge_lengths.values())
     assert s.genus == 1
+
+
+SUBDIVIDED = {"torus7": fixtures.torus7, "mixed_torus": mixed_torus,
+              "genus2_neck": lambda: corpus_surface("genus2_neck.surf"),
+              "genus2x1_relabeled": lambda: relabeled(
+                  fixtures.subdivide(fixtures.genus2()), 3, shuffle_faces=True)}
+
+
+def _midline_lengths(s, sub):
+    """Oracle for the lengths of ``sub = subdivide(s)``, read off sub's own
+    edges: a new vertex m sits on the parent edge of its two old
+    neighbours; a half edge (u, m) gets half of m's parent edge, and a
+    medial edge (m1, m2) half of the parent side that is neither m1's nor
+    m2's, its face's third side."""
+    old = set(s.vertices)
+    parent = {}
+    for u, w in sub.edges:
+        for m, x in ((u, w), (w, u)):
+            if m not in old and x in old:
+                parent.setdefault(m, set()).add(x)
+    out = {}
+    for u, w in sub.edges:
+        if u in old or w in old:
+            m = w if u in old else u
+            side = parent[m]
+        else:
+            side = parent[u] ^ parent[w]
+        assert len(side) == 2
+        out[(u, w)] = s.edge_lengths[_pair(*side)] / 2
+    return out
+
+
+@pytest.mark.parametrize("name", list(SUBDIVIDED))
+def test_subdivide_matches_midline_oracle(name):
+    s = SUBDIVIDED[name]()
+    sub = fixtures.subdivide(s)
+    assert sub.edge_lengths == _midline_lengths(s, sub)
+    assert (len(sub.vertices), len(sub.edges), len(sub.faces), sub.genus) == (
+        len(s.vertices) + len(s.edges), 4 * len(s.edges), 4 * len(s.faces),
+        s.genus)
+    assert (surface_fields(fixtures.subdivide(s, 2))
+            == surface_fields(fixtures.subdivide(sub)))
+
+
+@pytest.mark.parametrize("name", list(SUBDIVIDED))
+@pytest.mark.parametrize("mu", [F(1, 4), F(7, 15), 3])
+def test_scale_surface_is_per_edge_products(name, mu):
+    s = SUBDIVIDED[name]()
+    t = fixtures.scale_surface(s, mu)
+    want = {e: l * mu for e, l in s.edge_lengths.items()}
+    assert surface_fields(t) == surface_fields(build_oracle(s.faces, want))
+
+
+def test_criterion_07_meshes():
+    t = fixtures.subdivide(fixtures.torus7(), 4)
+    g = fixtures.subdivide(fixtures.genus2(), 3)
+    assert (len(t.edges), t.genus, set(t.edge_lengths.values())) == (
+        5376, 1, {F(1, 16)})
+    assert (len(g.edges), g.genus, set(g.edge_lengths.values())) == (
+        2496, 2, {F(1, 8)})
 
 
 # ---------------------------------------------------------------------------
