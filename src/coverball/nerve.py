@@ -200,13 +200,16 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     only approximately minimal anyway.  ``r_grid`` and ``budget`` are
     checked before any stage runs, by ``ball_length``'s budget rule.  Each
     ball-domination row reads the surface's kept grid tree of u (the
-    witness, or gamma's least vertex) through ``surfballs.ball``, and its
-    ball in gamma from one grid tree of u in gamma, built once for all rows
-    (``cover.finite_ball_lengths``).  The rows' lengths are integer sums on
-    the grid with one ``Fraction`` per reported value: the boundary
-    (``BallSubcomplex.boundary_length``), gamma inside the ball and gamma's
-    own ball (``cover.grid_covered_length``) and the cover ball
-    (``GrowthReport.at``).
+    witness, or gamma's least vertex) through ``surfballs.ball``, whose
+    face set ``surfballs.fill_to_bplus`` fills to B+, and its ball in gamma
+    from one grid tree of u in gamma, built once for all rows
+    (``cover.finite_ball_lengths``).  Only B+'s boundary is built, for its
+    length.  The rows' lengths are integer sums on the grid with one
+    ``Fraction`` per reported value: B+'s boundary (``subgraph_length``),
+    gamma inside the ball and gamma's own ball
+    (``cover.grid_covered_length``) and the cover ball
+    (``GrowthReport.at``).  The coarea stage sums the face areas of the
+    last row's ball, unfilled, in the face set's order.
     """
     r_grid = cover._count_arg("r_grid", r_grid, SurfaceError)
     budget = cover._count_arg("budget", budget, SurfaceError)
@@ -308,7 +311,7 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     for r, gball in zip(radii, cover.finite_ball_lengths(gamma, u, radii)):
         ball = surfballs.ball(s, u, r)
         bplus = surfballs.fill_to_bplus(s, ball)
-        boundary = bplus.boundary_length(s)
+        boundary = subgraph_length(s, surfballs._boundary_edges(s, bplus))
         # portion of the capturing graph inside the surface ball, with
         # partial edges measured by surface distances from u
         gamma_cap = cover.grid_covered_length(image_grid, D, r)
@@ -316,7 +319,7 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
         proj_exact = (r <= gamma_girth / 2)
         # boundary domination is only argued for contractible filled balls:
         # check that B+ is a single disk (one piece, F - J + C = 1)
-        pieces = surfballs._face_pieces(s, bplus.faces, bplus.boundary_edges)
+        pieces = surfballs._face_pieces(s, bplus)
         contractible = len(pieces) == 1 and pieces[0][1] == 1
         rows.append({
             "R": r,
@@ -346,7 +349,8 @@ def surface_growth_pipeline(s: TriSurface, r_grid: int = 8,
     integral = sum((rs[i + 1] - rs[i]) * (bs[i] + bs[i + 1]) / 2
                    for i in range(len(rs) - 1))
     R_final = float(rs[-1])
-    ball_area_val = ball.area(s)    # the last row's ball, unfilled
+    areas = s.face_areas()
+    ball_area_val = sum(areas[i] for i in ball)     # the last row's ball, unfilled
     target = hyperbolic_area_lower_bound(R_final)
     report["stages"].append({
         "stage": "coarea", "R": rs[-1],

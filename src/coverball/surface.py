@@ -7,11 +7,11 @@ running w -> u, for u < w) and the faces at each vertex.  The surface owns
 every other per-surface table as a declared field, each built on first use;
 no other module attaches state to a surface:
 
-- the integer grid (``int_grid``, ``grid_lengths``): build sets the common
+- the integer grid (``int_grid``, ``_edge_grid``): build sets the common
   denominator D of the edge lengths and each edge's length in units of
-  1/D, and compares the triangle inequality on those integers; it keeps
-  those lengths by edge too, which face areas and ``subgraph_length`` read;
-  the grid adjacency is built on first use;
+  1/D, by edge, and compares the triangle inequality on those integers;
+  face areas, ``subgraph_length`` and the grid adjacency, built on first
+  use, read those lengths;
 - the face table (``face_edges``): per face, its three edges, each with the
   face across it;
 - the grid shortest-path tree of the last base asked about (``tree``);
@@ -120,10 +120,9 @@ class TriSurface:
     edge_faces: dict[tuple[int, int], tuple[int, int]]
     vertex_faces: dict[int, list[int]]             # faces at v, ascending
     genus: int
-    # the integer grid, set by build: D and each edge's length times D, in
-    # ``edges`` order (see _grid_table) and by edge
+    # the integer grid, set by build: D and each edge's length times D, by
+    # edge
     _D: int = field(repr=False, compare=False)
-    _grid_lengths: list[int] = field(repr=False, compare=False)
     _edge_grid: dict[tuple[int, int], int] = field(repr=False, compare=False)
     # derived views, each built on first use
     _adj: dict | None = field(**_LAZY)            # grid adjacency
@@ -171,8 +170,8 @@ class TriSurface:
         order, ``edge_faces[(u, w)]`` as (the face that runs u -> w, the
         face that runs w -> u) once oriented, ``vertex_faces`` with the
         faces at each vertex in ascending order, the genus from
-        V - E + F = 2 - 2g, and D with the grid lengths in ``edges`` order
-        (``int_grid``, ``grid_lengths``), and the grid lengths by edge.
+        V - E + F = 2 - 2g, and D with the grid lengths by edge
+        (``int_grid``, ``_edge_grid``).
         """
         faces = [tuple(map(_vertex_id, f)) for f in faces]
         if not faces:
@@ -268,35 +267,25 @@ class TriSurface:
             edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
         genus = (2 - len(verts) + len(edges) - len(faces)) // 2
         return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
-                          vfaces, genus, D, [grid[e] for e in edges], grid)
+                          vfaces, genus, D, grid)
 
     # -- derived views -----------------------------------------------------
-    def _grid_table(self) -> tuple:
-        """(D, lengths, adj): D, the lcm of the length denominators, and
-        ``lengths[i]``, ``edges[i]``'s length times D, both set by build;
-        adj[v] lists (grid length, other end) for the edges at v in
-        ``edges`` order, built on first use."""
-        if self._adj is None:
-            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
-            for (u, w), n in zip(self.edges, self._grid_lengths):
-                adj[u].append((n, w))
-                adj[w].append((n, u))
-            self._adj = adj
-        return self._D, self._grid_lengths, self._adj
-
     def int_grid(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
         """(D, adj): the common denominator D of the edge lengths, set by
         build, and, per vertex, (grid length, other end) in ``edges`` order,
         built on first use.  It equals
         ``subgraph_metric_graph(self, self.edges).int_grid()``, without
         building that graph."""
-        D, _, adj = self._grid_table()
-        return D, adj
-
-    def grid_lengths(self) -> list[int]:
-        """Each edge's length times D, in ``edges`` order, as build computed
-        it for the triangle inequality."""
-        return self._grid_lengths
+        if self._adj is None:
+            adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
+            grid = self._edge_grid
+            for e in self.edges:
+                u, w = e
+                n = grid[e]
+                adj[u].append((n, w))
+                adj[w].append((n, u))
+            self._adj = adj
+        return self._D, self._adj
 
     def face_areas(self) -> list[float]:
         """Each face's area, in ``faces`` order, built on first use and kept:
@@ -398,7 +387,8 @@ class HomologyData:
     """
 
     def __init__(self, s: TriSurface):
-        _, lengths, adj = s._grid_table()
+        adj = s.int_grid()[1]
+        lengths = s._edge_grid.values()
         # BFS spanning tree, deterministic
         root = min(s.vertices)
         tree = set()

@@ -1,10 +1,10 @@
 """Metric balls, systoles and minimal capturing graphs on triangulated
 surfaces.
 
-Balls are inner approximations: a face belongs to the ball when all three
-of its vertices are within the radius; filling a ball adds the complement
-components that are disks (Euler characteristic 1, counted as F - J + C in
-one walk over the faces, see ``_face_pieces``).
+A ball is a face set, an inner approximation: a face belongs to the ball
+when all three of its vertices are within the radius; filling a ball adds
+the complement components that are disks (Euler characteristic 1, counted
+as F - J + C in one walk over the faces, see ``_face_pieces``).
 
 One candidate pass per surface, two shortest-path-tree paths plus one
 edge, serves the systole at every base and unbased, the greedy capture
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -110,7 +109,8 @@ def _grid_candidates(s: TriSurface):
     """
     packed = s.homology().edge_class
     adj = s.int_grid()[1]
-    glen = list(zip(s.edges, s.grid_lengths()))
+    grid = s._edge_grid
+    glen = [(e, grid[e]) for e in s.edges]
     reps, best, sep = {}, {}, {}
     for v0 in sorted(s.vertices):
         dist = grid_shortest_paths(s, v0)[0]
@@ -219,48 +219,19 @@ def systole_at(s: TriSurface, x: int) -> tuple[Fraction, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# ball subcomplexes
+# balls as face sets
 
-@dataclass(frozen=True)
-class BallSubcomplex:
-    radius: Fraction
-    interior: frozenset[int]
-    faces: frozenset[int]
-    boundary_edges: frozenset[tuple[int, int]]
-
-    def area(self, s: TriSurface) -> float:
-        """The sum of the faces' areas (``TriSurface.face_areas``), in the
-        order the face set iterates."""
-        areas = s.face_areas()
-        return sum(areas[i] for i in self.faces)
-
-    def boundary_length(self, s: TriSurface) -> Fraction:
-        """The boundary edges' grid lengths summed as ints, taken to one
-        ``Fraction`` (``subgraph_length``)."""
-        return subgraph_length(s, self.boundary_edges)
-
-
-def ball(s: TriSurface, x: int, R: Fraction | int | str) -> BallSubcomplex:
-    """The ball of radius R about x: the vertices within R of x and the
-    faces they span (``_inner_ball``), with the edges of those faces that
-    border a face outside, which the pipeline's boundary lengths and
-    ``fill_to_bplus`` read."""
+def ball(s: TriSurface, x: int, R: Fraction | int | str) -> frozenset[int]:
+    """The ball of radius R about x as its face set: the faces whose three
+    vertices lie within R of x (``_ball_faces``), inserted in ascending
+    order.  A vertex at grid distance n from x, read from the surface's
+    kept shortest-path tree of x (``TriSurface.tree``), lies within R iff
+    n <= floor(R * D), as n is an integer; R * D need not be one."""
     R = Fraction(R)
-    interior, faces = _inner_ball(s, x, R)
-    return BallSubcomplex(R, interior, faces, _boundary_edges(s, faces))
-
-
-def _inner_ball(s: TriSurface, x: int, R: Fraction) -> tuple[frozenset, frozenset]:
-    """(interior, faces) of the ball of radius R about x, the one reading
-    of a ball that ``ball`` and ``small_ball_area_check`` share.  A vertex
-    at grid distance n from x, read from the surface's kept shortest-path
-    tree of x (``TriSurface.tree``), lies within R iff n <= floor(R * D),
-    as n is an integer; R * D need not be one."""
     if R < 0:
         raise SurfaceError("radius must be nonnegative")
-    cut = math.floor(R * s.int_grid()[0])
-    interior = frozenset(v for v, d in s.tree(x)[0].items() if d <= cut)
-    return interior, _ball_faces(s, interior)
+    reach = math.floor(R * s.int_grid()[0])
+    return _ball_faces(s, [v for v, n in s.tree(x)[0].items() if n <= reach])
 
 
 def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
@@ -275,18 +246,18 @@ def _ball_faces(s: TriSurface, inside) -> frozenset[int]:
 
 
 def _boundary_edges(s: TriSurface, faces: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The edges between a face of ``faces`` and a face outside it."""
     across = s.face_edges()
     return frozenset(e for f in faces for e, h in across[f] if h not in faces)
 
 
-def _face_pieces(s: TriSurface, faces, cut) -> list[tuple[set[int], int]]:
-    """The components of the face set ``faces``, faces joined across edges
-    outside ``cut`` (edges (u, w), u < w), in order of their least face;
-    each with the Euler characteristic of the surface it spans once cut
-    along ``cut``.
+def _face_pieces(s: TriSurface, faces) -> list[tuple[set[int], int]]:
+    """The components of the face set ``faces``, faces joined across the
+    edges between two of them, in order of their least face; each with the
+    Euler characteristic of the surface it spans, cut along its boundary.
 
-    That is chi = F - J + C: F faces, J joins (uncut edges between two of
-    its faces) and C the vertices at which every edge is a join.  A vertex
+    That is chi = F - J + C: F faces, J joins (edges between two of its
+    faces) and C the vertices at which every edge is a join.  A vertex
     with f faces and j joins there has f - j corner fans, or one when
     j = f (the fans close up), and the 3F face sides are 2J join sides
     plus the other edges, each counted once.
@@ -307,7 +278,7 @@ def _face_pieces(s: TriSurface, faces, cut) -> list[tuple[set[int], int]]:
             f = stack.pop()
             touched.update(s.faces[f])
             for e, h in across[f]:
-                if e in cut or h not in faces:
+                if h not in faces:
                     open_.update(e)
                     continue
                 sides += 1
@@ -319,16 +290,15 @@ def _face_pieces(s: TriSurface, faces, cut) -> list[tuple[set[int], int]]:
     return out
 
 
-def fill_to_bplus(s: TriSurface, b: BallSubcomplex) -> BallSubcomplex:
-    """Add the faces of every disk component of the complement (filling the
-    contractible boundary cycles)."""
-    outside = set(range(len(s.faces))) - b.faces
+def fill_to_bplus(s: TriSurface, faces: frozenset[int]) -> frozenset[int]:
+    """B+ of the ball with face set ``faces``: those faces and every
+    component of the complement that is a disk (filling the contractible
+    boundary cycles)."""
     fill: set[int] = set()
-    for comp, chi in _face_pieces(s, outside, b.boundary_edges):
+    for comp, chi in _face_pieces(s, set(range(len(s.faces))) - faces):
         if chi == 1:
             fill |= comp
-    faces = b.faces | fill
-    return replace(b, faces=faces, boundary_edges=_boundary_edges(s, faces))
+    return faces | fill
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +495,9 @@ def _path_edges(parent: dict, v: int) -> set:
 # Every based reader takes its distances from x from the surface's own grid
 # shortest-path tree of the last base asked about (``TriSurface.tree``):
 # the based greedy arc, the exact search's dist(x, .) and arc, ``height``'s
-# distance bound and the inner ball (``_inner_ball``, read by ``ball`` and
-# the small-ball check); so height and balls at one x run one Dijkstra from
-# x, and the systole at x none once the pass exists.  Sources and targets
+# distance bound and the ball's face set (``ball``, which the small-ball
+# check reads); so height and balls at one x run one Dijkstra from x, and
+# the systole at x none once the pass exists.  Sources and targets
 # are vertex ranks: the tables are ``searches[u].lists[v]``, the walks from
 # the vertex of rank u to that of rank v, and no other index is kept over
 # them.  A search keeps one bucket of states per grid length under a heap
@@ -976,16 +946,15 @@ def small_ball_area_check(s: TriSurface, x: int, R: Fraction | int | str,
     (``systole_at``).  Substituting H'' for min(H',H'') means only the
     implied weaker inequality is tested.  The area is that of the inner
     ball, a lower bound on the ball's, so one below the target reads
-    inconclusive, never fail.  It is ``ball(s, x, R).area(s)`` to the last
-    bit: the faces of ``_inner_ball``, which ``ball`` reads too, their
-    areas summed in the same order; the check reads no ball boundary, so it
-    builds none."""
+    inconclusive, never fail: the face areas (``TriSurface.face_areas``)
+    summed over the face set ``ball(s, x, R)`` in its order.  The check
+    reads no ball boundary, so it builds none."""
     R = Fraction(R)
     if not (hpp < R < sys_x / 2):
         return {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
                 "status": "inconclusive", "reason": "outside admissible window"}
     areas = s.face_areas()
-    area = sum(areas[i] for i in _inner_ball(s, x, R)[1])
+    area = sum(areas[i] for i in ball(s, x, R))
     required = float(R - hpp) ** 2 / 2.0
     rep = {"x": x, "R": R, "Hpp": hpp, "sys_x": sys_x,
            "area": area, "required": required, "margin": area - required,

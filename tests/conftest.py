@@ -454,6 +454,26 @@ def _face_components(s: TriSurface, faces_set: set[int], cut_edges: set) -> list
     return comps
 
 
+def bplus_oracle(s: TriSurface, faces) -> set[int]:
+    """Independent oracle for ``surfballs.fill_to_bplus``: ``faces`` and
+    every component of the complement, cut along the boundary of
+    ``faces``, whose corner-fan Euler characteristic is 1."""
+    cut = boundary_edges_of(s, faces)
+    out = set(faces)
+    for comp in _face_components(s, set(range(len(s.faces))) - out, cut):
+        if face_set_chi(s, comp, cut) == 1:
+            out |= comp
+    return out
+
+
+def is_disk_oracle(s: TriSurface, faces) -> bool:
+    """Whether the face set ``faces``, cut along its boundary, is one
+    piece of corner-fan Euler characteristic 1."""
+    cut = boundary_edges_of(s, faces)
+    comps = _face_components(s, faces, cut)
+    return len(comps) == 1 and face_set_chi(s, comps[0], cut) == 1
+
+
 def faces_with_all_corners_in(s: TriSurface, inside) -> frozenset[int]:
     """Independent oracle for ``surfballs._ball_faces``: each face at a
     vertex inside, kept when all three of its vertices are inside, inserted
@@ -849,7 +869,7 @@ def build_oracle(faces, lengths=None) -> TriSurface:
         edge_faces[e] = (h, j) if dh != flip[h] else (j, h)
     genus = (2 - len(verts) + len(edges) - len(faces)) // 2
     return TriSurface(tuple(verts), oriented, full, edges, edge_faces,
-                      vfaces, genus, D, [grid[e] for e in edges], grid)
+                      vfaces, genus, D, grid)
 
 
 def surface_fields(s: TriSurface) -> tuple:
@@ -857,7 +877,7 @@ def surface_fields(s: TriSurface) -> tuple:
     surfaces compare equal only with their dicts in the same order."""
     return (s.vertices, s.faces, list(s.edge_lengths.items()), s.edges,
             list(s.edge_faces.items()), list(s.vertex_faces.items()), s.genus,
-            s._D, s._grid_lengths, list(s._edge_grid.items()))
+            s._D, [s._edge_grid[e] for e in s.edges], list(s._edge_grid.items()))
 
 
 def corpus_surface(name: str) -> TriSurface:
@@ -1086,10 +1106,22 @@ def tuple_capture_tables(s: TriSurface, bound: int) -> dict:
             for v in sorted(s.vertices)}
 
 
-def boundary_components(s: TriSurface, b) -> list[list[tuple[int, int]]]:
-    """Boundary edges of the ball subcomplex ``b`` grouped into connected
+def boundary_edges_of(s: TriSurface, faces) -> set[tuple[int, int]]:
+    """Independent oracle for ``surfballs._boundary_edges``: the edges with
+    one of their two faces in ``faces``."""
+    return {e for e, fs in s.edge_faces.items() if sum(f in faces for f in fs) == 1}
+
+
+def face_set_area(s: TriSurface, faces) -> float:
+    """The face areas summed over ``faces`` in its iteration order."""
+    areas = s.face_areas()
+    return sum(areas[i] for i in faces)
+
+
+def boundary_components(s: TriSurface, faces) -> list[list[tuple[int, int]]]:
+    """Boundary edges of the face set ``faces`` grouped into connected
     components, each grown by rescanning the edges left."""
-    edges = set(b.boundary_edges)
+    edges = boundary_edges_of(s, faces)
     comps = []
     while edges:
         e0 = min(edges)

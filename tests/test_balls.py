@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FractionEchelon, _count_calls, _face_components,
-                      arc_dict_exact_capture, boundary_components, by_target,
+                      arc_dict_exact_capture, boundary_components,
+                      boundary_edges_of, bplus_oracle, by_target,
                       capture_by_cycle_pairs, class_of_walk, class_tuple,
-                      corpus_surface, face_set_chi, faces_with_all_corners_in,
+                      corpus_surface, face_set_area, face_set_chi,
+                      faces_with_all_corners_in,
                       fraction_greedy_capture, fraction_homology_candidates,
                       fundamental_cycles, is_contractible_cycle, mixed_torus,
                       relabeled, shortest_essential_cycle, tetrahedron,
@@ -312,7 +314,7 @@ def test_one_candidate_pass_serves_systole_and_greedy(name, monkeypatch):
 # balls and filling
 
 def test_ball_area_monotone(torus):
-    areas = [surfballs.ball(torus, 0, F(k, 4)).area(torus) for k in range(1, 9)]
+    areas = [face_set_area(torus, surfballs.ball(torus, 0, F(k, 4))) for k in range(1, 9)]
     assert all(a <= b + 1e-12 for a, b in zip(areas, areas[1:]))
 
 
@@ -322,22 +324,21 @@ def test_fill_never_shrinks_area_or_adds_boundary(torus, g2):
             for k in range(1, 7):
                 b = surfballs.ball(s, x, F(k, 4))
                 bp = surfballs.fill_to_bplus(s, b)
-                assert bp.area(s) >= b.area(s) - 1e-12
+                assert bp == bplus_oracle(s, b)
+                assert face_set_area(s, bp) >= face_set_area(s, b) - 1e-12
                 assert len(boundary_components(s, bp)) <= \
                     len(boundary_components(s, b))
-                assert b.faces <= bp.faces
+                assert b <= bp
 
 
-def _assert_ball_matches_distances(s, b, dist):
-    """The ball b against its definition: the vertices at exact distance
-    at most R in ``dist`` (``distances_from`` of its centre), the faces
-    with all three corners among them, in ``list(faces)`` order too, and
-    the edges with one of those faces on one side only."""
-    assert b.interior == {v for v, d in dist.items() if d <= b.radius}
-    want = faces_with_all_corners_in(s, b.interior)
-    assert b.faces == want and list(b.faces) == list(want)
-    assert b.boundary_edges == {e for e, fs in s.edge_faces.items()
-                                if sum(f in b.faces for f in fs) == 1}
+def _assert_ball_matches_distances(s, b, R, dist):
+    """The ball b of radius R against its definition: the faces with all
+    three corners at exact distance at most R in ``dist``
+    (``distances_from`` of its centre), in ``list(b)`` order too, and its
+    boundary, the edges with one of those faces on one side only."""
+    want = faces_with_all_corners_in(s, {v for v, d in dist.items() if d <= R})
+    assert b == want and list(b) == list(want)
+    assert surfballs._boundary_edges(s, b) == boundary_edges_of(s, b)
 
 
 @pytest.mark.parametrize("make", [lambda: fixtures.subdivide(fixtures.torus7()),
@@ -346,7 +347,7 @@ def _assert_ball_matches_distances(s, b, dist):
 def test_ball_at_off_grid_radii_matches_distance_oracle(make):
     """``ball`` decides n <= floor(R * D) on the grid; at radii k/3, k/7
     and k/11 (off the grid of D = 2 for most k, and at k/11 off that of
-    D = 210) its interior and faces are those the exact distances give."""
+    D = 210) its faces are those the exact distances give."""
     s = make()
     D = s.int_grid()[0]
     off_grid = 0
@@ -356,7 +357,7 @@ def test_ball_at_off_grid_radii_matches_distance_oracle(make):
         for q in (3, 7, 11):
             for k in range(1, int(q * far) + 2):
                 R = F(k, q)
-                _assert_ball_matches_distances(s, surfballs.ball(s, x, R), full)
+                _assert_ball_matches_distances(s, surfballs.ball(s, x, R), R, full)
                 off_grid += (R * D).denominator != 1
     assert off_grid > 50
 
@@ -373,34 +374,33 @@ def _fan_pieces(s, faces, cut):
 
 
 def test_face_pieces_match_fan_oracle():
-    """``_face_pieces`` (chi = F - J + C) against the corner-fan oracle:
-    seeded random face and cut sets, then the complement and the filled
-    ball of every ball at every vertex and radius k/4; and each ball
-    against the distance oracle ``_assert_ball_matches_distances``."""
+    """``_face_pieces`` (chi = F - J + C) against the corner-fan oracle,
+    cut along the set's own boundary: seeded random face sets, then the
+    complement and the filled ball of every ball at every vertex and radius
+    k/4; and each ball against the distance oracle
+    ``_assert_ball_matches_distances``."""
     rng = random.Random(14)
     checked = 0
     for s in _piece_surfaces():
         nf = len(s.faces)
         for p in (0.2, 0.5, 0.8, 1.0):
-            for q in (0.0, 0.1, 0.3):
-                for _ in range(3):
-                    faces = {f for f in range(nf) if rng.random() < p}
-                    cut = {e for e in s.edges if rng.random() < q}
-                    assert surfballs._face_pieces(s, faces, cut) == \
-                        _fan_pieces(s, faces, cut)
-                    checked += 1
+            for _ in range(9):
+                faces = {f for f in range(nf) if rng.random() < p}
+                assert surfballs._face_pieces(s, faces) == \
+                    _fan_pieces(s, faces, boundary_edges_of(s, faces))
+                checked += 1
         for x in sorted(s.vertices):
             full = s.distances_from(x)
             for k in range(1, int(4 * max(full.values())) + 2):
                 R = F(k, 4)
                 b = surfballs.ball(s, x, R)
-                _assert_ball_matches_distances(s, b, full)
-                outside = set(range(nf)) - b.faces
-                assert surfballs._face_pieces(s, outside, b.boundary_edges) == \
-                    _fan_pieces(s, outside, b.boundary_edges)
+                _assert_ball_matches_distances(s, b, R, full)
+                outside = set(range(nf)) - b
+                assert surfballs._face_pieces(s, outside) == \
+                    _fan_pieces(s, outside, boundary_edges_of(s, b))
                 bp = surfballs.fill_to_bplus(s, b)
-                assert surfballs._face_pieces(s, bp.faces, bp.boundary_edges) == \
-                    _fan_pieces(s, bp.faces, bp.boundary_edges)
+                assert surfballs._face_pieces(s, bp) == \
+                    _fan_pieces(s, bp, boundary_edges_of(s, bp))
                 checked += 3
     assert checked > 2000
 
@@ -428,13 +428,13 @@ def test_based_op_runs_one_shortest_path_tree(monkeypatch):
     map: height and the ball checks share the surface's kept tree of x
     (``TriSurface.tree``), and the systole at x reads the candidate pass
     that serves every base, which runs none once built.  Each check reads
-    the inner ball's faces once and builds no ball boundary."""
+    the ball's face set once (``ball``) and builds no ball boundary."""
     s = relabeled(fixtures.subdivide(fixtures.torus7()), 1)
     surfballs.capture_length(s, "exact")    # the unbased pass, once per surface
     trees = _count_calls(monkeypatch, surface, "grid_shortest_paths")
     trees_here = _count_calls(monkeypatch, surfballs, "grid_shortest_paths")
     maps = _count_calls(monkeypatch, TriSurface, "distances_from")
-    inner = _count_calls(monkeypatch, surfballs, "_inner_ball")
+    balls = _count_calls(monkeypatch, surfballs, "ball")
     boundaries = _count_calls(monkeypatch, surfballs, "_boundary_edges")
     for x in sorted(s.vertices):
         trees.clear()
@@ -447,7 +447,7 @@ def test_based_op_runs_one_shortest_path_tree(monkeypatch):
             assert check.get("reason") != "outside admissible window"
         assert [a[1] for a in trees] == [x] and trees_here == []
         assert maps == []
-    assert len(inner) == 3 * len(s.vertices)
+    assert len(balls) == 3 * len(s.vertices)
     assert boundaries == []
 
 
@@ -474,8 +474,8 @@ def test_cached_base_refuses_bool():
 
 def test_saturated_ball_has_no_boundary(torus):
     b = surfballs.ball(torus, 0, F(4))
-    assert len(b.faces) == len(torus.faces)
-    assert not b.boundary_edges
+    assert len(b) == len(torus.faces)
+    assert not surfballs._boundary_edges(torus, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,10 +1120,10 @@ def test_window_check_inconclusive_outside(sub_torus):
     lambda: _skewed_sub_torus(1)],
     ids=["torus7_sub", "torus7_sub_relabeled3", "torus7_sub_skewed1"])
 def test_window_check_area_is_the_ball_area(make):
-    """The check's area is ``ball(s, x, R).area(s)`` as a float, bit for
-    bit, and its status and reason follow from that area: at every vertex,
-    for each multiple of 1/8 inside the window (H'', sys_x/2) and for
-    R = 11/8, in the window or not."""
+    """The check's area is the face areas of ``ball(s, x, R)`` summed in
+    its order, as a float, bit for bit, and its status and reason follow
+    from that area: at every vertex, for each multiple of 1/8 inside the
+    window (H'', sys_x/2) and for R = 11/8, in the window or not."""
     s = make()
     statuses = set()
     for x in sorted(s.vertices):
@@ -1137,7 +1137,7 @@ def test_window_check_area_is_the_ball_area(make):
                 assert (rep["status"], rep["reason"]) == \
                     ("inconclusive", "outside admissible window")
                 continue
-            area = surfballs.ball(s, x, R).area(s)
+            area = face_set_area(s, surfballs.ball(s, x, R))
             assert rep["area"] == area, (x, R)
             low = area < float(R - hpp) ** 2 / 2
             assert rep["status"] == ("inconclusive" if low else "pass"), (x, R)

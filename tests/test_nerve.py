@@ -7,12 +7,14 @@ from importlib import resources
 import pytest
 
 from conftest import (NERVE_PACK_MESHES, _count_calls, area_shrink_factor,
-                      corpus_surface, covered_length, farthest_point_packing,
+                      boundary_edges_of, bplus_oracle, corpus_surface,
+                      covered_length, face_set_area, faces_with_all_corners_in,
+                      farthest_point_packing, is_disk_oracle,
                       pairwise_nerve_edges, relabeled, rescaling_lambda_search,
                       shrink_factor_grid_check, tetrahedron)
 from coverball import cover, fixtures, nerve, surfballs
 from coverball.surface import (SurfaceError, TriSurface, _pair, capturing_test,
-                               parse_surface)
+                               parse_surface, subgraph_length)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,7 @@ def test_phi_paths_are_shortest_skeleton_walks(small_torus, small_torus_nerve):
 
 def test_ball_areas_match_surface_balls(small_torus, small_torus_nerve):
     rep = small_torus_nerve
-    assert rep.ball_areas == [surfballs.ball(small_torus, c, rep.r0).area(small_torus)
+    assert rep.ball_areas == [face_set_area(small_torus, surfballs.ball(small_torus, c, rep.r0))
                               for c in rep.centers]
 
 
@@ -274,9 +276,10 @@ def test_pipeline_rows_read_one_tree_of_gamma(name, monkeypatch):
                                   "genus2_neck.surf"])
 def test_pipeline_row_lengths_match_fraction_oracles(name):
     # the rows' gamma_in_ball is the integer covered-length rule on the
-    # grid lengths and the kept grid tree of u, and the boundary length an
-    # int sum of grid lengths; both against Fraction sums, at every vertex,
-    # at the pipeline's radii and at two radii off the grid
+    # grid lengths and the kept grid tree of u, and the boundary lengths of
+    # each ball and its B+ int sums of grid lengths; all against Fraction
+    # sums, at every vertex, at the pipeline's radii and at two radii off
+    # the grid
     s = corpus_surface(name)
     try:
         rmax = surfballs.systole(s)[0] / 2
@@ -296,8 +299,34 @@ def test_pipeline_row_lengths_match_fraction_oracles(name):
                 sum((covered_length(s.edge_lengths[e], r, dist[e[0]], dist[e[1]])
                      for e in image_edges), F(0))
             b = surfballs.ball(s, u, r)
-            assert b.boundary_length(s) == \
-                sum((s.edge_lengths[e] for e in b.boundary_edges), F(0))
+            for faces in (b, surfballs.fill_to_bplus(s, b)):
+                assert subgraph_length(s, surfballs._boundary_edges(s, faces)) == \
+                    sum((s.edge_lengths[e] for e in boundary_edges_of(s, faces)), F(0))
+
+
+@pytest.mark.parametrize("name", ["torus7.surf", "torus7_sub.surf",
+                                  "torus7_sub_sixth.surf", "genus2.surf",
+                                  "genus2_neck.surf"])
+def test_pipeline_rows_fill_and_test_bplus_as_the_fan_oracle(name, monkeypatch):
+    # each row's contractible flag and boundary length against B+ filled
+    # from the exact-distance ball by the corner-fan oracle: complement
+    # pieces of chi 1 join the ball, and B+ is contractible iff it is one
+    # piece of chi 1
+    s = corpus_surface(name)
+    balls = _count_calls(monkeypatch, surfballs, "ball")
+    rep = nerve.surface_growth_pipeline(s)
+    rows = {st["stage"]: st for st in rep["stages"]}["ball-domination"]["rows"]
+    monkeypatch.undo()
+    u = balls[0][1]
+    dist = s.distances_from(u)
+    flags, boundaries = [], []
+    for row in rows:
+        inside = {v for v, d in dist.items() if d <= row["R"]}
+        bplus = bplus_oracle(s, faces_with_all_corners_in(s, inside))
+        flags.append(is_disk_oracle(s, bplus))
+        boundaries.append(sum((s.edge_lengths[e] for e in boundary_edges_of(s, bplus)), F(0)))
+    assert [row["contractible"] for row in rows] == flags
+    assert [row["boundary_length"] for row in rows] == boundaries
 
 
 @pytest.mark.parametrize("value", [2.5, "3", True, 0, None])

@@ -230,7 +230,7 @@ def test_build_triangle_check_matches_fraction_oracle(name, data):
     assert t.faces == s.faces and t.edge_lengths == ls
     D = math.lcm(*(l.denominator for l in ls.values()))
     assert t.int_grid()[0] == D
-    assert t.grid_lengths() == [ls[e] * D for e in t.edges]
+    assert [t._edge_grid[e] for e in t.edges] == [ls[e] * D for e in t.edges]
 
 
 def test_build_runs_no_fraction_arithmetic(monkeypatch):
@@ -336,7 +336,7 @@ def test_grid_table_matches_metric_graph_and_fractions(name):
     # build keeps D and the grid lengths; the adjacency waits for first use
     assert s._adj is None
     D = math.lcm(*(l.denominator for l in s.edge_lengths.values()))
-    assert s.grid_lengths() == [s.edge_lengths[e] * D for e in s.edges]
+    assert [s._edge_grid[e] for e in s.edges] == [s.edge_lengths[e] * D for e in s.edges]
     assert s._adj is None
     assert s.int_grid() == subgraph_metric_graph(s, s.edges).int_grid()
     assert s.int_grid()[0] == D
